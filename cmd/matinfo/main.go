@@ -25,6 +25,7 @@ import (
 
 	"pjds/internal/advisor"
 	"pjds/internal/convert"
+	"pjds/internal/core"
 	"pjds/internal/experiments"
 	"pjds/internal/formats"
 	"pjds/internal/matrix"
@@ -193,22 +194,22 @@ func printRecommendation(out io.Writer, m *matrix.CSR[float64], st matrix.Stats,
 
 // printFootprints renders the per-format storage comparison.
 func printFootprints(out io.Writer, m *matrix.CSR[float64], opt matrix.ConvertOptions) error {
-	pj, err := formats.NewPJDSWith(m, opt)
+	pj, err := core.NewPJDS(m, core.Options{Convert: opt})
 	if err != nil {
 		return err
 	}
-	jds, err := formats.NewJDSWith(m, opt)
+	jds, err := core.NewPJDS(m, core.Options{BlockHeight: 1, Convert: opt})
 	if err != nil {
 		return err
 	}
-	sell, err := formats.NewSlicedELLWith(m, 32, m.NRows, opt)
+	sell, err := core.NewSELL(m, 32, m.NRows, opt)
 	if err != nil {
 		return err
 	}
 	list := []formats.Format[float64]{
 		formats.NewCRS(m),
-		formats.NewELLPACKWith(m, opt),
-		formats.NewELLPACKRWith(m, opt),
+		core.NewELLPACK(m, opt),
+		core.NewELLPACKR(m, opt),
 		sell,
 		pj,
 		jds,

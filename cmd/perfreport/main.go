@@ -74,7 +74,6 @@ import (
 	"pjds/internal/critpath"
 	"pjds/internal/distmv"
 	"pjds/internal/experiments"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/hostkernel"
 	"pjds/internal/matrix"
@@ -82,7 +81,6 @@ import (
 	"pjds/internal/profiles"
 	"pjds/internal/runledger"
 	"pjds/internal/telemetry"
-	"pjds/internal/trace"
 	"pjds/internal/tuner"
 )
 
@@ -219,7 +217,7 @@ func run(args []string, out io.Writer) error {
 // serialized MatrixMarket bytes, assemble CSR, build pJDS and
 // ELLPACK-R, partition and distribute over ranks) at the given worker
 // count and returns the phase recorder plus the built formats.
-func convertPipeline(doc []byte, ranks, workers int) (*convert.Recorder, *core.PJDS[float64], *formats.ELLPACKR[float64], error) {
+func convertPipeline(doc []byte, ranks, workers int) (*convert.Recorder, *core.PJDS[float64], *core.SELL[float64], error) {
 	rec := convert.NewRecorder(telemetry.NewRegistry(), nil, 0)
 	opt := matrix.ConvertOptions{Workers: workers, Arena: matrix.NewArena(), Timer: rec}
 	m, _, err := matrix.ReadMatrixMarketOpt[float64](bytes.NewReader(doc), opt)
@@ -230,7 +228,7 @@ func convertPipeline(doc []byte, ranks, workers int) (*convert.Recorder, *core.P
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	er := formats.NewELLPACKRWith(m, opt)
+	er := core.NewELLPACKR(m, opt)
 	pt, err := distmv.PartitionByNnz(m, ranks)
 	if err != nil {
 		return nil, nil, nil, err
@@ -277,7 +275,7 @@ func runConvertReport(w io.Writer, matrixName string, scale float64, ranks, work
 	if err != nil {
 		return err
 	}
-	erStats, err := gpu.RunELLPACKR(dev, er, yp, xp, gpu.RunOptions{Metrics: scratch})
+	erStats, err := gpu.RunSELL(dev, er, yp, xp, gpu.RunOptions{Metrics: scratch})
 	if err != nil {
 		return err
 	}
@@ -463,7 +461,7 @@ func analyzeArtifacts(w io.Writer, tracePath, metricsPath string, jsonOut bool) 
 	if err != nil {
 		return err
 	}
-	spans, err := trace.ReadSpans(f)
+	spans, err := telemetry.ReadTrace(f)
 	f.Close()
 	if err != nil {
 		return err
@@ -582,7 +580,7 @@ func runProfileReport(w io.Writer, profilePath, tracePath string, checkAttr floa
 		if err != nil {
 			return err
 		}
-		spans, err := trace.ReadSpans(f)
+		spans, err := telemetry.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			return err

@@ -50,7 +50,6 @@ import (
 	"pjds/internal/runledger"
 	"pjds/internal/simnet"
 	"pjds/internal/telemetry"
-	"pjds/internal/trace"
 )
 
 func main() {
@@ -340,7 +339,7 @@ func runTrace(out io.Writer, path, name string, scale float64, nodes int, format
 	}
 	spans.AppendShifted(solverSpans, spans.MaxEnd())
 
-	meta := trace.Meta{
+	meta := telemetry.TraceMeta{
 		Processes: map[int]string{},
 		LaneNames: map[string]string{
 			"host":   "host thread 0 (MPI)",
@@ -361,7 +360,7 @@ func runTrace(out io.Writer, path, name string, scale float64, nodes int, format
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteSpans(f, spans.Spans(), meta); err != nil {
+	if err := telemetry.WriteTrace(f, spans.Spans(), meta); err != nil {
 		f.Close()
 		return err
 	}

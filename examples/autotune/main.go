@@ -57,7 +57,7 @@ func autotune(m *pjds.CSR) {
 	}
 
 	ellr := pjds.NewELLPACKR(m)
-	ks, err := pjds.RunELLPACKR(dev, ellr, y, x)
+	ks, err := pjds.RunSELL(dev, ellr, y, x)
 	add(ellr.Name(), ellr.FootprintBytes(), ks, err)
 
 	p, err := pjds.NewPJDS(m, pjds.Options{})

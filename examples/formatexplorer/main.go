@@ -38,7 +38,7 @@ func main() {
 
 		// Plain ELLPACK (computes on padding).
 		y := make([]float64, c.m.NRows)
-		stE, err := pjds.RunELLPACK(dev, ell, y, x)
+		stE, err := pjds.RunSELL(dev, ell, y, x)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func main() {
 
 		// ELLPACK-R.
 		ellr := pjds.NewELLPACKR(c.m)
-		stR, err := pjds.RunELLPACKR(dev, ellr, y, x)
+		stR, err := pjds.RunSELL(dev, ellr, y, x)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func main() {
 	// The same kernel in ELLPACK-R, for comparison.
 	ellr := pjds.NewELLPACKR(m)
 	yr := make([]float64, m.NRows)
-	kr, err := pjds.RunELLPACKR(dev, ellr, yr, x)
+	kr, err := pjds.RunSELL(dev, ellr, yr, x)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,8 +40,9 @@ func FuzzPJDSConstruction(f *testing.F) {
 		if p.StoredElems() < int64(m.Nnz()) {
 			t.Fatal("stored fewer than nnz")
 		}
-		for j := 0; j+1 < len(p.ColStart); j++ {
-			if p.ColStart[j] > p.ColStart[j+1] {
+		cs := p.ColStart()
+		for j := 0; j+1 < len(cs); j++ {
+			if cs[j] > cs[j+1] {
 				t.Fatal("col_start not monotone")
 			}
 		}

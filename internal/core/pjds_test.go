@@ -57,10 +57,10 @@ func TestFig1Derivation(t *testing.T) {
 	}
 	// Block 0 (sorted rows 0-3, lengths 5,5,3,3) pads to 5;
 	// block 1 (lengths 2,2,1,1) pads to 2.
-	if got := p.BlockLen(0); got != 5 {
+	if got := p.SliceLen[0]; got != 5 {
 		t.Errorf("block 0 padded length = %d, want 5", got)
 	}
-	if got := p.BlockLen(1); got != 2 {
+	if got := p.SliceLen[1]; got != 2 {
 		t.Errorf("block 1 padded length = %d, want 2", got)
 	}
 	// Stored slots: 4·5 + 4·2 = 28; ELLPACK would store 8·5 = 40
@@ -70,17 +70,18 @@ func TestFig1Derivation(t *testing.T) {
 	}
 	// Column heights: cols 0-1 hold all 8 rows, cols 2-4 hold the
 	// first block only.
-	wantHeights := []int{8, 8, 4, 4, 4}
+	cs := p.ColStart()
+	wantHeights := []int32{8, 8, 4, 4, 4}
 	for j, w := range wantHeights {
-		if h := p.ColumnHeight(j); h != w {
+		if h := cs[j+1] - cs[j]; h != w {
 			t.Errorf("column %d height = %d, want %d", j, h, w)
 		}
 	}
 	// ColStart is the prefix sum of heights (paper's col_start[]).
 	wantStart := []int32{0, 8, 16, 20, 24, 28}
 	for j, w := range wantStart {
-		if p.ColStart[j] != w {
-			t.Fatalf("colStart = %v, want %v", p.ColStart, wantStart)
+		if cs[j] != w {
+			t.Fatalf("colStart = %v, want %v", cs, wantStart)
 		}
 	}
 	// Kernel correctness on the example.
@@ -233,8 +234,8 @@ func TestPJDSDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.BlockHeight != DefaultBlockHeight {
-		t.Errorf("default block height = %d", p.BlockHeight)
+	if p.C != DefaultBlockHeight {
+		t.Errorf("default block height = %d", p.C)
 	}
 	if p.Name() != "pJDS" {
 		t.Errorf("name = %q", p.Name())
@@ -345,7 +346,7 @@ func TestRowPermAndFootprint(t *testing.T) {
 		t.Error("invalid row permutation")
 	}
 	// DP footprint: stored*(8+4) + colStart + rowLen + perm.
-	want := p.StoredElems()*12 + int64(len(p.ColStart))*4 + int64(len(p.RowLen))*4 + int64(len(p.Perm))*4
+	want := p.StoredElems()*12 + int64(len(p.ColStart()))*4 + int64(len(p.RowLen))*4 + int64(len(p.Perm))*4
 	if p.FootprintBytes() != want {
 		t.Errorf("footprint = %d, want %d", p.FootprintBytes(), want)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 )
@@ -84,7 +83,7 @@ func estimateFootprint(m *matrix.CSR[float64], kind FormatKind) int64 {
 		}
 		return stored*12 + int64(maxLen+1)*4 + int64(n)*8 // val+idx, col_start, rowLen+perm
 	default: // ELLPACK-R
-		npad := ((n + formats.WarpSize - 1) / formats.WarpSize) * formats.WarpSize
+		npad := ((n + core.WarpSize - 1) / core.WarpSize) * core.WarpSize
 		return int64(npad)*int64(m.MaxRowLen())*12 + int64(npad)*4
 	}
 }

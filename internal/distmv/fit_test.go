@@ -4,9 +4,10 @@ import (
 	"errors"
 	"testing"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
+	"pjds/internal/matrix"
 )
 
 func TestCheckFitAgainstRealFootprints(t *testing.T) {
@@ -25,8 +26,8 @@ func TestCheckFitAgainstRealFootprints(t *testing.T) {
 	}
 	// The estimate must track the true format footprint closely.
 	for i, rp := range problems {
-		want := formats.NewELLPACKR(rp.Local).FootprintBytes() +
-			formats.NewELLPACKR(rp.NonLocal).FootprintBytes()
+		want := core.NewELLPACKR(rp.Local, matrix.ConvertOptions{}).FootprintBytes() +
+			core.NewELLPACKR(rp.NonLocal, matrix.ConvertOptions{}).FootprintBytes()
 		got := reports[i].FootprintBytes
 		if got < want || got > want+int64(8*(rp.LocalRows()*2+rp.HaloSize()))+1024 {
 			t.Errorf("rank %d: estimated %d, true format bytes %d", i, got, want)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
@@ -77,7 +76,7 @@ func (rp *RankProblem) Profile(dev *gpu.Device, kind FormatKind, xExt []float64,
 		}
 		switch kind {
 		case FormatELLPACKR:
-			return gpu.RunELLPACKR(dev, formats.NewELLPACKR(m), y, x, opt)
+			return gpu.RunSELL(dev, core.NewELLPACKR(m, matrix.ConvertOptions{}), y, x, opt)
 		case FormatPJDS:
 			p, err := core.NewPJDS(m, core.Options{})
 			if err != nil {

@@ -98,7 +98,7 @@ type Config struct {
 	// Spans, when non-nil, receives the per-rank, per-lane phase
 	// spans of every timed iteration on every rank — the generalized
 	// form of Result.Timeline (which keeps only rank 0's first
-	// iteration) consumed by the internal/trace exporter.
+	// iteration) consumed by the telemetry.WriteTrace exporter.
 	Spans *telemetry.SpanLog
 	// Faults injects wire-level faults (drops, delays, duplicates,
 	// link degradation) into the halo exchanges; nil runs healthy.

@@ -13,11 +13,12 @@ import (
 	"math"
 	"strconv"
 
+	"pjds/internal/core"
 	"pjds/internal/distmv"
 	"pjds/internal/flight"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/hostkernel"
+	"pjds/internal/matrix"
 	"pjds/internal/mpi"
 	"pjds/internal/telemetry"
 )
@@ -145,8 +146,8 @@ type Operator struct {
 	// and non-local blocks are built once per solve, so every Apply
 	// after the first replays cached kernel plans.
 	dev         *gpu.Device
-	devLocal    *formats.ELLPACKR[float64]
-	devNonLocal *formats.ELLPACKR[float64]
+	devLocal    *core.SELL[float64]
+	devNonLocal *core.SELL[float64]
 	devWorkers  int
 
 	// Host kernels for the split application, built lazily on the first
@@ -170,8 +171,8 @@ func (op *Operator) UseDevice(dev *gpu.Device, workers int) error {
 	}
 	op.dev = dev
 	op.devWorkers = workers
-	op.devLocal = formats.NewELLPACKR(op.RP.Local)
-	op.devNonLocal = formats.NewELLPACKR(op.RP.NonLocal)
+	op.devLocal = core.NewELLPACKR(op.RP.Local, matrix.ConvertOptions{})
+	op.devNonLocal = core.NewELLPACKR(op.RP.NonLocal, matrix.ConvertOptions{})
 	return nil
 }
 
@@ -217,7 +218,7 @@ func (op *Operator) deviceMul(y, x, halo []float64) error {
 		}
 	}
 	var ecc *gpu.ECCError
-	stL, err := gpu.RunELLPACKR(op.dev, op.devLocal, y, x, opt("solver-local", false))
+	stL, err := gpu.RunSELL(op.dev, op.devLocal, y, x, opt("solver-local", false))
 	if errors.As(err, &ecc) {
 		op.degrade(op.applies - 1)
 		return op.hostMul(y, x, halo)
@@ -225,7 +226,7 @@ func (op *Operator) deviceMul(y, x, halo []float64) error {
 	if err != nil {
 		return err
 	}
-	stN, err := gpu.RunELLPACKR(op.dev, op.devNonLocal, y, halo, opt("solver-non-local", true))
+	stN, err := gpu.RunSELL(op.dev, op.devNonLocal, y, halo, opt("solver-non-local", true))
 	if errors.As(err, &ecc) {
 		op.degrade(op.applies - 1)
 		return op.hostMul(y, x, halo)

@@ -35,7 +35,7 @@ func AblationL2(name string, scale float64, w io.Writer) ([]AblationPoint, error
 	if err != nil {
 		return nil, err
 	}
-	pj, err := formats.NewPJDS(m)
+	pj, err := core.NewPJDS(m, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -76,11 +76,11 @@ func AblationSortWindow(name string, scale float64, w io.Writer) ([]AblationPoin
 	arena := matrix.NewArena()
 	for _, sigma := range []int{1, 128, 1024, 8192, m.NRows} {
 		arena.Reset()
-		s, err := formats.NewSlicedELLWith(m, 32, sigma, matrix.ConvertOptions{Arena: arena})
+		s, err := core.NewSELL(m, 32, sigma, matrix.ConvertOptions{Arena: arena})
 		if err != nil {
 			return nil, err
 		}
-		st, err := gpu.RunSlicedELL(dev, s, make([]float64, s.NPad), x, gpu.RunOptions{})
+		st, err := gpu.RunSELL(dev, s, make([]float64, s.NPad), x, gpu.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func AblationRCM(name string, scale float64, w io.Writer) ([]AblationPoint, erro
 	var out []AblationPoint
 
 	run := func(setting string, mm *matrix.CSR[float64], xx []float64) error {
-		pj, err := formats.NewPJDS(mm)
+		pj, err := core.NewPJDS(mm, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -294,7 +294,7 @@ func AblationELLRT(name string, scale float64, w io.Writer) ([]AblationPoint, er
 			Extra:   float64(e.StoredElems()) / float64(m.Nnz()),
 		})
 	}
-	pj, err := formats.NewPJDS(m)
+	pj, err := core.NewPJDS(m, core.Options{})
 	if err != nil {
 		return nil, err
 	}

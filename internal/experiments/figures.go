@@ -45,21 +45,21 @@ func RunFig2(name string, scale float64, w io.Writer) ([]Fig2Row, error) {
 	y := make([]float64, m.NRows)
 	var rows []Fig2Row
 
-	ell := formats.NewELLPACK(m)
-	stE, err := gpu.RunELLPACK(dev, ell, y, x, gpu.RunOptions{})
+	ell := core.NewELLPACK(m, matrix.ConvertOptions{})
+	stE, err := gpu.RunSELL(dev, ell, y, x, gpu.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, fig2Row(ell, stE))
 
-	ellr := formats.NewELLPACKR(m)
-	stR, err := gpu.RunELLPACKR(dev, ellr, y, x, gpu.RunOptions{})
+	ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
+	stR, err := gpu.RunSELL(dev, ellr, y, x, gpu.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, fig2Row(ellr, stR))
 
-	pj, err := formats.NewPJDS(m)
+	pj, err := core.NewPJDS(m, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -302,9 +302,9 @@ func RunSec2B(scale float64, w io.Writer) (*Sec2BReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		ellr := formats.NewELLPACKR(m)
+		ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
 		x := testVector(m.NCols)
-		st, err := gpu.RunELLPACKR(dev, ellr, make([]float64, m.NRows), x, gpu.RunOptions{})
+		st, err := gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, gpu.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -343,10 +343,10 @@ func Fig1Demo(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Fig. 1 — pJDS derivation (br = %d)\n", p.BlockHeight)
+	fmt.Fprintf(w, "Fig. 1 — pJDS derivation (br = %d)\n", p.C)
 	fmt.Fprintf(w, "row permutation (sorted -> original): %v\n", p.Perm)
 	fmt.Fprintf(w, "row lengths (sorted): %v\n", p.RowLen)
-	fmt.Fprintf(w, "col_start: %v\n", p.ColStart)
+	fmt.Fprintf(w, "col_start: %v\n", p.ColStart())
 	fmt.Fprintf(w, "stored elements: %d (nnz %d, ELLPACK would store %d)\n",
 		p.StoredElems(), p.Nnz, int64(m.NRows)*int64(p.MaxRowLen))
 	return nil

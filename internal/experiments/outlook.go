@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"pjds/internal/core"
 	"pjds/internal/formats"
 	"pjds/internal/gpu"
+	"pjds/internal/matrix"
 	"pjds/internal/textplot"
 )
 
@@ -70,14 +72,14 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		}
 		record("CSR-vector", int64(m.Nnz()), st)
 
-		ell := formats.NewELLPACK(m)
-		if st, err = gpu.RunELLPACK(dev, ell, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		ell := core.NewELLPACK(m, matrix.ConvertOptions{})
+		if st, err = gpu.RunSELL(dev, ell, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
 			return nil, err
 		}
 		record(ell.Name(), ell.StoredElems(), st)
 
-		ellr := formats.NewELLPACKR(m)
-		if st, err = gpu.RunELLPACKR(dev, ellr, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
+		if st, err = gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
 			return nil, err
 		}
 		record(ellr.Name(), ellr.StoredElems(), st)
@@ -92,11 +94,11 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		record(ert.Name(), ert.StoredElems(), st)
 
 		for _, sigma := range []int{1, 4096} {
-			sell, err := formats.NewSlicedELL(m, 32, sigma)
+			sell, err := core.NewSELL(m, 32, sigma, matrix.ConvertOptions{})
 			if err != nil {
 				return nil, err
 			}
-			if st, err = gpu.RunSlicedELL(dev, sell, make([]float64, sell.NPad), x, gpu.RunOptions{}); err != nil {
+			if st, err = gpu.RunSELL(dev, sell, make([]float64, sell.NPad), x, gpu.RunOptions{}); err != nil {
 				return nil, err
 			}
 			label := sell.Name()
@@ -122,7 +124,7 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		}
 		record(bell.Name(), bell.StoredElems(), st)
 
-		jds, err := formats.NewJDS(m)
+		jds, err := core.NewPJDS(m, core.Options{BlockHeight: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +133,7 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		}
 		record(jds.Name(), jds.StoredElems(), st)
 
-		pj, err := formats.NewPJDS(m)
+		pj, err := core.NewPJDS(m, core.Options{})
 		if err != nil {
 			return nil, err
 		}

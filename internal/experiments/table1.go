@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 
+	"pjds/internal/core"
 	"pjds/internal/cpu"
 	"pjds/internal/formats"
 	"pjds/internal/gpu"
@@ -103,14 +104,14 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 	}
 	// Storage: data reduction and overhead, plus the C2050 fit check
 	// extrapolated to the full published size.
-	ell := formats.NewELLPACK(m)
-	pj, err := formats.NewPJDS(m)
+	ell := core.NewELLPACK(m, matrix.ConvertOptions{})
+	pj, err := core.NewPJDS(m, core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	row.DataReductionPct = 100 * formats.DataReduction[float64](ell, pj)
 	row.PJDSOverheadPct = 100 * pj.PaddingOverhead()
-	ellr := formats.NewELLPACKR(m)
+	ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
 	scaleUp := float64(paperN(name)) / float64(m.NRows)
 	c2050 := gpu.TeslaC2050()
 	vec := int64(16 * m.NRows) // x and y vectors
@@ -127,7 +128,7 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 
 	// DP runs: simulate once (ECC on), re-derive for ECC off.
 	fmt.Fprintf(w, "# %s: DP kernels...\n", name)
-	stE, err := gpu.RunELLPACKR(eccOn, ellr, y, x, gpu.RunOptions{})
+	stE, err := gpu.RunSELL(eccOn, ellr, y, x, gpu.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +154,8 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 	ellr = nil
 	pj = nil
 	runtime.GC()
-	ellrS := formats.NewELLPACKR(ms)
-	pjS, err := formats.NewPJDS(ms)
+	ellrS := core.NewELLPACKR(ms, matrix.ConvertOptions{})
+	pjS, err := core.NewPJDS(ms, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 		xs[i] = float32(x[i])
 	}
 	ys := make([]float32, ms.NRows)
-	stES, err := gpu.RunELLPACKR(eccOn, ellrS, ys, xs, gpu.RunOptions{})
+	stES, err := gpu.RunSELL(eccOn, ellrS, ys, xs, gpu.RunOptions{})
 	if err != nil {
 		return nil, err
 	}

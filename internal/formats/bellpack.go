@@ -3,6 +3,7 @@ package formats
 import (
 	"fmt"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -65,7 +66,7 @@ func NewBELLPACKWith[T matrix.Float](m *matrix.CSR[T], br, bc int, opt matrix.Co
 	n := m.NRows
 	blockRows := (n + br - 1) / br
 	// Pad block rows so scalar rows are a multiple of the warp size.
-	scalarPad := ((blockRows*br + WarpSize - 1) / WarpSize) * WarpSize
+	scalarPad := ((blockRows*br + core.WarpSize - 1) / core.WarpSize) * core.WarpSize
 	blockRowsPad := scalarPad / br
 	if scalarPad%br != 0 {
 		blockRowsPad++

@@ -53,7 +53,7 @@ func TestBELLPACKOnDLR2Blocks(t *testing.T) {
 		t.Errorf("index count %d vs stored %d", len(e.BlockCol), e.StoredElems())
 	}
 	// Footprint beats ELLPACK-R (index savings dominate).
-	r := NewELLPACKR(m)
+	r := newELLR(m)
 	if e.FootprintBytes() >= r.FootprintBytes() {
 		t.Errorf("BELLPACK %d B not below ELLPACK-R %d B", e.FootprintBytes(), r.FootprintBytes())
 	}
@@ -80,7 +80,7 @@ func TestBELLPACKFillInOnUnstructured(t *testing.T) {
 		t.Error("1x1 blocks cannot have fill-in")
 	}
 	// 1×1 BELLPACK degenerates to ELLPACK geometry.
-	ell := NewELLPACK(m)
+	ell := newELL(m)
 	if e1.StoredElems() != ell.StoredElems() {
 		t.Errorf("1x1 stored %d != ELLPACK %d", e1.StoredElems(), ell.StoredElems())
 	}

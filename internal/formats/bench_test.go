@@ -6,15 +6,15 @@ func benchTarget(b *testing.B) ( /* m */ func() []Format[float64], []float64, []
 	b.Helper()
 	m := randomCSR(3000, 3000, 0.01, 3)
 	build := func() []Format[float64] {
-		pj, err := NewPJDS(m)
+		pj, err := newPJDS(m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sell, err := NewSlicedELL(m, 32, m.NRows)
+		sell, err := newSliced(m, 32, m.NRows)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return []Format[float64]{NewCRS(m), NewELLPACK(m), NewELLPACKR(m), pj, sell}
+		return []Format[float64]{NewCRS(m), newELL(m), newELLR(m), pj, sell}
 	}
 	x := make([]float64, m.NCols)
 	for i := range x {
@@ -44,24 +44,24 @@ func BenchmarkBuildByFormat(b *testing.B) {
 	m := randomCSR(3000, 3000, 0.01, 3)
 	b.Run("ELLPACK", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = NewELLPACK(m)
+			_ = newELL(m)
 		}
 	})
 	b.Run("ELLPACK-R", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = NewELLPACKR(m)
+			_ = newELLR(m)
 		}
 	})
 	b.Run("pJDS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewPJDS(m); err != nil {
+			if _, err := newPJDS(m); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sliced-ELL", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewSlicedELL(m, 32, 1024); err != nil {
+			if _, err := newSliced(m, 32, 1024); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package formats
 import (
 	"fmt"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -47,13 +48,13 @@ func NewELLRT[T matrix.Float](m *matrix.CSR[T], threads int) (*ELLRT[T], error) 
 // is parallel over rows (row i writes only its own group slots), so
 // the result is bit-identical for every worker count.
 func NewELLRTWith[T matrix.Float](m *matrix.CSR[T], threads int, opt matrix.ConvertOptions) (*ELLRT[T], error) {
-	if threads < 1 || WarpSize%threads != 0 {
-		return nil, fmt.Errorf("formats: ELLR-T with T=%d (must divide the warp size %d)", threads, WarpSize)
+	if threads < 1 || core.WarpSize%threads != 0 {
+		return nil, fmt.Errorf("formats: ELLR-T with T=%d (must divide the warp size %d)", threads, core.WarpSize)
 	}
 	done := opt.Phase("ellrt-fill")
 	defer done()
 	n := m.NRows
-	npad := ((n + WarpSize - 1) / WarpSize) * WarpSize
+	npad := ((n + core.WarpSize - 1) / core.WarpSize) * core.WarpSize
 	maxLen := m.MaxRowLen()
 	padded := ((maxLen + threads - 1) / threads) * threads
 	e := &ELLRT[T]{

@@ -80,7 +80,7 @@ func TestELLRTStorageGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewELLPACKR(m)
+	r := newELLR(m)
 	if e1.StoredElems() != r.StoredElems() {
 		t.Errorf("T=1 stored %d != ELLPACK-R %d", e1.StoredElems(), r.StoredElems())
 	}

@@ -1,10 +1,7 @@
-// Package formats implements the GPU sparse-matrix storage formats the
-// paper compares pJDS against: ELLPACK (Grimes/Kincaid/Young; Bell &
-// Garland on GPUs), ELLPACK-R (Vázquez et al.), the classic JDS, and
-// the sliced-ELLPACK family of Monakov et al. / Dziekonski et al. that
-// the paper's outlook section names as concurrent related work. CRS is
-// provided by internal/matrix; pJDS itself, being the contribution,
-// lives in internal/core.
+// Package formats holds the common Format surface of the spMVM storage
+// formats and the ones that are not SELL-C-σ presets: the ELLR-T and
+// blocked-ELLPACK variants, CMRS, and a CRS adapter. ELLPACK, ELLPACK-R,
+// JDS, pJDS and sliced ELLPACK are all presets of core.SELL.
 //
 // Every format exposes its raw arrays so the SIMT simulator in
 // internal/gpu can replay the exact memory-access pattern of the
@@ -16,8 +13,8 @@ import (
 	"pjds/internal/matrix"
 )
 
-// Format is the common surface of all spMVM storage formats. The pJDS
-// type of internal/core satisfies it structurally.
+// Format is the common surface of all spMVM storage formats. The
+// core.SELL presets satisfy it structurally.
 type Format[T matrix.Float] interface {
 	// Name identifies the format ("ELLPACK", "ELLPACK-R", "pJDS", ...).
 	Name() string

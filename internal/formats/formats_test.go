@@ -6,8 +6,31 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
+
+// Shorthands for the core layouts built with default conversion
+// options.
+func newELL[T matrix.Float](m *matrix.CSR[T]) *core.SELL[T] {
+	return core.NewELLPACK(m, matrix.ConvertOptions{})
+}
+
+func newELLR[T matrix.Float](m *matrix.CSR[T]) *core.SELL[T] {
+	return core.NewELLPACKR(m, matrix.ConvertOptions{})
+}
+
+func newSliced[T matrix.Float](m *matrix.CSR[T], c, sigma int) (*core.SELL[T], error) {
+	return core.NewSELL(m, c, sigma, matrix.ConvertOptions{})
+}
+
+func newPJDS[T matrix.Float](m *matrix.CSR[T]) (*core.PJDS[T], error) {
+	return core.NewPJDS(m, core.Options{})
+}
+
+func newJDS[T matrix.Float](m *matrix.CSR[T]) (*core.PJDS[T], error) {
+	return core.NewPJDS(m, core.Options{BlockHeight: 1})
+}
 
 func randomCSR(rows, cols int, density float64, seed int64) *matrix.CSR[float64] {
 	rng := rand.New(rand.NewSource(seed))
@@ -25,19 +48,19 @@ func randomCSR(rows, cols int, density float64, seed int64) *matrix.CSR[float64]
 // allFormats builds every format in the repository for m.
 func allFormats(t *testing.T, m *matrix.CSR[float64]) []Format[float64] {
 	t.Helper()
-	pjds, err := NewPJDS(m)
+	pjds, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jds, err := NewJDS(m)
+	jds, err := newJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sell, err := NewSlicedELL(m, 32, 1)
+	sell, err := newSliced(m, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sellSorted, err := NewSlicedELL(m, 32, 256)
+	sellSorted, err := newSliced(m, 32, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +70,8 @@ func allFormats(t *testing.T, m *matrix.CSR[float64]) []Format[float64] {
 	}
 	return []Format[float64]{
 		NewCRS(m),
-		NewELLPACK(m),
-		NewELLPACKR(m),
+		newELL(m),
+		newELLR(m),
 		pjds,
 		jds,
 		sell,
@@ -98,7 +121,7 @@ func TestELLPACKStorageGeometry(t *testing.T) {
 		}
 	}
 	m := coo.ToCSR()
-	e := NewELLPACK(m)
+	e := newELL(m)
 	if e.NPad != 64 {
 		t.Errorf("NPad = %d, want 64", e.NPad)
 	}
@@ -109,7 +132,7 @@ func TestELLPACKStorageGeometry(t *testing.T) {
 		t.Errorf("stored = %d, want %d", e.StoredElems(), 64*7)
 	}
 	// ELLPACK-R has identical storage plus rowLen.
-	r := NewELLPACKR(m)
+	r := newELLR(m)
 	if r.StoredElems() != e.StoredElems() {
 		t.Error("ELLPACK-R stored elems differ from ELLPACK")
 	}
@@ -131,7 +154,7 @@ func TestELLPACKPaddingIsHarmless(t *testing.T) {
 	coo.Add(1, 2, 1)
 	coo.Add(2, 2, 2)
 	m := coo.ToCSR()
-	e := NewELLPACK(m)
+	e := newELL(m)
 	x := []float64{1e300, -1e300, 0.5}
 	y := make([]float64, 3)
 	if err := e.MulVec(y, x); err != nil {
@@ -157,8 +180,8 @@ func TestDataReductionExtremeCase(t *testing.T) {
 		coo.Add(i, i, 1)
 	}
 	m := coo.ToCSR()
-	ell := NewELLPACK(m)
-	p, err := NewPJDS(m)
+	ell := newELL(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +197,7 @@ func TestDataReductionExtremeCase(t *testing.T) {
 
 func TestDataReductionZeroDenominator(t *testing.T) {
 	empty := matrix.NewCOO[float64](0, 0).ToCSR()
-	e := NewELLPACK(empty)
+	e := newELL(empty)
 	if DataReduction[float64](e, e) != 0 {
 		t.Error("empty reduction should be 0")
 	}
@@ -193,7 +216,7 @@ func TestSlicedELLGeometry(t *testing.T) {
 
 	// Unsorted, C=4: slice lens are max(8,1,8,1)=8, max(2,2,2,2)=2,
 	// max(5)=5 (padded to 12 rows → slice 2 has rows 8..11, lens 5,0,0,0).
-	s, err := NewSlicedELL(m, 4, 1)
+	s, err := newSliced(m, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +238,7 @@ func TestSlicedELLGeometry(t *testing.T) {
 
 	// Sorted globally the padding shrinks: lengths desc 8,8,5,2|2,2,2,1|1
 	// → slice lens 8,2,1.
-	g, err := NewSlicedELL(m, 4, len(lens))
+	g, err := newSliced(m, 4, len(lens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +256,21 @@ func TestSlicedELLGeometry(t *testing.T) {
 func TestSlicedELLSortWindowClamping(t *testing.T) {
 	m := randomCSR(50, 50, 0.1, 3)
 	// sigma larger than N clamps; sigma not a multiple of C rounds up.
-	s, err := NewSlicedELL(m, 8, 999)
+	s, err := newSliced(m, 8, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.SortWindow != 50 {
 		t.Errorf("sigma = %d, want 50 (clamped)", s.SortWindow)
 	}
-	s2, err := NewSlicedELL(m, 8, 20)
+	s2, err := newSliced(m, 8, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.SortWindow != 24 {
 		t.Errorf("sigma = %d, want 24 (rounded to multiple of C)", s2.SortWindow)
 	}
-	if _, err := NewSlicedELL(m, 0, 1); err == nil {
+	if _, err := newSliced(m, 0, 1); err == nil {
 		t.Error("C=0 accepted")
 	}
 }
@@ -261,7 +284,7 @@ func TestSlicedELLPropertyMatchesCRS(t *testing.T) {
 		m := randomCSR(rows, rows, 0.12, s+2)
 		c := 1 + rng.Intn(16)
 		sigma := rng.Intn(rows + 10)
-		se, err := NewSlicedELL(m, c, sigma)
+		se, err := newSliced(m, c, sigma)
 		if err != nil {
 			return false
 		}
@@ -293,11 +316,11 @@ func TestStorageOrderingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		s := seed & 0xfff
 		m := randomCSR(100, 100, 0.08, s)
-		ell := NewELLPACK(m)
-		sell, err1 := NewSlicedELL(m, 32, 1)
-		sorted, err2 := NewSlicedELL(m, 32, 100)
-		pjds, err3 := NewPJDS(m)
-		jds, err4 := NewJDS(m)
+		ell := newELL(m)
+		sell, err1 := newSliced(m, 32, 1)
+		sorted, err2 := newSliced(m, 32, 100)
+		pjds, err3 := newPJDS(m)
+		jds, err4 := newJDS(m)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return false
 		}
@@ -355,11 +378,11 @@ func TestSinglePrecisionFormats(t *testing.T) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Format[float32]{NewELLPACK(m), NewELLPACKR(m), p} {
+	for _, f := range []Format[float32]{newELL(m), newELLR(m), p} {
 		y := make([]float32, 64)
 		if err := f.MulVec(y, x); err != nil {
 			t.Fatal(err)
@@ -373,11 +396,11 @@ func TestSinglePrecisionFormats(t *testing.T) {
 		var fd Format[float64]
 		switch f.Name() {
 		case "ELLPACK":
-			fd = NewELLPACK(md)
+			fd = newELL(md)
 		case "ELLPACK-R":
-			fd = NewELLPACKR(md)
+			fd = newELLR(md)
 		default:
-			pd, err := NewPJDS(md)
+			pd, err := newPJDS(md)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +433,7 @@ func TestSinglePrecisionNewFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sell, err := NewSlicedELL(m, 16, 32)
+	sell, err := newSliced(m, 16, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -17,10 +18,10 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 	for w := 2; w <= 8; w += 2 {
 		par := matrix.ConvertOptions{Workers: w, ForceParallel: true}
 
-		if base := NewELLPACKWith(m, seq); !reflect.DeepEqual(base, NewELLPACKWith(m, par)) {
+		if base := core.NewELLPACK(m, seq); !reflect.DeepEqual(base, core.NewELLPACK(m, par)) {
 			t.Fatalf("workers=%d: ELLPACK differs", w)
 		}
-		if base := NewELLPACKRWith(m, seq); !reflect.DeepEqual(base, NewELLPACKRWith(m, par)) {
+		if base := core.NewELLPACKR(m, seq); !reflect.DeepEqual(base, core.NewELLPACKR(m, par)) {
 			t.Fatalf("workers=%d: ELLPACK-R differs", w)
 		}
 
@@ -33,13 +34,13 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: BELLPACK differs (err=%v)", w, err)
 		}
 
-		sb, err := NewSlicedELLWith(m, 32, 128, seq)
+		sb, err := core.NewSELL(m, 32, 128, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := NewSlicedELLWith(m, 32, 128, par)
+		sp, err := core.NewSELL(m, 32, 128, par)
 		if err != nil || !reflect.DeepEqual(sb, sp) {
-			t.Fatalf("workers=%d: SlicedELL differs (err=%v)", w, err)
+			t.Fatalf("workers=%d: SELL differs (err=%v)", w, err)
 		}
 
 		eb, err := NewELLRTWith(m, 2, seq)
@@ -51,11 +52,11 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: ELLR-T differs (err=%v)", w, err)
 		}
 
-		jb, err := NewPJDSWith(m, seq)
+		jb, err := core.NewPJDS(m, core.Options{Convert: seq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		jp, err := NewPJDSWith(m, par)
+		jp, err := core.NewPJDS(m, core.Options{Convert: par})
 		if err != nil || !reflect.DeepEqual(jb, jp) {
 			t.Fatalf("workers=%d: pJDS differs (err=%v)", w, err)
 		}
@@ -63,21 +64,21 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 }
 
 // TestSlicedELLWithMatchesLegacy pins the windowed parallel sort to the
-// original NewSlicedELL semantics across σ values, including σ that
-// does not divide n.
+// sequential build across σ values, including σ that does not divide
+// n.
 func TestSlicedELLWithMatchesLegacy(t *testing.T) {
 	m := randomCSR(317, 80, 0.06, 29)
 	for _, sigma := range []int{1, 32, 100, 317, 1 << 30} {
-		want, err := NewSlicedELL(m, 16, sigma)
+		want, err := newSliced(m, 16, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewSlicedELLWith(m, 16, sigma, matrix.ConvertOptions{Workers: 4, ForceParallel: true, Arena: matrix.NewArena()})
+		got, err := core.NewSELL(m, 16, sigma, matrix.ConvertOptions{Workers: 4, ForceParallel: true, Arena: matrix.NewArena()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("sigma=%d: parallel SlicedELL differs from legacy build", sigma)
+			t.Fatalf("sigma=%d: parallel SELL differs from sequential build", sigma)
 		}
 	}
 }

@@ -1,74 +1,15 @@
 package formats
 
 import (
-	"fmt"
-
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
-// SELL-C-σ is the unified chunked format of Kreutzer et al.
-// (arXiv:1307.6209) that generalizes both the paper's pJDS and the
-// sliced-ELLPACK family: the matrix is cut into chunks of C rows
-// padded to the chunk maximum, after sorting rows by descending
-// length inside windows of σ rows. The SlicedELL type of this package
-// is exactly that parameterization — this file adds the SELL-C-σ
-// vocabulary on top of it: the canonical names, the named presets the
-// repo's fixed formats correspond to, and the zero-padding overhead β
-// that the (C, σ) auto-tuner minimizes.
-//
-//   - pJDS           = SELL-32-∞ (global sort, warp-height chunks)
-//   - plain SlicedELL = SELL-C-1  (no sort)
-//
-// See DESIGN.md "SELL-C-σ and the format tuner" for the full mapping
-// to the paper's quantities.
-
-// SELLName renders the canonical SELL-C-σ name for a chunk height c
-// and sorting scope sigma on an n-row matrix: "SELL-32-∞" when the
-// window covers the whole matrix (the pJDS/global-sort case),
-// "SELL-8-256" otherwise.
-func SELLName(c, sigma, n int) string {
-	if sigma >= n && n > 0 {
-		return fmt.Sprintf("SELL-%d-∞", c)
-	}
-	if sigma < 1 {
-		sigma = 1
-	}
-	return fmt.Sprintf("SELL-%d-%d", c, sigma)
-}
-
-// NewSELLCSigma builds the SELL-C-σ layout with explicit chunk height
-// and sorting scope — the tunable constructor the (C, σ) auto-tuner
-// sweeps. It is NewSlicedELLWith under the canonical name.
-func NewSELLCSigma[T matrix.Float](m *matrix.CSR[T], c, sigma int, opt matrix.ConvertOptions) (*SlicedELL[T], error) {
-	return NewSlicedELLWith(m, c, sigma, opt)
-}
-
-// NewSELLPJDSEquivalent builds the SELL-32-∞ preset: globally sorted
-// rows in warp-height chunks, the SELL-C-σ point that reproduces the
-// paper's pJDS layout (identical permutation, identical stored-element
-// count — only the column-major-in-chunk storage differs from pJDS's
-// jagged diagonals).
-func NewSELLPJDSEquivalent[T matrix.Float](m *matrix.CSR[T], opt matrix.ConvertOptions) (*SlicedELL[T], error) {
-	return NewSlicedELLWith(m, 32, m.NRows, opt)
-}
-
-// NewSELLC1 builds the unsorted SELL-C-1 preset: the original
-// sliced-ELLPACK of Monakov et al., rows in matrix order.
-func NewSELLC1[T matrix.Float](m *matrix.CSR[T], c int, opt matrix.ConvertOptions) (*SlicedELL[T], error) {
-	return NewSlicedELLWith(m, c, 1, opt)
-}
-
-// SELLName returns the canonical SELL-C-σ name of this layout
-// ("SELL-32-∞", "SELL-8-256"). Name() keeps the historical
-// "sliced-ELL"/"sliced-ELL-sorted" identifiers that label plans and
-// telemetry; this is the paper-facing parameterized name.
-func (s *SlicedELL[T]) SELLName() string { return SELLName(s.C, s.SortWindow, s.N) }
-
-// ZeroPadding returns the zero-padding overhead β = stored/nnz − 1:
-// the fraction of stored value slots that are padding. β is the
-// quantity σ exists to shrink — §II-A's data-reduction table reports
-// 1/(1+β) relative to the respective dense-chunk baseline.
-func (s *SlicedELL[T]) ZeroPadding() float64 { return ZeroPadding[T](s) }
+// The SELL-C-σ layout itself (core.SELL) carries the paper's padded
+// formats as presets; this file adds the layout-quality measures the
+// (C, σ) auto-tuner works with: the zero-padding overhead β and its
+// row-length estimate. See DESIGN.md "SELL-C-σ presets and the format
+// tuner" for the mapping to the paper's quantities.
 
 // ZeroPadding computes β = stored/nnz − 1 for any format; 0 for
 // padding-free formats such as CRS and CMRS.
@@ -102,16 +43,8 @@ func EstimateBeta(lens []int, c, sigma int) float64 {
 	if n == 0 || c < 1 {
 		return 0
 	}
-	// Mirror NewSlicedELLWith's clamping so the estimate is exact.
-	if sigma < 1 {
-		sigma = 1
-	}
-	if sigma > 1 && sigma < n && sigma%c != 0 {
-		sigma = ((sigma + c - 1) / c) * c
-	}
-	if sigma > n {
-		sigma = n
-	}
+	// Mirror core.NewSELL's clamping so the estimate is exact.
+	sigma = core.ClampSigma(c, sigma, n)
 	maxLen := 0
 	var nnz int64
 	for _, l := range lens {

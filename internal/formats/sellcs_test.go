@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -20,7 +21,7 @@ func TestSELLName(t *testing.T) {
 		{4, 0, 1000, "SELL-4-1"},
 	}
 	for _, tc := range cases {
-		if got := SELLName(tc.c, tc.sigma, tc.n); got != tc.want {
+		if got := core.SELLName(tc.c, tc.sigma, tc.n); got != tc.want {
 			t.Errorf("SELLName(%d, %d, %d) = %q, want %q", tc.c, tc.sigma, tc.n, got, tc.want)
 		}
 	}
@@ -32,11 +33,11 @@ func TestSELLName(t *testing.T) {
 // tuner section).
 func TestSELLPJDSEquivalence(t *testing.T) {
 	m := randomCSR(300, 300, 0.05, 7)
-	s, err := NewSELLPJDSEquivalent(m, matrix.ConvertOptions{})
+	s, err := newSliced(m, 32, m.NRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,16 +56,16 @@ func TestSELLPJDSEquivalence(t *testing.T) {
 // original unsorted sliced-ELLPACK.
 func TestSELLC1MatchesUnsortedSliced(t *testing.T) {
 	m := randomCSR(200, 180, 0.05, 3)
-	a, err := NewSELLC1(m, 8, matrix.ConvertOptions{})
+	a, err := core.NewSELL(m, 8, 1, matrix.ConvertOptions{Workers: 3, ForceParallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSlicedELL(m, 8, 1)
+	b, err := newSliced(m, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Error("SELL-C-1 preset differs from NewSlicedELL(m, c, 1)")
+		t.Error("parallel SELL-C-1 differs from the sequential build")
 	}
 	if a.SELLName() != "SELL-8-1" {
 		t.Errorf("SELLName = %q", a.SELLName())
@@ -77,11 +78,11 @@ func TestZeroPaddingMonotoneInSigma(t *testing.T) {
 	m := randomCSR(512, 512, 0.03, 11)
 	prev := math.Inf(1)
 	for _, sigma := range []int{1, 32, 128, 512} {
-		s, err := NewSELLCSigma(m, 16, sigma, matrix.ConvertOptions{})
+		s, err := newSliced(m, 16, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
-		beta := s.ZeroPadding()
+		beta := s.PaddingOverhead()
 		if beta < 0 {
 			t.Fatalf("sigma=%d: beta %g < 0", sigma, beta)
 		}
@@ -121,13 +122,13 @@ func TestEstimateBetaExact(t *testing.T) {
 	for _, tc := range []struct{ c, sigma int }{
 		{4, 1}, {8, 100}, {16, 250}, {32, 317}, {32, 1000}, {6, 50},
 	} {
-		s, err := NewSlicedELLWith(m, tc.c, tc.sigma, matrix.ConvertOptions{})
+		s, err := newSliced(m, tc.c, tc.sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := EstimateBeta(lens, tc.c, tc.sigma)
-		if math.Abs(got-s.ZeroPadding()) > 1e-12 {
-			t.Errorf("C=%d σ=%d: estimate %g, layout %g", tc.c, tc.sigma, got, s.ZeroPadding())
+		if math.Abs(got-s.PaddingOverhead()) > 1e-12 {
+			t.Errorf("C=%d σ=%d: estimate %g, layout %g", tc.c, tc.sigma, got, s.PaddingOverhead())
 		}
 	}
 }

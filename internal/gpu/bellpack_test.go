@@ -44,8 +44,8 @@ func TestBELLPACKBeatsScalarFormatsOnBlockMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := formats.NewELLPACKR(m)
-	stR, err := RunELLPACKR(d, r, make([]float64, m.NRows), x, RunOptions{})
+	r := newELLR(m)
+	stR, err := RunSELL(d, r, make([]float64, m.NRows), x, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package gpu
 
 import (
 	"testing"
-
-	"pjds/internal/formats"
 )
 
 // The simulator's own throughput: how many non-zeros per second the
@@ -11,14 +9,14 @@ import (
 // full-scale experiments can afford).
 func BenchmarkSimulatorELLPACKR(b *testing.B) {
 	m := bandedCSR(20000, 10, 30, 1)
-	e := formats.NewELLPACKR(m)
+	e := newELLR(m)
 	d := TeslaC2070()
 	x := randVec(m.NCols, 2)
 	y := make([]float64, m.NRows)
 	b.SetBytes(int64(m.Nnz()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunELLPACKR(d, e, y, x, RunOptions{}); err != nil {
+		if _, err := RunSELL(d, e, y, x, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -26,7 +24,7 @@ func BenchmarkSimulatorELLPACKR(b *testing.B) {
 
 func BenchmarkSimulatorPJDS(b *testing.B) {
 	m := bandedCSR(20000, 10, 30, 1)
-	p, err := formats.NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		b.Fatal(err)
 	}

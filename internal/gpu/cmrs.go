@@ -49,11 +49,8 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 		return compilePlan(d, planSource[T]{
 			kernel: c.Name(), rows: c.N, cols: c.NCols, nPad: nPad,
 			nnz: int64(c.NnzV), metaSegs: 1, // strip-pointer load (overridden per warp below)
-			val: c.Val, steps: steps,
-			access: func(i, j int) (int64, int32) {
-				at := c.StripPtr[i/ws] + int64(j*ws+i%ws)
-				return at, c.ColIdx[at]
-			},
+			val: c.Val, col: c.ColIdx, chunk: ws, chunkStart: c.StripPtr,
+			steps: steps,
 			lhsRows: func(wbase, lanes int) (int, int) {
 				lo := wbase / ws * c.Height
 				hi := lo + c.Height

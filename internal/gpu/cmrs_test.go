@@ -109,7 +109,7 @@ func TestRunCMRSValidation(t *testing.T) {
 	}
 }
 
-// TestCMRSFormatGeometryTelemetry: RunCMRS and RunSlicedELL publish the
+// TestCMRSFormatGeometryTelemetry: RunCMRS and RunSELL (sliced ELL) publish the
 // zero-padding/occupancy gauges with their parameter labels.
 func TestCMRSFormatGeometryTelemetry(t *testing.T) {
 	d := TeslaC2070()
@@ -124,11 +124,11 @@ func TestCMRSFormatGeometryTelemetry(t *testing.T) {
 	if _, err := RunCMRS(d, c, y, x, RunOptions{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := formats.NewSlicedELL(m, 16, 64)
+	s, err := newSliced(m, 16, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSlicedELL(d, s, y, x, RunOptions{Metrics: reg}); err != nil {
+	if _, err := RunSELL(d, s, y, x, RunOptions{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

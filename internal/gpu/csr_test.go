@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"pjds/internal/formats"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 )
@@ -67,8 +66,8 @@ func TestCSRScalarUncoalesced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ellr := formats.NewELLPACKR(m)
-	stE, err := RunELLPACKR(d, ellr, y, x, RunOptions{})
+	ellr := newELLR(m)
+	stE, err := RunSELL(d, ellr, y, x, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"pjds/internal/formats"
 	"pjds/internal/matgen"
 	"pjds/internal/telemetry"
 )
@@ -26,7 +25,7 @@ func (f *fireAt) ECCEvent(kernel string) bool {
 // launches before it are untouched.
 func TestECCAbortsLaunch(t *testing.T) {
 	m := matgen.Stencil2D(12, 12)
-	e := formats.NewELLPACKR(m)
+	e := newELLR(m)
 	x := make([]float64, m.NCols)
 	for i := range x {
 		x[i] = 1
@@ -34,10 +33,10 @@ func TestECCAbortsLaunch(t *testing.T) {
 	y := make([]float64, m.NRows)
 	reg := telemetry.NewRegistry()
 	opt := RunOptions{Faults: &fireAt{at: 1}, Metrics: reg}
-	if _, err := RunELLPACKR(TeslaC2070(), e, y, x, opt); err != nil {
+	if _, err := RunSELL(TeslaC2070(), e, y, x, opt); err != nil {
 		t.Fatalf("healthy launch 0 failed: %v", err)
 	}
-	_, err := RunELLPACKR(TeslaC2070(), e, y, x, opt)
+	_, err := RunSELL(TeslaC2070(), e, y, x, opt)
 	var ecc *ECCError
 	if !errors.As(err, &ecc) {
 		t.Fatalf("err = %v, want *ECCError", err)
@@ -48,7 +47,7 @@ func TestECCAbortsLaunch(t *testing.T) {
 	if got := reg.Counter("gpu_ecc_errors_total", telemetry.L("kernel", "ELLPACK-R")).Value(); got != 1 {
 		t.Errorf("ecc counter = %g", got)
 	}
-	if _, err := RunELLPACKR(TeslaC2070(), e, y, x, opt); err != nil {
+	if _, err := RunSELL(TeslaC2070(), e, y, x, opt); err != nil {
 		t.Errorf("launch after the ECC event should be healthy here: %v", err)
 	}
 }

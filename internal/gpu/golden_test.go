@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 )
@@ -43,9 +42,9 @@ func goldenRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) map
 		}
 		out[name+"/"+prec] = *st
 	}
-	st, err := RunELLPACK(d, formats.NewELLPACK(m), y[:m.NRows], x, opt)
+	st, err := RunSELL(d, newELL(m), y[:m.NRows], x, opt)
 	add("ELLPACK", st, err)
-	st, err = RunELLPACKR(d, formats.NewELLPACKR(m), y[:m.NRows], x, opt)
+	st, err = RunSELL(d, newELLR(m), y[:m.NRows], x, opt)
 	add("ELLPACK-R", st, err)
 	for _, br := range []int{1, 4, 16, 32, 64, 256} {
 		p, err := core.NewPJDS(m, core.Options{BlockHeight: br})
@@ -60,11 +59,11 @@ func goldenRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) map
 		if sigma == m.NRows {
 			name = "SELL-32-N"
 		}
-		s, err := formats.NewSlicedELL(m, 32, sigma)
+		s, err := newSliced(m, 32, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := RunSlicedELL(d, s, y, x, opt)
+		st, err := RunSELL(d, s, y, x, opt)
 		add(name, st, err)
 	}
 	return out

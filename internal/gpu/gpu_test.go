@@ -5,9 +5,27 @@ import (
 	"math/rand"
 	"testing"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
+
+// Shorthands for the SELL presets built with default conversion
+// options.
+func newELL[T matrix.Float](m *matrix.CSR[T]) *core.SELL[T] {
+	return core.NewELLPACK(m, matrix.ConvertOptions{})
+}
+
+func newELLR[T matrix.Float](m *matrix.CSR[T]) *core.SELL[T] {
+	return core.NewELLPACKR(m, matrix.ConvertOptions{})
+}
+
+func newSliced[T matrix.Float](m *matrix.CSR[T], c, sigma int) (*core.SELL[T], error) {
+	return core.NewSELL(m, c, sigma, matrix.ConvertOptions{})
+}
+
+func newPJDS[T matrix.Float](m *matrix.CSR[T]) (*core.PJDS[T], error) {
+	return core.NewPJDS(m, core.Options{})
+}
 
 func randomCSR(rows, cols int, density float64, seed int64) *matrix.CSR[float64] {
 	rng := rand.New(rand.NewSource(seed))
@@ -209,21 +227,21 @@ func TestKernelsMatchReference(t *testing.T) {
 		x := randVec(500, seed+10)
 		ref := refMulVec(t, m, x)
 
-		ell := formats.NewELLPACK(m)
+		ell := newELL(m)
 		y := make([]float64, 500)
-		if _, err := RunELLPACK(d, ell, y, x, RunOptions{}); err != nil {
+		if _, err := RunSELL(d, ell, y, x, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		checkClose(t, "ELLPACK", y, ref)
 
-		ellr := formats.NewELLPACKR(m)
+		ellr := newELLR(m)
 		y = make([]float64, 500)
-		if _, err := RunELLPACKR(d, ellr, y, x, RunOptions{}); err != nil {
+		if _, err := RunSELL(d, ellr, y, x, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		checkClose(t, "ELLPACK-R", y, ref)
 
-		p, err := formats.NewPJDS(m)
+		p, err := newPJDS(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,12 +253,12 @@ func TestKernelsMatchReference(t *testing.T) {
 		matrix.Scatter(yo, yp, p.Perm)
 		checkClose(t, "pJDS", yo, ref)
 
-		s, err := formats.NewSlicedELL(m, 32, 128)
+		s, err := newSliced(m, 32, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ys := make([]float64, 500)
-		if _, err := RunSlicedELL(d, s, ys, x, RunOptions{}); err != nil {
+		if _, err := RunSELL(d, s, ys, x, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		yso := make([]float64, 500)
@@ -263,12 +281,12 @@ func TestAccumulateOption(t *testing.T) {
 	m := bandedCSR(100, 2, 10, 7)
 	x := randVec(100, 8)
 	ref := refMulVec(t, m, x)
-	ellr := formats.NewELLPACKR(m)
+	ellr := newELLR(m)
 	y := make([]float64, 100)
 	for i := range y {
 		y[i] = 1
 	}
-	st, err := RunELLPACKR(d, ellr, y, x, RunOptions{Accumulate: true})
+	st, err := RunSELL(d, ellr, y, x, RunOptions{Accumulate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +296,7 @@ func TestAccumulateOption(t *testing.T) {
 		}
 	}
 	// Accumulation reads and writes the LHS: double the traffic.
-	st2, err := RunELLPACKR(d, ellr, make([]float64, 100), x, RunOptions{})
+	st2, err := RunSELL(d, ellr, make([]float64, 100), x, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +326,12 @@ func TestHardwareReservation(t *testing.T) {
 	d := TeslaC2070()
 	x := randVec(n, 4)
 
-	ellr := formats.NewELLPACKR(m)
-	stR, err := RunELLPACKR(d, ellr, make([]float64, n), x, RunOptions{})
+	ellr := newELLR(m)
+	stR, err := RunSELL(d, ellr, make([]float64, n), x, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := formats.NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +361,13 @@ func TestPlainELLPACKWastesWork(t *testing.T) {
 	m := bandedCSR(512, 2, 30, 9)
 	d := TeslaC2070()
 	x := randVec(512, 10)
-	ell := formats.NewELLPACK(m)
-	ellr := formats.NewELLPACKR(m)
-	st, err := RunELLPACK(d, ell, make([]float64, 512), x, RunOptions{})
+	ell := newELL(m)
+	ellr := newELLR(m)
+	st, err := RunSELL(d, ell, make([]float64, 512), x, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stR, err := RunELLPACKR(d, ellr, make([]float64, 512), x, RunOptions{})
+	stR, err := RunSELL(d, ellr, make([]float64, 512), x, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +387,7 @@ func TestPlainELLPACKWastesWork(t *testing.T) {
 func TestECCBandwidthEffect(t *testing.T) {
 	m := bandedCSR(2048, 10, 30, 11)
 	x := randVec(2048, 12)
-	p, err := formats.NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +415,11 @@ func TestSPFasterThanDP(t *testing.T) {
 	md := bandedCSR(2048, 10, 30, 13)
 	ms := matrix.Convert[float32](md)
 	d := TeslaC2070()
-	pd, err := formats.NewPJDS(md)
+	pd, err := newPJDS(md)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := formats.NewPJDS(ms)
+	ps, err := newPJDS(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +450,7 @@ func TestSPFasterThanDP(t *testing.T) {
 func TestAlphaRange(t *testing.T) {
 	m := bandedCSR(4096, 20, 24, 15)
 	d := TeslaC2070()
-	p, err := formats.NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +485,11 @@ func TestOccupancyPenalty(t *testing.T) {
 	big := bandedCSR(65536, 12, 16, 17)
 	small := bandedCSR(512, 12, 16, 18)
 	d := TeslaC2070()
-	pb, err := formats.NewPJDS(big)
+	pb, err := newPJDS(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := formats.NewPJDS(small)
+	ps, err := newPJDS(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,25 +510,25 @@ func TestOccupancyPenalty(t *testing.T) {
 func TestRunShapeAndDeviceErrors(t *testing.T) {
 	m := bandedCSR(64, 2, 5, 21)
 	d := TeslaC2070()
-	ell := formats.NewELLPACK(m)
-	if _, err := RunELLPACK(d, ell, make([]float64, 63), randVec(64, 1), RunOptions{}); err == nil {
+	ell := newELL(m)
+	if _, err := RunSELL(d, ell, make([]float64, 63), randVec(64, 1), RunOptions{}); err == nil {
 		t.Error("short y accepted")
 	}
 	bad := TeslaC2070()
 	bad.NumMPs = 0
-	if _, err := RunELLPACK(bad, ell, make([]float64, 64), randVec(64, 1), RunOptions{}); err == nil {
+	if _, err := RunSELL(bad, ell, make([]float64, 64), randVec(64, 1), RunOptions{}); err == nil {
 		t.Error("invalid device accepted")
 	}
-	p, _ := formats.NewPJDS(m)
+	p, _ := newPJDS(m)
 	if _, err := RunPJDS(d, p, make([]float64, 64), randVec(63, 1), RunOptions{}); err == nil {
 		t.Error("short x accepted")
 	}
-	ellr := formats.NewELLPACKR(m)
-	if _, err := RunELLPACKR(d, ellr, make([]float64, 64), randVec(63, 1), RunOptions{}); err == nil {
+	ellr := newELLR(m)
+	if _, err := RunSELL(d, ellr, make([]float64, 64), randVec(63, 1), RunOptions{}); err == nil {
 		t.Error("ELLPACK-R short x accepted")
 	}
-	s, _ := formats.NewSlicedELL(m, 16, 1)
-	if _, err := RunSlicedELL(d, s, make([]float64, 63), randVec(64, 1), RunOptions{}); err == nil {
+	s, _ := newSliced(m, 16, 1)
+	if _, err := RunSELL(d, s, make([]float64, 63), randVec(64, 1), RunOptions{}); err == nil {
 		t.Error("sliced short y accepted")
 	}
 }
@@ -518,7 +536,7 @@ func TestRunShapeAndDeviceErrors(t *testing.T) {
 func TestKernelStatsConsistency(t *testing.T) {
 	m := bandedCSR(1024, 5, 25, 23)
 	d := TeslaC2070()
-	p, err := formats.NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +581,7 @@ func TestKernelStatsConsistency(t *testing.T) {
 func TestRederiveECCToggle(t *testing.T) {
 	m := bandedCSR(2048, 8, 20, 41)
 	x := randVec(2048, 42)
-	p, err := formats.NewPJDS(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,8 +617,8 @@ func TestRederiveECCToggle(t *testing.T) {
 func TestMemoryBoundRegime(t *testing.T) {
 	m := bandedCSR(8192, 20, 40, 25)
 	d := TeslaC2070()
-	ellr := formats.NewELLPACKR(m)
-	st, err := RunELLPACKR(d, ellr, make([]float64, 8192), randVec(8192, 26), RunOptions{})
+	ellr := newELLR(m)
+	st, err := RunSELL(d, ellr, make([]float64, 8192), randVec(8192, 26), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

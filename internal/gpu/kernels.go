@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
 )
@@ -38,132 +37,70 @@ type RunOptions struct {
 	Faults ECCInjector
 }
 
-// RunELLPACK executes the plain ELLPACK spMVM (Fig. 2a): every thread
-// iterates to the global maximum row length, computing on padding.
-// y = A·x is computed functionally; the returned stats carry the
-// transaction-level timing model.
-func RunELLPACK[T matrix.Float](d *Device, e *formats.ELLPACK[T], y, x []T, opt RunOptions) (*KernelStats, error) {
+// RunSELL executes the spMVM of a SELL-C-σ layout in its stored row
+// order: yp = Ap·xp, which is the original basis for the unsorted
+// ELLPACK presets. One plan source serves every preset; the preset
+// fixes what differs between the paper's kernels:
+//
+//   - plain ELLPACK (Fig. 2a): lanes run to the global maximum row
+//     length, computing on padding, with no metadata load;
+//   - ELLPACK-R (Listing 1, Fig. 2b): lanes stop at their row length,
+//     but the warp reserves its MP slot until its longest row finishes,
+//     and partially-filled transactions still move full segments;
+//   - pJDS/JDS (Listing 2, Fig. 2c): rows are sorted, so lanes of a
+//     warp have (nearly) equal lengths, and the device addresses the
+//     jagged diagonals val[col_start[j]+i];
+//   - sliced ELL (related work [12, 13]): one warp covers warpSize
+//     consecutive rows, which may span several chunks when C is smaller
+//     than the warp; lanes still issue one SIMT instruction stream.
+//
+// The numeric replay always walks the chunk-major arrays over true row
+// lengths, so y is bit-identical to CRS for every preset.
+func RunSELL[T matrix.Float](d *Device, s *core.SELL[T], yp, xp []T, opt RunOptions) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if len(x) != e.NCols || len(y) != e.N {
-		return nil, fmt.Errorf("gpu: ELLPACK run |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
+	name := s.Name()
+	if len(xp) != s.NCols || len(yp) < s.N {
+		return nil, fmt.Errorf("gpu: %s run |x|=%d |y|=%d on %dx%d: %w", name, len(xp), len(yp), s.N, s.NCols, matrix.ErrShape)
 	}
-	if err := eccCheck(opt, "ELLPACK"); err != nil {
+	if err := eccCheck(opt, name); err != nil {
 		return nil, err
 	}
-	p := planFor(opt, d, "ELLPACK", e, func() *Plan[T] {
-		// Plain ELLPACK has no row-length array on the device: every
-		// lane runs to the global maximum, computing on padding.
-		steps := make([]int32, e.NPad)
-		for i := range steps {
-			steps[i] = int32(e.MaxRowLen)
+	p := planFor(opt, d, name, s, func() *Plan[T] {
+		src := planSource[T]{
+			kernel: name, rows: s.N, cols: s.NCols, nPad: s.NPad,
+			nnz: int64(s.Nnz), metaSegs: s.MetaSegments(),
+			val: s.Val, col: s.ColIdx, chunk: s.C, chunkStart: s.SliceStart,
+			lens: s.RowLen, steps: s.RowLen,
 		}
-		return compilePlan(d, planSource[T]{
-			kernel: "ELLPACK", rows: e.N, cols: e.NCols, nPad: e.NPad,
-			nnz: int64(e.NnzV), metaSegs: 0,
-			val: e.Val, steps: steps,
-			access: func(i, j int) (int64, int32) {
-				at := j*e.NPad + i
-				return int64(at), e.ColIdx[at]
-			},
-		})
+		if s.PadsLanes() {
+			src.steps = make([]int32, s.NPad)
+			for i := range src.steps {
+				src.steps[i] = int32(s.MaxRowLen)
+			}
+		}
+		if s.Jagged() {
+			src.colStart = s.ColStart()
+		}
+		return compilePlan(d, src)
 	})
-	return p.run(d, y, x, opt), nil
-}
-
-// RunELLPACKR executes the ELLPACK-R spMVM of Listing 1 (Fig. 2b):
-// lanes stop at their row's true length, but the warp reserves its MP
-// slot until its longest row finishes, and partially-filled memory
-// transactions still move full segments.
-func RunELLPACKR[T matrix.Float](d *Device, e *formats.ELLPACKR[T], y, x []T, opt RunOptions) (*KernelStats, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
+	st := p.run(d, yp, xp, opt)
+	if s.Preset == core.PresetSELL {
+		publishFormatGeometry(opt.Metrics, s.StoredElems(), int64(s.Nnz),
+			telemetry.L("kernel", name),
+			telemetry.L("device", d.Name),
+			telemetry.L("format", s.SELLName()),
+			telemetry.Li("c", s.C),
+			telemetry.Li("sigma", s.SortWindow))
 	}
-	if len(x) != e.NCols || len(y) != e.N {
-		return nil, fmt.Errorf("gpu: ELLPACK-R run |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
-	}
-	if err := eccCheck(opt, "ELLPACK-R"); err != nil {
-		return nil, err
-	}
-	p := planFor(opt, d, "ELLPACK-R", e, func() *Plan[T] {
-		return compilePlan(d, planSource[T]{
-			kernel: "ELLPACK-R", rows: e.N, cols: e.NCols, nPad: e.NPad,
-			nnz: int64(e.NnzV), metaSegs: 1, // the rowmax[] load: one coalesced segment per warp
-			val: e.Val, steps: e.RowLen,
-			access: func(i, j int) (int64, int32) {
-				at := j*e.NPad + i
-				return int64(at), e.ColIdx[at]
-			},
-		})
-	})
-	return p.run(d, y, x, opt), nil
+	return st, nil
 }
 
 // RunPJDS executes the pJDS spMVM of Listing 2 (Fig. 2c) in the
-// permuted basis: yp = Ap·xp with yp in sorted-row order. Because rows
-// are sorted, lanes of a warp have (nearly) equal lengths, so both the
-// reserved-but-idle lane steps and the partially-filled transactions
-// of ELLPACK-R largely disappear.
+// permuted basis: yp = Ap·xp with yp in sorted-row order.
 func RunPJDS[T matrix.Float](d *Device, p *core.PJDS[T], yp, xp []T, opt RunOptions) (*KernelStats, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if len(xp) != p.NCols || len(yp) < p.N {
-		return nil, fmt.Errorf("gpu: pJDS run |x|=%d |y|=%d on %dx%d: %w", len(xp), len(yp), p.N, p.NCols, matrix.ErrShape)
-	}
-	if err := eccCheck(opt, p.Name()); err != nil {
-		return nil, err
-	}
-	pl := planFor(opt, d, p.Name(), p, func() *Plan[T] {
-		return compilePlan(d, planSource[T]{
-			kernel: p.Name(), rows: p.N, cols: p.NCols, nPad: p.NPad,
-			nnz: int64(p.Nnz), metaSegs: 1, // rowmax[] load; col_start[] assumed cached (§II-B)
-			val: p.Val, steps: p.RowLen,
-			access: func(i, j int) (int64, int32) {
-				at := int(p.ColStart[j]) + i
-				return int64(at), p.ColIdx[at]
-			},
-		})
-	})
-	return pl.run(d, yp, xp, opt), nil
-}
-
-// RunSlicedELL executes the sliced-ELLPACK kernel (related work
-// [12, 13]) in its stored row order: yp = Ap·xp. One warp covers
-// warpSize consecutive rows, which may span several slices when
-// C < warpSize; lanes are then grouped per slice but still issue one
-// SIMT instruction stream.
-func RunSlicedELL[T matrix.Float](d *Device, s *formats.SlicedELL[T], yp, xp []T, opt RunOptions) (*KernelStats, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if len(xp) != s.NCols || len(yp) < s.N {
-		return nil, fmt.Errorf("gpu: sliced-ELL run |x|=%d |y|=%d on %dx%d: %w", len(xp), len(yp), s.N, s.NCols, matrix.ErrShape)
-	}
-	if err := eccCheck(opt, s.Name()); err != nil {
-		return nil, err
-	}
-	p := planFor(opt, d, s.Name(), s, func() *Plan[T] {
-		return compilePlan(d, planSource[T]{
-			kernel: s.Name(), rows: s.N, cols: s.NCols, nPad: s.NPad,
-			nnz: int64(s.NonZeros()), metaSegs: 2, // rowLen + slice offset/length metadata
-			val: s.Val, steps: s.RowLen,
-			access: func(i, j int) (int64, int32) {
-				sl, slLane := i/s.C, i%s.C
-				at := s.SliceStart[sl] + int64(j*s.C+slLane)
-				return at, s.ColIdx[at]
-			},
-		})
-	})
-	st := p.run(d, yp, xp, opt)
-	publishFormatGeometry(opt.Metrics, s.StoredElems(), int64(s.NonZeros()),
-		telemetry.L("kernel", s.Name()),
-		telemetry.L("device", d.Name),
-		telemetry.L("format", s.SELLName()),
-		telemetry.Li("c", s.C),
-		telemetry.Li("sigma", s.SortWindow))
-	return st, nil
+	return RunSELL(d, &p.SELL, yp, xp, opt)
 }
 
 // lhsSegments counts the distinct result-vector segments rows [lo, hi)

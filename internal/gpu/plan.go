@@ -32,8 +32,10 @@ func DefaultWorkers() int {
 }
 
 // planSource describes one storage format's warp-level access pattern
-// to the shared plan compiler and replay loop. The four kernels of
-// kernels.go differ only in these fields; everything else — coalescing
+// to the shared plan compiler and replay loop. Every kernel that uses
+// it stores its elements chunk-major: element (i, j) of padded row i
+// lives at chunkStart[i/chunk] + j*chunk + i%chunk. The SELL presets
+// and CMRS differ only in these fields; everything else — coalescing
 // analysis, L2 simulation, divergence accounting, the numeric warp
 // loop and the worker pool — is shared.
 type planSource[T matrix.Float] struct {
@@ -41,16 +43,22 @@ type planSource[T matrix.Float] struct {
 	rows, cols, nPad int
 	nnz              int64
 	// metaSegs is the number of coalesced metadata segments (row
-	// lengths, slice offsets) every warp loads: 0 for plain ELLPACK,
-	// 1 for ELLPACK-R and pJDS, 2 for sliced ELLPACK.
+	// lengths, slice offsets) every warp loads.
 	metaSegs int64
-	// val backs the numeric replay; access locates element (i, j) in
-	// it and returns its column index. steps[i] is the number of SIMT
-	// steps padded row i executes (its true row length, or the global
-	// maximum for plain ELLPACK, which computes on padding).
-	val    []T
-	steps  []int32
-	access func(i, j int) (at int64, c int32)
+	// val and col back the numeric replay and the RHS gather.
+	val        []T
+	col        []int32
+	chunk      int
+	chunkStart []int64
+	// steps[i] is the number of SIMT steps padded row i executes on the
+	// device (its true row length, or the global maximum for plain
+	// ELLPACK, which computes on padding); lens[i] is the true row
+	// length the numeric replay walks.
+	steps, lens []int32
+	// colStart, when non-nil, replaces the chunk-major device address
+	// of (i, j) by the jagged-diagonal address colStart[j]+i (pJDS,
+	// Listing 2) in the coalescing analysis.
+	colStart []int32
 
 	// The optional hooks below cover element-parallel kernels (CMRS)
 	// whose warps do not map one lane to one row. All three default to
@@ -68,6 +76,11 @@ type planSource[T matrix.Float] struct {
 	// metaBytes reports the warp's metadata traffic; nil charges the
 	// flat metaSegs coalesced segments.
 	metaBytes func(wbase, lanes int) int64
+}
+
+// base returns the storage offset of element (i, 0).
+func (src *planSource[T]) base(i int) int64 {
+	return src.chunkStart[i/src.chunk] + int64(i%src.chunk)
 }
 
 // warpPlan is the compiled schedule of one warp: its geometry plus
@@ -123,6 +136,8 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newCache(d.L2, d.GatherSectorBytes)
 	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
+	base := make([]int64, ws)
+	stride := int64(src.chunk)
 
 	p := &Plan[T]{
 		src:       src,
@@ -142,6 +157,7 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 			if l := int(src.steps[wbase+lane]); l > maxLen {
 				maxLen = l
 			}
+			base[lane] = src.base(wbase + lane)
 		}
 		wp := warpPlan{
 			wbase: wbase, lanes: lanes, maxLen: maxLen,
@@ -159,7 +175,11 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 				if j >= int(src.steps[i]) {
 					continue // lane idle: reserved but useless (light boxes of Fig. 2b)
 				}
-				at, c := src.access(i, j)
+				at := base[lane] + int64(j)*stride
+				c := src.col[at]
+				if src.colStart != nil {
+					at = int64(src.colStart[j]) + int64(i)
+				}
 				wp.laneSteps++
 				valSegs.add(addrVal+at*int64(es), segShift)
 				idxSegs.add(addrIdx+at*4, segShift)
@@ -185,32 +205,33 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 	return p
 }
 
-// mulWarp executes one warp's arithmetic: per-lane dot-product partial
-// sums in ascending step order (the same order as the sequential
-// simulator, so results are bit-exact for any schedule), committed to
-// the rows the warp owns. Warps own disjoint row ranges, so concurrent
-// calls never write the same element.
+// mulWarp executes one warp's arithmetic: each lane's dot product over
+// its true row length in ascending step order (the same per-row order
+// as the sequential simulator, so results are bit-exact for any
+// schedule), committed to the rows the warp owns. The lane's chunk base
+// is computed once; the inner loop only advances by the chunk stride.
+// Warps own disjoint row ranges, so concurrent calls never write the
+// same element.
 func (p *Plan[T]) mulWarp(wp *warpPlan, sum, y, x []T, accumulate bool) {
-	if p.src.mul != nil {
-		p.src.mul(sum, y, x, wp.wbase, accumulate)
+	src := &p.src
+	if src.mul != nil {
+		src.mul(sum, y, x, wp.wbase, accumulate)
 		return
 	}
-	steps, access, val := p.src.steps, p.src.access, p.src.val
-	sum = sum[:wp.lanes]
-	for l := range sum {
-		sum[l] = 0
-	}
-	for j := 0; j < wp.maxLen; j++ {
-		for lane := 0; lane < wp.lanes; lane++ {
-			i := wp.wbase + lane
-			if j >= int(steps[i]) {
-				continue
-			}
-			at, c := access(i, j)
-			sum[lane] += val[at] * x[c]
+	val, col, stride := src.val, src.col, int64(src.chunk)
+	for i := wp.wbase; i < min(wp.wbase+wp.lanes, src.rows); i++ {
+		at := src.base(i)
+		var s T
+		for j := src.lens[i]; j > 0; j-- {
+			s += val[at] * x[col[at]]
+			at += stride
+		}
+		if accumulate {
+			y[i] += s
+		} else {
+			y[i] = s
 		}
 	}
-	storeResult(y, sum, wp.wbase, p.src.rows, accumulate)
 }
 
 // addWarp accumulates one compiled warp's counters into s.

@@ -7,7 +7,6 @@ import (
 
 	"pjds/internal/core"
 	"pjds/internal/experiments"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
@@ -88,11 +87,11 @@ func BenchmarkRunPJDS(b *testing.B) {
 // same matrix across worker counts.
 func BenchmarkRunELLPACKR(b *testing.B) {
 	m := largestTable1(b)
-	e := formats.NewELLPACKR(m)
+	e := core.NewELLPACKR(m, matrix.ConvertOptions{})
 	d := gpu.TeslaC2070()
 	x := benchVec(m.NCols)
 	benchWorkers(b, m.NRows, func(y []float64, opt gpu.RunOptions) error {
-		_, err := gpu.RunELLPACKR(d, e, y, x, opt)
+		_, err := gpu.RunSELL(d, e, y, x, opt)
 		return err
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"pjds/internal/formats"
 	"pjds/internal/telemetry"
 )
 
@@ -30,28 +29,28 @@ func kernelCases(t *testing.T) (cases []kernelCase, x []float64) {
 	m := bandedCSR(n, 1, 60, 42)
 	x = randVec(n, 43)
 
-	ell := formats.NewELLPACK(m)
-	ellr := formats.NewELLPACKR(m)
-	p, err := formats.NewPJDS(m)
+	ell := newELL(m)
+	ellr := newELLR(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := formats.NewSlicedELL(m, 32, 128)
+	s, err := newSliced(m, 32, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []kernelCase{
 		{"ELLPACK", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
-			return RunELLPACK(d, ell, y, x, opt)
+			return RunSELL(d, ell, y, x, opt)
 		}},
 		{"ELLPACK-R", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
-			return RunELLPACKR(d, ellr, y, x, opt)
+			return RunSELL(d, ellr, y, x, opt)
 		}},
 		{"pJDS", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
 			return RunPJDS(d, p, y, x, opt)
 		}},
 		{"sliced-ELL", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
-			return RunSlicedELL(d, s, y, x, opt)
+			return RunSELL(d, s, y, x, opt)
 		}},
 	}, x
 }
@@ -119,11 +118,11 @@ func TestWorkerSweepMatchesReference(t *testing.T) {
 	m := bandedCSR(n, 2, 30, 9)
 	x := randVec(n, 10)
 	ref := refMulVec(t, m, x)
-	ellr := formats.NewELLPACKR(m)
+	ellr := newELLR(m)
 	d := TeslaC2070()
 	for _, w := range []int{0, 1, 2, 3, 8, 1000} {
 		y := make([]float64, n)
-		if _, err := RunELLPACKR(d, ellr, y, x, RunOptions{Workers: w, Plans: NewPlanCache(0)}); err != nil {
+		if _, err := RunSELL(d, ellr, y, x, RunOptions{Workers: w, Plans: NewPlanCache(0)}); err != nil {
 			t.Fatal(err)
 		}
 		checkClose(t, fmt.Sprintf("workers=%d", w), y, ref)
@@ -136,19 +135,19 @@ func TestWorkerSweepMatchesReference(t *testing.T) {
 func TestPlanCacheHitMiss(t *testing.T) {
 	m := bandedCSR(600, 2, 25, 5)
 	x := randVec(600, 6)
-	ellr := formats.NewELLPACKR(m)
+	ellr := newELLR(m)
 	pc := NewPlanCache(0)
 	opt := RunOptions{Plans: pc, Metrics: telemetry.NewRegistry()}
 
 	d := TeslaC2070()
-	st1, err := RunELLPACKR(d, ellr, make([]float64, 600), x, opt)
+	st1, err := RunSELL(d, ellr, make([]float64, 600), x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := pc.Stats(); s.Misses != 1 || s.Hits != 0 || s.Compiles != 1 || s.Entries != 1 {
 		t.Fatalf("after first run: %+v", s)
 	}
-	st2, err := RunELLPACKR(d, ellr, make([]float64, 600), x, opt)
+	st2, err := RunSELL(d, ellr, make([]float64, 600), x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	// timing — exactly Rederive's contract.
 	noECC := TeslaC2070()
 	noECC.ECC = false
-	st3, err := RunELLPACKR(noECC, ellr, make([]float64, 600), x, opt)
+	st3, err := RunSELL(noECC, ellr, make([]float64, 600), x, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	l2 := *other.L2
 	l2.RHSFraction = 1
 	other.L2 = &l2
-	if _, err := RunELLPACKR(other, ellr, make([]float64, 600), x, opt); err != nil {
+	if _, err := RunSELL(other, ellr, make([]float64, 600), x, opt); err != nil {
 		t.Fatal(err)
 	}
 	if s := pc.Stats(); s.Misses != 2 || s.Compiles != 2 || s.Entries != 2 {
@@ -200,8 +199,8 @@ func TestPlanCacheHitMiss(t *testing.T) {
 func TestPlanCacheInvalidate(t *testing.T) {
 	m := bandedCSR(400, 2, 20, 11)
 	x := randVec(400, 12)
-	ellr := formats.NewELLPACKR(m)
-	p, err := formats.NewPJDS(m)
+	ellr := newELLR(m)
+	p, err := newPJDS(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	l2.RHSFraction = 1
 	d2.L2 = &l2
 	for _, dev := range []*Device{d, d2} {
-		if _, err := RunELLPACKR(dev, ellr, make([]float64, 400), x, opt); err != nil {
+		if _, err := RunSELL(dev, ellr, make([]float64, 400), x, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +238,7 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	}
 	// The invalidated format recompiles.
 	c := pc.Stats().Compiles
-	if _, err := RunELLPACKR(d, ellr, make([]float64, 400), x, opt); err != nil {
+	if _, err := RunSELL(d, ellr, make([]float64, 400), x, opt); err != nil {
 		t.Fatal(err)
 	}
 	if pc.Stats().Compiles != c+1 {
@@ -255,22 +254,22 @@ func TestPlanCacheInvalidate(t *testing.T) {
 func TestPlanCacheEviction(t *testing.T) {
 	m := bandedCSR(300, 2, 10, 13)
 	x := randVec(300, 14)
-	f1 := formats.NewELLPACKR(m)
-	f2 := formats.NewELLPACKR(m)
+	f1 := newELLR(m)
+	f2 := newELLR(m)
 	pc := NewPlanCache(1)
 	opt := RunOptions{Plans: pc, Metrics: telemetry.NewRegistry()}
 	d := TeslaC2070()
-	if _, err := RunELLPACKR(d, f1, make([]float64, 300), x, opt); err != nil {
+	if _, err := RunSELL(d, f1, make([]float64, 300), x, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunELLPACKR(d, f2, make([]float64, 300), x, opt); err != nil {
+	if _, err := RunSELL(d, f2, make([]float64, 300), x, opt); err != nil {
 		t.Fatal(err)
 	}
 	if pc.Len() != 1 {
 		t.Fatalf("capacity-1 cache holds %d", pc.Len())
 	}
 	// f1 was evicted: running it again is a miss.
-	if _, err := RunELLPACKR(d, f1, make([]float64, 300), x, opt); err != nil {
+	if _, err := RunSELL(d, f1, make([]float64, 300), x, opt); err != nil {
 		t.Fatal(err)
 	}
 	if s := pc.Stats(); s.Misses != 3 || s.Hits != 0 {
@@ -286,7 +285,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	m := bandedCSR(n, 2, 30, 15)
 	x := randVec(n, 16)
 	ref := refMulVec(t, m, x)
-	ellr := formats.NewELLPACKR(m)
+	ellr := newELLR(m)
 	pc := NewPlanCache(0)
 	d := TeslaC2070()
 
@@ -299,7 +298,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			y := make([]float64, n)
-			_, err := RunELLPACKR(d, ellr, y, x, RunOptions{
+			_, err := RunSELL(d, ellr, y, x, RunOptions{
 				Workers: 4,
 				Plans:   pc,
 				Metrics: telemetry.NewRegistry(),
@@ -345,15 +344,12 @@ func TestSetDefaultWorkers(t *testing.T) {
 // TestPlanAccessors covers the exported plan metadata.
 func TestPlanAccessors(t *testing.T) {
 	m := bandedCSR(100, 2, 10, 17)
-	ellr := formats.NewELLPACKR(m)
+	ellr := newELLR(m)
 	d := TeslaC2070()
 	src := planSource[float64]{
 		kernel: "ELLPACK-R", rows: ellr.N, cols: ellr.NCols, nPad: ellr.NPad,
-		nnz: int64(ellr.NnzV), metaSegs: 1, val: ellr.Val, steps: ellr.RowLen,
-		access: func(i, j int) (int64, int32) {
-			at := j*ellr.NPad + i
-			return int64(at), ellr.ColIdx[at]
-		},
+		nnz: int64(ellr.Nnz), metaSegs: 1, val: ellr.Val, col: ellr.ColIdx,
+		chunk: ellr.C, chunkStart: ellr.SliceStart, steps: ellr.RowLen, lens: ellr.RowLen,
 	}
 	p := compilePlan(d, src)
 	if p.Kernel() != "ELLPACK-R" {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"pjds/internal/formats"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
 )
@@ -18,7 +17,7 @@ func TestKernelTelemetryMatchesStats(t *testing.T) {
 	x := randVec(m.NCols, 3)
 	y := make([]float64, m.NRows)
 	reg := telemetry.NewRegistry()
-	st, err := RunELLPACKR(TeslaC2070(), formats.NewELLPACKR(m), y, x, RunOptions{Metrics: reg})
+	st, err := RunSELL(TeslaC2070(), newELLR(m), y, x, RunOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestKernelStatsZeroNnz(t *testing.T) {
 	x := make([]float64, 64)
 	y := make([]float64, 64)
 	reg := telemetry.NewRegistry()
-	st, err := RunELLPACKR(TeslaC2070(), formats.NewELLPACKR(m), y, x, RunOptions{Metrics: reg})
+	st, err := RunSELL(TeslaC2070(), newELLR(m), y, x, RunOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestKernelStatsEmptyWarpTail(t *testing.T) {
 		x[i] = 1
 	}
 	y := make([]float64, 512)
-	st, err := RunELLPACKR(TeslaC2070(), formats.NewELLPACKR(m), y, x, RunOptions{Metrics: telemetry.NewRegistry()})
+	st, err := RunSELL(TeslaC2070(), newELLR(m), y, x, RunOptions{Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

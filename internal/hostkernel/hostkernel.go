@@ -7,7 +7,7 @@
 // unrolling, nnz-balanced static partitioning, and a zero-alloc
 // steady state.
 //
-// Three kernels implement the Kernel interface:
+// Four kernel kinds implement the Kernel interface:
 //
 //   - naive: the sequential CRS reference (exactly matrix.CSR.MulVec),
 //     kept for cross-checks;
@@ -15,15 +15,20 @@
 //     chunks (one per worker), a bounds-check-free two-row-lockstep
 //     inner loop (4 or 8 operand streams wide), and optional cache
 //     blocking that walks x in L2-sized column tiles;
-//   - sell: a SELL-C-σ-style kernel over the SlicedELL layout
-//     (Kreutzer et al., arXiv:1307.6209): rows are sorted by length in
-//     windows of σ and processed C at a time, the chunk height playing
-//     the role of the SIMD width;
+//   - sell: a SELL-C-σ kernel over core.SELL (Kreutzer et al.,
+//     arXiv:1307.6209): rows are sorted by length in windows of σ and
+//     processed C at a time, the chunk height playing the role of the
+//     SIMD width;
 //   - cmrs: the compressed multi-row storage kernel (Koza et al.,
 //     arXiv:1203.2946): strips of consecutive rows share one
 //     padding-free CSR-ordered element stream with per-element
 //     row-in-strip routing, trading SELL's zero-padding for one
 //     metadata byte per non-zero.
+//
+// NewPJDS runs the same SELL kernel over an existing pJDS matrix (the
+// SELL-br-N preset) in the permuted basis: it is the host path of the
+// solver's permuted operator and the ECC-downgrade path of the service,
+// metered as "pjds".
 //
 // Every kernel is bit-identical to the naive reference at any worker
 // count: floating-point sums are accumulated per row in stored column

@@ -4,41 +4,45 @@ import (
 	"fmt"
 	"runtime"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/par"
 	"pjds/internal/profiles"
 )
 
-// SELL is the SELL-C-σ-style chunked host kernel (Kreutzer et al.,
-// arXiv:1307.6209) over the repository's SlicedELL layout: rows are
-// sorted by descending length inside windows of σ rows and stored in
-// slices of C consecutive rows padded to the slice maximum. The
-// kernel processes a slice's C rows together — the chunk height plays
-// the role of the SIMD width on a wide-vector machine, so C lanes
-// share one loop counter and one stream of column-major slice storage.
+// SELL is the SELL-C-σ chunked host kernel (Kreutzer et al.,
+// arXiv:1307.6209) over a core.SELL layout: rows are sorted by
+// descending length inside windows of σ rows and stored in chunks of C
+// consecutive rows padded to the chunk maximum. The kernel processes a
+// chunk's C rows together — the chunk height plays the role of the SIMD
+// width on a wide-vector machine, so C lanes share one loop counter and
+// one stream of column-major chunk storage.
 //
 // Bit-identity with the naive reference holds because each lane keeps
 // its own accumulator, a lane's entries appear in the row's stored
-// column order, and the main loop only covers the slice's common
+// column order, and the main loop only covers the chunk's common
 // prefix (min row length): the ragged remainders run per lane, so
 // padding entries are never touched and cannot perturb the sum (an
 // added 0·x would still flip a -0 sum to +0).
 type SELL struct {
-	s      *formats.SlicedELL[float64]
+	s      *core.SELL[float64]
+	name   string
 	bounds []int       // per-worker slice ranges, nnz-balanced
 	acc    [][]float64 // per-worker lane accumulators for the generic-C lockstep
 	pool   *par.Pool
 	mt     *meter
+	// permuted kernels compute in the stored (sorted) basis, writing
+	// y[i]; the others scatter each stored row i to y[Perm[i]].
+	permuted bool
 
 	y, x  []float64
 	add   bool
 	runFn func(w int)
 }
 
-// NewSELL converts m into a SlicedELL with chunk height C
+// NewSELL converts m into a SELL-C-σ layout with chunk height C
 // (0 = the unroll width) and sorting window σ (0 = DefaultSigma) and
-// builds the kernel over it.
+// builds the kernel over it. It computes in the original basis.
 func NewSELL(m *matrix.CSR[float64], opt Options) (*SELL, error) {
 	c := opt.C
 	if c == 0 {
@@ -48,12 +52,26 @@ func NewSELL(m *matrix.CSR[float64], opt Options) (*SELL, error) {
 	if sigma == 0 {
 		sigma = DefaultSigma
 	}
-	s, err := formats.NewSlicedELLWith(m, c, sigma, matrix.ConvertOptions{Workers: opt.Workers})
+	s, err := core.NewSELL(m, c, sigma, matrix.ConvertOptions{Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}
-	workers := par.Resolve(opt.Workers)
+	return newSELLKernel(s, string(KindSELL), false, opt), nil
+}
+
+// NewPJDS builds the SELL kernel over an existing pJDS matrix. It is
+// the host execution engine of the solver's permuted operator (and
+// therefore of the ECC-downgrade path): it computes in the
+// pJDS-permuted basis exactly like core.PJDS.MulVecPermuted, accepts
+// len(y) ≥ N, and meters under the label "pjds".
+func NewPJDS(p *core.PJDS[float64], opt Options) *SELL {
+	return newSELLKernel(&p.SELL, "pjds", true, opt)
+}
+
+func newSELLKernel(s *core.SELL[float64], name string, permuted bool, opt Options) *SELL {
+	c := s.C
 	nSlices := len(s.SliceLen)
+	workers := par.Resolve(opt.Workers)
 	if workers > nSlices {
 		workers = nSlices
 	}
@@ -71,10 +89,12 @@ func NewSELL(m *matrix.CSR[float64], opt Options) (*SELL, error) {
 		prefix[sl+1] = prefix[sl] + nnz
 	}
 	k := &SELL{
-		s:      s,
-		bounds: Chunks(prefix, workers),
-		acc:    make([][]float64, workers),
-		mt:     newMeter(opt.Metrics, string(KindSELL), int64(s.NnzV), s.N, s.NCols),
+		s:        s,
+		name:     name,
+		bounds:   Chunks(prefix, workers),
+		acc:      make([][]float64, workers),
+		mt:       newMeter(opt.Metrics, name, int64(s.Nnz), s.N, s.NCols),
+		permuted: permuted,
 	}
 	for w := range k.acc {
 		k.acc[w] = make([]float64, c)
@@ -82,18 +102,18 @@ func NewSELL(m *matrix.CSR[float64], opt Options) (*SELL, error) {
 	k.runFn = k.run
 	if workers > 1 {
 		k.pool = par.NewPool(workers)
-		k.pool.Label(profiles.Ctx(profiles.PhaseHost, "kernel", string(KindSELL), "format", "sell-c-sigma"))
+		k.pool.Label(profiles.Ctx(profiles.PhaseHost, "kernel", name, "format", s.SELLName()))
 		runtime.SetFinalizer(k, (*SELL).Close)
 	}
-	return k, nil
+	return k
 }
 
-// Layout exposes the underlying SlicedELL (reporting: padding
+// Layout exposes the underlying SELL layout (reporting: padding
 // overhead, footprint).
-func (k *SELL) Layout() *formats.SlicedELL[float64] { return k.s }
+func (k *SELL) Layout() *core.SELL[float64] { return k.s }
 
 // Name implements Kernel.
-func (k *SELL) Name() string { return string(KindSELL) }
+func (k *SELL) Name() string { return k.name }
 
 // Rows implements Kernel.
 func (k *SELL) Rows() int { return k.s.N }
@@ -101,16 +121,17 @@ func (k *SELL) Rows() int { return k.s.N }
 // Cols implements Kernel.
 func (k *SELL) Cols() int { return k.s.NCols }
 
-// MulVec implements Kernel: y = A·x in the original basis (each
-// stored row i writes y[Perm[i]], so no separate scatter pass runs).
+// MulVec implements Kernel: y = A·x (each stored row i writes
+// y[Perm[i]], so no separate scatter pass runs), or yp = Ap·xp for the
+// permuted pJDS kernel.
 func (k *SELL) MulVec(y, x []float64) error { return k.apply(y, x, false) }
 
 // MulVecAdd implements Kernel.
 func (k *SELL) MulVecAdd(y, x []float64) error { return k.apply(y, x, true) }
 
 func (k *SELL) apply(y, x []float64, add bool) error {
-	if len(x) != k.s.NCols || len(y) != k.s.N {
-		return fmt.Errorf("hostkernel: sell |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), k.s.N, k.s.NCols, matrix.ErrShape)
+	if len(x) != k.s.NCols || len(y) < k.s.N || (!k.permuted && len(y) != k.s.N) {
+		return fmt.Errorf("hostkernel: %s |x|=%d |y|=%d on %dx%d: %w", k.name, len(x), len(y), k.s.N, k.s.NCols, matrix.ErrShape)
 	}
 	t0 := k.mt.start()
 	k.y, k.x, k.add = y, x, add
@@ -187,7 +208,12 @@ func (k *SELL) slice4(sl int) {
 	s1 = laneTail(s1, v, c, x, min, l1, 4, 1)
 	s2 = laneTail(s2, v, c, x, min, l2, 4, 2)
 	s3 = laneTail(s3, v, c, x, min, l3, 4, 3)
-	k.write(r0, s0, s1, s2, s3)
+	for lane, sum := range [4]float64{s0, s1, s2, s3} {
+		if r0+lane >= s.N {
+			break
+		}
+		k.store(r0+lane, sum)
+	}
 }
 
 // slice8 is the C=8 variant of slice4.
@@ -220,17 +246,8 @@ func (k *SELL) slice8(sl int) {
 	for lane := 0; lane < 8; lane++ {
 		acc[lane] = laneTail(acc[lane], v, c, x, min, l[lane], 8, lane)
 	}
-	y, p := k.y, k.s.Perm
-	for lane := 0; lane < 8; lane++ {
-		i := r0 + lane
-		if i >= k.s.N {
-			break
-		}
-		if k.add {
-			y[p[i]] += acc[lane]
-		} else {
-			y[p[i]] = acc[lane]
-		}
+	for lane := 0; lane < 8 && r0+lane < s.N; lane++ {
+		k.store(r0+lane, acc[lane])
 	}
 }
 
@@ -263,36 +280,21 @@ func (k *SELL) sliceLockstep(sl int, acc []float64) {
 		}
 		off += C
 	}
-	y, p := k.y, s.Perm
-	for lane := 0; lane < C; lane++ {
-		i := r0 + lane
-		if i >= s.N {
-			break
-		}
-		sum := laneTail(acc[lane], v, c, x, min, int(s.RowLen[i]), C, lane)
-		if k.add {
-			y[p[i]] += sum
-		} else {
-			y[p[i]] = sum
-		}
+	for lane := 0; lane < C && r0+lane < s.N; lane++ {
+		k.store(r0+lane, laneTail(acc[lane], v, c, x, min, int(s.RowLen[r0+lane]), C, lane))
 	}
 }
 
-// write stores four lane results, skipping phantom lanes past the
-// last real row.
-func (k *SELL) write(r0 int, s0, s1, s2, s3 float64) {
-	y, p, n := k.y, k.s.Perm, k.s.N
-	sums := [4]float64{s0, s1, s2, s3}
-	for lane := 0; lane < 4; lane++ {
-		i := r0 + lane
-		if i >= n {
-			break
-		}
-		if k.add {
-			y[p[i]] += sums[lane]
-		} else {
-			y[p[i]] = sums[lane]
-		}
+// store commits stored row i's sum: to y[i] in the permuted basis,
+// else to y[Perm[i]].
+func (k *SELL) store(i int, sum float64) {
+	if !k.permuted {
+		i = k.s.Perm[i]
+	}
+	if k.add {
+		k.y[i] += sum
+	} else {
+		k.y[i] = sum
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pjds/internal/core"
 	"pjds/internal/formats"
 	"pjds/internal/matrix"
 )
@@ -72,8 +73,8 @@ func TestGeneratorTargets(t *testing.T) {
 		if math.IsNaN(tm.PaperReductionPct) {
 			continue
 		}
-		ell := formats.NewELLPACK(m)
-		p, err := formats.NewPJDS(m)
+		ell := core.NewELLPACK(m, matrix.ConvertOptions{})
+		p, err := core.NewPJDS(m, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ type ConvertOptions struct {
 	// Arena type for the (non-concurrent) usage contract.
 	Arena *Arena
 	// Timer, when non-nil, receives one Phase call per pipeline phase
-	// ("mm-parse", "csr-assemble", "pjds-fill", ...); the returned
+	// ("mm-parse", "csr-assemble", "sell-fill", ...); the returned
 	// function is called when the phase ends. internal/convert provides
 	// the telemetry-backed implementation.
 	Timer PhaseTimer

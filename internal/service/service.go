@@ -126,19 +126,19 @@ type MatrixInfo struct {
 }
 
 // matrixEntry is one stored matrix: the pJDS-permuted operator shared
-// by every tenant, plus a freelist of host kernels (a PJDSKernel
+// by every tenant, plus a freelist of pJDS host kernels (a kernel
 // carries per-call state, so concurrent requests must not share one).
 type matrixEntry struct {
 	info  MatrixInfo
 	op    *solver.PermutedPJDS
 	tuned *tuner.Entry // nil unless Config.TuningDB tuned this matrix
 	kmu   sync.Mutex
-	ks    []*hostkernel.PJDSKernel
+	ks    []*hostkernel.SELL
 }
 
 // kernel takes a host kernel from the freelist, building one when the
 // list is empty (bounded in practice by MaxInFlight).
-func (e *matrixEntry) kernel() *hostkernel.PJDSKernel {
+func (e *matrixEntry) kernel() *hostkernel.SELL {
 	e.kmu.Lock()
 	if n := len(e.ks); n > 0 {
 		k := e.ks[n-1]
@@ -150,7 +150,7 @@ func (e *matrixEntry) kernel() *hostkernel.PJDSKernel {
 	return hostkernel.NewPJDS(e.op.P, hostkernel.Options{})
 }
 
-func (e *matrixEntry) releaseKernel(k *hostkernel.PJDSKernel) {
+func (e *matrixEntry) releaseKernel(k *hostkernel.SELL) {
 	e.kmu.Lock()
 	e.ks = append(e.ks, k)
 	e.kmu.Unlock()
@@ -436,7 +436,7 @@ type applyOp struct {
 	s   *Server
 	e   *matrixEntry
 	d   *device
-	k   *hostkernel.PJDSKernel
+	k   *hostkernel.SELL
 }
 
 // Dim implements solver.Operator.

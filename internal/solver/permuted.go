@@ -22,7 +22,7 @@ type PermutedPJDS struct {
 	// Perm is the symmetric permutation applied (new → old).
 	Perm matrix.Perm
 	// K is the host execution kernel behind Apply.
-	K *hostkernel.PJDSKernel
+	K *hostkernel.SELL
 }
 
 // NewPermutedPJDS builds the operator for a square matrix. The pJDS

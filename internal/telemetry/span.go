@@ -7,8 +7,8 @@ import (
 )
 
 // Span is one named interval of virtual time on one lane of one
-// simulated process (rank). It is the unit the Chrome-trace exporter
-// (internal/trace) consumes: Proc becomes the pid, Lane the thread,
+// simulated process (rank). It is the unit the Chrome-trace codec
+// (WriteTrace) consumes: Proc becomes the pid, Lane the thread,
 // Cat the event category ("comm", "gpu", "solver").
 type Span struct {
 	Proc       int

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the Chrome trace-event codec for spans: the JSON
-// consumed by chrome://tracing and Perfetto. It lives in telemetry —
-// rather than internal/trace, which re-exports it — so that low-level
-// recorders (internal/flight) can write perfreport-readable trace
-// artifacts without importing the higher simulation layers.
+// consumed by chrome://tracing and Perfetto. It lives in telemetry so
+// that low-level recorders (internal/flight) and the CLIs (scaling
+// -trace-out, perfreport -trace-in) share one codec without importing
+// the higher simulation layers.
 
 // traceEvent is one Chrome trace "complete" event (ph = "X");
 // timestamps and durations are in microseconds.

@@ -1,4 +1,4 @@
-package trace
+package telemetry_test
 
 import (
 	"bytes"
@@ -10,69 +10,6 @@ import (
 	"pjds/internal/matgen"
 	"pjds/internal/telemetry"
 )
-
-func TestWriteCluster(t *testing.T) {
-	m := matgen.Random(4000, 8, 20, 1)
-	x := make([]float64, m.NCols)
-	for i := range x {
-		x[i] = 1 + math.Sin(float64(i))
-	}
-	res, err := distmv.RunSpMVM(m, x, 4, distmv.TaskMode, distmv.Config{Iterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCluster(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	// Valid JSON with the expected structure.
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		OtherData   map[string]any   `json:"otherData"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// 3 metadata + ≥6 span events.
-	if len(doc.TraceEvents) < 9 {
-		t.Fatalf("only %d events", len(doc.TraceEvents))
-	}
-	var spans, meta int
-	var sawGPU, sawHost bool
-	for _, e := range doc.TraceEvents {
-		switch e["ph"] {
-		case "X":
-			spans++
-			if e["dur"].(float64) < 0 {
-				t.Error("negative duration")
-			}
-			switch int(e["tid"].(float64)) {
-			case 0:
-				sawHost = true
-			case 1:
-				sawGPU = true
-			}
-		case "M":
-			meta++
-		}
-	}
-	if spans < 6 || meta != 3 {
-		t.Errorf("spans=%d meta=%d", spans, meta)
-	}
-	if !sawGPU || !sawHost {
-		t.Error("missing a lane")
-	}
-	if doc.OtherData["nodes"].(float64) != 4 {
-		t.Errorf("otherData: %v", doc.OtherData)
-	}
-}
-
-func TestWriteClusterNil(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCluster(&buf, nil); err == nil {
-		t.Fatal("nil result accepted")
-	}
-}
 
 // TestWriteSpansAllModes runs an instrumented distributed spMVM in all
 // three communication modes and checks the exported Chrome trace: valid
@@ -93,7 +30,7 @@ func TestWriteSpansAllModes(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var buf bytes.Buffer
-		if err := WriteSpans(&buf, spans.Spans(), Meta{}); err != nil {
+		if err := telemetry.WriteTrace(&buf, spans.Spans(), telemetry.TraceMeta{}); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var doc struct {
@@ -144,12 +81,12 @@ func TestWriteSpansDeterministic(t *testing.T) {
 		{Proc: 0, Lane: "host", Cat: "comm", Name: "a", Start: 0, End: 1},
 		{Proc: 0, Lane: "solver", Cat: "solver", Name: "c", Start: 1, End: 3},
 	}
-	meta := Meta{Processes: map[int]string{0: "rank 0", 1: "rank 1"}, Other: map[string]any{"n": 2}}
+	meta := telemetry.TraceMeta{Processes: map[int]string{0: "rank 0", 1: "rank 1"}, Other: map[string]any{"n": 2}}
 	var b1, b2 bytes.Buffer
-	if err := WriteSpans(&b1, spans, meta); err != nil {
+	if err := telemetry.WriteTrace(&b1, spans, meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSpans(&b2, spans, meta); err != nil {
+	if err := telemetry.WriteTrace(&b2, spans, meta); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -157,7 +94,7 @@ func TestWriteSpansDeterministic(t *testing.T) {
 	}
 }
 
-// TestReadSpansRoundTrip writes spans — including an mpi lane carrying
+// TestReadSpansRoundTrip writes spans with WriteTrace — including an mpi lane carrying
 // message args — and reads them back: lanes, categories, names, args
 // and (to trace precision) times must survive.
 func TestReadSpansRoundTrip(t *testing.T) {
@@ -169,12 +106,12 @@ func TestReadSpansRoundTrip(t *testing.T) {
 		{Proc: 1, Lane: "solver", Cat: "solver", Name: "CG iteration", Start: 0, End: 3e-3},
 	}
 	var buf bytes.Buffer
-	if err := WriteSpans(&buf, in, Meta{LaneNames: map[string]string{
+	if err := telemetry.WriteTrace(&buf, in, telemetry.TraceMeta{LaneNames: map[string]string{
 		"host": "host thread 0 (MPI)", "gpu": "GPU stream", "solver": "solver",
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSpans(&buf)
+	got, err := telemetry.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

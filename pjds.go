@@ -87,12 +87,9 @@ type (
 	PJDS = core.PJDS[float64]
 	// Options configure pJDS construction.
 	Options = core.Options
-	// ELLPACK is the original padded format of Fig. 2a.
-	ELLPACK = formats.ELLPACK[float64]
-	// ELLPACKR is ELLPACK-R (Vázquez et al.), the paper's baseline.
-	ELLPACKR = formats.ELLPACKR[float64]
-	// SlicedELL is the sliced-ELLPACK related-work family.
-	SlicedELL = formats.SlicedELL[float64]
+	// SELL is the SELL-C-σ layout behind ELLPACK, ELLPACK-R, sliced
+	// ELLPACK and (as the embedded layout of PJDS) pJDS and JDS.
+	SELL = core.SELL[float64]
 	// ELLRT is the T-threads-per-row ELLR-T variant.
 	ELLRT = formats.ELLRT[float64]
 	// BELLPACK is the blocked ELLPACK of Choi et al. (reference [2]).
@@ -105,18 +102,18 @@ type (
 func NewPJDS(m *CSR, opt Options) (*PJDS, error) { return core.NewPJDS(m, opt) }
 
 // NewJDS builds the classic unpadded JDS (pJDS with block height 1).
-func NewJDS(m *CSR) (*PJDS, error) { return formats.NewJDS(m) }
+func NewJDS(m *CSR) (*PJDS, error) { return core.NewPJDS(m, Options{BlockHeight: 1}) }
 
 // NewELLPACK builds the plain ELLPACK representation of m.
-func NewELLPACK(m *CSR) *ELLPACK { return formats.NewELLPACK(m) }
+func NewELLPACK(m *CSR) *SELL { return core.NewELLPACK(m, matrix.ConvertOptions{}) }
 
 // NewELLPACKR builds the ELLPACK-R representation of m.
-func NewELLPACKR(m *CSR) *ELLPACKR { return formats.NewELLPACKR(m) }
+func NewELLPACKR(m *CSR) *SELL { return core.NewELLPACKR(m, matrix.ConvertOptions{}) }
 
-// NewSlicedELL builds a sliced-ELLPACK matrix with slice height c and
-// sorting window sigma.
-func NewSlicedELL(m *CSR, c, sigma int) (*SlicedELL, error) {
-	return formats.NewSlicedELL(m, c, sigma)
+// NewSlicedELL builds a sliced-ELLPACK (SELL-C-σ) matrix with slice
+// height c and sorting window sigma.
+func NewSlicedELL(m *CSR, c, sigma int) (*SELL, error) {
+	return core.NewSELL(m, c, sigma, matrix.ConvertOptions{})
 }
 
 // NewELLRT builds an ELLR-T matrix with T threads per row.
@@ -154,14 +151,11 @@ func RunPJDS(d *Device, p *PJDS, yp, x []float64) (*KernelStats, error) {
 	return gpu.RunPJDS(d, p, yp, x, gpu.RunOptions{})
 }
 
-// RunELLPACKR simulates the ELLPACK-R spMVM kernel (Listing 1).
-func RunELLPACKR(d *Device, e *ELLPACKR, y, x []float64) (*KernelStats, error) {
-	return gpu.RunELLPACKR(d, e, y, x, gpu.RunOptions{})
-}
-
-// RunELLPACK simulates the plain ELLPACK kernel (computes on padding).
-func RunELLPACK(d *Device, e *ELLPACK, y, x []float64) (*KernelStats, error) {
-	return gpu.RunELLPACK(d, e, y, x, gpu.RunOptions{})
+// RunSELL simulates the kernel of any SELL preset: ELLPACK-R
+// (Listing 1), plain ELLPACK (computes on padding) or sliced ELLPACK,
+// in the layout's stored row order.
+func RunSELL(d *Device, s *SELL, y, x []float64) (*KernelStats, error) {
+	return gpu.RunSELL(d, s, y, x, gpu.RunOptions{})
 }
 
 // RunELLRT simulates the cooperative ELLR-T kernel.

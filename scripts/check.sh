@@ -1,5 +1,8 @@
 #!/bin/sh
-# Repository health check: vet, build, the full test suite, and a race
+# Repository health check: vet, build, the full test suite, vet and
+# short tests of the separate bench/ module (root ./... never builds
+# it, so an API break there would otherwise surface only in the
+# benchmark pipeline), and a race
 # run over the concurrency-heavy packages (virtual-time fabric, the
 # MPI-like layer, the distributed spMVM engine, fault plans, the
 # fault-tolerant solver, telemetry, the GPU worker pool — the gpu
@@ -41,6 +44,9 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== bench module (separate go.mod, not covered by ./...) =="
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "== go test -race (concurrent packages) =="
 # telemetry includes the scrape-while-write hammer; flight the
