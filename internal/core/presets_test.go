@@ -188,3 +188,47 @@ func checkHostPJDS(t *testing.T, m *matrix.CSR[float64], x []float64) {
 		})
 	}
 }
+
+// phaseLog records the conversion phases in the order they start.
+type phaseLog []string
+
+func (l *phaseLog) Phase(name string) func() {
+	*l = append(*l, name)
+	return func() {}
+}
+
+// TestPresetConversionPhases: every preset records the conversion phases
+// of the paper format it reproduces, each once, so the conversion report
+// keeps one row per format.
+func TestPresetConversionPhases(t *testing.T) {
+	m := presetMatrices()[0].m
+	cases := []struct {
+		name  string
+		build func(cv matrix.ConvertOptions) error
+		want  string
+	}{
+		{"ELLPACK", func(cv matrix.ConvertOptions) error { core.NewELLPACK(m, cv); return nil }, "[ellpack-fill]"},
+		{"ELLPACK-R", func(cv matrix.ConvertOptions) error { core.NewELLPACKR(m, cv); return nil }, "[ellpack-fill]"},
+		{"pJDS", func(cv matrix.ConvertOptions) error {
+			_, err := core.NewPJDS(m, core.Options{Convert: cv})
+			return err
+		}, "[jds-sort pjds-pad pjds-fill]"},
+		{"SELL-32-1", func(cv matrix.ConvertOptions) error {
+			_, err := core.NewSELL(m, 32, 1, cv)
+			return err
+		}, "[sliced-sort sliced-fill]"},
+		{"SELL-8-N", func(cv matrix.ConvertOptions) error {
+			_, err := core.NewSELL(m, 8, m.NRows, cv)
+			return err
+		}, "[sliced-sort sliced-fill]"},
+	}
+	for _, tc := range cases {
+		var log phaseLog
+		if err := tc.build(matrix.ConvertOptions{Timer: &log}); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint([]string(log)); got != tc.want {
+			t.Errorf("%s: phases %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -41,6 +41,19 @@ const (
 	PresetPJDS
 )
 
+// phases names the conversion phases a preset records (row-length scan
+// and windowed sort, chunk layout, fill), so the conversion report keeps
+// one row per paper format. Consecutive equal names are one phase.
+func (p Preset) phases() (scan, layout, fill string) {
+	switch p {
+	case PresetELLPACK, PresetELLPACKR:
+		return "ellpack-fill", "ellpack-fill", "ellpack-fill"
+	case PresetPJDS:
+		return "pjds-pad", "pjds-pad", "pjds-fill"
+	}
+	return "sliced-sort", "sliced-fill", "sliced-fill"
+}
+
 // SELL is the SELL-C-σ sparse-matrix layout (Kreutzer et al.,
 // arXiv:1307.6209) behind every padded format of the paper: rows are
 // sorted by descending length inside windows of σ rows, cut into chunks
@@ -131,6 +144,15 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 	n := m.NRows
 	sigma = ClampSigma(c, sigma, n)
 
+	scanPhase, layoutPhase, fillPhase := preset.phases()
+	var perm matrix.Perm
+	if preset == PresetPJDS {
+		// The global sort of pJDS, parallel over rows; it records its
+		// own "jds-sort" phase.
+		perm = matrix.SortRowsByLengthDescOpt(m, opt)
+	}
+
+	done := opt.Phase(scanPhase)
 	workers := opt.EffectiveWorkers()
 	// Row lengths and the global maximum, shared by the windowed sort
 	// and the chunk layout below.
@@ -149,15 +171,12 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 		maxLen = max(maxLen, v)
 	}
 
-	var perm matrix.Perm
 	switch {
-	case sigma >= n && n > 1:
-		// One window: the global sort of pJDS, parallel over rows.
-		perm = matrix.SortRowsByLengthDescOpt(m, opt)
+	case preset == PresetPJDS:
+		// Sorted globally above.
 	case sigma > 1:
 		// Windows are independent, so they distribute over workers
 		// with one counting-sort scratch buffer each.
-		done := opt.Phase("sell-sort")
 		perm = matrix.Identity(n)
 		counts := make([][]int, workers)
 		for w := range counts {
@@ -168,13 +187,14 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 				matrix.SortRangeByLengthDesc(lens, win*sigma, min(win*sigma+sigma, n), perm, counts[w])
 			}
 		})
-		done()
 	default:
 		perm = matrix.Identity(n)
 	}
 
-	done := opt.Phase("sell-fill")
-	defer done()
+	if layoutPhase != scanPhase {
+		done()
+		done = opt.Phase(layoutPhase)
+	}
 	npad := (n + c - 1) / c * c
 	s := &SELL[T]{
 		N:          n,
@@ -207,6 +227,11 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 	}
 	s.SliceStart[nSlices] = total
 
+	if fillPhase != layoutPhase {
+		done()
+		done = opt.Phase(fillPhase)
+	}
+	defer done()
 	// Row i writes only slots base + j*c of its own lane, so rows are
 	// independent and the parallel fill is byte-identical.
 	s.Val = make([]T, total)
@@ -281,14 +306,14 @@ func (s *SELL[T]) NonZeros() int { return s.Nnz }
 // padding — the quantity Table I's data-reduction row compares.
 func (s *SELL[T]) StoredElems() int64 { return int64(len(s.Val)) }
 
-// PaddingOverhead returns stored/Nnz − 1, the fraction of wasted slots
-// (SELL-C-σ's β). The paper reports < 0.01% for its matrices at
+// PaddingOverhead returns (stored − Nnz)/Nnz, the fraction of wasted
+// slots (SELL-C-σ's β). The paper reports < 0.01% for its matrices at
 // br = 32.
 func (s *SELL[T]) PaddingOverhead() float64 {
 	if s.Nnz == 0 {
 		return 0
 	}
-	return float64(s.StoredElems())/float64(s.Nnz) - 1
+	return float64(s.StoredElems()-int64(s.Nnz)) / float64(s.Nnz)
 }
 
 // FootprintBytes returns the device-memory footprint of the preset's

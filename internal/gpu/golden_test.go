@@ -3,7 +3,6 @@ package gpu
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,8 +12,6 @@ import (
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden.json from the current simulator")
 
 // goldenScale and goldenSeed fix the Table I matrices the golden
 // KernelStats are recorded on.
@@ -73,8 +70,7 @@ func goldenRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) map
 // GF/s of the ELLPACK, ELLPACK-R, pJDS/JDS and SELL-C-σ kernels on the
 // Table I test matrices, in both precisions, to the recorded
 // testdata. Any change to a layout's address model, padding or
-// metadata accounting shows up here as a byte difference. Regenerate
-// with `go test ./internal/gpu -run TestGoldenKernelStats -update`.
+// metadata accounting shows up here as a byte difference.
 func TestGoldenKernelStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the Table I matrices")
@@ -95,17 +91,7 @@ func TestGoldenKernelStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			buf = append(buf, '\n')
-			path := filepath.Join("testdata", name+".golden.json")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden.json"))
 			if err != nil {
 				t.Fatal(err)
 			}
