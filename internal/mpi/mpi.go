@@ -237,12 +237,18 @@ func (w *World) firstError() error {
 	return secondary
 }
 
-// markDead latches a rank's death on the switch (releasing blocked
-// receivers) and the coordinator (failing collectives). Idempotent:
+// markDead latches a rank's death on the coordinator (failing
+// collectives) and the switch (releasing blocked receivers). Idempotent:
 // only the first death time sticks.
+//
+// The coordinator goes first: a peer that observes this death on the
+// switch dies in turn and latches its own death, and that secondary
+// death must not win the coordinator's one-death latch, or ranks
+// waiting in a collective would detect it one heartbeat later than the
+// root cause, depending on goroutine scheduling.
 func (w *World) markDead(rank int, at float64) {
-	w.sw.MarkFailed(rank, at)
 	w.coord.markFailed(rank, at)
+	w.sw.MarkFailed(rank, at)
 }
 
 // Rank returns this endpoint's rank id.
