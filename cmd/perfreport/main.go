@@ -16,9 +16,9 @@
 //	    instead of running a scenario.
 //
 //	perfreport diff [-tol 0.02] [-tol-metric gflops=0.05,...] OLD NEW
-//	    compare two JSON report/benchmark artifacts leaf by leaf under
-//	    tolerance bands; exit non-zero when any metric regressed
-//	    (scripts/regress.sh wraps this).
+//	    compare two JSON report artifacts of one command leaf by leaf
+//	    under tolerance bands; exit non-zero when any metric regressed
+//	    (the check.sh self-diff gate).
 //
 //	perfreport -convert [-matrix sAMG] [-scale 0.05] [-workers 4] [-ranks 4]
 //	    measure the ingest-and-convert pipeline (MatrixMarket parse,
@@ -46,13 +46,12 @@
 //	    (where the two rank columns disagree, the model is missing a
 //	    machine effect).
 //
-//	perfreport -trend [-ledger .spmv/ledger.jsonl] [-gate] A.json B.json ...
-//	    cross-run trend analysis: line up any number of benchmark
-//	    artifacts (chronological order) plus the run ledger's entries
-//	    and classify every metric's latest value against its
-//	    historical best — direction-aware and tolerance-banded like
-//	    the diff gate, but flagging only *sustained* regressions.
-//	    -gate exits non-zero on them (scripts/regress.sh trend).
+//	perfreport -trend -ledger .spmv/ledger.jsonl [-gate]
+//	    cross-run trend analysis: line up the run ledger's entries
+//	    (chronological order) and classify every metric's latest value
+//	    against its historical best — direction-aware and
+//	    tolerance-banded like the diff gate, but flagging only
+//	    *sustained* regressions. -gate exits non-zero on them.
 package main
 
 import (
@@ -113,8 +112,8 @@ func run(args []string, out io.Writer) error {
 		checkAttr = fs.Float64("check-attributed", 0, "with -profile: fail unless at least this fraction of samples carries a known phase label")
 		tuneMode  = fs.Bool("tune", false, "report the tuning DB: measured vs Eq. 1-modeled cost per (C, σ) grid cell, per sweep")
 		tuningDB  = fs.String("tuning-db", "", "tuning DB for -tune (default "+tuner.DefaultPath+")")
-		trendMode = fs.Bool("trend", false, "cross-run trend analysis over positional artifact JSONs (chronological) plus -ledger entries")
-		ledger    = fs.String("ledger", "", "run ledger JSONL to include in -trend (e.g. .spmv/ledger.jsonl)")
+		trendMode = fs.Bool("trend", false, "cross-run trend analysis over the -ledger entries (chronological)")
+		ledger    = fs.String("ledger", "", "run ledger JSONL for -trend (e.g. .spmv/ledger.jsonl)")
 		trendTol  = fs.Float64("trend-tol", 0.05, "relative tolerance band around each metric's historical best")
 		sustainN  = fs.Int("sustain", 2, "trailing runs that must all sit beyond tolerance before a trend gates")
 		gate      = fs.Bool("gate", false, "with -trend: exit non-zero on sustained regressions")
@@ -125,7 +124,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 && !*trendMode {
+	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	w := out
@@ -143,7 +142,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *trendMode {
 		opt := runledger.TrendOptions{Tolerance: *trendTol, Sustain: *sustainN}
-		return runTrend(w, fs.Args(), *ledger, opt, *gate, *trendFull, *jsonOut)
+		return runTrend(w, *ledger, opt, *gate, *trendFull, *jsonOut)
 	}
 	if *profileIn != "" {
 		return runProfileReport(w, *profileIn, *traceIn, *checkAttr, *jsonOut)
@@ -642,34 +641,19 @@ func orSamples(t string) string {
 	return t
 }
 
-// runTrend lines up benchmark artifacts (positional, chronological
-// order) plus the run ledger's entries and reports every metric's
-// trajectory against its historical best; with -gate, sustained
-// regressions exit non-zero.
-func runTrend(w io.Writer, artifacts []string, ledgerPath string, opt runledger.TrendOptions, gate, full, jsonOut bool) error {
-	var sources []runledger.Source
-	for _, path := range artifacts {
-		doc, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		src, err := runledger.SourceFromJSON(filepath.Base(path), doc)
-		if err != nil {
-			return err
-		}
-		sources = append(sources, src)
+// runTrend lines up the run ledger's entries (chronological order)
+// and reports every metric's trajectory against its historical best;
+// with -gate, sustained regressions exit non-zero.
+func runTrend(w io.Writer, ledgerPath string, opt runledger.TrendOptions, gate, full, jsonOut bool) error {
+	if ledgerPath == "" {
+		return fmt.Errorf("usage: perfreport -trend -ledger PATH")
 	}
-	if ledgerPath != "" {
-		entries, err := runledger.Read(ledgerPath)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			sources = append(sources, runledger.SourceFromEntry(e))
-		}
+	sources, err := runledger.ReadSources(ledgerPath)
+	if err != nil {
+		return err
 	}
 	if len(sources) == 0 {
-		return fmt.Errorf("usage: perfreport -trend [-ledger PATH] A.json B.json ... (need at least one source)")
+		return fmt.Errorf("perfreport -trend: ledger %s has no entries", ledgerPath)
 	}
 	rows := runledger.Trend(sources, opt)
 	if jsonOut {

@@ -227,13 +227,18 @@ func TestProfileUnknownPhase(t *testing.T) {
 	}
 }
 
-// writeArtifact drops a one-metric JSON doc for trend tests.
-func writeArtifact(t *testing.T, dir, name string, gflops float64) string {
+// writeLedger appends one spmvbench entry per gflops value to a fresh
+// run ledger, oldest first.
+func writeLedger(t *testing.T, gflops ...float64) string {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	doc, _ := json.Marshal(map[string]float64{"gflops": gflops})
-	if err := os.WriteFile(path, doc, 0o644); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	for _, v := range gflops {
+		if err := runledger.Append(path, runledger.Entry{
+			Tool:    "spmvbench",
+			Metrics: map[string]float64{"gflops": v},
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return path
 }
@@ -241,13 +246,10 @@ func writeArtifact(t *testing.T, dir, name string, gflops float64) string {
 // TestTrendGate: a sustained drop gates, a steady series does not, and
 // the JSON shape carries the verdicts.
 func TestTrendGate(t *testing.T) {
-	dir := t.TempDir()
-	a := writeArtifact(t, dir, "a.json", 10)
-	b := writeArtifact(t, dir, "b.json", 5)
-	c := writeArtifact(t, dir, "c.json", 5)
+	dropped := writeLedger(t, 10, 5, 5)
 
 	var buf bytes.Buffer
-	if err := run([]string{"-trend", a, b, c}, &buf); err != nil {
+	if err := run([]string{"-trend", "-ledger", dropped}, &buf); err != nil {
 		t.Fatalf("ungated trend errored: %v", err)
 	}
 	if !strings.Contains(buf.String(), "regression") {
@@ -255,19 +257,19 @@ func TestTrendGate(t *testing.T) {
 	}
 
 	buf.Reset()
-	err := run([]string{"-trend", "-gate", a, b, c}, &buf)
+	err := run([]string{"-trend", "-gate", "-ledger", dropped}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "gflops") {
 		t.Fatalf("gate = %v, want sustained regression on gflops", err)
 	}
 
 	// One bad run between two good ones is watch, not a gate failure.
 	buf.Reset()
-	if err := run([]string{"-trend", "-gate", a, b, a}, &buf); err != nil {
+	if err := run([]string{"-trend", "-gate", "-ledger", writeLedger(t, 10, 5, 10)}, &buf); err != nil {
 		t.Fatalf("recovered series gated: %v\n%s", err, buf.String())
 	}
 
 	buf.Reset()
-	if err := run([]string{"-trend", "-json", a, b, c}, &buf); err != nil {
+	if err := run([]string{"-trend", "-json", "-ledger", dropped}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -289,32 +291,23 @@ func TestTrendGate(t *testing.T) {
 	}
 }
 
-// TestTrendLedger folds run-ledger entries in after the positional
-// artifacts, so a fresh regression recorded by spmvbench gates.
+// TestTrendLedger: -trend names each source after its ledger entry,
+// rejects positional artifacts, and refuses an empty ledger.
 func TestTrendLedger(t *testing.T) {
-	dir := t.TempDir()
-	a := writeArtifact(t, dir, "a.json", 10)
-	ledger := filepath.Join(dir, "ledger.jsonl")
-	for i := 0; i < 2; i++ {
-		if err := runledger.Append(ledger, runledger.Entry{
-			Tool:    "spmvbench",
-			Metrics: map[string]float64{"gflops": 4},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	ledger := writeLedger(t, 10, 4, 4)
 	var buf bytes.Buffer
-	err := run([]string{"-trend", "-gate", "-ledger", ledger, a}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "gflops") {
-		t.Fatalf("ledger regression not gated: %v", err)
-	}
-	buf.Reset()
-	if err := run([]string{"-trend", "-ledger", ledger, a}, &buf); err != nil {
+	if err := run([]string{"-trend", "-ledger", ledger}, &buf); err != nil {
 		t.Fatalf("ungated ledger trend errored: %v", err)
 	}
-	if !strings.Contains(buf.String(), "spmvbench@") {
+	if !strings.Contains(buf.String(), "spmvbench") {
 		t.Errorf("ledger entries missing from source list:\n%s", buf.String())
+	}
+	if err := run([]string{"-trend", "-ledger", ledger, "a.json"}, &buf); err == nil {
+		t.Error("positional artifact accepted by -trend")
+	}
+	empty := filepath.Join(t.TempDir(), "missing.jsonl")
+	if err := run([]string{"-trend", "-ledger", empty}, &buf); err == nil {
+		t.Error("-trend over an empty ledger accepted")
 	}
 }
 

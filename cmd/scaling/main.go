@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -139,15 +137,14 @@ func run(args []string, out io.Writer) error {
 		eng.RegisterHTTP()
 		eng.Start(health.Options{})
 		defer eng.Stop()
-		// /trends.json: cross-run history for the dashboard — the
-		// checked-in BENCH_PR*.json trajectory plus whatever ledger
-		// this (or any earlier) run appends to.
+		// /trends.json: cross-run history for the dashboard, read
+		// from the ledger this (or any earlier) run appends to.
 		trendLedger := ledgerPath
 		if trendLedger == "" {
 			trendLedger = runledger.DefaultPath
 		}
 		telemetry.RegisterHandler("/trends.json",
-			runledger.TrendHandler(trendLedger, trendBaseline(), runledger.TrendOptions{}))
+			runledger.TrendHandler(trendLedger, runledger.TrendOptions{}))
 		srv, err := telemetry.Serve(*metricsAdr, telemetry.Default())
 		if err != nil {
 			return err
@@ -234,40 +231,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "ledger: appended run to %s\n", ledgerPath)
 	}
 	return nil
-}
-
-// trendBaseline loads the checked-in BENCH_PR*.json trajectory in PR
-// order as the fixed prefix of the /trends.json history.
-func trendBaseline() []runledger.Source {
-	paths, _ := filepath.Glob("BENCH_PR*.json")
-	type numbered struct {
-		path string
-		n    int
-	}
-	var ordered []numbered
-	for _, p := range paths {
-		base := strings.TrimSuffix(filepath.Base(p), ".json")
-		num := strings.TrimPrefix(base, "BENCH_PR")
-		n, err := strconv.Atoi(num)
-		if err != nil {
-			continue // skip e.g. BENCH_PR1.metrics.json
-		}
-		ordered = append(ordered, numbered{p, n})
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].n < ordered[j].n })
-	var out []runledger.Source
-	for _, o := range ordered {
-		doc, err := os.ReadFile(o.path)
-		if err != nil {
-			continue
-		}
-		src, err := runledger.SourceFromJSON(filepath.Base(o.path), doc)
-		if err != nil {
-			continue
-		}
-		out = append(out, src)
-	}
-	return out
 }
 
 // runBreakdown prints the per-phase costs of one iteration per mode.

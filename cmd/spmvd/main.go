@@ -12,8 +12,6 @@
 //	spmvd -swarm          in-process chaos swarm: many concurrent tenants,
 //	                      injected device faults, killed clients, tight
 //	                      deadlines; exits non-zero on any wrong digest
-//	spmvd -bench          swarm under load + admission micro-benchmark,
-//	                      writing the BENCH_PR9.json artifact
 //
 // With -tuning-db PATH the service runs the (C, σ) auto-tuner once
 // per uploaded matrix structure (internal/tuner), serves it with the
@@ -70,7 +68,6 @@ type options struct {
 	tuningDB   string
 
 	swarm   bool
-	bench   bool
 	clients int
 	reqs    int
 	nx      int
@@ -99,13 +96,12 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&o.ledgerArg, "ledger", "", "append the run's record to a JSONL run ledger ('default' = "+runledger.DefaultPath+")")
 	fs.StringVar(&o.tuningDB, "tuning-db", "", "tune each uploaded matrix once and persist winners at this JSONL path ('default' = "+tuner.DefaultPath+"; empty disables tuning)")
 	fs.BoolVar(&o.swarm, "swarm", false, "run the in-process chaos swarm instead of serving")
-	fs.BoolVar(&o.bench, "bench", false, "run the swarm + admission micro-benchmark and write the PR 9 bench artifact")
 	fs.IntVar(&o.clients, "swarm-clients", 24, "concurrent swarm clients")
 	fs.IntVar(&o.reqs, "swarm-requests", 12, "requests per swarm client")
 	fs.IntVar(&o.nx, "swarm-nx", 16, "swarm matrix stencil edge (nx*nx unknowns)")
 	fs.IntVar(&o.killPct, "swarm-kill-pct", 5, "percent of swarm requests whose client is killed mid-flight")
 	fs.IntVar(&o.ddlPct, "swarm-deadline-pct", 5, "percent of swarm requests carrying a too-tight deadline")
-	fs.StringVar(&o.out, "o", "", "write the swarm/bench JSON report here (default stdout, bench: BENCH_PR9.json)")
+	fs.StringVar(&o.out, "o", "", "write the swarm JSON report here (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -151,14 +147,10 @@ func run(args []string, out io.Writer) error {
 		cfg.DeviceFaults = func(i int) gpu.ECCInjector { return plan.DeviceFor(i) }
 	}
 
-	switch {
-	case o.bench:
-		return runBench(o, cfg, out)
-	case o.swarm:
+	if o.swarm {
 		return runSwarm(o, cfg, out)
-	default:
-		return serve(o, cfg, out)
 	}
+	return serve(o, cfg, out)
 }
 
 // serve runs the long-lived server: health engine, full observability
@@ -183,7 +175,7 @@ func serve(o options, cfg service.Config, out io.Writer) error {
 		trendLedger = runledger.DefaultPath
 	}
 	telemetry.RegisterHandler("/trends.json",
-		runledger.TrendHandler(trendLedger, nil, runledger.TrendOptions{}))
+		runledger.TrendHandler(trendLedger, runledger.TrendOptions{}))
 
 	srv, err := telemetry.Serve(o.addr, telemetry.Default())
 	if err != nil {

@@ -23,9 +23,10 @@ import (
 	"pjds/internal/telemetry"
 )
 
-// swarmReport is the chaos-swarm verdict, also the "swarm" section of
-// BENCH_PR9.json. digest_mismatches is the hard gate: the service may
-// shed, checkpoint or downgrade, but a wrong bit is a failure.
+// swarmReport is the chaos-swarm verdict, written as the "swarm"
+// section of the -swarm JSON report. digest_mismatches is the hard
+// gate: the service may shed, checkpoint or downgrade, but a wrong bit
+// is a failure.
 type swarmReport struct {
 	Clients          int     `json:"clients"`
 	RequestsPerClnt  int     `json:"requests_per_client"`
@@ -102,15 +103,11 @@ func references(m *matrix.CSR[float64]) (spmv, solve []string, err error) {
 // faults, killed clients, too-tight deadlines — ending in a full
 // drain. It exits non-zero on any digest mismatch or transport error.
 func runSwarm(o options, cfg service.Config, out io.Writer) error {
-	rep, _, err := swarmRun(o, cfg, out)
+	rep, err := swarmRun(o, cfg, out)
 	if err != nil {
 		return err
 	}
-	return writeSwarmReport(o, map[string]any{"schema": "pjds-spmvd/v1", "swarm": rep}, rep, out)
-}
-
-func writeSwarmReport(o options, doc any, rep *swarmReport, out io.Writer) error {
-	body, err := json.MarshalIndent(doc, "", "  ")
+	body, err := json.MarshalIndent(map[string]any{"schema": "pjds-spmvd/v1", "swarm": rep}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -136,8 +133,8 @@ func writeSwarmReport(o options, doc any, rep *swarmReport, out io.Writer) error
 }
 
 // swarmRun starts the service, runs the swarm, drains, and returns
-// the report plus the final service status.
-func swarmRun(o options, cfg service.Config, out io.Writer) (*swarmReport, service.Status, error) {
+// the report.
+func swarmRun(o options, cfg service.Config, out io.Writer) (*swarmReport, error) {
 	eng := health.New(telemetry.Default(), health.Options{})
 	eng.Start(health.Options{Interval: 100 * time.Millisecond})
 	defer eng.Stop()
@@ -148,7 +145,7 @@ func swarmRun(o options, cfg service.Config, out io.Writer) (*swarmReport, servi
 	svc.RegisterHTTP()
 	srv, err := telemetry.Serve(o.addr, telemetry.Default())
 	if err != nil {
-		return nil, service.Status{}, err
+		return nil, err
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr
@@ -159,29 +156,29 @@ func swarmRun(o options, cfg service.Config, out io.Writer) (*swarmReport, servi
 	m := matgen.Stencil2D(o.nx, o.nx)
 	var mm bytes.Buffer
 	if err := matrix.WriteMatrixMarket(&mm, m); err != nil {
-		return nil, service.Status{}, err
+		return nil, err
 	}
 	resp, err := http.Post(base+"/v1/matrices?name=swarm-stencil", "text/plain", bytes.NewReader(mm.Bytes()))
 	if err != nil {
-		return nil, service.Status{}, err
+		return nil, err
 	}
 	var info service.MatrixInfo
 	err = json.NewDecoder(resp.Body).Decode(&info)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil, service.Status{}, fmt.Errorf("swarm upload: HTTP %d, %v", resp.StatusCode, err)
+		return nil, fmt.Errorf("swarm upload: HTTP %d, %v", resp.StatusCode, err)
 	}
 
 	spmvRef, solveRef, err := references(m)
 	if err != nil {
-		return nil, service.Status{}, err
+		return nil, err
 	}
 
 	rep := &swarmReport{Clients: o.clients, RequestsPerClnt: o.reqs}
 	var (
 		ok, shed, unavail, timeout, checkpointed, killed, mismatches, other atomic.Int64
-		latMu                                                              sync.Mutex
-		lats                                                               []float64
+		latMu                                                               sync.Mutex
+		lats                                                                []float64
 	)
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        o.clients * 2,
@@ -321,5 +318,5 @@ func swarmRun(o options, cfg service.Config, out io.Writer) (*swarmReport, servi
 	rep.DrainGraceful = drain.Graceful
 	rep.DrainCheckpoints = drain.Checkpointed
 	rep.DrainSeconds = drain.WaitedSeconds
-	return rep, st, nil
+	return rep, nil
 }

@@ -221,8 +221,29 @@ func TestNumberedPath(t *testing.T) {
 	}
 }
 
-// BenchmarkFlightEvent gates the hot recording path at 0 allocs/op:
-// the recorder must stay cheap enough to leave always-on.
+// TestHotPathZeroAllocs: recording an event, mirroring a span and the
+// disabled hook allocate nothing, so the recorder can stay always-on.
+func TestHotPathZeroAllocs(t *testing.T) {
+	r := New(1024, 1024)
+	sp := telemetry.Span{Proc: 1, Lane: "gpu", Cat: "gpu", Name: "spmvm", Start: 1, End: 2}
+	Disable()
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Recorder.Event", func() { r.Event(Info, "bench.kind", 3, 1.5, "steady state", 42) }},
+		{"Recorder.Span", func() { r.Span(sp) }},
+		{"disabled Record", func() { Record(Info, "bench.kind", 0, 0, "off", 0) }},
+	} {
+		if a := testing.AllocsPerRun(100, c.f); a != 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, a)
+		}
+	}
+}
+
+// The benchmarks below time the paths TestHotPathZeroAllocs gates.
+
+// BenchmarkFlightEvent times the hot recording path.
 func BenchmarkFlightEvent(b *testing.B) {
 	r := New(1024, 1024)
 	b.ReportAllocs()
@@ -232,7 +253,7 @@ func BenchmarkFlightEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkFlightSpan gates the span-mirror path at 0 allocs/op.
+// BenchmarkFlightSpan times the span-mirror path.
 func BenchmarkFlightSpan(b *testing.B) {
 	r := New(1024, 1024)
 	sp := telemetry.Span{Proc: 1, Lane: "gpu", Cat: "gpu", Name: "spmvm", Start: 1, End: 2}
@@ -243,7 +264,7 @@ func BenchmarkFlightSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordDisabled gates the disabled hook (one atomic load).
+// BenchmarkRecordDisabled times the disabled hook (one atomic load).
 func BenchmarkRecordDisabled(b *testing.B) {
 	Disable()
 	b.ReportAllocs()

@@ -39,6 +39,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newCache(d.L2, d.GatherSectorBytes)
 	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
+	sum := make([]T, ws)
 
 	for wbase := 0; wbase < m.NRows; wbase += ws {
 		st.Warps++
@@ -57,11 +58,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 		}
 		st.WarpSteps += int64(maxLen)
 		st.BytesMeta += segBytes // row-pointer load
-		if !opt.Accumulate {
-			for lane := 0; lane < lanes; lane++ {
-				y[wbase+lane] = 0
-			}
-		}
+		clear(sum)
 		for j := 0; j < maxLen; j++ {
 			valSegs.reset()
 			idxSegs.reset()
@@ -74,7 +71,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 				}
 				k := lo + j
 				c := m.ColIdx[k]
-				y[i] += m.Val[k] * x[c] // accumulate per element (y zeroed below on first touch)
+				sum[lane] += m.Val[k] * x[c]
 				st.ExecutedLaneSteps++
 				// Lane k positions are scattered across the compressed
 				// stream: every lane usually hits its own segment.
@@ -94,6 +91,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 		}
 		hi := wbase + lanes
 		st.BytesLHS += lhsBytes(&lhsSegs, wbase, hi, es, segShift, segBytes, opt.Accumulate)
+		storeResult(y, sum[:lanes], wbase, m.NRows, opt.Accumulate)
 	}
 	st.finish(d, ws)
 	st.Publish(opt.Metrics, opt.MetricLabels...)

@@ -17,10 +17,50 @@ func benchMatrix() *matrix.CSR[float64] {
 	return matgen.Banded(20000, 12, 28, 300, 42)
 }
 
+// TestMulVecZeroAllocs: the steady-state MulVec of every kernel kind
+// and of the pJDS kernel allocates nothing, metered, at 1 and 2
+// workers — it runs once per solver iteration.
+func TestMulVecZeroAllocs(t *testing.T) {
+	m := matgen.Banded(4000, 12, 28, 300, 42)
+	p, err := core.NewPJDS(m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, m.NCols)
+	for i := range x {
+		x[i] = 1 + float64(i%7)/3
+	}
+	y := make([]float64, m.NRows)
+	for _, w := range []int{1, 2} {
+		opt := Options{Workers: w, Metrics: telemetry.NewRegistry()}
+		kernels := []Kernel{NewPJDS(p, opt)}
+		for _, kind := range Kinds() {
+			k, err := New(kind, m, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernels = append(kernels, k)
+		}
+		for _, k := range kernels {
+			if err := k.MulVec(y, x); err != nil { // warm up
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := k.MulVec(y, x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			k.Close()
+			if allocs != 0 {
+				t.Errorf("%s at %d workers: %v allocs per MulVec, want 0", k.Name(), w, allocs)
+			}
+		}
+	}
+}
+
 // benchKernel times repeated MulVec applications of k over m and
-// reports ns per non-zero next to the stock ns/op — the machine-size-
-// independent number the bench.sh pr7 gate compares across kernels
-// and checkouts.
+// reports ns per non-zero next to the stock ns/op, so kernels and
+// checkouts compare independently of the matrix size.
 func benchKernel(b *testing.B, m *matrix.CSR[float64], k Kernel) {
 	b.Helper()
 	x := make([]float64, m.NCols)

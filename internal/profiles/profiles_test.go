@@ -42,10 +42,11 @@ func (e *enc) msgField(num int, fill func(*enc)) {
 }
 
 // fixtureProfile builds a two-sample CPU profile by hand:
-// strtab: 0:"" 1:"samples" 2:"count" 3:"cpu" 4:"nanoseconds"
-//         5:"phase" 6:"host" 7:"main.hot" 8:"kernel" 9:"blocked"
-// sample A: 30ns, labels phase=host kernel=blocked, loc 1 (main.hot)
-// sample B: 10ns, no labels, loc 1
+//
+//	strtab:   0:"" 1:"samples" 2:"count" 3:"cpu" 4:"nanoseconds"
+//	          5:"phase" 6:"host" 7:"main.hot" 8:"kernel" 9:"blocked"
+//	sample A: 30ns, labels phase=host kernel=blocked, loc 1 (main.hot)
+//	sample B: 10ns, no labels, loc 1
 func fixtureProfile(t *testing.T, packed bool) []byte {
 	t.Helper()
 	var e enc
@@ -59,7 +60,7 @@ func fixtureProfile(t *testing.T, packed bool) []byte {
 	})
 	e.msgField(2, func(s *enc) { // sample A
 		if packed {
-			s.bytesField(1, []byte{1})    // location_id [1]
+			s.bytesField(1, []byte{1})     // location_id [1]
 			s.bytesField(2, []byte{3, 30}) // value [3, 30]
 		} else {
 			s.uintField(1, 1)

@@ -8,30 +8,19 @@ import (
 // TrendHandler serves the cross-run trend analysis as JSON at
 // /trends.json: the ledger at path is re-read per request (it is
 // append-only, so a held run picks up rows recorded after it
-// started), prepended with any fixed baseline sources (e.g. the
-// checked-in BENCH_PR*.json trajectory loaded at startup).
-func TrendHandler(path string, baseline []Source, opt TrendOptions) http.Handler {
+// started).
+func TrendHandler(path string, opt TrendOptions) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sources := append([]Source{}, baseline...)
-		entries, err := Read(path)
+		sources, err := ReadSources(path)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		for _, e := range entries {
-			sources = append(sources, SourceFromEntry(e))
+		names := make([]string, len(sources))
+		for i, s := range sources {
+			names[i] = s.Name
 		}
 		rows := Trend(sources, opt)
-		if rows == nil {
-			rows = []TrendRow{}
-		}
-		names := make([]string, 0, len(sources))
-		for _, s := range sources {
-			names = append(names, s.Name)
-		}
-		if names == nil {
-			names = []string{}
-		}
 		doc := struct {
 			Ledger  string     `json:"ledger"`
 			Sources []string   `json:"sources"`

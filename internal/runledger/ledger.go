@@ -4,7 +4,7 @@
 // trajectory for cross-run trends. It is the persistence substrate
 // the format-selection advisor's tuning database will sit on: the
 // ledger answers "which phase got slower, and when?" where
-// regress.sh's pairwise diff can only compare two adjacent artifacts.
+// perfreport diff can only compare two artifacts of one command.
 package runledger
 
 import (

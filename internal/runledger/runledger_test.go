@@ -208,20 +208,6 @@ func TestTrendRecoveryIsNotSustained(t *testing.T) {
 	}
 }
 
-func TestSourceFromJSON(t *testing.T) {
-	doc := []byte(`{"entries":[{"gflops":12.5,"name":"HMEp"}],"total_seconds":3.5}`)
-	src, err := SourceFromJSON("BENCH_PR1.json", doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Metrics["entries[0].gflops"] != 12.5 {
-		t.Fatalf("metrics = %v", src.Metrics)
-	}
-	if src.Metrics["total_seconds"] != 3.5 {
-		t.Fatalf("metrics = %v", src.Metrics)
-	}
-}
-
 func TestWriteTrendReport(t *testing.T) {
 	sources := []Source{
 		{Name: "a", Metrics: map[string]float64{"gflops": 10, "only_here": 1}},
@@ -247,11 +233,12 @@ func TestWriteTrendReport(t *testing.T) {
 
 func TestTrendHandler(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	if err := Append(path, Entry{Tool: "spmvbench", Metrics: map[string]float64{"host_gflops": 11}}); err != nil {
-		t.Fatal(err)
+	for _, v := range []float64{10, 11} {
+		if err := Append(path, Entry{Tool: "spmvbench", Metrics: map[string]float64{"host_gflops": v}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	baseline := []Source{{Name: "BENCH_PR7.json", Metrics: map[string]float64{"host_gflops": 10}}}
-	h := TrendHandler(path, baseline, TrendOptions{})
+	h := TrendHandler(path, TrendOptions{})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trends.json", nil))
 	if rec.Code != 200 {

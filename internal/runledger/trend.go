@@ -12,9 +12,9 @@ import (
 
 // Cross-run trend analysis: where critpath.Diff compares exactly two
 // artifacts under a tolerance band, Trend lines up any number of
-// sources in chronological order — the checked-in BENCH_PR*.json
-// trajectory plus live ledger entries — and classifies each metric's
-// latest value against its historical best. Directions reuse the diff
+// ledger entries in chronological order, each keyed by stable metric
+// names, and classifies each metric's latest value against its
+// historical best. Directions reuse the diff
 // gate's heuristics; metrics with unknown direction are reported but
 // never gate across runs (environments differ run to run, unlike the
 // deterministic pairwise self-diff).
@@ -92,16 +92,6 @@ func (o TrendOptions) sustain() int {
 	return o.Sustain
 }
 
-// SourceFromJSON flattens any benchmark JSON document (BENCH_*.json,
-// perfreport -json output, metrics snapshots) into a Source.
-func SourceFromJSON(name string, doc []byte) (Source, error) {
-	leaves, err := critpath.Flatten(doc)
-	if err != nil {
-		return Source{}, fmt.Errorf("runledger: %s: %w", name, err)
-	}
-	return Source{Name: name, Metrics: leaves}, nil
-}
-
 // SourceFromEntry exposes a ledger entry's metric sums as a Source.
 func SourceFromEntry(e Entry) Source {
 	name := e.Tool
@@ -109,6 +99,19 @@ func SourceFromEntry(e Entry) Source {
 		name = e.Tool + "@" + e.Time
 	}
 	return Source{Name: name, Metrics: e.Metrics}
+}
+
+// ReadSources reads the ledger at path as trend sources, oldest first.
+func ReadSources(path string) ([]Source, error) {
+	entries, err := Read(path)
+	if err != nil {
+		return nil, err
+	}
+	sources := make([]Source, len(entries))
+	for i, e := range entries {
+		sources[i] = SourceFromEntry(e)
+	}
+	return sources, nil
 }
 
 // badness returns how much worse v is than best, relative and

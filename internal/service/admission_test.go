@@ -133,10 +133,30 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// BenchmarkAdmit measures the uncontended admission fast path — one
-// token-bucket take plus one execution-slot seize and release. The
-// bench.sh pr9 gate holds this to 0 allocs/op: the hot path of every
-// request must not create garbage under thousands of concurrent calls.
+// TestAdmitZeroAllocs: the uncontended admission fast path — one
+// token-bucket take plus one execution-slot seize and release — is
+// crossed by every request and must not create garbage under
+// thousands of concurrent calls.
+func TestAdmitZeroAllocs(t *testing.T) {
+	a := newAdmission(4, 16)
+	tb := newTokenBucket(1e12, 1e12, time.Unix(0, 0))
+	now := time.Unix(1, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if ok, _ := tb.take(now); !ok {
+			t.Fatalf("bucket refused")
+		}
+		full, err := a.admit(nil)
+		if full || err != nil {
+			t.Fatalf("admit: full=%v err=%v", full, err)
+		}
+		a.release()
+	})
+	if allocs != 0 {
+		t.Fatalf("admission cycle: %v allocs, want 0", allocs)
+	}
+}
+
+// BenchmarkAdmit times the admission cycle TestAdmitZeroAllocs gates.
 func BenchmarkAdmit(b *testing.B) {
 	a := newAdmission(4, 16)
 	tb := newTokenBucket(1e12, 1e12, time.Unix(0, 0))

@@ -27,6 +27,10 @@ const (
 // maxBodyBytes bounds one request body (vectors are O(n) float64s).
 const maxBodyBytes = 64 << 20
 
+// maxDeadlineMs is the largest X-Deadline-Ms that still fits a
+// time.Duration; larger values, infinities and NaN are rejected.
+const maxDeadlineMs = float64(math.MaxInt64 / int64(time.Millisecond))
+
 // APIHandler returns the service API:
 //
 //	POST /v1/matrices  upload a MatrixMarket body, returns MatrixInfo
@@ -119,7 +123,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, kind string) (adm
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get(HeaderDeadlineMs); h != "" {
 		ms, err := strconv.ParseFloat(h, 64)
-		if err != nil || ms <= 0 {
+		if err != nil || !(ms > 0 && ms <= maxDeadlineMs) {
 			s.reg.Counter("service_requests_total",
 				telemetry.L("tenant", t.name), telemetry.L("kind", kind), telemetry.Li("code", http.StatusBadRequest)).Inc()
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "Bad Request", Reason: "invalid " + HeaderDeadlineMs})

@@ -305,6 +305,31 @@ func TestDeadlineCheckpointsSolve(t *testing.T) {
 	}
 }
 
+// TestInvalidDeadlineRejected: a deadline that is not a positive
+// duration Go can represent is a 400, never a request that expires
+// before it starts.
+func TestInvalidDeadlineRejected(t *testing.T) {
+	_, body := testMatrixBody(t)
+	_, ts := newTestServer(t, Config{Devices: 1})
+	info := upload(t, ts, "m", body)
+
+	for _, h := range []string{"0", "-5", "abc", "NaN", "Inf", "-Inf", "1e300", "1e13"} {
+		var eb errorBody
+		resp := post(t, ts, "/v1/solve", map[string]string{HeaderDeadlineMs: h},
+			SolveRequest{Matrix: info.ID, Seed: 2, Tol: 1e-8, MaxIter: 5}, &eb)
+		if resp.StatusCode != http.StatusBadRequest || eb.Reason != "invalid "+HeaderDeadlineMs {
+			t.Errorf("%s: %s: HTTP %d reason %q, want 400 invalid %s",
+				HeaderDeadlineMs, h, resp.StatusCode, eb.Reason, HeaderDeadlineMs)
+		}
+	}
+	var res SolveResult
+	resp := post(t, ts, "/v1/solve", map[string]string{HeaderDeadlineMs: "9e12"},
+		SolveRequest{Matrix: info.ID, Seed: 2, Tol: 1e-8, MaxIter: 5}, &res)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: 9e12: HTTP %d, want 200", HeaderDeadlineMs, resp.StatusCode)
+	}
+}
+
 func TestDrainCheckpointsInFlightAndRejectsNew(t *testing.T) {
 	_, body := testMatrixBody(t)
 	s, ts := newTestServer(t, Config{Devices: 1, ApplyDelay: 50 * time.Millisecond})

@@ -109,8 +109,22 @@ func TestConcurrentScrapeWhileWrite(t *testing.T) {
 	}
 }
 
-// The instrumentation hot path must not allocate in steady state:
-// these run under scripts/bench.sh pr6, which gates 0 allocs/op.
+// TestHotPathZeroAllocs: counters and histograms sit on every kernel
+// launch and message, so their steady-state updates allocate nothing.
+func TestHotPathZeroAllocs(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("hot_total", L("rank", "0"))
+	h := r.Histogram("hot_seconds", []float64{1e-4, 1e-3, 1e-2, 1e-1})
+	if a := testing.AllocsPerRun(100, c.Inc); a != 0 {
+		t.Errorf("Counter.Inc: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Observe(2e-3) }); a != 0 {
+		t.Errorf("Histogram.Observe: %v allocs, want 0", a)
+	}
+}
+
+// The benchmarks time the same hot path; TestHotPathZeroAllocs gates
+// its allocations.
 
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()

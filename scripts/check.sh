@@ -1,40 +1,42 @@
 #!/bin/sh
-# Repository health check: vet, build, the full test suite, vet and
-# short tests of the separate bench/ module (root ./... never builds
-# it, so an API break there would otherwise surface only in the
-# benchmark pipeline), and a race
-# run over the concurrency-heavy packages (virtual-time fabric, the
-# MPI-like layer, the distributed spMVM engine, fault plans, the
-# fault-tolerant solver, telemetry, the GPU worker pool — the gpu
-# tests exercise Workers>1 and concurrent plan-cache lookups — and the
-# parallel ingest-and-convert pipeline, and the host-kernel layer with
-# its worker pools), a seeded chaos smoke scenario, a conversion
-# determinism smoke (matinfo at 1 vs 4 workers must produce
-# byte-identical output), a host-kernel byte-diff smoke (spmvbench
-# -hostbench digests must be identical for naive, blocked, sell and
-# cmrs), and a format-tuning smoke (spmvbench -format auto must sweep,
-# digest-match naive on every matrix, surface its winner through
-# matinfo -recommend and perfreport -tune, and answer the second run
-# entirely from the tuning-DB cache). The chaos smoke also verifies the
-# flight recorder dumps a perfreport-readable incident trace on the
-# injected crash, and an endpoint smoke asserts a held scaling run
-# serves /metrics, /healthz, /spans, /health, /dashboard and
-# /trends.json with non-empty 200 bodies and that spmvtop renders a
-# frame against it. A labeled-profile smoke requires >= 90% of CPU
-# samples to carry a known phase label, and a trend smoke gates the
-# checked-in BENCH_PR*.json trajectory plus a fresh run ledger on
-# sustained cross-run regressions. The spmvd smoke runs the chaos
-# client swarm against a live multi-tenant server, then starts two
-# servers (one with an injected ECC fault, one clean), uploads a
-# matrix over the wire, fires concurrent solves at both, requires the
-# solution digests to be bit-identical across the device→host
-# downgrade, and requires both servers to drain cleanly on SIGTERM
-# with exit 0.
+# Repository health check, the one CI script (bench/run.sh is the one
+# benchmark). In order:
+#   - gofmt, go vet, build, the full test suite (which carries the
+#     0 allocs/op gates of the telemetry, flight-recorder, admission
+#     and host-kernel hot paths), and vet plus short tests of the
+#     separate bench/ module, which root ./... never builds;
+#   - race runs over the concurrency-heavy packages: virtual-time
+#     fabric, MPI-like layer, distributed spMVM, fault plans, fault-
+#     tolerant solver, telemetry, flight recorder, health, service, the
+#     GPU worker pool, the ingest-and-convert pipeline, host kernels
+#     and tuner;
+#   - a host-kernel wall-clock gate: best-of-3 blocked CRS ns/nnz must
+#     beat best-of-3 naive;
+#   - smokes: host-kernel byte-diff (every -hostbench digest identical),
+#     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
+#     winner surfaced by matinfo -recommend and perfreport -tune,
+#     second run answered from the tuning-DB cache), conversion
+#     determinism (matinfo at 1 vs 4 workers byte-identical), seeded
+#     chaos with a perfreport-readable flight-recorder dump, live
+#     endpoints of a held scaling run plus spmvtop, the spmvd chaos
+#     swarm, and the spmvd lifecycle (upload, ECC downgrade with
+#     bit-identical digests, SIGTERM drain to exit 0);
+#   - a perfreport self-diff (two identical runs, zero regressions),
+#     the labeled-profile gate (>= 90% of CPU samples attributed), and
+#     the cross-run trend gate over the two ledger entries this script
+#     appends.
 set -eu
 cd "$(dirname "$0")/.."
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+
+echo "== gofmt =="
+test -z "$(gofmt -l .)" || {
+    echo "files need gofmt:" >&2
+    gofmt -l . >&2
+    exit 1
+}
 
 echo "== go vet =="
 go vet ./...
@@ -68,6 +70,32 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/cpu/... \
     ./internal/tuner/...
 
+echo "== host-kernel speed gate (best-of-3 blocked below best-of-3 naive) =="
+# Wall-clock: the minimum over 3 runs on each side absorbs scheduler
+# noise on a small shared host.
+go test -run '^$' -bench '^(BenchmarkHostNaive|BenchmarkHostCRS)$' \
+    -benchtime 300x -count 3 ./internal/hostkernel/ >"$TMP/hostbench.out"
+awk '
+    $1 ~ /^Benchmark/ {
+        name = $1
+        sub(/-[0-9]+$/, "", name)
+        for (i = 1; i < NF; i++)
+            if ($(i+1) == "ns/nnz" && (!(name in best) || $i + 0 < best[name]))
+                best[name] = $i + 0
+    }
+    END {
+        naive = best["BenchmarkHostNaive"]
+        blocked = best["BenchmarkHostCRS/unroll4"]
+        if (naive == "" || blocked == "" || blocked >= naive) {
+            printf "blocked %s ns/nnz not below naive %s ns/nnz\n", blocked, naive > "/dev/stderr"
+            exit 1
+        }
+        printf "blocked %.3f ns/nnz < naive %.3f ns/nnz\n", blocked, naive
+    }' "$TMP/hostbench.out" || {
+    cat "$TMP/hostbench.out" >&2
+    exit 1
+}
+
 echo "== host-kernel byte-diff smoke (blocked and sell vs naive) =="
 # Every host kernel must produce byte-identical results: the digest
 # lines of spmvbench -hostbench hash the float64 bit patterns of y.
@@ -85,15 +113,29 @@ cmp "$TMP/host-naive" "$TMP/host-cmrs"
 
 echo "== format tuning smoke (tune -> recommend -> run, digest + cache gates) =="
 # The auto-tuner sweeps the (C, σ) grid once, every tuned pick must be
-# bit-identical to the naive CSR reference (the MATCH digest lines),
-# matinfo -recommend and perfreport -tune must surface the persisted
-# winner, and a second bench run must answer every matrix from the DB
-# without re-sweeping.
+# bit-identical to the naive CSR reference (the MATCH digest lines) and
+# no more than 1.25x slower than the pJDS preset, matinfo -recommend and
+# perfreport -tune must surface the persisted winner, and a second bench
+# run must answer every matrix from the DB without re-sweeping.
 go run ./cmd/spmvbench -format auto -scale 0.02 -host-iters 1 \
-    -tuning-db "$TMP/tuning.jsonl" >"$TMP/tune1.out"
+    -tuning-db "$TMP/tuning.jsonl" -tune-json "$TMP/tune1.json" >"$TMP/tune1.out"
 grep '^digest ' "$TMP/tune1.out" | grep -v ' MATCH ' && {
     echo "a tuned pick diverged from the naive digest:" >&2
     cat "$TMP/tune1.out" >&2
+    exit 1
+}
+awk '
+    /"matrix":/ { m = $2; gsub(/[",]/, "", m) }
+    /"auto_ns_per_nnz":/ { auto = $2 + 0 }
+    /"pjds_ns_per_nnz":/ {
+        n++
+        if (auto <= 0 || $2 + 0 <= 0 || auto > 1.25 * $2) {
+            printf "%s: auto pick %g ns/nnz vs pJDS %g, want within 1.25x\n", m, auto, $2 + 0 > "/dev/stderr"
+            bad = 1
+        }
+    }
+    END { exit bad || n == 0 }' "$TMP/tune1.json" || {
+    cat "$TMP/tune1.json" >&2
     exit 1
 }
 go run ./cmd/matinfo -gen sAMG -scale 0.02 -recommend \
@@ -272,7 +314,7 @@ echo "== regression-gate self-diff (perfreport) =="
 # byte-comparable reports and the gate must find zero regressions.
 go run ./cmd/perfreport -ranks 4 -scale 0.02 -modes task -json -o "$TMP/a.json" >/dev/null
 go run ./cmd/perfreport -ranks 4 -scale 0.02 -modes task -json -o "$TMP/b.json" >/dev/null
-scripts/regress.sh "$TMP/a.json" "$TMP/b.json"
+go run ./cmd/perfreport diff -tol 0.02 "$TMP/a.json" "$TMP/b.json"
 
 echo "== labeled-profile smoke (spmvbench -cpuprofile, perfreport -profile) =="
 # A short host benchmark run under the CPU profiler must come back
@@ -288,11 +330,10 @@ go run ./cmd/spmvbench -hostbench -host-kernel blocked -host-iters 2 \
 go run ./cmd/perfreport -profile "$TMP/cpu.pprof" -check-attributed 0.90
 go run ./cmd/perfreport -profile "$TMP/mem.pprof" >/dev/null
 
-echo "== cross-run trend gate (perfreport -trend over BENCH_PR*.json + ledger) =="
-# The checked-in PR trajectory plus the two fresh ledger entries must
-# pass the sustained-regression gate; the ungated report renders too.
-LEDGER="$TMP/ledger.jsonl" scripts/regress.sh trend
-go run ./cmd/perfreport -trend -ledger "$TMP/ledger.jsonl" \
-    $(ls BENCH_PR*.json | grep -v '\.metrics\.json$' | sort -V) >/dev/null
+echo "== cross-run trend gate (perfreport -trend over the fresh ledger) =="
+# The two ledger entries appended above come from one command, so every
+# metric is compared like with like; they must pass the
+# sustained-regression gate.
+go run ./cmd/perfreport -trend -gate -ledger "$TMP/ledger.jsonl"
 
 echo "all checks passed"
