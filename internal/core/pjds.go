@@ -22,10 +22,11 @@
 // (see Preset).
 //
 // The spMVM operates in the permuted basis. MulVecPermuted is the raw
-// kernel; MulVec wraps it with the gather/scatter so callers that do
-// not manage the permutation themselves still get correct results, at
-// the cost the paper describes (permutation only pays off when done
-// once around an entire iterative solve).
+// kernel; MulVec scatters each stored row's result back to its original
+// row so callers that do not manage the permutation themselves still
+// get correct results, at the cost the paper describes (permutation only
+// pays off when done once around an entire iterative solve). Both run
+// SELL.MulRows, the one numeric kernel of every preset.
 package core
 
 import "pjds/internal/matrix"

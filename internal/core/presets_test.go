@@ -35,7 +35,7 @@ func presetCases[T matrix.Float]() []presetCase[T] {
 			return &p.SELL, nil
 		}
 	}
-	return []presetCase[T]{
+	cases := []presetCase[T]{
 		{"ELLPACK", func(m *matrix.CSR[T]) (*core.SELL[T], error) { return core.NewELLPACK(m, cv), nil }},
 		{"ELLPACK-R", func(m *matrix.CSR[T]) (*core.SELL[T], error) { return core.NewELLPACKR(m, cv), nil }},
 		{"SELL-4-1", sell(4, 1)},
@@ -45,6 +45,32 @@ func presetCases[T matrix.Float]() []presetCase[T] {
 		{"pJDS-br4", pjds(4)},
 		{"JDS", pjds(1)},
 	}
+	for _, g := range sellGrid() {
+		cases = append(cases, presetCase[T]{g.name, sell(g.c, g.sigma)})
+	}
+	return cases
+}
+
+// sellCell is one (C, σ) cell of the SELL-C-σ differential grid.
+type sellCell struct {
+	name     string
+	c, sigma int
+}
+
+// sellGrid covers chunk heights the lane-by-lane (2, 3, 5), the
+// four-lane (12) and the eight-lane (16, 24, 64) paths of the kernel
+// take, unsorted, in windows and globally sorted.
+func sellGrid() []sellCell {
+	var grid []sellCell
+	for _, c := range []int{2, 3, 5, 12, 16, 24, 64} {
+		for _, sg := range []struct {
+			name  string
+			sigma int
+		}{{"1", 1}, {"16", 16}, {"N", math.MaxInt}} {
+			grid = append(grid, sellCell{fmt.Sprintf("SELL-%d-%s", c, sg.name), c, sg.sigma})
+		}
+	}
+	return grid
 }
 
 // presetMatrix is one input of the preset table: a matrix and an x
@@ -75,9 +101,29 @@ func presetMatrices() []presetMatrix {
 	inf.Add(0, 1, 2)
 	inf.Add(0, 2, 1)
 	inf.Add(2, 2, 3)
+	// Every third row is empty among rows of 1–11 entries, none in
+	// column 0, and x[0] = +Inf: a lane group that ran its lockstep
+	// past its shortest row would gather an empty row's padding at
+	// column 0 and turn its 0 into NaN.
+	gaps := matrix.NewCOO[float64](70, 50)
+	for i := 0; i < 70; i++ {
+		if i%3 == 0 {
+			continue
+		}
+		for j := 0; j < 1+(i*5)%11; j++ {
+			gaps.Add(i, 1+rng.Intn(49), rng.NormFloat64())
+		}
+	}
+	xg := make([]float64, 50)
+	for i := range xg {
+		xg[i] = rng.NormFloat64()
+	}
+	xg[0] = math.Inf(1)
+
 	return []presetMatrix{
 		{"random", random, xr},
 		{"empty-row-inf-x", inf.ToCSR(), []float64{math.Inf(1), 1, 2}},
+		{"empty-rows-in-groups-inf-x", gaps.ToCSR(), xg},
 		{"0x0", matrix.NewCOO[float64](0, 0).ToCSR(), nil},
 		{"all-empty", matrix.NewCOO[float64](5, 4).ToCSR(), []float64{math.Inf(1), math.NaN(), 1, 2}},
 	}
@@ -87,13 +133,28 @@ func sameBits[T matrix.Float](a, b T) bool {
 	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
+// addBase is the nonzero y an accumulating product starts from.
+func addBase[T matrix.Float](n int) []T {
+	y := make([]T, n)
+	for i := range y {
+		y[i] = T(i) - 0.5
+	}
+	return y
+}
+
 // checkPresets runs every preset's host MulVec and MulVecPermuted and
-// the simulated device kernel on m, asserting bit-identity with CSR.
+// the simulated device kernel at 1 and 3 workers, with and without
+// accumulate, on m, asserting bit-identity with CSR.
 func checkPresets[T matrix.Float](t *testing.T, m *matrix.CSR[T], x []T) {
 	ref := make([]T, m.NRows)
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
+	refAdd := addBase[T](m.NRows)
+	if err := m.MulVecAdd(refAdd, x); err != nil {
+		t.Fatal(err)
+	}
+	base := addBase[T](m.NRows)
 	for _, pc := range presetCases[T]() {
 		t.Run(pc.name, func(t *testing.T) {
 			s, err := pc.build(m)
@@ -108,19 +169,35 @@ func checkPresets[T matrix.Float](t *testing.T, m *matrix.CSR[T], x []T) {
 			if err := s.MulVecPermuted(yp, x); err != nil {
 				t.Fatal(err)
 			}
-			yd := make([]T, s.NPad)
-			opt := gpu.RunOptions{Plans: gpu.NewPlanCache(0), Metrics: telemetry.NewRegistry()}
-			if _, err := gpu.RunSELL(gpu.TeslaC2070(), s, yd, x, opt); err != nil {
-				t.Fatal(err)
-			}
 			for i := range ref {
 				if !sameBits(y[i], ref[i]) {
 					t.Fatalf("MulVec y[%d] = %v, CSR %v", i, y[i], ref[i])
 				}
 			}
 			for i, old := range s.Perm {
-				if !sameBits(yp[i], ref[old]) || !sameBits(yd[i], ref[old]) {
-					t.Fatalf("stored row %d: host %v, device %v, CSR %v", i, yp[i], yd[i], ref[old])
+				if !sameBits(yp[i], ref[old]) {
+					t.Fatalf("MulVecPermuted stored row %d: %v, CSR %v", i, yp[i], ref[old])
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				for _, acc := range []bool{false, true} {
+					yd := make([]T, s.NPad)
+					want := ref
+					if acc {
+						want = refAdd
+						for i, old := range s.Perm {
+							yd[i] = base[old]
+						}
+					}
+					opt := gpu.RunOptions{Accumulate: acc, Workers: workers, Plans: gpu.NewPlanCache(0), Metrics: telemetry.NewRegistry()}
+					if _, err := gpu.RunSELL(gpu.TeslaC2070(), s, yd, x, opt); err != nil {
+						t.Fatal(err)
+					}
+					for i, old := range s.Perm {
+						if !sameBits(yd[i], want[old]) {
+							t.Fatalf("device workers=%d accumulate=%v stored row %d: %v, CSR %v", workers, acc, i, yd[i], want[old])
+						}
+					}
 				}
 			}
 		})
@@ -128,10 +205,11 @@ func checkPresets[T matrix.Float](t *testing.T, m *matrix.CSR[T], x []T) {
 }
 
 // TestPresetsBitIdenticalToCSR is the one table over every SELL preset
-// in both precisions: host MulVec and MulVecPermuted, the device
-// replay, and the pJDS host kernel at several worker counts all walk
-// true row lengths, so even an empty row against an infinite x entry
-// yields CSR's exact 0.
+// and a (C, σ) grid in both precisions: host MulVec and MulVecPermuted,
+// the device replay with and without accumulate, and the pJDS and
+// SELL-C-σ host kernels at several worker counts all walk true row
+// lengths, so even an empty row against an infinite x entry yields
+// CSR's exact 0.
 func TestPresetsBitIdenticalToCSR(t *testing.T) {
 	for _, pm := range presetMatrices() {
 		t.Run(pm.name+"/DP", func(t *testing.T) { checkPresets(t, pm.m, pm.x) })
@@ -141,6 +219,49 @@ func TestPresetsBitIdenticalToCSR(t *testing.T) {
 		}
 		t.Run(pm.name+"/SP", func(t *testing.T) { checkPresets(t, matrix.Convert[float32](pm.m), xs) })
 		t.Run(pm.name+"/hostkernel-pjds", func(t *testing.T) { checkHostPJDS(t, pm.m, pm.x) })
+		t.Run(pm.name+"/hostkernel-sell", func(t *testing.T) { checkHostSELL(t, pm.m, pm.x) })
+	}
+}
+
+// checkHostSELL drives hostkernel.NewSELL (original basis) over the
+// (C, σ) grid through MulVec and MulVecAdd at 1 and 2 workers.
+func checkHostSELL(t *testing.T, m *matrix.CSR[float64], x []float64) {
+	ref := make([]float64, m.NRows)
+	if err := m.MulVec(ref, x); err != nil {
+		t.Fatal(err)
+	}
+	refAdd := addBase[float64](m.NRows)
+	if err := m.MulVecAdd(refAdd, x); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range sellGrid() {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", g.name, workers), func(t *testing.T) {
+				k, err := hostkernel.NewSELL(m, hostkernel.Options{Workers: workers, C: g.c, Sigma: g.sigma})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer k.Close()
+				y := make([]float64, m.NRows)
+				if err := k.MulVec(y, x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref {
+					if !sameBits(y[i], ref[i]) {
+						t.Fatalf("MulVec y[%d] = %v, CSR %v", i, y[i], ref[i])
+					}
+				}
+				y = addBase[float64](m.NRows)
+				if err := k.MulVecAdd(y, x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range refAdd {
+					if !sameBits(y[i], refAdd[i]) {
+						t.Fatalf("MulVecAdd y[%d] = %v, CSR %v", i, y[i], refAdd[i])
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -155,10 +276,7 @@ func checkHostPJDS(t *testing.T, m *matrix.CSR[float64], x []float64) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
-	base := make([]float64, m.NRows)
-	for i := range base {
-		base[i] = float64(i) - 0.5
-	}
+	base := addBase[float64](m.NRows)
 	refAdd := append([]float64(nil), base...)
 	if err := m.MulVecAdd(refAdd, x); err != nil {
 		t.Fatal(err)

@@ -391,41 +391,156 @@ func (s *SELL[T]) RowPerm() matrix.Perm { return s.Perm }
 
 // MulVecPermuted computes yp = Ap·xp with stored-row output: xp is the
 // column-space vector and yp receives the results of the sorted rows.
-// Every row walks its true length in stored column order, so padding is
-// never touched and the result is bit-identical to CRS.
 func (s *SELL[T]) MulVecPermuted(yp, xp []T) error {
 	if len(xp) != s.NCols || len(yp) < s.N {
 		return fmt.Errorf("core: %s MulVecPermuted |x|=%d |y|=%d on %dx%d: %w", s.Name(), len(xp), len(yp), s.N, s.NCols, matrix.ErrShape)
 	}
-	stride := int64(s.C)
-	for i := 0; i < s.N; i++ {
-		at := s.SliceStart[i/s.C] + int64(i%s.C)
-		var sum T
-		for j := int32(0); j < s.RowLen[i]; j++ {
-			sum += s.Val[at] * xp[s.ColIdx[at]]
-			at += stride
-		}
-		yp[i] = sum
-	}
+	s.MulRows(yp, xp, 0, s.N, nil, false)
 	return nil
 }
 
-// MulVec computes y = A·x in the original row order, scattering the
-// permuted result back when rows were sorted. Iterative solvers should
-// instead permute once and use MulVecPermuted inside the loop (§II-A).
+// MulVec computes y = A·x in the original row order: each stored row i
+// writes y[Perm[i]] directly when rows were sorted. Iterative solvers
+// should instead permute once and use MulVecPermuted inside the loop
+// (§II-A).
 func (s *SELL[T]) MulVec(y, x []T) error {
 	if len(x) != s.NCols || len(y) != s.N {
 		return fmt.Errorf("core: %s MulVec |x|=%d |y|=%d on %dx%d: %w", s.Name(), len(x), len(y), s.N, s.NCols, matrix.ErrShape)
 	}
-	if s.SortWindow <= 1 {
-		return s.MulVecPermuted(y, x)
+	var perm matrix.Perm
+	if s.SortWindow > 1 {
+		perm = s.Perm
 	}
-	yp := make([]T, s.N)
-	if err := s.MulVecPermuted(yp, x); err != nil {
-		return err
-	}
-	matrix.Scatter(y, yp, s.Perm)
+	s.MulRows(y, x, 0, s.N, perm, false)
 	return nil
+}
+
+// MulRows is the one numeric SELL-C-σ kernel behind MulVec, the device
+// replay and the host kernels: it computes stored rows [lo, hi),
+// 0 ≤ lo ≤ hi ≤ N, writing stored row i's sum to y[perm[i]] (y[i] when
+// perm is nil), or adding it there when add is set. Shapes are the
+// caller's to check.
+//
+// When C is a multiple of 8 (else of 4) the rows run in groups of 8
+// (4) lanes of one chunk whose accumulators stay in registers over the
+// group's common prefix — the lockstep SELL-C-σ is laid out for — and
+// each lane then finishes its ragged tail alone; other chunk heights,
+// and the unaligned rows at either end of the range, run lane by lane.
+// Every lane sums its row from zero in stored column order and never
+// reads padding, so the result is bit-identical to CRS (a padding 0·x
+// would flip a -0 sum to +0, and 0·Inf is NaN).
+func (s *SELL[T]) MulRows(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
+	g := 1
+	switch {
+	case s.C%8 == 0:
+		g = 8
+	case s.C%4 == 0:
+		g = 4
+	}
+	a := min((lo+g-1)/g*g, hi)
+	b := max(hi/g*g, a)
+	s.lanes1(y, x, lo, a, perm, add)
+	switch g {
+	case 8:
+		s.lanes8(y, x, a, b, perm, add)
+	case 4:
+		s.lanes4(y, x, a, b, perm, add)
+	default:
+		s.lanes1(y, x, a, b, perm, add)
+	}
+	s.lanes1(y, x, b, hi, perm, add)
+}
+
+// lanes8 computes rows [lo, hi), both multiples of 8, eight lanes at a
+// time; C is a multiple of 8, so a group never straddles two chunks.
+// The chunk (sl, first row r0) advances with the rows, without a
+// division per group.
+func (s *SELL[T]) lanes8(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
+	c, val, col := s.C, s.Val, s.ColIdx
+	sl := lo / c
+	r0 := sl * c
+	for i := lo; i < hi; i += 8 {
+		if i-r0 == c {
+			sl, r0 = sl+1, r0+c
+		}
+		base := int(s.SliceStart[sl]) + i - r0
+		l := (*[8]int32)(s.RowLen[i:])
+		n := int(min(l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]))
+		var s0, s1, s2, s3, s4, s5, s6, s7 T
+		for j, at := 0, base; j < n; j, at = j+1, at+c {
+			s0 += val[at] * x[col[at]]
+			s1 += val[at+1] * x[col[at+1]]
+			s2 += val[at+2] * x[col[at+2]]
+			s3 += val[at+3] * x[col[at+3]]
+			s4 += val[at+4] * x[col[at+4]]
+			s5 += val[at+5] * x[col[at+5]]
+			s6 += val[at+6] * x[col[at+6]]
+			s7 += val[at+7] * x[col[at+7]]
+		}
+		for k, sum := range [8]T{s0, s1, s2, s3, s4, s5, s6, s7} {
+			store(y, perm, i+k, laneTail(sum, val, col, x, n, int(l[k]), base+k, c), add)
+		}
+	}
+}
+
+// lanes4 is the four-lane lanes8, for C a multiple of 4.
+func (s *SELL[T]) lanes4(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
+	c, val, col := s.C, s.Val, s.ColIdx
+	sl := lo / c
+	r0 := sl * c
+	for i := lo; i < hi; i += 4 {
+		if i-r0 == c {
+			sl, r0 = sl+1, r0+c
+		}
+		base := int(s.SliceStart[sl]) + i - r0
+		l := (*[4]int32)(s.RowLen[i:])
+		n := int(min(l[0], l[1], l[2], l[3]))
+		var s0, s1, s2, s3 T
+		for j, at := 0, base; j < n; j, at = j+1, at+c {
+			s0 += val[at] * x[col[at]]
+			s1 += val[at+1] * x[col[at+1]]
+			s2 += val[at+2] * x[col[at+2]]
+			s3 += val[at+3] * x[col[at+3]]
+		}
+		for k, sum := range [4]T{s0, s1, s2, s3} {
+			store(y, perm, i+k, laneTail(sum, val, col, x, n, int(l[k]), base+k, c), add)
+		}
+	}
+}
+
+// lanes1 computes rows [lo, hi) one lane at a time.
+func (s *SELL[T]) lanes1(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
+	c := s.C
+	sl := lo / c
+	r0 := sl * c
+	for i := lo; i < hi; i++ {
+		if i-r0 == c {
+			sl, r0 = sl+1, r0+c
+		}
+		at := int(s.SliceStart[sl]) + i - r0
+		store(y, perm, i, laneTail(0, s.Val, s.ColIdx, x, 0, int(s.RowLen[i]), at, c), add)
+	}
+}
+
+// laneTail continues one lane's sum over its elements [from, to); the
+// lane's element 0 is at base, element j at base + j·c.
+func laneTail[T matrix.Float](sum T, val []T, col []int32, x []T, from, to, base, c int) T {
+	for at := base + from*c; from < to; from, at = from+1, at+c {
+		sum += val[at] * x[col[at]]
+	}
+	return sum
+}
+
+// store commits stored row i's sum.
+func store[T matrix.Float](y []T, perm matrix.Perm, i int, sum T, add bool) {
+	if perm != nil {
+		i = perm[i]
+	}
+	if add {
+		y[i] += sum
+	} else {
+		y[i] = sum
+	}
 }
 
 // SizeofElem reports the byte width of the element type: 4 for

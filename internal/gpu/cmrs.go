@@ -34,7 +34,7 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 		return nil, err
 	}
 	ws := d.WarpSize
-	p := planFor(opt, d, c.Name(), c, func() *Plan[T] {
+	p, ps := planFor(opt, d, c, func() *Plan[T] {
 		// One warp per strip: lane l of strip s touches elements
 		// StripPtr[s] + j·ws + l, so lane steps are ceil((nnz_s − l)/ws).
 		nPad := c.NStrips * ws
@@ -49,8 +49,10 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 		return compilePlan(d, planSource[T]{
 			kernel: c.Name(), rows: c.N, cols: c.NCols, nPad: nPad,
 			nnz: int64(c.NnzV), metaSegs: 1, // strip-pointer load (overridden per warp below)
-			val: c.Val, col: c.ColIdx, chunk: ws, chunkStart: c.StripPtr,
-			steps: steps,
+			col: c.ColIdx, chunk: ws, chunkStart: c.StripPtr,
+			steps:    steps,
+			geometry: []telemetry.Label{telemetry.Li("height", c.Height)},
+			stored:   c.StoredElems(),
 			lhsRows: func(wbase, lanes int) (int, int) {
 				lo := wbase / ws * c.Height
 				hi := lo + c.Height
@@ -69,28 +71,20 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 				elems := c.StripPtr[wbase/ws+1] - c.StripPtr[wbase/ws]
 				return (1 + (elems+segBytes-1)/segBytes) * segBytes
 			},
-			mul: func(sum, y, x []T, wbase int, accumulate bool) {
-				s := wbase / ws
-				base := s * c.Height
-				rows := c.Height
-				if base+rows > c.N {
-					rows = c.N - base
+			mul: func(y, x []T, wlo, whi int, accumulate bool) {
+				// Warp s is strip s; acc holds its per-row sums.
+				acc := make([]T, c.Height)
+				for s := wlo; s < whi; s++ {
+					base := s * c.Height
+					rows := acc[:min(c.Height, c.N-base)]
+					clear(rows)
+					for e := c.StripPtr[s]; e < c.StripPtr[s+1]; e++ {
+						rows[c.RowInStrip[e]] += c.Val[e] * x[c.ColIdx[e]]
+					}
+					storeResult(y, rows, base, c.N, accumulate)
 				}
-				acc := sum[:rows]
-				for r := range acc {
-					acc[r] = 0
-				}
-				for e := c.StripPtr[s]; e < c.StripPtr[s+1]; e++ {
-					acc[c.RowInStrip[e]] += c.Val[e] * x[c.ColIdx[e]]
-				}
-				storeResult(y, acc, base, c.N, accumulate)
 			},
 		})
 	})
-	st := p.run(d, y, x, opt)
-	publishFormatGeometry(opt.Metrics, c.StoredElems(), int64(c.NnzV),
-		telemetry.L("kernel", c.Name()),
-		telemetry.L("device", d.Name),
-		telemetry.Li("height", c.Height))
-	return st, nil
+	return p.run(d, y, x, opt, ps), nil
 }

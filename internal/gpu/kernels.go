@@ -54,8 +54,9 @@ type RunOptions struct {
 //     consecutive rows, which may span several chunks when C is smaller
 //     than the warp; lanes still issue one SIMT instruction stream.
 //
-// The numeric replay always walks the chunk-major arrays over true row
-// lengths, so y is bit-identical to CRS for every preset.
+// The numeric replay is core's SELL.MulRows over the warp's rows, which
+// walks true row lengths only, so y is bit-identical to CRS for every
+// preset.
 func RunSELL[T matrix.Float](d *Device, s *core.SELL[T], yp, xp []T, opt RunOptions) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -67,12 +68,16 @@ func RunSELL[T matrix.Float](d *Device, s *core.SELL[T], yp, xp []T, opt RunOpti
 	if err := eccCheck(opt, name); err != nil {
 		return nil, err
 	}
-	p := planFor(opt, d, name, s, func() *Plan[T] {
+	p, ps := planFor(opt, d, s, func() *Plan[T] {
+		ws := d.WarpSize
 		src := planSource[T]{
 			kernel: name, rows: s.N, cols: s.NCols, nPad: s.NPad,
 			nnz: int64(s.Nnz), metaSegs: s.MetaSegments(),
-			val: s.Val, col: s.ColIdx, chunk: s.C, chunkStart: s.SliceStart,
-			lens: s.RowLen, steps: s.RowLen,
+			col: s.ColIdx, chunk: s.C, chunkStart: s.SliceStart,
+			steps: s.RowLen,
+			mul: func(y, x []T, wlo, whi int, accumulate bool) {
+				s.MulRows(y, x, min(wlo*ws, s.N), min(whi*ws, s.N), nil, accumulate)
+			},
 		}
 		if s.PadsLanes() {
 			src.steps = make([]int32, s.NPad)
@@ -83,18 +88,17 @@ func RunSELL[T matrix.Float](d *Device, s *core.SELL[T], yp, xp []T, opt RunOpti
 		if s.Jagged() {
 			src.colStart = s.ColStart()
 		}
+		if s.Preset == core.PresetSELL {
+			src.geometry = []telemetry.Label{
+				telemetry.L("format", s.SELLName()),
+				telemetry.Li("c", s.C),
+				telemetry.Li("sigma", s.SortWindow),
+			}
+			src.stored = s.StoredElems()
+		}
 		return compilePlan(d, src)
 	})
-	st := p.run(d, yp, xp, opt)
-	if s.Preset == core.PresetSELL {
-		publishFormatGeometry(opt.Metrics, s.StoredElems(), int64(s.Nnz),
-			telemetry.L("kernel", name),
-			telemetry.L("device", d.Name),
-			telemetry.L("format", s.SELLName()),
-			telemetry.Li("c", s.C),
-			telemetry.Li("sigma", s.SortWindow))
-	}
-	return st, nil
+	return p.run(d, yp, xp, opt, ps), nil
 }
 
 // RunPJDS executes the pJDS spMVM of Listing 2 (Fig. 2c) in the

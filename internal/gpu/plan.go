@@ -10,6 +10,7 @@ import (
 	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/profiles"
+	"pjds/internal/telemetry"
 )
 
 // defaultWorkers holds the package-wide worker-count default applied
@@ -36,8 +37,8 @@ func DefaultWorkers() int {
 // it stores its elements chunk-major: element (i, j) of padded row i
 // lives at chunkStart[i/chunk] + j*chunk + i%chunk. The SELL presets
 // and CMRS differ only in these fields; everything else — coalescing
-// analysis, L2 simulation, divergence accounting, the numeric warp
-// loop and the worker pool — is shared.
+// analysis, L2 simulation, divergence accounting, the worker pool and
+// the telemetry — is shared.
 type planSource[T matrix.Float] struct {
 	kernel           string
 	rows, cols, nPad int
@@ -45,31 +46,33 @@ type planSource[T matrix.Float] struct {
 	// metaSegs is the number of coalesced metadata segments (row
 	// lengths, slice offsets) every warp loads.
 	metaSegs int64
-	// val and col back the numeric replay and the RHS gather.
-	val        []T
+	// col backs the RHS gather analysis.
 	col        []int32
 	chunk      int
 	chunkStart []int64
 	// steps[i] is the number of SIMT steps padded row i executes on the
-	// device (its true row length, or the global maximum for plain
-	// ELLPACK, which computes on padding); lens[i] is the true row
-	// length the numeric replay walks.
-	steps, lens []int32
+	// device: its true row length, or the global maximum for plain
+	// ELLPACK, which computes on padding.
+	steps []int32
 	// colStart, when non-nil, replaces the chunk-major device address
 	// of (i, j) by the jagged-diagonal address colStart[j]+i (pJDS,
 	// Listing 2) in the coalescing analysis.
 	colStart []int32
+	// geometry, when non-nil, labels the format-geometry gauges every
+	// replay publishes (after kernel and device); stored is the slot
+	// count, padding included, they compare with nnz.
+	geometry []telemetry.Label
+	stored   int64
 
+	// mul executes the arithmetic of warps [wlo, whi). It must keep
+	// distinct warps writing disjoint y rows (the parallel-replay
+	// contract) and accumulate each row in stored column order (the
+	// bit-identity contract).
+	mul func(y, x []T, wlo, whi int, accumulate bool)
 	// The optional hooks below cover element-parallel kernels (CMRS)
-	// whose warps do not map one lane to one row. All three default to
-	// the row-parallel behaviour when nil.
+	// whose warps do not map one lane to one row; nil selects the
+	// row-parallel behaviour.
 	//
-	// mul replaces the default per-lane dot-product executor for one
-	// warp; sum is a warpSize-long scratch buffer. Implementations must
-	// keep warps writing disjoint y rows (the parallel-replay contract)
-	// and accumulate each row in stored column order (the bit-identity
-	// contract).
-	mul func(sum, y, x []T, wbase int, accumulate bool)
 	// lhsRows reports the result rows warp [wbase, wbase+lanes) writes;
 	// nil means rows wbase..wbase+lanes clipped to rows.
 	lhsRows func(wbase, lanes int) (lo, hi int)
@@ -83,46 +86,39 @@ func (src *planSource[T]) base(i int) int64 {
 	return src.chunkStart[i/src.chunk] + int64(i%src.chunk)
 }
 
-// warpPlan is the compiled schedule of one warp: its geometry plus
-// every transaction-level counter the simulator would derive for it.
-// All fields depend only on matrix structure and device geometry, so
-// they are computed once at compile time — including the RHS L2
-// misses, which the compiler resolves by replaying the gather stream
-// through the cache model in sequential warp order. Replays therefore
-// never touch the (order-dependent) cache simulator, which is what
-// makes parallel execution bit-exact.
-type warpPlan struct {
-	wbase, lanes, maxLen int
-	laneSteps            int64
-	bytesVal, bytesIdx   int64
-	bytesRHS, metaBytes  int64
-	lhsSegs              int64 // result-vector segments (doubled when accumulating)
-	rhsProbes, rhsMisses int64
-}
-
 // Plan is the compiled execution schedule of one (matrix, format,
-// device-geometry) pair: per-warp lane counts, step bounds, stream
-// segment totals and the pre-resolved RHS descriptor outcomes. Run*
-// calls replay it — numeric work plus counter addition — instead of
-// re-deriving the geometry every iteration. Plans are immutable after
-// compilation and safe for concurrent replay.
+// device-geometry) pair. Every transaction-level counter depends only
+// on matrix structure and device geometry, so compilation sums them
+// over all warps once — including the RHS L2 misses, which the
+// compiler resolves by replaying the gather stream through the cache
+// model in sequential warp order. A replay is then numeric work plus a
+// copy of the totals: it never touches the (order-dependent) cache
+// simulator, which is what makes parallel execution bit-exact. Plans
+// are immutable after compilation, apart from their telemetry handle
+// cache, and safe for concurrent replay.
 type Plan[T matrix.Float] struct {
-	src       planSource[T]
-	elemBytes int
-	warpSize  int
-	segBytes  int64
-	warps     []warpPlan
+	src      planSource[T]
+	warpSize int
+	// total holds every counter of one non-accumulating replay; the
+	// derived fields are filled per run by finish.
+	total KernelStats
+	// beta and occ are the format-geometry gauge values (see
+	// planSource.geometry).
+	beta, occ float64
 	// labels is the prebuilt pprof label context replay workers adopt
 	// at spawn (phase=gpu, kernel=...): built once at compile time so
 	// labeling a fresh goroutine costs no allocation at replay time.
 	labels context.Context
+
+	mu     sync.Mutex
+	series []*planSeries // most recently added last, at most maxPlanSeries
 }
 
 // Kernel returns the kernel name the plan was compiled for.
 func (p *Plan[T]) Kernel() string { return p.src.kernel }
 
 // Warps returns the number of warps the plan schedules.
-func (p *Plan[T]) Warps() int { return len(p.warps) }
+func (p *Plan[T]) Warps() int { return p.total.Warps }
 
 // compilePlan runs the full transaction-level analysis once: warp
 // geometry, val/idx coalescing, the LHS segment count, and the RHS
@@ -140,31 +136,36 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 	stride := int64(src.chunk)
 
 	p := &Plan[T]{
-		src:       src,
-		elemBytes: es,
-		warpSize:  ws,
-		segBytes:  segBytes,
-		warps:     make([]warpPlan, 0, (src.nPad+ws-1)/ws),
-		labels:    profiles.Ctx(profiles.PhaseGPU, "kernel", src.kernel),
+		src:      src,
+		warpSize: ws,
+		total: KernelStats{
+			Kernel: src.kernel, Rows: src.rows, Nnz: src.nnz,
+			UsefulFlops: 2 * src.nnz, ElemBytes: es,
+		},
+		occ:    1,
+		labels: profiles.Ctx(profiles.PhaseGPU, "kernel", src.kernel),
 	}
+	if src.nnz > 0 && src.stored > 0 {
+		p.beta = float64(src.stored)/float64(src.nnz) - 1
+		p.occ = float64(src.nnz) / float64(src.stored)
+	}
+	t := &p.total
 	for wbase := 0; wbase < src.nPad; wbase += ws {
-		lanes := ws
-		if wbase+lanes > src.nPad {
-			lanes = src.nPad - wbase
-		}
+		lanes := min(ws, src.nPad-wbase)
 		maxLen := 0
 		for lane := 0; lane < lanes; lane++ {
-			if l := int(src.steps[wbase+lane]); l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, int(src.steps[wbase+lane]))
 			base[lane] = src.base(wbase + lane)
 		}
-		wp := warpPlan{
-			wbase: wbase, lanes: lanes, maxLen: maxLen,
-			metaBytes: src.metaSegs * segBytes,
+		t.Warps++
+		if maxLen > 0 {
+			t.ActiveWarps++
 		}
+		t.WarpSteps += int64(maxLen)
 		if src.metaBytes != nil {
-			wp.metaBytes = src.metaBytes(wbase, lanes)
+			t.BytesMeta += src.metaBytes(wbase, lanes)
+		} else {
+			t.BytesMeta += src.metaSegs * segBytes
 		}
 		for j := 0; j < maxLen; j++ {
 			valSegs.reset()
@@ -180,18 +181,18 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 				if src.colStart != nil {
 					at = int64(src.colStart[j]) + int64(i)
 				}
-				wp.laneSteps++
+				t.ExecutedLaneSteps++
 				valSegs.add(addrVal+at*int64(es), segShift)
 				idxSegs.add(addrIdx+at*4, segShift)
 				rhsSegs.add(addrRHS+int64(c)*int64(es), secShift)
 			}
-			wp.bytesVal += int64(len(valSegs.segs)) * segBytes
-			wp.bytesIdx += int64(len(idxSegs.segs)) * segBytes
+			t.BytesVal += int64(len(valSegs.segs)) * segBytes
+			t.BytesIdx += int64(len(idxSegs.segs)) * segBytes
 			for _, sec := range rhsSegs.segs {
-				wp.rhsProbes++
+				t.RHSProbes++
 				if !l2.probe(sec << secShift) {
-					wp.rhsMisses++
-					wp.bytesRHS += secBytes
+					t.RHSMisses++
+					t.BytesRHS += secBytes
 				}
 			}
 		}
@@ -199,150 +200,59 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 		if src.lhsRows != nil {
 			lhsLo, lhsHi = src.lhsRows(wbase, lanes)
 		}
-		wp.lhsSegs = lhsSegments(&lhsSegs, lhsLo, lhsHi, es, segShift)
-		p.warps = append(p.warps, wp)
+		t.BytesLHS += lhsSegments(&lhsSegs, lhsLo, lhsHi, es, segShift) * segBytes
 	}
 	return p
 }
 
-// mulWarp executes one warp's arithmetic: each lane's dot product over
-// its true row length in ascending step order (the same per-row order
-// as the sequential simulator, so results are bit-exact for any
-// schedule), committed to the rows the warp owns. The lane's chunk base
-// is computed once; the inner loop only advances by the chunk stride.
-// Warps own disjoint row ranges, so concurrent calls never write the
-// same element.
-func (p *Plan[T]) mulWarp(wp *warpPlan, sum, y, x []T, accumulate bool) {
-	src := &p.src
-	if src.mul != nil {
-		src.mul(sum, y, x, wp.wbase, accumulate)
-		return
+// run replays the plan: the numeric warp execution (sequential or on a
+// worker pool) plus a copy of the compiled counter totals, then the
+// derived timing on the actual device (which may differ from the
+// compile device in bandwidth-only fields such as the ECC mode), and
+// the kernel's telemetry through the handles ps holds.
+func (p *Plan[T]) run(d *Device, y, x []T, opt RunOptions, ps *planSeries) *KernelStats {
+	st := new(KernelStats)
+	*st = p.total
+	if opt.Accumulate {
+		st.BytesLHS *= 2 // the result vector is read as well as written
 	}
-	val, col, stride := src.val, src.col, int64(src.chunk)
-	for i := wp.wbase; i < min(wp.wbase+wp.lanes, src.rows); i++ {
-		at := src.base(i)
-		var s T
-		for j := src.lens[i]; j > 0; j-- {
-			s += val[at] * x[col[at]]
-			at += stride
-		}
-		if accumulate {
-			y[i] += s
-		} else {
-			y[i] = s
-		}
-	}
-}
-
-// addWarp accumulates one compiled warp's counters into s.
-func (s *KernelStats) addWarp(wp *warpPlan, segBytes int64, accumulate bool) {
-	s.Warps++
-	if wp.maxLen > 0 {
-		s.ActiveWarps++
-	}
-	s.WarpSteps += int64(wp.maxLen)
-	s.ExecutedLaneSteps += wp.laneSteps
-	s.BytesVal += wp.bytesVal
-	s.BytesIdx += wp.bytesIdx
-	s.BytesRHS += wp.bytesRHS
-	lhs := wp.lhsSegs * segBytes
-	if accumulate {
-		lhs *= 2
-	}
-	s.BytesLHS += lhs
-	s.BytesMeta += wp.metaBytes
-	s.RHSProbes += wp.rhsProbes
-	s.RHSMisses += wp.rhsMisses
-}
-
-// mergeShard folds one worker's counter shard into s. Every field is
-// an integer sum over warps, so the merge is exact and independent of
-// the schedule; shards are still merged in fixed worker order so the
-// reduction is deterministic by construction, not by argument.
-func (s *KernelStats) mergeShard(o *KernelStats) {
-	s.Warps += o.Warps
-	s.ActiveWarps += o.ActiveWarps
-	s.WarpSteps += o.WarpSteps
-	s.ExecutedLaneSteps += o.ExecutedLaneSteps
-	s.BytesVal += o.BytesVal
-	s.BytesIdx += o.BytesIdx
-	s.BytesRHS += o.BytesRHS
-	s.BytesLHS += o.BytesLHS
-	s.BytesMeta += o.BytesMeta
-	s.RHSProbes += o.RHSProbes
-	s.RHSMisses += o.RHSMisses
-}
-
-// run replays the plan: numeric warp execution (sequential or on a
-// worker pool) plus per-warp counter accumulation, then the derived
-// timing on the actual device (which may differ from the compile
-// device in bandwidth-only fields such as the ECC mode).
-func (p *Plan[T]) run(d *Device, y, x []T, opt RunOptions) *KernelStats {
-	st := &KernelStats{
-		Kernel: p.src.kernel, Rows: p.src.rows, Nnz: p.src.nnz,
-		UsefulFlops: 2 * p.src.nnz, ElemBytes: p.elemBytes,
-	}
+	warps := p.total.Warps
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > len(p.warps) {
-		workers = len(p.warps)
-	}
-	if workers <= 1 {
-		sum := make([]T, p.warpSize)
-		for i := range p.warps {
-			wp := &p.warps[i]
-			p.mulWarp(wp, sum, y, x, opt.Accumulate)
-			st.addWarp(wp, p.segBytes, opt.Accumulate)
-		}
+	if workers <= 1 || warps <= 1 {
+		p.src.mul(y, x, 0, warps, opt.Accumulate)
 	} else {
 		// Chunked self-scheduling: workers claim fixed-size runs of
 		// consecutive warps from an atomic cursor. The assignment of
 		// warps to workers is racy, but no output depends on it: y
-		// rows are disjoint and the shards merge exactly.
-		chunk := len(p.warps) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 256 {
-			chunk = 256
-		}
-		shards := make([]KernelStats, workers)
+		// rows are disjoint and the counters come from the plan.
+		workers = min(workers, warps)
+		chunk := min(max(warps/(workers*4), 1), 256)
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(sh *KernelStats) {
+			go func() {
 				defer wg.Done()
 				// Fresh goroutine: adopt the plan's phase=gpu labels
 				// for its whole (short) life. Prebuilt context, so
 				// this allocates nothing per replay.
 				pprof.SetGoroutineLabels(p.labels)
-				sum := make([]T, p.warpSize)
 				for {
 					hi := int(cursor.Add(int64(chunk)))
 					lo := hi - chunk
-					if lo >= len(p.warps) {
+					if lo >= warps {
 						return
 					}
-					if hi > len(p.warps) {
-						hi = len(p.warps)
-					}
-					for i := lo; i < hi; i++ {
-						wp := &p.warps[i]
-						p.mulWarp(wp, sum, y, x, opt.Accumulate)
-						sh.addWarp(wp, p.segBytes, opt.Accumulate)
-					}
+					p.src.mul(y, x, lo, min(hi, warps), opt.Accumulate)
 				}
-			}(&shards[w])
+			}()
 		}
 		wg.Wait()
-		for w := range shards {
-			st.mergeShard(&shards[w])
-		}
 	}
 	st.finish(d, p.warpSize)
-	st.Publish(opt.Metrics, opt.MetricLabels...)
+	ps.publish(st, p.beta, p.occ)
 	return st
 }

@@ -348,8 +348,8 @@ func TestPlanAccessors(t *testing.T) {
 	d := TeslaC2070()
 	src := planSource[float64]{
 		kernel: "ELLPACK-R", rows: ellr.N, cols: ellr.NCols, nPad: ellr.NPad,
-		nnz: int64(ellr.Nnz), metaSegs: 1, val: ellr.Val, col: ellr.ColIdx,
-		chunk: ellr.C, chunkStart: ellr.SliceStart, steps: ellr.RowLen, lens: ellr.RowLen,
+		nnz: int64(ellr.Nnz), metaSegs: 1, col: ellr.ColIdx,
+		chunk: ellr.C, chunkStart: ellr.SliceStart, steps: ellr.RowLen,
 	}
 	p := compilePlan(d, src)
 	if p.Kernel() != "ELLPACK-R" {
@@ -357,5 +357,52 @@ func TestPlanAccessors(t *testing.T) {
 	}
 	if want := (ellr.NPad + d.WarpSize - 1) / d.WarpSize; p.Warps() != want {
 		t.Errorf("Warps() = %d, want %d", p.Warps(), want)
+	}
+}
+
+// TestReplayZeroAllocs: a warm sequential replay with a registry and an
+// extra label allocates only the KernelStats it returns — the counter
+// totals come from the plan and every telemetry handle is resolved
+// once per (registry, device, labels).
+func TestReplayZeroAllocs(t *testing.T) {
+	m := bandedCSR(1517, 1, 60, 42)
+	x := randVec(1517, 43)
+	p, err := newPJDS(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSliced(m, 32, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := TeslaC2070()
+	opt := RunOptions{
+		Workers:      1,
+		Plans:        NewPlanCache(0),
+		Metrics:      telemetry.NewRegistry(),
+		MetricLabels: []telemetry.Label{telemetry.Li("rank", 0)},
+	}
+	y := make([]float64, m.NRows)
+	for _, rc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunPJDS", func() error { _, err := RunPJDS(d, p, y, x, opt); return err }},
+		{"RunSELL", func() error { _, err := RunSELL(d, s, y, x, opt); return err }},
+	} {
+		if err := rc.run(); err != nil { // compile, resolve handles
+			t.Fatal(err)
+		}
+		if err := rc.run(); err != nil { // first hit resolves the hit counter
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := rc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: %v allocs per warm replay, want ≤ 1 (the returned stats)", rc.name, allocs)
+		}
 	}
 }

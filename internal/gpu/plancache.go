@@ -5,9 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pjds/internal/flight"
 	"pjds/internal/matrix"
-	"pjds/internal/telemetry"
 )
 
 // devFingerprint captures the device fields the transaction counters
@@ -75,9 +73,12 @@ type PlanCache struct {
 	compiledWarps atomic.Int64
 }
 
-// DefaultPlanCacheSize bounds the package-default cache; each entry
-// holds per-warp counters (~100 B/warp), so the bound exists to cap
-// pathological churn, not memory pressure in normal runs.
+// DefaultPlanCacheSize bounds the package-default cache. An entry holds
+// one plan's counter totals and telemetry handles, a few hundred bytes
+// whatever the matrix size (plus one step count per row for plain
+// ELLPACK and col_start[] for pJDS), but it also keeps its format's
+// arrays reachable, so the bound caps pathological churn, not memory
+// pressure in normal runs.
 const DefaultPlanCacheSize = 128
 
 // NewPlanCache returns a cache holding at most max plans (max ≤ 0
@@ -178,35 +179,14 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// publishLookup exports the deterministic cache counters for one
-// lookup. Wall-clock compile time is deliberately absent; see
-// PlanCacheStats.
-func publishLookup(reg *telemetry.Registry, kernel string, d *Device, hit bool, warps int64, extra []telemetry.Label) {
-	if reg == nil {
-		reg = telemetry.Default()
-	}
-	lbl := append([]telemetry.Label{
-		telemetry.L("kernel", kernel),
-		telemetry.L("device", d.Name),
-	}, extra...)
-	reg.Help("gpu_plan_cache_hits_total", "kernel-plan cache lookups served from cache")
-	reg.Help("gpu_plan_cache_misses_total", "kernel-plan cache lookups that compiled a new plan")
-	if hit {
-		reg.Counter("gpu_plan_cache_hits_total", lbl...).Inc()
-	} else {
-		reg.Counter("gpu_plan_cache_misses_total", lbl...).Inc()
-		reg.Help("gpu_plan_compile_warps_total", "warps analyzed by kernel-plan compilation")
-		reg.Counter("gpu_plan_compile_warps_total", lbl...).Add(float64(warps))
-		flight.Record(flight.Debug, "gpu.plan_cache_miss", -1, 0, "kernel-plan cache miss compiled a new plan", float64(warps))
-	}
-}
-
 // planFor returns the compiled plan for (src format, device geometry),
 // compiling at most once per cache entry even under concurrent
-// lookups. The generic instantiation is resolved by the caller's
-// build closure; entries of different element types never share a key
-// because the format pointers differ.
-func planFor[T matrix.Float](opt RunOptions, d *Device, kernel string, src any, build func() *Plan[T]) *Plan[T] {
+// lookups, and the plan's telemetry handles for this run's registry
+// and labels, through which it has already published the lookup. The
+// generic instantiation is resolved by the caller's build closure;
+// entries of different element types never share a key because the
+// format pointers differ.
+func planFor[T matrix.Float](opt RunOptions, d *Device, src any, build func() *Plan[T]) (*Plan[T], *planSeries) {
 	pc := opt.Plans
 	if pc == nil {
 		pc = defaultPlans
@@ -218,19 +198,19 @@ func planFor[T matrix.Float](opt RunOptions, d *Device, kernel string, src any, 
 		p := build()
 		pc.compileNanos.Add(time.Since(t0).Nanoseconds())
 		pc.compiles.Add(1)
-		pc.compiledWarps.Add(int64(len(p.warps)))
+		pc.compiledWarps.Add(int64(p.Warps()))
 		e.plan = p
 	})
 	p := e.plan.(*Plan[T])
 	// A lookup is a miss iff it created the entry; under concurrency
 	// the once body may run on a different goroutine than the creator,
 	// but the hit/miss counts stay deterministic either way.
-	hit := existed
-	if hit {
+	if existed {
 		pc.hits.Add(1)
 	} else {
 		pc.misses.Add(1)
 	}
-	publishLookup(opt.Metrics, kernel, d, hit, int64(len(p.warps)), opt.MetricLabels)
-	return p
+	ps := p.seriesFor(opt.Metrics, d.Name, opt.MetricLabels)
+	ps.lookup(existed, p.Warps())
+	return p, ps
 }

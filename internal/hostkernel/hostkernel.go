@@ -17,8 +17,11 @@
 //     blocking that walks x in L2-sized column tiles;
 //   - sell: a SELL-C-σ kernel over core.SELL (Kreutzer et al.,
 //     arXiv:1307.6209): rows are sorted by length in windows of σ and
-//     processed C at a time, the chunk height playing the role of the
-//     SIMD width;
+//     chunked C at a time, the chunk height playing the role of the
+//     SIMD width, and each worker runs core's SELL.MulRows — the one
+//     SELL-C-σ kernel, also behind the device replay — over its
+//     chunks, 8 or 4 lanes in lockstep with their accumulators in
+//     registers;
 //   - cmrs: the compressed multi-row storage kernel (Koza et al.,
 //     arXiv:1203.2946): strips of consecutive rows share one
 //     padding-free CSR-ordered element stream with per-element

@@ -13,22 +13,17 @@ import (
 // SELL is the SELL-C-σ chunked host kernel (Kreutzer et al.,
 // arXiv:1307.6209) over a core.SELL layout: rows are sorted by
 // descending length inside windows of σ rows and stored in chunks of C
-// consecutive rows padded to the chunk maximum. The kernel processes a
-// chunk's C rows together — the chunk height plays the role of the SIMD
-// width on a wide-vector machine, so C lanes share one loop counter and
-// one stream of column-major chunk storage.
-//
-// Bit-identity with the naive reference holds because each lane keeps
-// its own accumulator, a lane's entries appear in the row's stored
-// column order, and the main loop only covers the chunk's common
-// prefix (min row length): the ragged remainders run per lane, so
-// padding entries are never touched and cannot perturb the sum (an
-// added 0·x would still flip a -0 sum to +0).
+// consecutive rows padded to the chunk maximum. Chunks are split
+// nnz-balanced over the workers, and each worker runs core's
+// SELL.MulRows over its chunks: groups of 8 (then 4) lanes advance in
+// lockstep with their accumulators in registers over the group's
+// common prefix, then each lane finishes its ragged tail alone. Each
+// lane sums its row in stored column order and padding is never
+// touched, so results are bit-identical to the naive reference.
 type SELL struct {
 	s      *core.SELL[float64]
 	name   string
-	bounds []int       // per-worker slice ranges, nnz-balanced
-	acc    [][]float64 // per-worker lane accumulators for the generic-C lockstep
+	bounds []int // per-worker slice ranges, nnz-balanced
 	pool   *par.Pool
 	mt     *meter
 	// permuted kernels compute in the stored (sorted) basis, writing
@@ -92,12 +87,8 @@ func newSELLKernel(s *core.SELL[float64], name string, permuted bool, opt Option
 		s:        s,
 		name:     name,
 		bounds:   Chunks(prefix, workers),
-		acc:      make([][]float64, workers),
 		mt:       newMeter(opt.Metrics, name, int64(s.Nnz), s.N, s.NCols),
 		permuted: permuted,
-	}
-	for w := range k.acc {
-		k.acc[w] = make([]float64, c)
 	}
 	k.runFn = k.run
 	if workers > 1 {
@@ -149,153 +140,12 @@ func (k *SELL) apply(y, x []float64, add bool) error {
 // stored row — and through the bijective Perm every output element —
 // is written by exactly one worker.
 func (k *SELL) run(w int) {
-	lo, hi := k.bounds[w], k.bounds[w+1]
-	switch k.s.C {
-	case 4:
-		for sl := lo; sl < hi; sl++ {
-			k.slice4(sl)
-		}
-	case 8:
-		for sl := lo; sl < hi; sl++ {
-			k.slice8(sl)
-		}
-	default:
-		acc := k.acc[w]
-		for sl := lo; sl < hi; sl++ {
-			k.sliceLockstep(sl, acc)
-		}
-	}
-}
-
-// laneTail finishes one lane's ragged remainder [from, to).
-func laneTail(sum float64, v []float64, c []int32, x []float64, from, to, stride, lane int) float64 {
-	for j := from; j < to; j++ {
-		at := j*stride + lane
-		sum += v[at] * x[c[at]]
-	}
-	return sum
-}
-
-// slice4 processes one C=4 slice: four lane accumulators advance in
-// lockstep over the common prefix, then each lane finishes its ragged
-// tail alone.
-func (k *SELL) slice4(sl int) {
-	s, x := k.s, k.x
-	r0 := sl * 4
-	l0, l1, l2, l3 := int(s.RowLen[r0]), int(s.RowLen[r0+1]), int(s.RowLen[r0+2]), int(s.RowLen[r0+3])
-	min := l0
-	if l1 < min {
-		min = l1
-	}
-	if l2 < min {
-		min = l2
-	}
-	if l3 < min {
-		min = l3
-	}
-	v := s.Val[s.SliceStart[sl]:s.SliceStart[sl+1]]
-	c := s.ColIdx[s.SliceStart[sl]:s.SliceStart[sl+1]]
-	var s0, s1, s2, s3 float64
-	off := 0
-	for j := 0; j < min; j++ {
-		s0 += v[off] * x[c[off]]
-		s1 += v[off+1] * x[c[off+1]]
-		s2 += v[off+2] * x[c[off+2]]
-		s3 += v[off+3] * x[c[off+3]]
-		off += 4
-	}
-	s0 = laneTail(s0, v, c, x, min, l0, 4, 0)
-	s1 = laneTail(s1, v, c, x, min, l1, 4, 1)
-	s2 = laneTail(s2, v, c, x, min, l2, 4, 2)
-	s3 = laneTail(s3, v, c, x, min, l3, 4, 3)
-	for lane, sum := range [4]float64{s0, s1, s2, s3} {
-		if r0+lane >= s.N {
-			break
-		}
-		k.store(r0+lane, sum)
-	}
-}
-
-// slice8 is the C=8 variant of slice4.
-func (k *SELL) slice8(sl int) {
-	s, x := k.s, k.x
-	r0 := sl * 8
-	var l [8]int
-	min := int(^uint(0) >> 1)
-	for lane := 0; lane < 8; lane++ {
-		l[lane] = int(s.RowLen[r0+lane])
-		if l[lane] < min {
-			min = l[lane]
-		}
-	}
-	v := s.Val[s.SliceStart[sl]:s.SliceStart[sl+1]]
-	c := s.ColIdx[s.SliceStart[sl]:s.SliceStart[sl+1]]
-	var acc [8]float64
-	off := 0
-	for j := 0; j < min; j++ {
-		acc[0] += v[off] * x[c[off]]
-		acc[1] += v[off+1] * x[c[off+1]]
-		acc[2] += v[off+2] * x[c[off+2]]
-		acc[3] += v[off+3] * x[c[off+3]]
-		acc[4] += v[off+4] * x[c[off+4]]
-		acc[5] += v[off+5] * x[c[off+5]]
-		acc[6] += v[off+6] * x[c[off+6]]
-		acc[7] += v[off+7] * x[c[off+7]]
-		off += 8
-	}
-	for lane := 0; lane < 8; lane++ {
-		acc[lane] = laneTail(acc[lane], v, c, x, min, l[lane], 8, lane)
-	}
-	for lane := 0; lane < 8 && r0+lane < s.N; lane++ {
-		k.store(r0+lane, acc[lane])
-	}
-}
-
-// sliceLockstep is the arbitrary-C analogue of slice4/slice8: the
-// worker's preallocated lane accumulators advance together over the
-// slice's common prefix (one shared loop counter, unit-stride walk of
-// the column-major storage), then each lane finishes its ragged tail
-// alone. Per-lane accumulation order is identical to the row-by-row
-// walk, so results stay bit-identical at every C.
-func (k *SELL) sliceLockstep(sl int, acc []float64) {
-	s, x := k.s, k.x
-	C := s.C
-	r0 := sl * C
-	min := int(s.RowLen[r0])
-	for lane := 1; lane < C; lane++ {
-		if l := int(s.RowLen[r0+lane]); l < min {
-			min = l
-		}
-	}
-	v := s.Val[s.SliceStart[sl]:s.SliceStart[sl+1]]
-	c := s.ColIdx[s.SliceStart[sl]:s.SliceStart[sl+1]]
-	acc = acc[:C]
-	for lane := range acc {
-		acc[lane] = 0
-	}
-	off := 0
-	for j := 0; j < min; j++ {
-		for lane := 0; lane < C; lane++ {
-			acc[lane] += v[off+lane] * x[c[off+lane]]
-		}
-		off += C
-	}
-	for lane := 0; lane < C && r0+lane < s.N; lane++ {
-		k.store(r0+lane, laneTail(acc[lane], v, c, x, min, int(s.RowLen[r0+lane]), C, lane))
-	}
-}
-
-// store commits stored row i's sum: to y[i] in the permuted basis,
-// else to y[Perm[i]].
-func (k *SELL) store(i int, sum float64) {
+	var perm matrix.Perm
 	if !k.permuted {
-		i = k.s.Perm[i]
+		perm = k.s.Perm
 	}
-	if k.add {
-		k.y[i] += sum
-	} else {
-		k.y[i] = sum
-	}
+	c := k.s.C
+	k.s.MulRows(k.y, k.x, k.bounds[w]*c, min(k.bounds[w+1]*c, k.s.N), perm, k.add)
 }
 
 // Close implements Kernel: releases the worker pool.

@@ -7,6 +7,7 @@ import (
 	"pjds/internal/flight"
 	"pjds/internal/gpu"
 	"pjds/internal/health"
+	"pjds/internal/telemetry"
 )
 
 // Tier is one rung of the degradation ladder. The service walks down
@@ -46,9 +47,12 @@ func (t Tier) String() string {
 // an uncorrectable ECC error: real GPGPU runtimes poison the context
 // (the paper's §II ECC motivation), so the device never rejoins.
 type device struct {
-	id      int
-	dev     *gpu.Device
-	inj     gpu.ECCInjector // nil = healthy board
+	id  int
+	dev *gpu.Device
+	inj gpu.ECCInjector // nil = healthy board
+	// labels tag the board's kernel series (rank = device: per-board
+	// rows on the dashboards); built once so an apply allocates none.
+	labels  []telemetry.Label
 	lost    atomic.Bool
 	applies atomic.Int64
 }

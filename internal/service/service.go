@@ -239,7 +239,7 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
 	s.devPool = make(chan *device, cfg.Devices)
 	for i := 0; i < cfg.Devices; i++ {
-		d := &device{id: i, dev: cfg.Device}
+		d := &device{id: i, dev: cfg.Device, labels: []telemetry.Label{telemetry.Li("rank", i)}}
 		if cfg.DeviceFaults != nil {
 			d.inj = cfg.DeviceFaults(i)
 		}
@@ -458,13 +458,11 @@ func (o *applyOp) Apply(yp, xp []float64) error {
 	}
 	if o.d != nil && !o.d.lost.Load() {
 		_, err := gpu.RunPJDS(o.d.dev, o.e.op.P, yp, xp, gpu.RunOptions{
-			Workers: 1,
-			Plans:   o.s.plans,
-			Metrics: o.s.reg,
-			MetricLabels: []telemetry.Label{
-				telemetry.Li("rank", o.d.id), // rank = device: per-board rows on the dashboards
-			},
-			Faults: o.d.inj,
+			Workers:      1,
+			Plans:        o.s.plans,
+			Metrics:      o.s.reg,
+			MetricLabels: o.d.labels,
+			Faults:       o.d.inj,
 		})
 		if err == nil {
 			o.d.applies.Add(1)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -578,5 +579,46 @@ func TestTuningDisabledWithoutDB(t *testing.T) {
 		if mt.Name == "service_tuning_lag_ratio" {
 			t.Fatal("lag gauge published without tuning")
 		}
+	}
+}
+
+// TestDeviceApplyAllocs: a warm device-tier apply allocates only the
+// kernel statistics gpu.RunPJDS returns; the device's labels, the plan
+// lookup and its telemetry handles are all built once.
+func TestDeviceApplyAllocs(t *testing.T) {
+	_, body := testMatrixBody(t)
+	s := New(Config{Registry: telemetry.NewRegistry(), Devices: 1})
+	defer s.Close()
+	info, err := s.AddMatrix("allocs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := s.newApplyOp(context.Background(), e)
+	defer op.close()
+	if op.d == nil {
+		t.Fatal("no device acquired")
+	}
+	xp := make([]float64, op.Dim())
+	for i := range xp {
+		xp[i] = float64(i%5) - 2
+	}
+	yp := make([]float64, op.Dim())
+	if err := op.Apply(yp, xp); err != nil { // compiles the plan, resolves the handles
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := op.Apply(yp, xp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if op.tierName() != "device" {
+		t.Fatalf("apply ran on the %s tier", op.tierName())
+	}
+	if allocs > 1 {
+		t.Errorf("%v allocs per warm device apply, want ≤ 1 (the returned stats)", allocs)
 	}
 }

@@ -112,9 +112,16 @@ func CG(a Operator, x, b []float64, tol float64, maxIter int, probes ...Probe) (
 			return res, fmt.Errorf("solver: CG operator not positive definite (pᵀAp = %g)", pap)
 		}
 		alpha := rr / pap
-		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, r)
-		rrNew := Dot(r, r)
+		// One pass for x += α·p, r -= α·ap and rᵀr, with the exact
+		// per-element expressions and summation order of Axpy(α, p, x),
+		// Axpy(−α, ap, r) and Dot(r, r).
+		na := -alpha
+		rrNew := 0.0
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] += na * ap[i]
+			rrNew += r[i] * r[i]
+		}
 		beta := rrNew / rr
 		for i := range p {
 			p[i] = r[i] + beta*p[i]

@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,117 @@ func TestCGZeroRHS(t *testing.T) {
 	}
 	if res.Iterations != 0 {
 		t.Errorf("zero RHS took %d iterations", res.Iterations)
+	}
+}
+
+// cgUnfused is CG with separate Axpy, Axpy and Dot passes for the x/r
+// update, the reference the fused pass in CG must match bit for bit.
+func cgUnfused(a Operator, x, b []float64, tol float64, maxIter int) (CGResult, error) {
+	n := a.Dim()
+	r := make([]float64, n)
+	if err := a.Apply(r, x); err != nil {
+		return CGResult{}, err
+	}
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	p := append([]float64(nil), r...)
+	ap := make([]float64, n)
+	rr := Dot(r, r)
+	bnorm := Norm2(b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	res := CGResult{}
+	for k := 0; k < maxIter; k++ {
+		if math.Sqrt(rr) <= tol*bnorm {
+			break
+		}
+		if err := a.Apply(ap, p); err != nil {
+			return res, err
+		}
+		alpha := rr / Dot(p, ap)
+		Axpy(alpha, p, x)
+		Axpy(-alpha, ap, r)
+		rrNew := Dot(r, r)
+		beta := rrNew / rr
+		for i := range p {
+			p[i] = r[i] + beta*p[i]
+		}
+		rr = rrNew
+		res.Iterations++
+		res.History = append(res.History, math.Sqrt(rr))
+	}
+	res.Residual = math.Sqrt(rr)
+	return res, nil
+}
+
+// randomSPD returns a random sparse symmetric, strictly diagonally
+// dominant (hence positive definite) n×n matrix.
+func randomSPD(n int, seed int64) *matrix.CSR[float64] {
+	rng := rand.New(rand.NewSource(seed))
+	coo := matrix.NewCOO[float64](n, n)
+	diag := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < 3; k++ {
+			j := rng.Intn(n)
+			if j == i {
+				continue
+			}
+			v := rng.NormFloat64()
+			coo.Add(i, j, v)
+			coo.Add(j, i, v)
+			diag[i] += math.Abs(v)
+			diag[j] += math.Abs(v)
+		}
+	}
+	for i, d := range diag {
+		coo.Add(i, i, d+0.5+rng.Float64())
+	}
+	return coo.ToCSR()
+}
+
+// TestCGFusedUpdateBitIdentical: the fused x/r/rᵀr pass of CG leaves
+// x, the iteration count and the residual history bit-identical to the
+// unfused Axpy/Axpy/Dot reference.
+func TestCGFusedUpdateBitIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *matrix.CSR[float64]
+	}{
+		{"Stencil2D(32,32)", matgen.Stencil2D(32, 32)},
+		{"random-SPD", randomSPD(500, 7)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.m.NRows
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = math.Sin(0.3*float64(i)) + 0.25
+			}
+			x, xRef := make([]float64, n), make([]float64, n)
+			res, err := CG(CSROperator{M: tc.m}, x, b, 1e-10, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := cgUnfused(CSROperator{M: tc.m}, xRef, b, 1e-10, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != ref.Iterations || len(res.History) != len(ref.History) {
+				t.Fatalf("iterations %d (history %d), reference %d (history %d)",
+					res.Iterations, len(res.History), ref.Iterations, len(ref.History))
+			}
+			for i := range ref.History {
+				if math.Float64bits(res.History[i]) != math.Float64bits(ref.History[i]) {
+					t.Fatalf("History[%d] = %v, reference %v", i, res.History[i], ref.History[i])
+				}
+			}
+			for i := range xRef {
+				if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
+					t.Fatalf("x[%d] = %v, reference %v", i, x[i], xRef[i])
+				}
+			}
+		})
 	}
 }
 

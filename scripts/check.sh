@@ -10,8 +10,9 @@
 #     tolerant solver, telemetry, flight recorder, health, service, the
 #     GPU worker pool, the ingest-and-convert pipeline, host kernels
 #     and tuner;
-#   - a host-kernel wall-clock gate: best-of-3 blocked CRS ns/nnz must
-#     beat best-of-3 naive;
+#   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
+#     beat best-of-3 naive, and best-of-3 pJDS (SELL-32-N) must stay
+#     within 1.25x of best-of-3 SELL-8;
 #   - smokes: host-kernel byte-diff (every -hostbench digest identical),
 #     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
 #     winner surfaced by matinfo -recommend and perfreport -tune,
@@ -93,6 +94,36 @@ awk '
         printf "blocked %.3f ns/nnz < naive %.3f ns/nnz\n", blocked, naive
     }' "$TMP/hostbench.out" || {
     cat "$TMP/hostbench.out" >&2
+    exit 1
+}
+
+echo "== host pJDS speed gate (best-of-3 pJDS within 1.25x of best-of-3 SELL-8) =="
+# pJDS is SELL-32-N: its chunks run in the same register-blocked
+# eight-lane groups as C = 8, so only the global sort's poorer x
+# locality may cost it. Three rounds of one run each, so both sides of
+# a round share the machine's current speed.
+for round in 1 2 3; do
+    go test -run '^$' -bench '^(BenchmarkHostPJDS|BenchmarkHostSELL)$' \
+        -benchtime 300x ./internal/hostkernel/
+done >"$TMP/pjdsbench.out"
+awk '
+    $1 ~ /^Benchmark/ {
+        name = $1
+        sub(/-[0-9]+$/, "", name)
+        for (i = 1; i < NF; i++)
+            if ($(i+1) == "ns/nnz" && (!(name in best) || $i + 0 < best[name]))
+                best[name] = $i + 0
+    }
+    END {
+        pjds = best["BenchmarkHostPJDS"]
+        c8 = best["BenchmarkHostSELL/c8"]
+        if (pjds == "" || c8 == "" || pjds > 1.25 * c8) {
+            printf "pJDS %s ns/nnz above 1.25x SELL-8 %s ns/nnz\n", pjds, c8 > "/dev/stderr"
+            exit 1
+        }
+        printf "pJDS %.3f ns/nnz <= 1.25x SELL-8 %.3f ns/nnz\n", pjds, c8
+    }' "$TMP/pjdsbench.out" || {
+    cat "$TMP/pjdsbench.out" >&2
     exit 1
 }
 
