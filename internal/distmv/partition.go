@@ -11,6 +11,7 @@ package distmv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pjds/internal/gpu"
@@ -242,7 +243,8 @@ func Distribute(m *matrix.CSR[float64], pt Partition) ([]*RankProblem, error) {
 
 // DistributeOpt is Distribute with explicit conversion options. Rank
 // problems are independent, so their construction (column scan, halo
-// discovery, local/non-local split) parallelizes over ranks; the send
+// discovery, local/non-local split) parallelizes over ranks, each
+// worker reusing one halo-slot array for all its ranks; the send
 // lists then parallelize over the *owning* rank, each worker writing
 // only its owners' SendIdx maps. The result is identical to the
 // sequential build for every worker count.
@@ -255,8 +257,12 @@ func DistributeOpt(m *matrix.CSR[float64], pt Partition, opt matrix.ConvertOptio
 
 	done := opt.Phase("partition-build")
 	opt.Run(p, func(w, rLo, rHi int) {
+		slot := make([]int32, m.NCols)
+		for i := range slot {
+			slot[i] = -1
+		}
 		for r := rLo; r < rHi; r++ {
-			problems[r] = buildRankProblem(m, pt, r)
+			problems[r] = buildRankProblem(m, pt, r, slot)
 		}
 	})
 	done()
@@ -286,78 +292,81 @@ func DistributeOpt(m *matrix.CSR[float64], pt Partition, opt matrix.ConvertOptio
 }
 
 // buildRankProblem assembles rank r's problem (everything except the
-// send lists, which need all ranks' halos).
-func buildRankProblem(m *matrix.CSR[float64], pt Partition, r int) *RankProblem {
-	p := pt.Ranks()
-	{
-		lo, hi := pt.Range(r)
-		rp := &RankProblem{
-			Rank: r, P: p, RowLo: lo, RowHi: hi, GlobalN: m.NRows,
-			HaloOffset: map[int]int{},
-			RecvCount:  map[int]int{},
-			SendIdx:    map[int][]int32{},
+// send lists, which need all ranks' halos). slot is the calling
+// worker's dense halo-slot array over the global columns, -1 on entry
+// and again on return: in between, a remote column's entry first marks
+// it as seen and then holds its position in HaloCols, so neither the
+// halo discovery nor the column remap needs a map.
+func buildRankProblem(m *matrix.CSR[float64], pt Partition, r int, slot []int32) *RankProblem {
+	lo, hi := pt.Range(r)
+	rp := &RankProblem{
+		Rank: r, P: pt.Ranks(), RowLo: lo, RowHi: hi, GlobalN: m.NRows,
+		HaloOffset: map[int]int{},
+		RecvCount:  map[int]int{},
+		SendIdx:    map[int][]int32{},
+	}
+	local := func(c int32) bool { return int(c) >= lo && int(c) < hi }
+
+	// First pass: collect the distinct remote columns.
+	var nnzLoc, nnzNl int
+	for _, c := range m.ColIdx[m.RowPtr[lo]:m.RowPtr[hi]] {
+		if local(c) {
+			nnzLoc++
+			continue
 		}
-		// First pass: collect the distinct remote columns.
-		remote := map[int32]bool{}
-		var nnzLoc, nnzNl int
-		for i := lo; i < hi; i++ {
-			cols, _ := m.Row(i)
-			for _, c := range cols {
-				if int(c) >= lo && int(c) < hi {
-					nnzLoc++
-				} else {
-					nnzNl++
-					remote[c] = true
-				}
-			}
-		}
-		rp.HaloCols = make([]int32, 0, len(remote))
-		for c := range remote {
+		nnzNl++
+		if slot[c] < 0 {
+			slot[c] = 0
 			rp.HaloCols = append(rp.HaloCols, c)
 		}
-		sort.Slice(rp.HaloCols, func(a, b int) bool { return rp.HaloCols[a] < rp.HaloCols[b] })
-		haloSlot := make(map[int32]int32, len(rp.HaloCols))
-		for s, c := range rp.HaloCols {
-			haloSlot[c] = int32(s)
-			o := pt.Owner(int(c))
-			if _, ok := rp.HaloOffset[o]; !ok {
-				rp.HaloOffset[o] = s
-			}
-			rp.RecvCount[o]++
-		}
-
-		// Second pass: split into local and non-local CSR.
-		nloc := hi - lo
-		local := &matrix.CSR[float64]{
-			NRows: nloc, NCols: nloc,
-			RowPtr: make([]int, nloc+1),
-			ColIdx: make([]int32, 0, nnzLoc),
-			Val:    make([]float64, 0, nnzLoc),
-		}
-		nonlocal := &matrix.CSR[float64]{
-			NRows: nloc, NCols: len(rp.HaloCols),
-			RowPtr: make([]int, nloc+1),
-			ColIdx: make([]int32, 0, nnzNl),
-			Val:    make([]float64, 0, nnzNl),
-		}
-		for i := lo; i < hi; i++ {
-			cols, vals := m.Row(i)
-			for k, c := range cols {
-				if int(c) >= lo && int(c) < hi {
-					local.ColIdx = append(local.ColIdx, c-int32(lo))
-					local.Val = append(local.Val, vals[k])
-				} else {
-					nonlocal.ColIdx = append(nonlocal.ColIdx, haloSlot[c])
-					nonlocal.Val = append(nonlocal.Val, vals[k])
-				}
-			}
-			local.RowPtr[i-lo+1] = len(local.Val)
-			nonlocal.RowPtr[i-lo+1] = len(nonlocal.Val)
-		}
-		rp.Local = local
-		rp.NonLocal = nonlocal
-		return rp
 	}
+	slices.Sort(rp.HaloCols)
+	// Number the halo and group it by owner: sorted columns of
+	// contiguous blocks arrive one owner after another.
+	for s := 0; s < len(rp.HaloCols); {
+		o := pt.Owner(int(rp.HaloCols[s]))
+		e := s
+		for ; e < len(rp.HaloCols) && int(rp.HaloCols[e]) < pt.Bounds[o+1]; e++ {
+			slot[rp.HaloCols[e]] = int32(e)
+		}
+		rp.HaloOffset[o] = s
+		rp.RecvCount[o] = e - s
+		s = e
+	}
+
+	// Second pass: split into local and non-local CSR.
+	nloc := hi - lo
+	rp.Local = &matrix.CSR[float64]{
+		NRows: nloc, NCols: nloc,
+		RowPtr: make([]int, nloc+1),
+		ColIdx: make([]int32, 0, nnzLoc),
+		Val:    make([]float64, 0, nnzLoc),
+	}
+	rp.NonLocal = &matrix.CSR[float64]{
+		NRows: nloc, NCols: len(rp.HaloCols),
+		RowPtr: make([]int, nloc+1),
+		ColIdx: make([]int32, 0, nnzNl),
+		Val:    make([]float64, 0, nnzNl),
+	}
+	loc, nl := rp.Local, rp.NonLocal
+	for i := lo; i < hi; i++ {
+		cols, vals := m.Row(i)
+		for k, c := range cols {
+			if local(c) {
+				loc.ColIdx = append(loc.ColIdx, c-int32(lo))
+				loc.Val = append(loc.Val, vals[k])
+			} else {
+				nl.ColIdx = append(nl.ColIdx, slot[c])
+				nl.Val = append(nl.Val, vals[k])
+			}
+		}
+		loc.RowPtr[i-lo+1] = len(loc.Val)
+		nl.RowPtr[i-lo+1] = len(nl.Val)
+	}
+	for _, c := range rp.HaloCols {
+		slot[c] = -1
+	}
+	return rp
 }
 
 // MergedSlice rebuilds the rank's full row slice with the extended

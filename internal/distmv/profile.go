@@ -55,6 +55,11 @@ type RankProfile struct {
 // rank and phase, so concurrent ranks never share a gauge series.
 // workers is forwarded to gpu.RunOptions.Workers (0 = package
 // default); it affects host wall-clock only, never results or stats.
+//
+// Each of the three kernels runs once on a format built for it, so its
+// plan is never looked up again: the plans compile into a PlanCache
+// private to the call, and they and their formats are garbage once
+// Profile returns instead of filling the package-default cache.
 func (rp *RankProblem) Profile(dev *gpu.Device, kind FormatKind, xExt []float64, reg *telemetry.Registry, workers int) (*RankProfile, error) {
 	nloc := rp.LocalRows()
 	if len(xExt) != nloc+rp.HaloSize() {
@@ -63,11 +68,13 @@ func (rp *RankProblem) Profile(dev *gpu.Device, kind FormatKind, xExt []float64,
 	xLoc := xExt[:nloc]
 	xHalo := xExt[nloc:]
 	prof := &RankProfile{Y: make([]float64, nloc)}
+	plans := gpu.NewPlanCache(3)
 
 	runOne := func(phase string, m *matrix.CSR[float64], x, y []float64, acc bool) (*gpu.KernelStats, error) {
 		opt := gpu.RunOptions{
 			Accumulate: acc,
 			Workers:    workers,
+			Plans:      plans,
 			Metrics:    reg,
 			MetricLabels: []telemetry.Label{
 				telemetry.Li("rank", rp.Rank),

@@ -32,7 +32,7 @@ func RunBELLPACK[T matrix.Float](d *Device, e *formats.BELLPACK[T], y, x []T, op
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
+	var valSegs, idxSegs, rhsSegs segCounter
 	sum := make([]T, ws)
 	scalarRows := e.BlockRowsPad * e.BR
 
@@ -105,7 +105,7 @@ func RunBELLPACK[T matrix.Float](d *Device, e *formats.BELLPACK[T], y, x []T, op
 		if hi > e.N {
 			hi = e.N
 		}
-		st.BytesLHS += lhsBytes(&lhsSegs, wbase, hi, es, segShift, segBytes, opt.Accumulate)
+		st.BytesLHS += lhsBytes(wbase, hi, es, segShift, segBytes, opt.Accumulate)
 		storeResult(y, sum, wbase, e.N, opt.Accumulate)
 	}
 	st.finish(d, ws)

@@ -31,9 +31,14 @@ func DefaultL2() *CacheConfig {
 
 // cache is a set-associative LRU cache over line-granular addresses.
 // It tracks hits and misses; the spMVM model probes it with RHS
-// gather segments.
+// gather segments. The sets live in one flat tag array, so sizing the
+// model costs one allocation whatever the set count, and a cache
+// reconfigured for the next plan compile reuses it.
 type cache struct {
-	sets     [][]int64 // per set: line tags in LRU order (front = MRU)
+	// tags holds nSets×assoc line tags: set s occupies
+	// tags[s*assoc:(s+1)*assoc] in LRU order (front = MRU), with its
+	// empty ways, marked -1, at the back. Line tags are never negative.
+	tags     []int64
 	assoc    int
 	lineBits uint
 	nSets    int64
@@ -47,15 +52,28 @@ type cache struct {
 // nominal L2 line). Returns nil for a nil config (no cache: every
 // probe misses).
 func newCache(cfg *CacheConfig, lineBytes int) *cache {
-	if cfg == nil {
+	c := new(cache)
+	if !c.configure(cfg, lineBytes) {
 		return nil
 	}
+	return c
+}
+
+// configure sizes c for cfg as newCache does, reusing its tag array
+// when it is large enough, and empties it. It reports false when cfg
+// models no cache.
+func (c *cache) configure(cfg *CacheConfig, lineBytes int) bool {
+	if cfg == nil {
+		return false
+	}
+	// Contract check: Device.Validate rejects such a config before any
+	// kernel runs, so only a caller that skipped it gets here.
 	if cfg.Bytes <= 0 || cfg.LineBytes <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("gpu: invalid cache config %+v", *cfg))
 	}
 	frac := cfg.RHSFraction
 	if frac <= 0 {
-		return nil
+		return false
 	}
 	if frac > 1 {
 		frac = 1
@@ -72,20 +90,16 @@ func newCache(cfg *CacheConfig, lineBytes int) *cache {
 	if nSets < 1 {
 		nSets = 1
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < lineBytes {
-		lineBits++
+	c.lineBits = log2(lineBytes)
+	c.assoc = cfg.Assoc
+	c.nSets = int64(nSets)
+	if n := nSets * cfg.Assoc; cap(c.tags) >= n {
+		c.tags = c.tags[:n]
+	} else {
+		c.tags = make([]int64, n)
 	}
-	c := &cache{
-		sets:     make([][]int64, nSets),
-		assoc:    cfg.Assoc,
-		lineBits: lineBits,
-		nSets:    int64(nSets),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]int64, 0, cfg.Assoc)
-	}
-	return c
+	c.reset()
+	return true
 }
 
 // probe looks up the line containing addr, updating LRU state.
@@ -95,7 +109,8 @@ func (c *cache) probe(addr int64) bool {
 		return false
 	}
 	line := addr >> c.lineBits
-	set := c.sets[line%c.nSets]
+	s := int(line%c.nSets) * c.assoc
+	set := c.tags[s : s+c.assoc]
 	for i, tag := range set {
 		if tag == line {
 			// Move to front (MRU).
@@ -104,14 +119,14 @@ func (c *cache) probe(addr int64) bool {
 			c.hits++
 			return true
 		}
+		if tag < 0 {
+			break // the remaining ways are empty too
+		}
 	}
 	c.misses++
-	if len(set) < c.assoc {
-		set = append(set, 0)
-	}
-	copy(set[1:], set)
+	// Insert at the front, evicting the LRU way when the set is full.
+	copy(set[1:], set[:len(set)-1])
 	set[0] = line
-	c.sets[line%c.nSets] = set
 	return false
 }
 
@@ -120,8 +135,8 @@ func (c *cache) reset() {
 	if c == nil {
 		return
 	}
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
+	for i := range c.tags {
+		c.tags[i] = -1
 	}
 	c.hits, c.misses = 0, 0
 }

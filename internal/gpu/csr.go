@@ -38,7 +38,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
+	var valSegs, idxSegs, rhsSegs segCounter
 	sum := make([]T, ws)
 
 	for wbase := 0; wbase < m.NRows; wbase += ws {
@@ -90,7 +90,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 			}
 		}
 		hi := wbase + lanes
-		st.BytesLHS += lhsBytes(&lhsSegs, wbase, hi, es, segShift, segBytes, opt.Accumulate)
+		st.BytesLHS += lhsBytes(wbase, hi, es, segShift, segBytes, opt.Accumulate)
 		storeResult(y, sum[:lanes], wbase, m.NRows, opt.Accumulate)
 	}
 	st.finish(d, ws)
@@ -117,7 +117,7 @@ func RunCSRVector[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
+	var valSegs, idxSegs, rhsSegs segCounter
 	redSteps := int64(log2(ws))
 
 	for i := 0; i < m.NRows; i++ {
@@ -160,13 +160,7 @@ func RunCSRVector[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 		} else {
 			y[i] = sum
 		}
-		lhsSegs.reset()
-		lhsSegs.add(addrLHS+int64(i)*int64(es), segShift)
-		b := int64(len(lhsSegs.segs)) * segBytes
-		if opt.Accumulate {
-			b *= 2
-		}
-		st.BytesLHS += b
+		st.BytesLHS += lhsBytes(i, i+1, es, segShift, segBytes, opt.Accumulate)
 	}
 	st.finish(d, ws)
 	st.Publish(opt.Metrics, opt.MetricLabels...)

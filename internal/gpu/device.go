@@ -136,6 +136,9 @@ func (d *Device) Validate() error {
 		return fmt.Errorf("gpu: %s: non-positive bandwidth", d.Name)
 	case d.WarpsToSaturate <= 0:
 		return fmt.Errorf("gpu: %s: non-positive WarpsToSaturate", d.Name)
+	case d.L2 != nil && (d.L2.Bytes <= 0 || d.L2.LineBytes <= 0 || d.L2.Assoc <= 0):
+		return fmt.Errorf("gpu: %s: L2 of %d bytes, %d-byte lines, %d ways: every size must be positive",
+			d.Name, d.L2.Bytes, d.L2.LineBytes, d.L2.Assoc)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func RunELLRT[T matrix.Float](d *Device, e *formats.ELLRT[T], y, x []T, opt RunO
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
+	var valSegs, idxSegs, rhsSegs segCounter
 	rowsPerWarp := ws / tpr
 	sum := make([]T, rowsPerWarp)
 	redSteps := int64(0)
@@ -98,7 +98,7 @@ func RunELLRT[T matrix.Float](d *Device, e *formats.ELLRT[T], y, x []T, opt RunO
 		if hi > e.N {
 			hi = e.N
 		}
-		st.BytesLHS += lhsBytes(&lhsSegs, wbase, hi, es, segShift, segBytes, opt.Accumulate)
+		st.BytesLHS += lhsBytes(wbase, hi, es, segShift, segBytes, opt.Accumulate)
 		storeResult(y, sum, wbase, e.N, opt.Accumulate)
 	}
 	st.finish(d, ws)

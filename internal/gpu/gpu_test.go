@@ -7,6 +7,7 @@ import (
 
 	"pjds/internal/core"
 	"pjds/internal/matrix"
+	"pjds/internal/telemetry"
 )
 
 // Shorthands for the SELL presets built with default conversion
@@ -121,6 +122,44 @@ func TestDeviceValidate(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("case %d: invalid device accepted", i)
 		}
+	}
+}
+
+// TestDeviceValidateL2 checks that an L2 with a non-positive size is a
+// Validate error, and so an error from a kernel run rather than a panic
+// in the cache model, while the valid ways to model no RHS cache pass.
+func TestDeviceValidateL2(t *testing.T) {
+	p, err := newPJDS(bandedCSR(100, 1, 10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		l2   *CacheConfig
+		ok   bool
+	}{
+		{"zero bytes", &CacheConfig{Bytes: 0, LineBytes: 128, Assoc: 16, RHSFraction: 0.5}, false},
+		{"negative bytes", &CacheConfig{Bytes: -1, LineBytes: 128, Assoc: 16, RHSFraction: 0.5}, false},
+		{"zero line", &CacheConfig{Bytes: 768 << 10, LineBytes: 0, Assoc: 16, RHSFraction: 0.5}, false},
+		{"negative line", &CacheConfig{Bytes: 768 << 10, LineBytes: -128, Assoc: 16, RHSFraction: 0.5}, false},
+		{"zero ways", &CacheConfig{Bytes: 768 << 10, LineBytes: 128, Assoc: 0, RHSFraction: 0.5}, false},
+		{"negative ways", &CacheConfig{Bytes: 768 << 10, LineBytes: 128, Assoc: -2, RHSFraction: 0.5}, false},
+		{"no L2", nil, true},
+		{"no RHS share", &CacheConfig{Bytes: 768 << 10, LineBytes: 128, Assoc: 16, RHSFraction: 0}, true},
+		{"GF100", DefaultL2(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := TeslaC2050()
+			d.L2 = tc.l2
+			if err := d.Validate(); (err == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			yp := make([]float64, p.NPad)
+			_, err := RunPJDS(d, p, yp, randVec(p.NCols, 2), RunOptions{Plans: NewPlanCache(0), Metrics: telemetry.NewRegistry()})
+			if (err == nil) != tc.ok {
+				t.Fatalf("RunPJDS error = %v, want ok=%v", err, tc.ok)
+			}
+		})
 	}
 }
 

@@ -108,23 +108,22 @@ func RunPJDS[T matrix.Float](d *Device, p *core.PJDS[T], yp, xp []T, opt RunOpti
 }
 
 // lhsSegments counts the distinct result-vector segments rows [lo, hi)
-// touch; the plan stores the count so the accumulate-dependent byte
-// doubling can be applied at replay time.
-func lhsSegments(segs *segCounter, lo, hi, es int, segShift uint) int64 {
+// touch: the rows are contiguous, so they span every segment from the
+// first row's to the last row's. The plan stores the count so the
+// accumulate-dependent byte doubling can be applied at replay time.
+func lhsSegments(lo, hi, es int, segShift uint) int64 {
 	if hi <= lo {
 		return 0
 	}
-	segs.reset()
-	for i := lo; i < hi; i++ {
-		segs.add(addrLHS+int64(i)*int64(es), segShift)
-	}
-	return int64(len(segs.segs))
+	first := (addrLHS + int64(lo)*int64(es)) >> segShift
+	last := (addrLHS + int64(hi-1)*int64(es)) >> segShift
+	return last - first + 1
 }
 
 // lhsBytes counts the result-vector traffic for rows [lo, hi): one
 // store (and one load when accumulating) per touched segment.
-func lhsBytes(segs *segCounter, lo, hi, es int, segShift uint, segBytes int64, accumulate bool) int64 {
-	b := lhsSegments(segs, lo, hi, es, segShift) * segBytes
+func lhsBytes(lo, hi, es int, segShift uint, segBytes int64, accumulate bool) int64 {
+	b := lhsSegments(lo, hi, es, segShift) * segBytes
 	if accumulate {
 		b *= 2
 	}

@@ -120,19 +120,95 @@ func (p *Plan[T]) Kernel() string { return p.src.kernel }
 // Warps returns the number of warps the plan schedules.
 func (p *Plan[T]) Warps() int { return p.total.Warps }
 
+// compileScratch is the reusable working state of one plan compile:
+// the L2 model, the per-step RHS sector set and the warp's lane base
+// offsets. Compiles borrow it from compileScratches, so a warm compile
+// allocates none of them.
+type compileScratch struct {
+	l2   cache
+	rhs  sectorSet
+	base []int64
+}
+
+var compileScratches = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// sectorSet de-duplicates the RHS gather sectors of one warp step in
+// first-touch order, which is the L2 probe order. Membership is an
+// epoch stamp per sector of the RHS vector, so starting the next step
+// costs one increment instead of a clear.
+type sectorSet struct {
+	stamp []uint32 // stamp[k] == epoch: sector k is in the current step
+	epoch uint32
+	secs  []int64 // the step's distinct sectors, first touch first
+}
+
+// size makes room for sectors [0, n) and starts an empty step. Stamps
+// left over from earlier uses are all below the epoch, so a reused
+// array needs no clear.
+func (s *sectorSet) size(n int) {
+	if cap(s.stamp) < n {
+		s.stamp = make([]uint32, n)
+	}
+	s.stamp = s.stamp[:n]
+	s.next()
+}
+
+// next starts an empty step. When the epoch wraps, every stamp the
+// array has ever held is cleared, so none can match a future epoch.
+func (s *sectorSet) next() {
+	s.secs = s.secs[:0]
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp[:cap(s.stamp)])
+		s.epoch = 1
+	}
+}
+
+// add records sector sec, stored at index k.
+func (s *sectorSet) add(k int, sec int64) {
+	if s.stamp[k] != s.epoch {
+		s.stamp[k] = s.epoch
+		s.secs = append(s.secs, sec)
+	}
+}
+
 // compilePlan runs the full transaction-level analysis once: warp
 // geometry, val/idx coalescing, the LHS segment count, and the RHS
 // gather replayed through the L2 model in sequential warp order.
 func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
-	es := core.SizeofElem[T]()
+	sc := compileScratches.Get().(*compileScratch)
+	defer compileScratches.Put(sc)
+	return compilePlanWith(d, src, sc)
+}
+
+// compilePlanWith is compilePlan on caller-supplied scratch.
+//
+// Every plan source stores a step's active lanes at increasing
+// addresses: within a chunk the lane is the address offset, a later
+// chunk starts after every element of an earlier one, and the jagged
+// diagonals of pJDS are contiguous in the row. The val and idx
+// segments of a step are then non-decreasing in the lane, so the
+// distinct ones are counted as runs.
+func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileScratch) *Plan[T] {
+	es := int64(core.SizeofElem[T]())
 	ws := d.WarpSize
 	segShift := log2(d.SegmentBytes)
 	segBytes := int64(d.SegmentBytes)
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
-	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
-	base := make([]int64, ws)
+	var l2 *cache
+	if sc.l2.configure(d.L2, d.GatherSectorBytes) {
+		l2 = &sc.l2
+	}
+	// RHS element c lies in sector (addrRHS + c·es) >> secShift, stored
+	// at that minus the sector of element 0.
+	rhs := &sc.rhs
+	sec0 := int64(addrRHS) >> secShift
+	rhs.size(int((addrRHS+int64(max(src.cols, 1)-1)*es)>>secShift - sec0 + 1))
+	if cap(sc.base) < ws {
+		sc.base = make([]int64, ws)
+	}
+	base := sc.base[:ws]
 	stride := int64(src.chunk)
 
 	p := &Plan[T]{
@@ -140,7 +216,7 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 		warpSize: ws,
 		total: KernelStats{
 			Kernel: src.kernel, Rows: src.rows, Nnz: src.nnz,
-			UsefulFlops: 2 * src.nnz, ElemBytes: es,
+			UsefulFlops: 2 * src.nnz, ElemBytes: int(es),
 		},
 		occ:    1,
 		labels: profiles.Ctx(profiles.PhaseGPU, "kernel", src.kernel),
@@ -152,9 +228,10 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 	t := &p.total
 	for wbase := 0; wbase < src.nPad; wbase += ws {
 		lanes := min(ws, src.nPad-wbase)
-		maxLen := 0
-		for lane := 0; lane < lanes; lane++ {
-			maxLen = max(maxLen, int(src.steps[wbase+lane]))
+		steps := src.steps[wbase : wbase+lanes]
+		maxLen := int32(0)
+		for lane, n := range steps {
+			maxLen = max(maxLen, n)
 			base[lane] = src.base(wbase + lane)
 		}
 		t.Warps++
@@ -167,28 +244,34 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 		} else {
 			t.BytesMeta += src.metaSegs * segBytes
 		}
-		for j := 0; j < maxLen; j++ {
-			valSegs.reset()
-			idxSegs.reset()
-			rhsSegs.reset()
-			for lane := 0; lane < lanes; lane++ {
-				i := wbase + lane
-				if j >= int(src.steps[i]) {
+		for j := int32(0); j < maxLen; j++ {
+			var valSegs, idxSegs int64
+			lastVal, lastIdx := int64(-1), int64(-1)
+			rhs.next()
+			for lane, n := range steps {
+				if j >= n {
 					continue // lane idle: reserved but useless (light boxes of Fig. 2b)
 				}
 				at := base[lane] + int64(j)*stride
-				c := src.col[at]
+				c := int64(src.col[at])
 				if src.colStart != nil {
-					at = int64(src.colStart[j]) + int64(i)
+					at = int64(src.colStart[j]) + int64(wbase+lane)
 				}
 				t.ExecutedLaneSteps++
-				valSegs.add(addrVal+at*int64(es), segShift)
-				idxSegs.add(addrIdx+at*4, segShift)
-				rhsSegs.add(addrRHS+int64(c)*int64(es), secShift)
+				if seg := (addrVal + at*es) >> segShift; seg != lastVal {
+					valSegs++
+					lastVal = seg
+				}
+				if seg := (addrIdx + at*4) >> segShift; seg != lastIdx {
+					idxSegs++
+					lastIdx = seg
+				}
+				sec := (addrRHS + c*es) >> secShift
+				rhs.add(int(sec-sec0), sec)
 			}
-			t.BytesVal += int64(len(valSegs.segs)) * segBytes
-			t.BytesIdx += int64(len(idxSegs.segs)) * segBytes
-			for _, sec := range rhsSegs.segs {
+			t.BytesVal += valSegs * segBytes
+			t.BytesIdx += idxSegs * segBytes
+			for _, sec := range rhs.secs {
 				t.RHSProbes++
 				if !l2.probe(sec << secShift) {
 					t.RHSMisses++
@@ -200,7 +283,7 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 		if src.lhsRows != nil {
 			lhsLo, lhsHi = src.lhsRows(wbase, lanes)
 		}
-		t.BytesLHS += lhsSegments(&lhsSegs, lhsLo, lhsHi, es, segShift) * segBytes
+		t.BytesLHS += lhsSegments(lhsLo, lhsHi, int(es), segShift) * segBytes
 	}
 	return p
 }

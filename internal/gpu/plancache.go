@@ -73,12 +73,14 @@ type PlanCache struct {
 	compiledWarps atomic.Int64
 }
 
-// DefaultPlanCacheSize bounds the package-default cache. An entry holds
-// one plan's counter totals and telemetry handles, a few hundred bytes
-// whatever the matrix size (plus one step count per row for plain
-// ELLPACK and col_start[] for pJDS), but it also keeps its format's
-// arrays reachable, so the bound caps pathological churn, not memory
-// pressure in normal runs.
+// DefaultPlanCacheSize bounds a cache made with NewPlanCache(0), the
+// package default included. An entry holds one plan's counter totals
+// and telemetry handles, a few hundred bytes whatever the matrix size
+// (plus one step count per row for plain ELLPACK and col_start[] for
+// pJDS), but it also keeps its format's arrays reachable until it is
+// evicted. Callers whose plans are one-shot, such as the distributed
+// engine's per-rank profiles, therefore compile into a cache of their
+// own that dies with them rather than into the default.
 const DefaultPlanCacheSize = 128
 
 // NewPlanCache returns a cache holding at most max plans (max ≤ 0

@@ -46,6 +46,8 @@ type Comm struct {
 	// err latches the first clock violation (Advance/SetClock keep
 	// their void signatures); Run surfaces it as the rank's error.
 	err error
+	// counters caches the rank's telemetry handles (see count).
+	counters [numCounters]*telemetry.Counter
 }
 
 // Request is a pending nonblocking operation.
@@ -149,18 +151,9 @@ func RunWithOptions(n int, fabric *simnet.Fabric, opt Options, body func(*Comm) 
 	}
 	if opt.Metrics != nil {
 		sw.SetMetrics(opt.Metrics)
-		opt.Metrics.Help("mpi_sends_total", "point-to-point sends posted")
-		opt.Metrics.Help("mpi_send_bytes_total", "modelled bytes posted for sending")
-		opt.Metrics.Help("mpi_recvs_total", "point-to-point receives completed")
-		opt.Metrics.Help("mpi_send_serialization_seconds_total", "NIC injection (serialization) time per rank")
-		opt.Metrics.Help("mpi_recv_wait_seconds_total", "virtual time spent blocked in receive waits")
-		opt.Metrics.Help("mpi_overhead_seconds_total", "host CPU overhead of posting operations (LogGP o)")
-		opt.Metrics.Help("mpi_collectives_total", "collective operations by kind")
-		opt.Metrics.Help("mpi_retries_total", "message retransmissions charged by the reliable transport")
-		opt.Metrics.Help("mpi_retry_wait_seconds_total", "virtual time charged to timeout+backoff on dropped messages")
-		opt.Metrics.Help("mpi_retries_exhausted_total", "receives failed after the retry budget ran out")
-		opt.Metrics.Help("mpi_rank_crashes_total", "injected rank crashes")
-		opt.Metrics.Help("mpi_failures_detected_total", "peer deaths observed by the heartbeat failure detector")
+		for _, m := range mpiCounters {
+			opt.Metrics.Help(m.name, m.help)
+		}
 	}
 	retry := opt.Retry.normalized()
 	hb := opt.HeartbeatSeconds
@@ -305,17 +298,73 @@ func (c *Comm) SetClock(t float64) {
 // propagate. It models a node failure injected by a fault plan.
 func (c *Comm) Crash() error {
 	c.world.markDead(c.rank, c.clock)
-	c.count("mpi_rank_crashes_total", 1)
+	c.count(ctrRankCrashes, 1)
 	c.span(SpanCrash, c.clock, c.clock, map[string]string{ArgFailedAt: fmtTime(c.clock)})
 	flight.Record(flight.Error, "mpi.rank_crash", c.rank, c.clock, "rank killed by injected fault", 0)
 	return &RankFailedError{Rank: c.rank, FailedAt: c.clock, DetectedBy: -1, DetectedAt: c.clock}
 }
 
-// count adds v to a per-rank counter when telemetry is attached.
-func (c *Comm) count(name string, v float64, extra ...telemetry.Label) {
-	if reg := c.world.metrics; reg != nil {
-		reg.Counter(name, append([]telemetry.Label{telemetry.Li("rank", c.rank)}, extra...)...).Add(v)
+// counterID indexes mpiCounters and Comm.counters.
+type counterID int
+
+// The per-rank message-passing counters.
+const (
+	ctrSends counterID = iota
+	ctrSendBytes
+	ctrRecvs
+	ctrSendSerialization
+	ctrRecvWait
+	ctrOverhead
+	ctrBarriers
+	ctrAllreduceSums
+	ctrAllreduceMaxes
+	ctrRetries
+	ctrRetryWait
+	ctrRetriesExhausted
+	ctrRankCrashes
+	ctrFailuresDetected
+	numCounters
+)
+
+// mpiCounters names each counter's family, its op label (collectives
+// only) and the family's help text.
+var mpiCounters = [numCounters]struct{ name, op, help string }{
+	ctrSends:             {"mpi_sends_total", "", "point-to-point sends posted"},
+	ctrSendBytes:         {"mpi_send_bytes_total", "", "modelled bytes posted for sending"},
+	ctrRecvs:             {"mpi_recvs_total", "", "point-to-point receives completed"},
+	ctrSendSerialization: {"mpi_send_serialization_seconds_total", "", "NIC injection (serialization) time per rank"},
+	ctrRecvWait:          {"mpi_recv_wait_seconds_total", "", "virtual time spent blocked in receive waits"},
+	ctrOverhead:          {"mpi_overhead_seconds_total", "", "host CPU overhead of posting operations (LogGP o)"},
+	ctrBarriers:          {"mpi_collectives_total", "barrier", "collective operations by kind"},
+	ctrAllreduceSums:     {"mpi_collectives_total", "allreduce_sum", "collective operations by kind"},
+	ctrAllreduceMaxes:    {"mpi_collectives_total", "allreduce_max", "collective operations by kind"},
+	ctrRetries:           {"mpi_retries_total", "", "message retransmissions charged by the reliable transport"},
+	ctrRetryWait:         {"mpi_retry_wait_seconds_total", "", "virtual time charged to timeout+backoff on dropped messages"},
+	ctrRetriesExhausted:  {"mpi_retries_exhausted_total", "", "receives failed after the retry budget ran out"},
+	ctrRankCrashes:       {"mpi_rank_crashes_total", "", "injected rank crashes"},
+	ctrFailuresDetected:  {"mpi_failures_detected_total", "", "peer deaths observed by the heartbeat failure detector"},
+}
+
+// count adds v to a per-rank counter when telemetry is attached. The
+// handle is resolved on the counter's first use, so a rank exposes
+// only the series it has touched, and cached in the Comm, which only
+// its rank goroutine uses.
+func (c *Comm) count(id counterID, v float64) {
+	reg := c.world.metrics
+	if reg == nil {
+		return
 	}
+	h := c.counters[id]
+	if h == nil {
+		m := &mpiCounters[id]
+		lbl := []telemetry.Label{telemetry.Li("rank", c.rank)}
+		if m.op != "" {
+			lbl = append(lbl, telemetry.L("op", m.op))
+		}
+		h = reg.Counter(m.name, lbl...)
+		c.counters[id] = h
+	}
+	h.Add(v)
 }
 
 // Span vocabulary of the per-rank "mpi" lane, consumed by
@@ -394,7 +443,7 @@ func (c *Comm) collSpan(op string, entry float64, res rendezvousResult) {
 func (c *Comm) detectFailure(pf *simnet.PeerFailedError, blockedSince float64) *RankFailedError {
 	detected := math.Max(c.clock, pf.FailedAt+c.world.hb)
 	c.clock = detected
-	c.count("mpi_failures_detected_total", 1)
+	c.count(ctrFailuresDetected, 1)
 	flight.Record(flight.Error, "mpi.rank_failed", c.rank, detected, "heartbeat detector observed peer death", float64(pf.Rank))
 	c.span(SpanDetect, blockedSince, detected, map[string]string{
 		ArgPeer:     strconv.Itoa(pf.Rank),
@@ -418,7 +467,7 @@ func (c *Comm) inject(r *Request, at float64) (float64, error) {
 	}
 	c.nicBusyUntil = start + wire
 	r.injected = true
-	c.count("mpi_send_serialization_seconds_total", wire)
+	c.count(ctrSendSerialization, wire)
 	if c.world.spans != nil {
 		c.span(SpanSend, start, c.nicBusyUntil, map[string]string{
 			ArgPeer:    strconv.Itoa(r.dst),
@@ -439,9 +488,9 @@ func (c *Comm) inject(r *Request, at float64) (float64, error) {
 // destination) is deferred to Wait.
 func (c *Comm) Isend(dst, tag int, payload any, bytes int64) *Request {
 	c.clock += c.Fabric().OverheadSeconds
-	c.count("mpi_overhead_seconds_total", c.Fabric().OverheadSeconds)
-	c.count("mpi_sends_total", 1)
-	c.count("mpi_send_bytes_total", float64(bytes))
+	c.count(ctrOverhead, c.Fabric().OverheadSeconds)
+	c.count(ctrSends, 1)
+	c.count(ctrSendBytes, float64(bytes))
 	r := &Request{comm: c, send: true, dst: dst, tag: tag, payload: payload, bytes: bytes}
 	if c.Fabric().AsyncProgress {
 		// Defer any injection error to Wait, like real MPI defers
@@ -454,7 +503,7 @@ func (c *Comm) Isend(dst, tag int, payload any, bytes int64) *Request {
 // Irecv posts a nonblocking receive.
 func (c *Comm) Irecv(src, tag int) *Request {
 	c.clock += c.Fabric().OverheadSeconds
-	c.count("mpi_overhead_seconds_total", c.Fabric().OverheadSeconds)
+	c.count(ctrOverhead, c.Fabric().OverheadSeconds)
 	return &Request{comm: c, src: src, tag: tag}
 }
 
@@ -506,9 +555,9 @@ func (r *Request) Wait() error {
 			charged := pol.totalBackoff(pol.MaxRetries)
 			base := math.Max(posted, arrives)
 			c.clock = base + charged
-			c.count("mpi_retries_total", float64(pol.MaxRetries))
-			c.count("mpi_retry_wait_seconds_total", charged)
-			c.count("mpi_retries_exhausted_total", 1)
+			c.count(ctrRetries, float64(pol.MaxRetries))
+			c.count(ctrRetryWait, charged)
+			c.count(ctrRetriesExhausted, 1)
 			flight.Record(flight.Error, "mpi.retries_exhausted", c.rank, c.clock, "receive failed after retry budget", float64(lost))
 			c.span(SpanRetry, base, c.clock, map[string]string{
 				ArgPeer:     strconv.Itoa(m.Src),
@@ -523,8 +572,8 @@ func (r *Request) Wait() error {
 		charged := pol.totalBackoff(lost)
 		base := math.Max(posted, arrives)
 		arrives = base + charged
-		c.count("mpi_retries_total", float64(lost))
-		c.count("mpi_retry_wait_seconds_total", charged)
+		c.count(ctrRetries, float64(lost))
+		c.count(ctrRetryWait, charged)
 		c.span(SpanRetry, base, arrives, map[string]string{
 			ArgPeer:     strconv.Itoa(m.Src),
 			ArgTag:      strconv.Itoa(m.Tag),
@@ -534,8 +583,8 @@ func (r *Request) Wait() error {
 	r.Message = m
 	r.doneAt = arrives
 	c.clock = math.Max(c.clock, r.doneAt)
-	c.count("mpi_recvs_total", 1)
-	c.count("mpi_recv_wait_seconds_total", math.Max(0, r.doneAt-posted))
+	c.count(ctrRecvs, 1)
+	c.count(ctrRecvWait, math.Max(0, r.doneAt-posted))
 	if c.world.spans != nil {
 		c.span(SpanRecv, posted, c.clock, map[string]string{
 			ArgPeer:    strconv.Itoa(r.Message.Src),
@@ -617,7 +666,7 @@ func (c *Comm) Barrier() error {
 		return err
 	}
 	c.clock = res.maxClock + logSteps(c.Size())*c.Fabric().LatencySeconds
-	c.count("mpi_collectives_total", 1, telemetry.L("op", "barrier"))
+	c.count(ctrBarriers, 1)
 	c.collSpan("barrier", entry, res)
 	return nil
 }
@@ -631,7 +680,7 @@ func (c *Comm) AllreduceSum(x float64) (float64, error) {
 		return 0, err
 	}
 	c.clock = res.maxClock + 2*logSteps(c.Size())*c.Fabric().LatencySeconds
-	c.count("mpi_collectives_total", 1, telemetry.L("op", "allreduce_sum"))
+	c.count(ctrAllreduceSums, 1)
 	c.collSpan("allreduce_sum", entry, res)
 	sum := 0.0
 	for _, v := range res.payloads {
@@ -649,7 +698,7 @@ func (c *Comm) AllreduceMax(x float64) (float64, error) {
 		return 0, err
 	}
 	c.clock = res.maxClock + 2*logSteps(c.Size())*c.Fabric().LatencySeconds
-	c.count("mpi_collectives_total", 1, telemetry.L("op", "allreduce_max"))
+	c.count(ctrAllreduceMaxes, 1)
 	c.collSpan("allreduce_max", entry, res)
 	max := math.Inf(-1)
 	for _, v := range res.payloads {

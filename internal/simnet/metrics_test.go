@@ -97,3 +97,40 @@ func TestSwitchMetricsTopology(t *testing.T) {
 		t.Errorf("inter-node messages = %g", got)
 	}
 }
+
+// TestSendRecvTelemetryZeroAllocs checks that a warm send/recv pair
+// allocates nothing for telemetry: the handles of both ranks, on the
+// interconnect and the intra-node fabric, are resolved once, so the
+// pair allocates as much with a registry attached as without.
+func TestSendRecvTelemetryZeroAllocs(t *testing.T) {
+	pairAllocs := func(reg *telemetry.Registry) float64 {
+		sw, err := NewSwitch(QDRInfiniBand(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.SetTopology(2, SharedMemory()); err != nil {
+			t.Fatal(err)
+		}
+		if reg != nil {
+			sw.SetMetrics(reg)
+		}
+		payload := any([]float64{1, 2, 3})
+		pair := func() {
+			for _, dst := range []int{1, 2} { // intra-node, then interconnect
+				if _, err := sw.Send(0, dst, 7, payload, 24, 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sw.Recv(dst, 0, 7); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pair() // warm: resolve handles, size the mailboxes
+		return testing.AllocsPerRun(100, pair)
+	}
+	without := pairAllocs(nil)
+	with := pairAllocs(telemetry.NewRegistry())
+	if with != without {
+		t.Errorf("send/recv pairs allocate %.1f times with a registry, %.1f without", with, without)
+	}
+}

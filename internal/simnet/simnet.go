@@ -119,8 +119,13 @@ type Switch struct {
 	ranksPerNode int
 	intra        *Fabric
 	// metrics (optional) receives wire-traffic telemetry; set before
-	// the rank goroutines start.
+	// the rank goroutines start. sent[2*src+intra] and recvd[dst] cache
+	// its per-rank handles, sizes[intra] the message-size histograms,
+	// where intra is 1 for the intra-node fabric.
 	metrics *telemetry.Registry
+	sent    []atomic.Pointer[sentSeries]
+	recvd   []atomic.Pointer[recvdSeries]
+	sizes   [2]atomic.Pointer[telemetry.Histogram]
 	// faults (optional) decides the fate of every injected message; set
 	// before the rank goroutines start.
 	faults Injector
@@ -138,6 +143,10 @@ type Switch struct {
 func (s *Switch) SetMetrics(reg *telemetry.Registry) {
 	s.metrics = reg
 	if reg != nil {
+		s.sent = make([]atomic.Pointer[sentSeries], 2*s.n)
+		s.recvd = make([]atomic.Pointer[recvdSeries], s.n)
+		s.sizes[0].Store(nil)
+		s.sizes[1].Store(nil)
 		reg.Help("simnet_sent_messages_total", "messages injected into the wire")
 		reg.Help("simnet_sent_bytes_total", "modelled payload bytes injected")
 		reg.Help("simnet_wire_seconds_total", "latency+transfer time accumulated over messages")
@@ -145,6 +154,68 @@ func (s *Switch) SetMetrics(reg *telemetry.Registry) {
 		reg.Help("simnet_recv_bytes_total", "modelled payload bytes delivered")
 		reg.Help("simnet_message_bytes", "distribution of modelled message sizes")
 	}
+}
+
+// sentSeries are one sending rank's counters on one fabric.
+type sentSeries struct{ msgs, bytes, wire *telemetry.Counter }
+
+// recvdSeries are one receiving rank's counters.
+type recvdSeries struct{ msgs, bytes *telemetry.Counter }
+
+// The handles below are resolved on a series' first use, so the
+// registry exposes only series that have counted something, exactly
+// as per-message lookups would. Two goroutines racing to resolve one
+// store the same handles: the registry returns one series per name and
+// label set.
+
+// sentFor returns src's send counters on fab.
+func (s *Switch) sentFor(src int, fab *Fabric) *sentSeries {
+	slot := &s.sent[2*src+s.intraIndex(fab)]
+	if h := slot.Load(); h != nil {
+		return h
+	}
+	lbl := []telemetry.Label{telemetry.Li("rank", src), telemetry.L("fabric", fab.Name)}
+	h := &sentSeries{
+		msgs:  s.metrics.Counter("simnet_sent_messages_total", lbl...),
+		bytes: s.metrics.Counter("simnet_sent_bytes_total", lbl...),
+		wire:  s.metrics.Counter("simnet_wire_seconds_total", lbl...),
+	}
+	slot.Store(h)
+	return h
+}
+
+// sizesFor returns the message-size histogram of fab.
+func (s *Switch) sizesFor(fab *Fabric) *telemetry.Histogram {
+	slot := &s.sizes[s.intraIndex(fab)]
+	if h := slot.Load(); h != nil {
+		return h
+	}
+	h := s.metrics.Histogram("simnet_message_bytes", nil, telemetry.L("fabric", fab.Name))
+	slot.Store(h)
+	return h
+}
+
+// recvdFor returns dst's receive counters.
+func (s *Switch) recvdFor(dst int) *recvdSeries {
+	slot := &s.recvd[dst]
+	if h := slot.Load(); h != nil {
+		return h
+	}
+	lbl := telemetry.Li("rank", dst)
+	h := &recvdSeries{
+		msgs:  s.metrics.Counter("simnet_recv_messages_total", lbl),
+		bytes: s.metrics.Counter("simnet_recv_bytes_total", lbl),
+	}
+	slot.Store(h)
+	return h
+}
+
+// intraIndex is 1 for the intra-node fabric and 0 for the interconnect.
+func (s *Switch) intraIndex(fab *Fabric) int {
+	if fab == s.fabric {
+		return 0
+	}
+	return 1
 }
 
 // SetTopology declares that consecutive groups of ranksPerNode ranks
@@ -283,11 +354,11 @@ func (s *Switch) Send(src, dst, tag int, payload any, bytes int64, sentAt float6
 		DropAttempts: fault.DropAttempts,
 	}
 	if reg := s.metrics; reg != nil {
-		lbl := []telemetry.Label{telemetry.Li("rank", src), telemetry.L("fabric", fab.Name)}
-		reg.Counter("simnet_sent_messages_total", lbl...).Inc()
-		reg.Counter("simnet_sent_bytes_total", lbl...).Add(float64(m.Bytes))
-		reg.Counter("simnet_wire_seconds_total", lbl...).Add(m.ArrivesAt - m.SentAt)
-		reg.Histogram("simnet_message_bytes", nil, telemetry.L("fabric", fab.Name)).Observe(float64(m.Bytes))
+		h := s.sentFor(src, fab)
+		h.msgs.Inc()
+		h.bytes.Add(float64(m.Bytes))
+		h.wire.Add(m.ArrivesAt - m.SentAt)
+		s.sizesFor(fab).Observe(float64(m.Bytes))
 		if !fault.IsZero() {
 			reg.Help("simnet_faults_injected_total", "message-level faults injected into the wire")
 			flbl := []telemetry.Label{telemetry.Li("rank", src)}
@@ -346,9 +417,9 @@ func (s *Switch) Recv(dst, src, tag int) (Message, error) {
 			reg.Counter("simnet_duplicates_dropped_total", telemetry.Li("rank", dst)).Add(float64(dups))
 		}
 		if err == nil {
-			lbl := []telemetry.Label{telemetry.Li("rank", dst)}
-			reg.Counter("simnet_recv_messages_total", lbl...).Inc()
-			reg.Counter("simnet_recv_bytes_total", lbl...).Add(float64(m.Bytes))
+			h := s.recvdFor(dst)
+			h.msgs.Inc()
+			h.bytes.Add(float64(m.Bytes))
 		}
 	}
 	if err != nil {

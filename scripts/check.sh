@@ -17,7 +17,9 @@
 #     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
 #     winner surfaced by matinfo -recommend and perfreport -tune,
 #     second run answered from the tuning-DB cache), conversion
-#     determinism (matinfo at 1 vs 4 workers byte-identical), seeded
+#     determinism (matinfo at 1 vs 4 workers byte-identical),
+#     distributed determinism (scaling text and Prometheus file at 1
+#     vs 4 workers byte-identical, both device formats), seeded
 #     chaos with a perfreport-readable flight-recorder dump, live
 #     endpoints of a held scaling run plus spmvtop, the spmvd chaos
 #     swarm, and the spmvd lifecycle (upload, ECC downgrade with
@@ -196,6 +198,21 @@ go run ./cmd/matinfo -workers 4 -out "$TMP/w4.mtx" "$TMP/m.mtx" |
     grep -v '^wrote ' >"$TMP/out4"
 cmp "$TMP/w1.mtx" "$TMP/w4.mtx"
 cmp "$TMP/out1" "$TMP/out4"
+
+echo "== distributed determinism smoke (scaling, 1 vs 4 workers) =="
+# The per-worker halo-slot arrays of the rank distribution and the
+# cached mpi/simnet telemetry handles must not depend on the worker
+# count: the Fig. 5 text and the Prometheus file are byte-identical.
+go build -o "$TMP/bin/" ./cmd/scaling
+for f in ellpack-r pjds; do
+    for w in 1 4; do
+        "$TMP/bin/scaling" -matrix DLR1 -scale 0.02 -nodes 1,2,4,8 -iters 1 \
+            -format "$f" -workers "$w" -metrics-out "$TMP/dist-$f-w$w.prom" |
+            grep -v 'wrote metrics to' >"$TMP/dist-$f-w$w.out"
+    done
+    cmp "$TMP/dist-$f-w1.out" "$TMP/dist-$f-w4.out"
+    cmp "$TMP/dist-$f-w1.prom" "$TMP/dist-$f-w4.prom"
+done
 
 echo "== chaos smoke (1 dropped message + 1 rank crash, seed 42) =="
 # Injects one message drop and one mid-solve rank crash into the
