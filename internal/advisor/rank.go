@@ -64,12 +64,13 @@ func RankFormats(st matrix.Stats, lens []int, dev *gpu.Device) []FormatScore {
 	}
 
 	n := len(lens)
-	betaPJDS := formats.EstimateBeta(lens, 32, n)
+	pad := formats.NewPadding(lens)
+	_, betaPJDS := pad.Estimate(32, n)
 	sigma := 256
 	if n > 0 && sigma > n {
 		sigma = n
 	}
-	betaSELL := formats.EstimateBeta(lens, 32, sigma)
+	_, betaSELL := pad.Estimate(32, sigma)
 
 	out := []FormatScore{
 		{

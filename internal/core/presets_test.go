@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pjds/internal/core"
@@ -349,4 +350,85 @@ func TestPresetConversionPhases(t *testing.T) {
 			t.Errorf("%s: phases %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestSELLResetMatchesNew: a layout rebuilt in place by Reset, over
+// buffers filled with NaN and garbage indices to their full capacity,
+// equals a fresh NewSELL in every exported field, on every (C, σ) cell
+// of the preset grid, as the matrices grow and then shrink; every
+// rebuilt layout's MulRows is bit-identical to CSR.
+func TestSELLResetMatchesNew(t *testing.T) {
+	pms := presetMatrices()
+	rng := rand.New(rand.NewSource(7))
+	coo := matrix.NewCOO[float64](230, 90)
+	for i := 0; i < 230; i++ {
+		for j := 0; j < (i*11)%29; j++ {
+			coo.Add(i, rng.Intn(90), rng.NormFloat64())
+		}
+	}
+	xb := make([]float64, 90)
+	for i := range xb {
+		xb[i] = rng.NormFloat64()
+	}
+	big := presetMatrix{"big", coo.ToCSR(), xb}
+	// 0x0, all-empty, 3x3, 70x50 random, 230x90, then back down.
+	seq := []presetMatrix{pms[3], pms[4], pms[1], pms[0], big, pms[2], pms[1], pms[3]}
+	cv := matrix.ConvertOptions{Workers: 2, ForceParallel: true}
+	for _, g := range sellGrid() {
+		t.Run(g.name, func(t *testing.T) {
+			var s core.SELL[float64]
+			for _, pm := range seq {
+				poison(&s)
+				if err := s.Reset(pm.m, g.c, g.sigma, cv); err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.NewSELL(pm.m, g.c, g.sigma, cv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, ref := reflect.ValueOf(s), reflect.ValueOf(*want)
+				for i := 0; i < got.NumField(); i++ {
+					f := got.Type().Field(i)
+					if f.IsExported() && !reflect.DeepEqual(got.Field(i).Interface(), ref.Field(i).Interface()) {
+						t.Fatalf("%s: %s after Reset = %v, NewSELL %v", pm.name, f.Name, got.Field(i), ref.Field(i))
+					}
+				}
+				y := make([]float64, pm.m.NRows)
+				yr := make([]float64, pm.m.NRows)
+				s.MulRows(y, pm.x, 0, s.N, s.Perm, false)
+				if err := pm.m.MulVec(yr, pm.x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range yr {
+					if !sameBits(y[i], yr[i]) {
+						t.Fatalf("%s: MulRows y[%d] = %v after Reset, CSR %v", pm.name, i, y[i], yr[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// poison fills every buffer of s to its capacity, and its scalar
+// fields, with values no build writes.
+func poison(s *core.SELL[float64]) {
+	fill := func(n int, set func(i int)) {
+		for i := 0; i < n; i++ {
+			set(i)
+		}
+	}
+	s.Val = s.Val[:cap(s.Val)]
+	fill(len(s.Val), func(i int) { s.Val[i] = math.NaN() })
+	s.ColIdx = s.ColIdx[:cap(s.ColIdx)]
+	fill(len(s.ColIdx), func(i int) { s.ColIdx[i] = -1 << 30 })
+	s.SliceStart = s.SliceStart[:cap(s.SliceStart)]
+	fill(len(s.SliceStart), func(i int) { s.SliceStart[i] = -7 })
+	s.SliceLen = s.SliceLen[:cap(s.SliceLen)]
+	fill(len(s.SliceLen), func(i int) { s.SliceLen[i] = 1 << 20 })
+	s.RowLen = s.RowLen[:cap(s.RowLen)]
+	fill(len(s.RowLen), func(i int) { s.RowLen[i] = 1 << 20 })
+	s.Perm = s.Perm[:cap(s.Perm)]
+	fill(len(s.Perm), func(i int) { s.Perm[i] = -3 })
+	s.N, s.NCols, s.NPad, s.Nnz, s.C, s.SortWindow, s.MaxRowLen = -1, -1, -1, -1, -1, -1, -1
+	s.Preset = core.PresetPJDS
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pjds/internal/matrix"
 )
@@ -138,8 +139,29 @@ func ClampSigma(c, sigma, n int) int {
 }
 
 func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt matrix.ConvertOptions) (*SELL[T], error) {
+	s := new(SELL[T])
+	if err := s.reset(m, c, sigma, preset, opt); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset rebuilds s in place as the layout NewSELL(m, c, sigma, opt)
+// returns, reusing the capacity of its slices: a layout sized once for
+// the largest of several builds serves all of them without allocating
+// its arrays again (the tuner's (C, σ) sweep). Kernels over s, and
+// slices taken from it, must not be used across a Reset. On error s is
+// unchanged.
+func (s *SELL[T]) Reset(m *matrix.CSR[T], c, sigma int, opt matrix.ConvertOptions) error {
+	return s.reset(m, c, sigma, PresetSELL, opt)
+}
+
+// reset is the one construction path of every preset. Reused slices
+// are not zeroed, so every element the layout exposes is written here,
+// padding included.
+func (s *SELL[T]) reset(m *matrix.CSR[T], c, sigma int, preset Preset, opt matrix.ConvertOptions) error {
 	if c < 1 {
-		return nil, fmt.Errorf("core: chunk height %d < 1", c)
+		return fmt.Errorf("core: chunk height %d < 1", c)
 	}
 	n := m.NRows
 	sigma = ClampSigma(c, sigma, n)
@@ -150,6 +172,11 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 		// The global sort of pJDS, parallel over rows; it records its
 		// own "jds-sort" phase.
 		perm = matrix.SortRowsByLengthDescOpt(m, opt)
+	} else {
+		perm = matrix.Resize(s.Perm, n)
+		for i := range perm {
+			perm[i] = i
+		}
 	}
 
 	done := opt.Phase(scanPhase)
@@ -171,13 +198,9 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 		maxLen = max(maxLen, v)
 	}
 
-	switch {
-	case preset == PresetPJDS:
-		// Sorted globally above.
-	case sigma > 1:
+	if preset != PresetPJDS && sigma > 1 {
 		// Windows are independent, so they distribute over workers
 		// with one counting-sort scratch buffer each.
-		perm = matrix.Identity(n)
 		counts := make([][]int, workers)
 		for w := range counts {
 			counts[w] = opt.Arena.Int(maxLen + 2)
@@ -187,8 +210,6 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 				matrix.SortRangeByLengthDesc(lens, win*sigma, min(win*sigma+sigma, n), perm, counts[w])
 			}
 		})
-	default:
-		perm = matrix.Identity(n)
 	}
 
 	if layoutPhase != scanPhase {
@@ -196,7 +217,7 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 		done = opt.Phase(layoutPhase)
 	}
 	npad := (n + c - 1) / c * c
-	s := &SELL[T]{
+	*s = SELL[T]{
 		N:          n,
 		NCols:      m.NCols,
 		NPad:       npad,
@@ -205,7 +226,11 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 		SortWindow: sigma,
 		MaxRowLen:  maxLen,
 		Preset:     preset,
-		RowLen:     make([]int32, npad),
+		Val:        s.Val,
+		ColIdx:     s.ColIdx,
+		SliceStart: s.SliceStart,
+		SliceLen:   s.SliceLen,
+		RowLen:     matrix.Resize(s.RowLen, npad),
 		Perm:       perm,
 	}
 	opt.Run(n, func(w, lo, hi int) {
@@ -213,15 +238,14 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 			s.RowLen[i] = int32(lens[perm[i]])
 		}
 	})
+	clear(s.RowLen[n:])
 
 	nSlices := npad / c
-	s.SliceStart = make([]int64, nSlices+1)
-	s.SliceLen = make([]int32, nSlices)
+	s.SliceStart = matrix.Resize(s.SliceStart, nSlices+1)
+	s.SliceLen = matrix.Resize(s.SliceLen, nSlices)
 	var total int64
 	for sl := range s.SliceLen {
-		for _, l := range s.RowLen[sl*c : sl*c+c] {
-			s.SliceLen[sl] = max(s.SliceLen[sl], l)
-		}
+		s.SliceLen[sl] = slices.Max(s.RowLen[sl*c : sl*c+c])
 		s.SliceStart[sl] = total
 		total += int64(s.SliceLen[sl]) * int64(c)
 	}
@@ -234,28 +258,41 @@ func newSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, preset Preset, opt 
 	defer done()
 	// Row i writes only slots base + j*c of its own lane, so rows are
 	// independent and the parallel fill is byte-identical.
-	s.Val = make([]T, total)
-	s.ColIdx = make([]int32, total)
+	s.Val = matrix.Resize(s.Val, int(total))
+	s.ColIdx = matrix.Resize(s.ColIdx, int(total))
 	opt.Run(n, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cols, vals := m.Row(perm[i])
-			safe := int32(0)
-			if len(cols) > 0 {
-				safe = cols[0]
-			}
-			at := s.SliceStart[i/c] + int64(i%c)
-			for j := 0; j < int(s.SliceLen[i/c]); j++ {
-				if j < len(cols) {
-					s.Val[at] = vals[j]
-					s.ColIdx[at] = cols[j]
-				} else {
-					s.ColIdx[at] = safe
-				}
-				at += int64(c)
-			}
+			s.fillLane(i, cols, vals)
 		}
 	})
-	return s, nil
+	// The padding rows of the last chunk hold value 0 at column 0.
+	for i := n; i < npad; i++ {
+		s.fillLane(i, nil, nil)
+	}
+	return nil
+}
+
+// fillLane stores stored row i's columns and values in its chunk lane
+// and pads the lane to the chunk length with value 0 at the row's first
+// column (column 0 for an empty row).
+func (s *SELL[T]) fillLane(i int, cols []int32, vals []T) {
+	c := s.C
+	sl := i / c
+	at := int(s.SliceStart[sl]) + i - sl*c
+	safe := int32(0)
+	if len(cols) > 0 {
+		safe = cols[0]
+	}
+	cols = cols[:len(vals)]
+	for j, v := range vals {
+		s.Val[at], s.ColIdx[at] = v, cols[j]
+		at += c
+	}
+	for j := len(vals); j < int(s.SliceLen[sl]); j++ {
+		s.Val[at], s.ColIdx[at] = 0, safe
+		at += c
+	}
 }
 
 // Name identifies the format in reports and labels kernels and

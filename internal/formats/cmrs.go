@@ -59,24 +59,35 @@ func NewCMRS[T matrix.Float](m *matrix.CSR[T], height int) (*CMRS[T], error) {
 // row pointers alone, so every worker count builds the identical
 // arrays.
 func NewCMRSWith[T matrix.Float](m *matrix.CSR[T], height int, opt matrix.ConvertOptions) (*CMRS[T], error) {
+	c := new(CMRS[T])
+	if err := c.Reset(m, height, opt); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset rebuilds c in place as the layout NewCMRSWith(m, height, opt)
+// returns, reusing the capacity of its slices. Kernels over c must not
+// be used across a Reset. On error c is unchanged.
+func (c *CMRS[T]) Reset(m *matrix.CSR[T], height int, opt matrix.ConvertOptions) error {
 	if height == 0 {
 		height = DefaultStripHeight
 	}
 	if height < 1 || height > MaxStripHeight {
-		return nil, fmt.Errorf("formats: CMRS strip height %d outside [1, %d]", height, MaxStripHeight)
+		return fmt.Errorf("formats: CMRS strip height %d outside [1, %d]", height, MaxStripHeight)
 	}
 	done := opt.Phase("cmrs-fill")
 	defer done()
 	n := m.NRows
 	nStrips := (n + height - 1) / height
 	nnz := m.Nnz()
-	c := &CMRS[T]{
+	*c = CMRS[T]{
 		N: n, NCols: m.NCols, NnzV: nnz,
 		Height: height, NStrips: nStrips,
-		Val:        make([]T, nnz),
-		ColIdx:     make([]int32, nnz),
-		RowInStrip: make([]uint8, nnz),
-		StripPtr:   make([]int64, nStrips+1),
+		Val:        matrix.Resize(c.Val, nnz),
+		ColIdx:     matrix.Resize(c.ColIdx, nnz),
+		RowInStrip: matrix.Resize(c.RowInStrip, nnz),
+		StripPtr:   matrix.Resize(c.StripPtr, nStrips+1),
 	}
 	for s := 0; s <= nStrips; s++ {
 		row := s * height
@@ -105,7 +116,7 @@ func NewCMRSWith[T matrix.Float](m *matrix.CSR[T], height int, opt matrix.Conver
 			}
 		}
 	})
-	return c, nil
+	return nil
 }
 
 // Name implements Format.

@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,6 +143,46 @@ func TestCMRSWorkerDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, par) {
 			t.Fatalf("workers=%d: CMRS differs from sequential build", w)
+		}
+	}
+}
+
+// TestCMRSResetMatchesNew: a CMRS layout rebuilt in place by Reset,
+// over buffers filled with garbage to their full capacity, equals a
+// fresh NewCMRSWith as the matrices grow and then shrink.
+func TestCMRSResetMatchesNew(t *testing.T) {
+	var c CMRS[float64]
+	for k, tc := range []struct {
+		rows, cols, height int
+		density            float64
+	}{{0, 0, 8, 0}, {40, 30, 8, 0.1}, {317, 290, 32, 0.04}, {120, 80, 16, 0.05}, {9, 7, 4, 0.3}} {
+		m := randomCSR(tc.rows, tc.cols, tc.density, int64(k))
+		c.Val = c.Val[:cap(c.Val)]
+		for i := range c.Val {
+			c.Val[i] = math.NaN()
+		}
+		c.ColIdx = c.ColIdx[:cap(c.ColIdx)]
+		for i := range c.ColIdx {
+			c.ColIdx[i] = -1
+		}
+		c.RowInStrip = c.RowInStrip[:cap(c.RowInStrip)]
+		for i := range c.RowInStrip {
+			c.RowInStrip[i] = 0xff
+		}
+		c.StripPtr = c.StripPtr[:cap(c.StripPtr)]
+		for i := range c.StripPtr {
+			c.StripPtr[i] = -1
+		}
+		opt := matrix.ConvertOptions{Workers: 2, ForceParallel: true}
+		if err := c.Reset(m, tc.height, opt); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewCMRSWith(m, tc.height, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&c, want) {
+			t.Fatalf("%dx%d h=%d: Reset %+v, NewCMRSWith %+v", tc.rows, tc.cols, tc.height, c, *want)
 		}
 	}
 }

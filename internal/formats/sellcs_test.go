@@ -110,25 +110,30 @@ func TestZeroPaddingMonotoneInSigma(t *testing.T) {
 	}
 }
 
-// TestEstimateBetaExact: the length-array estimate must equal the β of
-// the layout it predicts, for every clamping corner (σ unaligned to C,
-// σ ≥ n, σ = 1).
+// TestEstimateBetaExact: the length-array estimate must equal the
+// stored slots and β of the layout it predicts, for every clamping
+// corner (σ unaligned to C, σ ≥ n, σ = 1), whichever σ was sorted
+// first.
 func TestEstimateBetaExact(t *testing.T) {
 	m := randomCSR(317, 290, 0.04, 23)
 	lens := make([]int, m.NRows)
 	for i := range lens {
 		lens[i] = m.RowLen(i)
 	}
+	p := NewPadding(lens)
 	for _, tc := range []struct{ c, sigma int }{
-		{4, 1}, {8, 100}, {16, 250}, {32, 317}, {32, 1000}, {6, 50},
+		{4, 1}, {8, 100}, {16, 250}, {32, 317}, {32, 1000}, {6, 50}, {8, 104}, {4, 100},
 	} {
 		s, err := newSliced(m, tc.c, tc.sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := EstimateBeta(lens, tc.c, tc.sigma)
-		if math.Abs(got-s.PaddingOverhead()) > 1e-12 {
-			t.Errorf("C=%d σ=%d: estimate %g, layout %g", tc.c, tc.sigma, got, s.PaddingOverhead())
+		stored, beta := p.Estimate(tc.c, tc.sigma)
+		if stored != s.StoredElems() {
+			t.Errorf("C=%d σ=%d: estimated %d stored slots, layout %d", tc.c, tc.sigma, stored, s.StoredElems())
+		}
+		if math.Abs(beta-s.PaddingOverhead()) > 1e-12 {
+			t.Errorf("C=%d σ=%d: estimate %g, layout %g", tc.c, tc.sigma, beta, s.PaddingOverhead())
 		}
 	}
 }

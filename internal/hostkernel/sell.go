@@ -51,7 +51,15 @@ func NewSELL(m *matrix.CSR[float64], opt Options) (*SELL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSELLKernel(s, string(KindSELL), false, opt), nil
+	return NewSELLFrom(s, opt), nil
+}
+
+// NewSELLFrom builds the SELL kernel over an existing layout, computing
+// in the original basis like NewSELL; opt.C and opt.Sigma are unused.
+// The kernel reads s at every apply, so s must not be Reset before the
+// kernel is closed.
+func NewSELLFrom(s *core.SELL[float64], opt Options) *SELL {
+	return newSELLKernel(s, string(KindSELL), false, opt)
 }
 
 // NewPJDS builds the SELL kernel over an existing pJDS matrix. It is

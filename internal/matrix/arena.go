@@ -111,3 +111,13 @@ func (p *aPool[E]) get(n int) []E {
 func (p *aPool[E]) reset() {
 	p.free = append(p.free[:0], p.all...)
 }
+
+// Resize returns a non-nil slice of length n that reuses buf's capacity
+// when it suffices, for layouts rebuilt in place. Unlike an Arena slice
+// it is not cleared: the caller overwrites every element.
+func Resize[E any](buf []E, n int) []E {
+	if buf != nil && cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]E, n)
+}

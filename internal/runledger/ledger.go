@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"pjds/internal/telemetry"
@@ -139,8 +140,11 @@ func Read(path string) ([]Entry, error) {
 
 // GitRev returns the abbreviated HEAD revision (with a "-dirty"
 // suffix when the tree has modifications), or "unknown" outside a
-// git checkout.
-func GitRev() string {
+// git checkout. The two git commands run once per process, at the
+// first call: later calls return that first answer, so a long-lived
+// process records the checkout it started in, not a later commit or
+// edit.
+var GitRev = sync.OnceValue(func() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
@@ -153,7 +157,7 @@ func GitRev() string {
 		rev += "-dirty"
 	}
 	return rev
-}
+})
 
 // HostInfo samples the current machine.
 func HostInfo() Host {

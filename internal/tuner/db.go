@@ -9,11 +9,16 @@ package tuner
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"pjds/internal/matrix"
@@ -163,16 +168,21 @@ func Read(path string) ([]Entry, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var out []Entry
 	for sc.Scan() {
-		var e Entry
-		if json.Unmarshal(sc.Bytes(), &e) != nil || e.Schema != Schema {
-			continue
+		if e, ok := decodeEntry(sc.Bytes()); ok {
+			out = append(out, e)
 		}
-		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return out, fmt.Errorf("tuner: %w", err)
 	}
 	return out, nil
+}
+
+// decodeEntry parses one DB line, reporting false for a malformed or
+// foreign-schema line.
+func decodeEntry(line []byte) (Entry, bool) {
+	var e Entry
+	return e, json.Unmarshal(line, &e) == nil && e.Schema == Schema
 }
 
 // Lookup returns the newest entry matching the fingerprint and device
@@ -186,4 +196,115 @@ func Lookup(entries []Entry, fingerprint, device string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
+}
+
+// dbIndex is the in-process view of one tuning DB file: the newest
+// entry per (fingerprint, device) among the file's complete lines up to
+// byte off. A lookup extends it with the lines any writer appended
+// since, so a miss costs only the new tail, not a decode of the whole
+// DB.
+type dbIndex struct {
+	mu     sync.Mutex
+	file   os.FileInfo // the file off refers to; nil when none was read
+	off    int64       // bytes indexed: 0, or just past a '\n'
+	newest map[dbKey]Entry
+}
+
+// dbKey keys the index. Every entry is stored under its own device and
+// under the empty device, which Lookup treats as "any device".
+type dbKey struct{ fingerprint, device string }
+
+// dbIndexes holds one index per DB path for the life of the process,
+// so the service's uploads share what earlier uploads indexed.
+var dbIndexes = struct {
+	sync.Mutex
+	byPath map[string]*dbIndex
+}{byPath: map[string]*dbIndex{}}
+
+// indexFor returns the process's index of the DB at path.
+func indexFor(path string) *dbIndex {
+	dbIndexes.Lock()
+	defer dbIndexes.Unlock()
+	ix := dbIndexes.byPath[path]
+	if ix == nil {
+		ix = &dbIndex{}
+		dbIndexes.byPath[path] = ix
+	}
+	return ix
+}
+
+// lookup answers as Lookup over Read of the file's complete lines
+// would, after indexing the lines appended since the last lookup.
+func (ix *dbIndex) lookup(path, fingerprint, device string) (Entry, bool, error) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if err := ix.refresh(path); err != nil {
+		return Entry{}, false, err
+	}
+	e, ok := ix.newest[dbKey{fingerprint, device}]
+	return e, ok, nil
+}
+
+// refresh brings the index up to the file's last complete line. It
+// starts over from byte 0 when the file shrank, was replaced by another
+// file, or no longer has the newline that ended the indexed lines at
+// off−1 (rewritten in place), and empties the index when the file is
+// missing. A torn last line — a write still in progress — stays
+// unindexed until its newline lands.
+func (ix *dbIndex) refresh(path string) error {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		ix.reset(nil)
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("tuner: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("tuner: %w", err)
+	}
+	if ix.file == nil || !os.SameFile(ix.file, fi) || fi.Size() < ix.off {
+		ix.reset(fi)
+	}
+	if fi.Size() == ix.off {
+		return nil
+	}
+	from := max(ix.off-1, 0)
+	buf := make([]byte, fi.Size()-from)
+	n, err := f.ReadAt(buf, from)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("tuner: %w", err)
+	}
+	buf = buf[:n]
+	if ix.off > 0 {
+		if len(buf) == 0 || buf[0] != '\n' {
+			ix.reset(fi)
+			return ix.refresh(path)
+		}
+		buf = buf[1:]
+	}
+	ix.off += int64(ix.index(buf))
+	return nil
+}
+
+// reset empties the index and points it at file fi.
+func (ix *dbIndex) reset(fi os.FileInfo) {
+	ix.file, ix.off, ix.newest = fi, 0, map[dbKey]Entry{}
+}
+
+// index adds buf's complete lines and returns the number of bytes they
+// span.
+func (ix *dbIndex) index(buf []byte) int {
+	end := bytes.LastIndexByte(buf, '\n') + 1
+	for rest := buf[:end]; len(rest) > 0; {
+		i := bytes.IndexByte(rest, '\n')
+		if e, ok := decodeEntry(rest[:i]); ok {
+			ix.newest[dbKey{e.Fingerprint, e.Device}] = e
+			ix.newest[dbKey{e.Fingerprint, ""}] = e
+		}
+		rest = rest[i+1:]
+	}
+	return end
 }

@@ -2,9 +2,11 @@ package tuner
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pjds/internal/advisor"
+	"pjds/internal/core"
 	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/hostkernel"
@@ -137,29 +139,56 @@ func Grid(n int, dev *gpu.Device) []Cell {
 // naive reference, so a tuned pick can always be digest-checked
 // against naive. The pJDS cell runs as its SELL-32-∞ equivalent.
 func KernelFor(c Cell, m *matrix.CSR[float64], workers int, reg *telemetry.Registry) (hostkernel.Kernel, error) {
-	opt := hostkernel.Options{Workers: workers, Metrics: reg}
+	return kernelFor(c, m, new(sweepScratch), hostkernel.Options{Workers: workers, Metrics: reg})
+}
+
+// sweepScratch is what the cells of a sweep share: one SELL layout,
+// rebuilt in place for each SELL and pJDS cell, the arena its
+// conversions take their scratch from, and one CMRS layout rebuilt for
+// each CMRS cell.
+type sweepScratch struct {
+	layout core.SELL[float64]
+	arena  matrix.Arena
+	cmrs   formats.CMRS[float64]
+}
+
+// kernelFor is KernelFor over sweep scratch: SELL, pJDS and CMRS cells
+// rebuild sc's layouts, and their kernel reads them until it is closed.
+func kernelFor(c Cell, m *matrix.CSR[float64], sc *sweepScratch, opt hostkernel.Options) (hostkernel.Kernel, error) {
 	switch c.Format {
 	case "crs":
 		return hostkernel.New(hostkernel.KindBlocked, m, opt)
-	case "pjds":
-		opt.C, opt.Sigma = 32, m.NRows
-		if opt.Sigma < 1 {
-			opt.Sigma = 1
+	case "pjds", "sell":
+		opt.C, opt.Sigma = c.sellGeometry(m.NRows)
+		sc.arena.Reset()
+		if err := sc.layout.Reset(m, opt.C, opt.Sigma, matrix.ConvertOptions{Workers: opt.Workers, Arena: &sc.arena}); err != nil {
+			return nil, err
 		}
-		return hostkernel.New(hostkernel.KindSELL, m, opt)
-	case "sell":
-		opt.C, opt.Sigma = c.C, c.Sigma
-		return hostkernel.New(hostkernel.KindSELL, m, opt)
+		return hostkernel.NewSELLFrom(&sc.layout, opt), nil
 	case "cmrs":
 		opt.C = c.Height
-		return hostkernel.New(hostkernel.KindCMRS, m, opt)
+		if err := sc.cmrs.Reset(m, opt.C, matrix.ConvertOptions{Workers: opt.Workers}); err != nil {
+			return nil, err
+		}
+		return hostkernel.NewCMRSOver(&sc.cmrs, opt)
 	}
 	return nil, fmt.Errorf("tuner: unknown cell format %q", c.Format)
 }
 
+// sellGeometry returns the chunk height and sorting window of a SELL or
+// pJDS cell on an n-row matrix; pJDS is SELL-32-∞.
+func (c Cell) sellGeometry(n int) (chunk, sigma int) {
+	if c.Format == "pjds" {
+		return 32, max(n, 1)
+	}
+	return c.C, c.Sigma
+}
+
 // modelBytesPerNnz is the Eq. 1 traffic prediction the pruning pass
-// ranks cells by (see advisor.RankFormats for the derivation).
-func modelBytesPerNnz(c *Cell, lens []int, alpha, nnzr float64, dev *gpu.Device) float64 {
+// ranks cells by (see advisor.RankFormats for the derivation). For SELL
+// and pJDS cells it sets the cell's β and also returns the layout's
+// stored slot count; it returns 0 slots for the others.
+func modelBytesPerNnz(c *Cell, pad *formats.Padding, n int, alpha, nnzr float64, dev *gpu.Device) (float64, int64) {
 	base := 8*alpha + 16/nnzr
 	switch c.Format {
 	case "crs":
@@ -167,22 +196,22 @@ func modelBytesPerNnz(c *Cell, lens []int, alpha, nnzr float64, dev *gpu.Device)
 		if gather < 1 {
 			gather = 1
 		}
-		return 12*gather + base
+		return 12*gather + base, 0
 	case "cmrs":
-		return 13 + base
-	case "pjds":
-		c.Beta = formats.EstimateBeta(lens, 32, len(lens))
-	default:
-		c.Beta = formats.EstimateBeta(lens, c.C, c.Sigma)
+		return 13 + base, 0
 	}
-	return 12*(1+c.Beta) + base
+	var stored int64
+	stored, c.Beta = pad.Estimate(c.sellGeometry(n))
+	return 12*(1+c.Beta) + base, stored
 }
 
 // Tune sweeps the grid for m and returns the completed entry (not yet
 // persisted — TuneOrLookup handles the DB round trip). Every cell
 // first gets its model score; cells beyond the pruning band are
 // skipped, survivors are measured with warmup + best-of-iters timed
-// replays of the real host kernels.
+// replays of the real host kernels. The SELL and pJDS survivors share
+// one layout, sized once for the largest of them and rebuilt in place
+// for each; the CMRS survivors share another.
 func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 	dev := cfg.device()
 	now := cfg.now()
@@ -217,19 +246,24 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 
 	// Model pass: score every cell, then prune beyond the band.
 	tModel := now()
+	pad := formats.NewPadding(lens)
+	stored := make([]int64, len(cells))
 	best := 0.0
 	for i := range cells {
-		cells[i].ModelBytesPerNnz = modelBytesPerNnz(&cells[i], lens, alpha, nnzr, dev)
+		cells[i].ModelBytesPerNnz, stored[i] = modelBytesPerNnz(&cells[i], pad, m.NRows, alpha, nnzr, dev)
 		if i == 0 || cells[i].ModelBytesPerNnz < best {
 			best = cells[i].ModelBytesPerNnz
 		}
 	}
 	band := best * cfg.pruneFactor()
 	pruned := 0
+	var slots int64
 	for i := range cells {
 		if cells[i].Format != "pjds" && cells[i].ModelBytesPerNnz > band {
 			cells[i].Pruned = true
 			pruned++
+		} else {
+			slots = max(slots, stored[i])
 		}
 	}
 	span("model-prune", tModel)
@@ -245,13 +279,14 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 		x[i] = 1 + float64(i%7)*0.125
 	}
 	y := make([]float64, m.NRows)
+	sc := &sweepScratch{layout: core.SELL[float64]{Val: make([]float64, 0, slots), ColIdx: make([]int32, 0, slots)}}
 	winner := -1
 	for i := range cells {
 		if cells[i].Pruned {
 			continue
 		}
 		tc := now()
-		k, err := KernelFor(cells[i], m, cfg.Workers, nil)
+		k, err := kernelFor(cells[i], m, sc, hostkernel.Options{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +336,10 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 // TuneOrLookup consults the DB at path ("" = DefaultPath) before
 // sweeping: a stored entry for the same structure fingerprint and
 // device is a cache hit and returns immediately (no re-sweep); a miss
-// tunes and appends. The bool result reports the cache hit.
+// tunes and appends. The bool result reports the cache hit. Lookups go
+// through a per-path index kept for the life of the process, which
+// decodes only the lines appended to the file since the previous
+// lookup, by this process or any other writer.
 func TuneOrLookup(m *matrix.CSR[float64], name, path string, cfg Config) (*Entry, bool, error) {
 	if path == "" {
 		path = DefaultPath
@@ -309,21 +347,22 @@ func TuneOrLookup(m *matrix.CSR[float64], name, path string, cfg Config) (*Entry
 	reg := cfg.metrics()
 	reg.Help("tuner_cache_hits_total", "tuning requests answered from the persisted DB")
 	reg.Help("tuner_cache_misses_total", "tuning requests that required a sweep")
-	entries, err := Read(path)
+	e, ok, err := indexFor(path).lookup(path, Fingerprint(m), cfg.device().Name)
 	if err != nil {
 		return nil, false, err
 	}
-	if e, ok := Lookup(entries, Fingerprint(m), cfg.device().Name); ok {
+	if ok {
 		reg.Counter("tuner_cache_hits_total").Inc()
+		e.Cells = slices.Clone(e.Cells) // the index keeps its own copy
 		return &e, true, nil
 	}
 	reg.Counter("tuner_cache_misses_total").Inc()
-	e, err := Tune(m, name, cfg)
+	tuned, err := Tune(m, name, cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	if err := Append(path, *e); err != nil {
+	if err := Append(path, *tuned); err != nil {
 		return nil, false, err
 	}
-	return e, false, nil
+	return tuned, false, nil
 }

@@ -4,8 +4,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"pjds/internal/advisor"
+	"pjds/internal/core"
+	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
@@ -241,5 +245,128 @@ func TestModelPruningMonotone(t *testing.T) {
 	}
 	if math.IsNaN(e.Winner.ModelBytesPerNnz) || e.Winner.ModelBytesPerNnz <= 0 {
 		t.Errorf("winner model score %g", e.Winner.ModelBytesPerNnz)
+	}
+}
+
+// TestTuneAllocs: the SELL and pJDS cells of a sweep rebuild one
+// layout and the CMRS cells another, so a whole sweep allocates less
+// than four SELL layouts' worth of bytes.
+func TestTuneAllocs(t *testing.T) {
+	m := matgen.HMEp(0.00215, 7) // 199,587 non-zeros
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	layout := allocated(func() {
+		if _, err := core.NewSELL(m, 32, m.NRows, matrix.ConvertOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sweep := allocated(func() {
+		if _, err := Tune(m, "HMEp", Config{Workers: 1, Metrics: telemetry.NewRegistry()}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sweep >= 4*layout {
+		t.Fatalf("one sweep allocated %d B = %.1f× one SELL layout (%d B), want < 4×", sweep, float64(sweep)/float64(layout), layout)
+	}
+}
+
+// estimateBetaRef prices one cell on its own, with its own windowed
+// sort of the row lengths: the reference the model pass, which shares
+// one sort per σ, must match bit for bit.
+func estimateBetaRef(lens []int, c, sigma int) float64 {
+	n := len(lens)
+	if n == 0 || c < 1 {
+		return 0
+	}
+	sigma = core.ClampSigma(c, sigma, n)
+	maxLen := 0
+	var nnz int64
+	for _, l := range lens {
+		nnz += int64(l)
+		if l > maxLen {
+			maxLen = l
+		}
+	}
+	if nnz == 0 {
+		return 0
+	}
+	sorted := lens
+	if sigma > 1 {
+		perm := matrix.Identity(n)
+		count := make([]int, maxLen+2)
+		for lo := 0; lo < n; lo += sigma {
+			matrix.SortRangeByLengthDesc(lens, lo, min(lo+sigma, n), perm, count)
+		}
+		sorted = make([]int, n)
+		for i, p := range perm {
+			sorted[i] = lens[p]
+		}
+	}
+	var stored int64
+	for lo := 0; lo < n; lo += c {
+		sliceMax := 0
+		for i := lo; i < lo+c && i < n; i++ {
+			if sorted[i] > sliceMax {
+				sliceMax = sorted[i]
+			}
+		}
+		stored += int64(sliceMax) * int64(c)
+	}
+	return float64(stored)/float64(nnz) - 1
+}
+
+// TestModelPassMatchesPerCellEstimate pins the model pass bit for bit:
+// over Grid, every cell of a sweep has the β, model bytes and pruning
+// verdict the per-cell estimate gives.
+func TestModelPassMatchesPerCellEstimate(t *testing.T) {
+	dev := gpu.TeslaC2070()
+	zoo := zoo(t)
+	for _, name := range []string{"banded", "powerlaw", "fem"} {
+		m := zoo[name]
+		e, err := Tune(m, name, Config{Workers: 1, Metrics: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := matrix.ComputeStats(m)
+		lens := make([]int, m.NRows)
+		for i := range lens {
+			lens[i] = m.RowLen(i)
+		}
+		base := 8*advisor.EstimateAlpha(st, dev) + 16/st.AvgRowLen
+		want := Grid(m.NRows, dev)
+		best := math.Inf(1)
+		for i, c := range want {
+			switch c.Format {
+			case "crs":
+				want[i].ModelBytesPerNnz = 12*max(float64(dev.SegmentBytes)/16, 1) + base
+			case "cmrs":
+				want[i].ModelBytesPerNnz = 13 + base
+			case "pjds":
+				want[i].Beta = estimateBetaRef(lens, 32, len(lens))
+			default:
+				want[i].Beta = estimateBetaRef(lens, c.C, c.Sigma)
+			}
+			if c.Format == "pjds" || c.Format == "sell" {
+				want[i].ModelBytesPerNnz = 12*(1+want[i].Beta) + base
+			}
+			best = min(best, want[i].ModelBytesPerNnz)
+		}
+		if len(e.Cells) != len(want) {
+			t.Fatalf("%s: %d cells, want %d", name, len(e.Cells), len(want))
+		}
+		for i, c := range e.Cells {
+			w := want[i]
+			w.Pruned = w.Format != "pjds" && w.ModelBytesPerNnz > best*1.5
+			c.MeasuredNsPerNnz = 0
+			if c != w || math.Float64bits(c.Beta) != math.Float64bits(w.Beta) ||
+				math.Float64bits(c.ModelBytesPerNnz) != math.Float64bits(w.ModelBytesPerNnz) {
+				t.Errorf("%s: cell %d = %+v, per-cell estimate %+v", name, i, c, w)
+			}
+		}
 	}
 }

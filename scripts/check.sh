@@ -10,6 +10,7 @@
 #     tolerant solver, telemetry, flight recorder, health, service, the
 #     GPU worker pool, the ingest-and-convert pipeline, host kernels
 #     and tuner;
+#   - a bounded fuzz run of the tuning-DB tail reader;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
 #     beat best-of-3 naive, and best-of-3 pJDS (SELL-32-N) must stay
 #     within 1.25x of best-of-3 SELL-8;
@@ -72,6 +73,11 @@ go test -race ./internal/matrix/... ./internal/core/... \
 echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/cpu/... \
     ./internal/tuner/...
+
+echo "== fuzz (tuning-DB tail reader, bounded) =="
+# The checked-in corpus already runs under go test; this explores
+# beyond it for a fixed time.
+go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
 
 echo "== host-kernel speed gate (best-of-3 blocked below best-of-3 naive) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
