@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 
-	"pjds/internal/advisor"
 	"pjds/internal/convert"
 	"pjds/internal/core"
 	"pjds/internal/experiments"
@@ -104,7 +103,7 @@ func run(args []string, out io.Writer) error {
 	if err := printFootprints(out, m, opt); err != nil {
 		return err
 	}
-	rec2 := advisor.Recommend(st, nil, nil)
+	rec2 := tuner.Recommend(st, nil, nil)
 	fmt.Fprintf(out, "\nadvice: offload %s (PCIe penalty ~%.0f%%), format %s\n", rec2.Offload, rec2.PCIePenaltyPct, rec2.Format)
 	for _, r := range rec2.Reasons {
 		fmt.Fprintf(out, "  - %s\n", r)
@@ -158,7 +157,7 @@ func printRecommendation(out io.Writer, m *matrix.CSR[float64], st matrix.Stats,
 	for i := range lens {
 		lens[i] = m.RowLen(i)
 	}
-	scores := advisor.RankFormats(st, lens, nil)
+	scores := tuner.RankFormats(st, lens, nil)
 	fmt.Fprintf(out, "\nformat ranking (modeled DP bytes/nnz, Eq. 1):\n")
 	rows := [][]string{{"rank", "format", "bytes/nnz", "beta", "why"}}
 	for i, s := range scores {

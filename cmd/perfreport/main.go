@@ -69,14 +69,13 @@ import (
 
 	"pjds/internal/convert"
 	"pjds/internal/core"
-	"pjds/internal/cpu"
 	"pjds/internal/critpath"
 	"pjds/internal/distmv"
 	"pjds/internal/experiments"
 	"pjds/internal/gpu"
 	"pjds/internal/hostkernel"
 	"pjds/internal/matrix"
-	"pjds/internal/perfmodel"
+	"pjds/internal/model"
 	"pjds/internal/profiles"
 	"pjds/internal/runledger"
 	"pjds/internal/telemetry"
@@ -381,8 +380,8 @@ func runHostReport(w io.Writer, matrixName string, scale float64, iters int, jso
 		return err
 	}
 	nnzr := m.AvgRowLen()
-	cbIdeal := perfmodel.CodeBalanceDP(perfmodel.AlphaIdeal(nnzr), nnzr)
-	west, err := cpu.WestmereEP().EstimateCRS(m)
+	cbIdeal := model.CodeBalanceDP(model.AlphaIdeal(nnzr), nnzr)
+	west, err := model.WestmereEP().EstimateCRS(m)
 	if err != nil {
 		return err
 	}

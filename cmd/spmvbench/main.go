@@ -1,13 +1,20 @@
-// Command spmvbench reproduces the single-GPU format comparison of the
-// paper: Table I (data reduction and GF/s for ELLPACK-R vs pJDS in
+// Command spmvbench reproduces the paper's single-GPU figures and
+// models: Table I (data reduction and GF/s for ELLPACK-R vs pJDS in
 // SP/DP with ECC on/off, plus the Westmere CRS baseline), the
-// quantified Fig. 2 (storage vs hardware utilization), the §IV outlook
-// format comparison, and the format-side ablations.
+// quantified Fig. 2 (storage vs hardware utilization), the Fig. 3
+// row-length histograms, the §II-B performance model (the Eq. 1 code
+// balance, the Eq. 2 kernel/PCIe split and the Eq. 3/4 N_nzr bounds,
+// next to the measured PCIe impact), the §IV outlook format
+// comparison, the format-side ablations, and the reproduction
+// certificate that grades every DESIGN.md shape claim.
 //
 // Usage:
 //
 //	spmvbench -table1 [-scale 0.1]
 //	spmvbench -fig2 -matrix sAMG [-scale 0.1]
+//	spmvbench -fig3 [-scale 0.1]
+//	spmvbench -sec2b [-scale 0.1]
+//	spmvbench -papercheck [-scale 0.1]   # non-zero exit when a claim fails
 //	spmvbench -outlook [-scale 0.1]
 //	spmvbench -ablations [-matrix sAMG] [-scale 0.05]
 //	spmvbench -hostbench [-host-kernel blocked] [-host-iters 5] [-scale 0.1]
@@ -32,10 +39,12 @@ import (
 	"pjds/internal/gpu"
 	"pjds/internal/health"
 	"pjds/internal/hostkernel"
+	"pjds/internal/model"
 	"pjds/internal/par"
 	"pjds/internal/profiles"
 	"pjds/internal/runledger"
 	"pjds/internal/telemetry"
+	"pjds/internal/textplot"
 	"pjds/internal/tuner"
 )
 
@@ -53,6 +62,9 @@ func run(args []string, out io.Writer) error {
 		scale      = fs.Float64("scale", experiments.DefaultScale, "matrix scale, 1 = published size (UHBR capped by its memory gate)")
 		table1     = fs.Bool("table1", false, "reproduce Table I")
 		fig2       = fs.Bool("fig2", false, "quantify Fig. 2 on -matrix")
+		fig3       = fs.Bool("fig3", false, "reproduce the Fig. 3 row-length histograms")
+		sec2b      = fs.Bool("sec2b", false, "evaluate the §II-B model: Eq. (1) code balance, Eq. (3)/(4) bounds, measured PCIe impact")
+		paperCheck = fs.Bool("papercheck", false, "grade every DESIGN.md shape claim (PASS/FAIL; error when any claim fails)")
 		ablations  = fs.Bool("ablations", false, "run the DESIGN.md format/model ablations")
 		outlook    = fs.Bool("outlook", false, "run the §IV outlook format comparison (pJDS vs sliced ELLPACK/ELLR-T/BELLPACK/CSR)")
 		matrixArg  = fs.String("matrix", "sAMG", "matrix for -fig2/-ablations: DLR1, DLR2, HMEp, sAMG, UHBR")
@@ -92,7 +104,7 @@ func run(args []string, out io.Writer) error {
 	if *jsonOut != "" {
 		*table1 = true
 	}
-	if !*table1 && !*fig2 && !*ablations && !*outlook && !*hostBench && *formatArg == "" {
+	if !*table1 && !*fig2 && !*fig3 && !*sec2b && !*paperCheck && !*ablations && !*outlook && !*hostBench && *formatArg == "" {
 		*table1 = true
 	}
 	if *flightOn || *flightDump != "" {
@@ -142,6 +154,20 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	if *fig3 {
+		if _, err := experiments.RunFig3(*scale, out); err != nil {
+			return err
+		}
+	}
+	if *sec2b {
+		if err := printBalanceSweep(out); err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
+		if _, err := experiments.RunSec2B(*scale, out); err != nil {
+			return err
+		}
+	}
 	if *outlook {
 		if _, err := experiments.RunFormatComparison(*scale, out); err != nil {
 			return err
@@ -177,6 +203,17 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
+	if *paperCheck {
+		results, err := experiments.CheckReproduction(*scale, out)
+		if err != nil {
+			return err
+		}
+		failures := experiments.CountFailures(results)
+		fmt.Fprintf(out, "\n%d checks, %d failed\n", len(results), failures)
+		if failures > 0 {
+			return fmt.Errorf("%d of %d reproduction checks failed", failures, len(results))
+		}
+	}
 	if *metricsOut != "" {
 		if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
 			return err
@@ -204,6 +241,20 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "ledger: appended run to %s\n", path)
 	}
 	return nil
+}
+
+// printBalanceSweep renders Eq. (1) over the α × N_nzr plane.
+func printBalanceSweep(w io.Writer) error {
+	rows := [][]string{{"Nnzr \\ alpha", "1/Nnzr (ideal)", "0.25", "0.5", "1.0 (worst)"}}
+	for _, nnzr := range []float64{7, 15, 50, 123, 144, 315} {
+		row := []string{fmt.Sprintf("%.0f", nnzr)}
+		for _, alpha := range []float64{model.AlphaIdeal(nnzr), 0.25, 0.5, 1} {
+			row = append(row, fmt.Sprintf("%.2f", model.CodeBalanceDP(alpha, nnzr)))
+		}
+		rows = append(rows, row)
+	}
+	fmt.Fprintln(w, "Eq. (1) — double-precision code balance B_W [bytes/flop]")
+	return textplot.Table(w, rows)
 }
 
 // writeTuneJSON renders a format-selection result as the pjds-tune/v1

@@ -165,3 +165,71 @@ func TestRunFormatFixed(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 }
+
+func TestRunHistogram(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-fig3", "-scale", "0.01"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"DLR1", "DLR2", "HMEp", "sAMG", "non-zeros per row"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+	if strings.Contains(out, "Table I") {
+		t.Error("-fig3 also ran the default Table I")
+	}
+}
+
+func TestRunHistogramBadFlag(t *testing.T) {
+	if err := run([]string{"-fig3", "-nope"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestRunBalanceOnly: the Eq. (1) table that heads -sec2b's output.
+func TestRunBalanceOnly(t *testing.T) {
+	var buf bytes.Buffer
+	if err := printBalanceSweep(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "Eq. (1)") || !strings.Contains(out, "315") {
+		t.Errorf("balance sweep missing:\n%s", out)
+	}
+}
+
+func TestRunMeasured(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-sec2b", "-scale", "0.005"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.HasPrefix(out, "Eq. (1)") {
+		t.Errorf("-sec2b does not open with the Eq. (1) table:\n%s", out)
+	}
+	for _, want := range []string{"Eq. (3)", "Eq. (4)", "with PCIe", "HMEp"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+func TestRunPapercheckTinyScale(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-papercheck", "-scale", "0.02"}, &buf)
+	out := buf.String()
+	if !strings.Contains(out, "Table I") || !strings.Contains(out, "checks,") {
+		t.Errorf("output malformed:\n%s", out)
+	}
+	if err != nil {
+		t.Errorf("reproduction checks failed at tiny scale: %v\n%s", err, out)
+	}
+}
+
+func TestRunPapercheckBadFlag(t *testing.T) {
+	if err := run([]string{"-papercheck", "-bogus"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("bad flag accepted")
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strconv"
 
-	"pjds/internal/perfmodel"
+	"pjds/internal/model"
 	"pjds/internal/telemetry"
 )
 
@@ -110,7 +110,7 @@ func AttributeKernels(metrics []telemetry.Series) []KernelEntry {
 			Coalescing:      a.coal,
 			GFlops:          a.gflops,
 		}
-		e.PredictedDP = perfmodel.CodeBalanceDP(e.Alpha, e.NnzPerRow)
+		e.PredictedDP = model.CodeBalanceDP(e.Alpha, e.NnzPerRow)
 		if e.PredictedDP > 0 {
 			e.DeviationPct = 100 * (e.MeasuredBalance - e.PredictedDP) / e.PredictedDP
 		}

@@ -2,11 +2,13 @@ package distmv
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
+	"pjds/internal/model"
 	"pjds/internal/simnet"
 )
 
@@ -378,6 +380,27 @@ func TestRunInputValidation(t *testing.T) {
 	}
 	if _, err := RunSpMVM(m, make([]float64, 100), 2, Mode(42), Config{Iterations: 1}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// TestRunRejectsInvalidLink: a PCIe link with no bandwidth or a
+// negative latency is a configuration error reported up front, not an
+// infinite wallclock or a failure deep inside the virtual-time layer.
+func TestRunRejectsInvalidLink(t *testing.T) {
+	m := matgen.Stencil2D(10, 10)
+	for _, link := range []*model.Link{
+		{Name: "dead", BytesPerSecond: 0},
+		{Name: "acausal", BytesPerSecond: 5e9, LatencySeconds: -1e-6},
+		{Name: "nan", BytesPerSecond: math.NaN()},
+	} {
+		res, err := RunSpMVM(m, make([]float64, 100), 2, TaskMode, Config{Iterations: 1, Link: link})
+		if err == nil {
+			t.Errorf("link %s accepted (Seconds = %g)", link.Name, res.Seconds)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "distmv: ") {
+			t.Errorf("link %s: error %q lacks the distmv: prefix", link.Name, err)
+		}
 	}
 }
 

@@ -20,6 +20,9 @@ import (
 // (same split of every row sum into local + non-local partial sums).
 func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.Link.Validate(); err != nil {
+		return nil, fmt.Errorf("distmv: %w", err)
+	}
 	if len(x) != a.NCols {
 		return nil, fmt.Errorf("distmv: |x| = %d on %dx%d matrix: %w", len(x), a.NRows, a.NCols, matrix.ErrShape)
 	}

@@ -5,8 +5,8 @@ import (
 
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
+	"pjds/internal/model"
 	"pjds/internal/mpi"
-	"pjds/internal/pcie"
 	"pjds/internal/simnet"
 	"pjds/internal/telemetry"
 )
@@ -65,7 +65,7 @@ func (m Mode) Slug() string {
 // Config parameterizes a distributed run.
 type Config struct {
 	Device *gpu.Device
-	Link   *pcie.Link
+	Link   *model.Link
 	Fabric *simnet.Fabric
 	Format FormatKind
 	// Iterations is the number of timed spMVM repetitions.
@@ -118,7 +118,7 @@ func (c Config) withDefaults() Config {
 		c.Device = gpu.TeslaC2050()
 	}
 	if c.Link == nil {
-		c.Link = pcie.Gen2x16()
+		c.Link = model.Gen2x16()
 	}
 	if c.Fabric == nil {
 		c.Fabric = simnet.QDRInfiniBand()

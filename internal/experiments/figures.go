@@ -10,10 +10,8 @@ import (
 	"pjds/internal/distmv"
 	"pjds/internal/formats"
 	"pjds/internal/gpu"
-	"pjds/internal/histo"
 	"pjds/internal/matrix"
-	"pjds/internal/pcie"
-	"pjds/internal/perfmodel"
+	"pjds/internal/model"
 	"pjds/internal/telemetry"
 	"pjds/internal/textplot"
 )
@@ -100,7 +98,7 @@ type Fig3Entry struct {
 	Matrix    string
 	N         int
 	Nnz       int64
-	Histogram histo.Histogram
+	Histogram Histogram
 }
 
 // RunFig3 reproduces the row-length histograms of Fig. 3 for the four
@@ -115,7 +113,7 @@ func RunFig3(scale float64, w io.Writer) ([]Fig3Entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := histo.FromRowLengths(m)
+		h := rowLengthHistogram(m)
 		out = append(out, Fig3Entry{Matrix: name, N: m.NRows, Nnz: int64(m.Nnz()), Histogram: h})
 		fmt.Fprintf(w, "\n%s: N=%d, Nnz=%d\n", name, m.NRows, m.Nnz())
 		if err := h.RenderLog(w, name, 72, 4); err != nil {
@@ -284,8 +282,8 @@ func RunSec2B(scale float64, w io.Writer) (*Sec2BReport, error) {
 		w = io.Discard
 	}
 	rep := &Sec2BReport{}
-	m20 := perfmodel.Model{BGPU: 20, BPCI: 1}
-	m10 := perfmodel.Model{BGPU: 10, BPCI: 1}
+	m20 := model.Offload{BGPU: 20, BPCI: 1}
+	m10 := model.Offload{BGPU: 10, BPCI: 1}
 	rep.MaxNnzr50WorstCase = m20.SolveAlphaSelfConsistent(m20.MaxNnzrFor50PctPenalty)
 	rep.MaxNnzr50Alpha1 = m10.MaxNnzrFor50PctPenalty(1)
 	rep.MinNnzr10Alpha1 = m10.MinNnzrFor10PctPenalty(1)
@@ -296,7 +294,7 @@ func RunSec2B(scale float64, w io.Writer) (*Sec2BReport, error) {
 		rep.MinNnzr10Alpha1, rep.MinNnzr10WorstCase)
 
 	dev := gpu.TeslaC2070()
-	link := pcie.Gen2x16()
+	link := model.Gen2x16()
 	for _, name := range []string{"DLR1", "HMEp", "sAMG", "UHBR"} {
 		m, err := Matrix(name, scale)
 		if err != nil {
@@ -309,7 +307,7 @@ func RunSec2B(scale float64, w io.Writer) (*Sec2BReport, error) {
 			return nil, err
 		}
 		tPCI := link.RoundTripSeconds(int64(8*m.NCols), int64(8*m.NRows))
-		withPCI := perfmodel.GFlopsFromTime(int64(m.Nnz()), st.KernelSeconds+tPCI)
+		withPCI := model.GFlopsFromTime(int64(m.Nnz()), st.KernelSeconds+tPCI)
 		e := EffectivePerf{
 			Matrix:        name,
 			Nnzr:          m.AvgRowLen(),

@@ -1,16 +1,17 @@
-// Package histo builds and renders the row-length histograms of the
-// paper's Fig. 3: bin size 1, relative share on a logarithmic axis.
-package histo
+package experiments
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"pjds/internal/matrix"
 )
 
-// Histogram is a bin-size-1 count histogram over non-negative ints.
+// Histogram is a bin-size-1 count histogram over non-negative ints:
+// the row-length histograms of the paper's Fig. 3, rendered with a
+// relative share on a logarithmic axis.
 type Histogram struct {
 	// Counts[l] is the number of samples with value l.
 	Counts []int
@@ -18,19 +19,9 @@ type Histogram struct {
 	Total int
 }
 
-// FromRowLengths histograms the stored row lengths of a matrix.
-func FromRowLengths[T matrix.Float](m *matrix.CSR[T]) Histogram {
-	counts := matrix.RowLenHistogram(m)
-	return Histogram{Counts: counts, Total: m.NRows}
-}
-
-// FromCounts wraps precomputed counts.
-func FromCounts(counts []int) Histogram {
-	t := 0
-	for _, c := range counts {
-		t += c
-	}
-	return Histogram{Counts: counts, Total: t}
+// rowLengthHistogram histograms the stored row lengths of a matrix.
+func rowLengthHistogram[T matrix.Float](m *matrix.CSR[T]) Histogram {
+	return Histogram{Counts: matrix.RowLenHistogram(m), Total: m.NRows}
 }
 
 // RelativeShare returns Counts[l]/Total, the y-axis of Fig. 3.
@@ -45,17 +36,6 @@ func (h Histogram) RelativeShare(l int) float64 {
 func (h Histogram) MaxBin() int {
 	for l := len(h.Counts) - 1; l >= 0; l-- {
 		if h.Counts[l] > 0 {
-			return l
-		}
-	}
-	return -1
-}
-
-// MinBin returns the smallest value with a non-zero count, -1 if
-// empty.
-func (h Histogram) MinBin() int {
-	for l, c := range h.Counts {
-		if c > 0 {
 			return l
 		}
 	}
@@ -124,20 +104,9 @@ func (h Histogram) RenderLog(w io.Writer, title string, width int, decades int) 
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%6s +%s\n", "", repeat('-', nCols)); err != nil {
+	if _, err := fmt.Fprintf(w, "%6s +%s\n", "", strings.Repeat("-", nCols)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%6s  0%s%d  (non-zeros per row, %d bins/col)\n", "", repeat(' ', nCols-len(fmt.Sprint(maxBin))-1), maxBin, binsPerCol)
+	_, err := fmt.Fprintf(w, "%6s  0%s%d  (non-zeros per row, %d bins/col)\n", "", strings.Repeat(" ", max(nCols-len(fmt.Sprint(maxBin))-1, 0)), maxBin, binsPerCol)
 	return err
-}
-
-func repeat(b byte, n int) string {
-	if n < 0 {
-		n = 0
-	}
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = b
-	}
-	return string(s)
 }

@@ -1,4 +1,4 @@
-package histo
+package experiments
 
 import (
 	"bytes"
@@ -19,7 +19,7 @@ func TestFromRowLengths(t *testing.T) {
 	coo.Add(2, 0, 1)
 	coo.Add(2, 1, 1)
 	// row 3 empty
-	h := FromRowLengths(coo.ToCSR())
+	h := rowLengthHistogram(coo.ToCSR())
 	if h.Total != 4 {
 		t.Fatalf("total = %d", h.Total)
 	}
@@ -32,24 +32,25 @@ func TestFromRowLengths(t *testing.T) {
 	if h.RelativeShare(99) != 0 || h.RelativeShare(-1) != 0 {
 		t.Error("out-of-range share should be 0")
 	}
-	if h.MaxBin() != 3 || h.MinBin() != 0 {
-		t.Errorf("bins [%d,%d]", h.MinBin(), h.MaxBin())
+	if h.MaxBin() != 3 {
+		t.Errorf("max bin %d", h.MaxBin())
 	}
 	if math.Abs(h.Mean()-1.5) > 1e-15 {
 		t.Errorf("mean = %g", h.Mean())
 	}
 }
 
+// TestFromCounts: a histogram over precomputed counts.
 func TestFromCounts(t *testing.T) {
-	h := FromCounts([]int{0, 2, 0, 6})
+	h := Histogram{Counts: []int{0, 2, 0, 6}, Total: 8}
 	if h.Total != 8 || h.RelativeShare(3) != 0.75 {
 		t.Errorf("%+v", h)
 	}
 }
 
 func TestEmptyHistogram(t *testing.T) {
-	h := FromCounts(nil)
-	if h.MaxBin() != -1 || h.MinBin() != -1 || h.Mean() != 0 {
+	var h Histogram
+	if h.MaxBin() != -1 || h.Mean() != 0 {
 		t.Error("empty histogram invariants")
 	}
 	var buf bytes.Buffer
@@ -63,7 +64,7 @@ func TestEmptyHistogram(t *testing.T) {
 
 func TestRenderLogShape(t *testing.T) {
 	m := matgen.SAMG(0.002, 3)
-	h := FromRowLengths(m)
+	h := rowLengthHistogram(m)
 	var buf bytes.Buffer
 	if err := h.RenderLog(&buf, "sAMG", 60, 4); err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func TestRenderLogShape(t *testing.T) {
 }
 
 func TestRenderLogDegenerateArgs(t *testing.T) {
-	h := FromCounts([]int{0, 10})
+	h := Histogram{Counts: []int{0, 10}, Total: 10}
 	var buf bytes.Buffer
 	if err := h.RenderLog(&buf, "tiny", 1, 0); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 	"math"
 	"time"
 
-	"pjds/internal/cpu"
 	"pjds/internal/hostkernel"
+	"pjds/internal/model"
 	"pjds/internal/profiles"
 	"pjds/internal/telemetry"
 	"pjds/internal/textplot"
@@ -119,7 +119,7 @@ func RunHostBench(kind hostkernel.Kind, names []string, scale float64, iters, wo
 			minBytes := 12*nnz + 24*int64(m.NRows) + 8*int64(m.NCols)
 			row.GBs = float64(minBytes) / perApp / 1e9
 		}
-		if st, err := cpu.WestmereEP().EstimateCRS(m); err == nil {
+		if st, err := model.WestmereEP().EstimateCRS(m); err == nil {
 			row.ModelGFlops = st.GFlops
 		}
 		res.Rows = append(res.Rows, row)

@@ -7,11 +7,11 @@ import (
 	"runtime"
 
 	"pjds/internal/core"
-	"pjds/internal/cpu"
 	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
+	"pjds/internal/model"
 	"pjds/internal/textplot"
 )
 
@@ -46,7 +46,7 @@ type Table1Row struct {
 	}
 
 	// Westmere is the CPU CRS DP baseline (last table row).
-	Westmere cpu.Stats
+	Westmere model.CRSStats
 
 	// FitsC2050 reports whether the DP matrix data plus vectors fit the
 	// 3 GB C2050 (ECC on) in each format, scaled to full published
@@ -142,7 +142,7 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 	row.DP.ECCOff.PJDS = cell(stP.Rederive(eccOff))
 
 	// CPU baseline on the DP matrix.
-	west, err := cpu.WestmereEP().EstimateCRS(m)
+	west, err := model.WestmereEP().EstimateCRS(m)
 	if err != nil {
 		return nil, err
 	}

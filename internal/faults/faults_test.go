@@ -134,6 +134,14 @@ func TestParseErrors(t *testing.T) {
 		"slow rank=1 factor=1",   // factor ≤ 1
 		"drop link=0>1 nth=1",    // malformed link
 		"delay all prob=0.1 by=-3us",
+		// Non-finite numbers slip past every comparison-based range check.
+		"drop all prob=NaN",
+		"degrade all factor=NaN",
+		"slow rank=0 factor=NaN",
+		"slow rank=0 factor=Inf",
+		"delay all prob=0.5 by=NaN",
+		"delay all prob=0.5 by=Infs",
+		"delay all prob=0.5 by=+infms",
 	}
 	for _, s := range bad {
 		if _, err := Parse(0, s); err == nil {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -89,7 +90,7 @@ func (p *Plan) parseLine(line string) error {
 		if !ok {
 			return 0, false, nil
 		}
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := parseFinite(s)
 		if err != nil {
 			return 0, false, fmt.Errorf("%s=%q: %w", key, s, err)
 		}
@@ -241,7 +242,7 @@ func parseDuration(s string) (float64, error) {
 			break
 		}
 	}
-	f, err := strconv.ParseFloat(num, 64)
+	f, err := parseFinite(num)
 	if err != nil {
 		return 0, fmt.Errorf("duration %q: %w", s, err)
 	}
@@ -249,4 +250,17 @@ func parseDuration(s string) (float64, error) {
 		return 0, fmt.Errorf("duration %q: negative", s)
 	}
 	return f * mult, nil
+}
+
+// parseFinite parses a float and rejects NaN and ±Inf, which every
+// comparison-based range check of the grammar would let through.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return f, nil
 }

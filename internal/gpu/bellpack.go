@@ -94,7 +94,7 @@ func RunBELLPACK[T matrix.Float](d *Device, e *formats.BELLPACK[T], y, x []T, op
 				st.BytesVal += int64(len(valSegs.segs)) * segBytes
 				for _, sec := range rhsSegs.segs {
 					st.RHSProbes++
-					if !l2.probe(sec << secShift) {
+					if !l2.Probe(sec << secShift) {
 						st.RHSMisses++
 						st.BytesRHS += secBytes
 					}

@@ -44,6 +44,6 @@ func BenchmarkCacheProbe(b *testing.B) {
 	c := newCache(DefaultL2(), 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.probe(int64(i*37) & 0xfffff)
+		c.Probe(int64(i*37) & 0xfffff)
 	}
 }

@@ -1,6 +1,10 @@
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+
+	"pjds/internal/model"
+)
 
 // CacheConfig describes the simulated on-chip L2 cache.
 type CacheConfig struct {
@@ -29,42 +33,21 @@ func DefaultL2() *CacheConfig {
 	return &CacheConfig{Bytes: 768 << 10, LineBytes: 128, Assoc: 16, RHSFraction: 0.5}
 }
 
-// cache is a set-associative LRU cache over line-granular addresses.
-// It tracks hits and misses; the spMVM model probes it with RHS
-// gather segments. The sets live in one flat tag array, so sizing the
-// model costs one allocation whatever the set count, and a cache
-// reconfigured for the next plan compile reuses it.
-type cache struct {
-	// tags holds nSets×assoc line tags: set s occupies
-	// tags[s*assoc:(s+1)*assoc] in LRU order (front = MRU), with its
-	// empty ways, marked -1, at the back. Line tags are never negative.
-	tags     []int64
-	assoc    int
-	lineBits uint
-	nSets    int64
-	hits     int64
-	misses   int64
+// newCache builds the L2 model of a configuration: model's
+// set-associative LRU over RHSFraction of the capacity, tracking
+// residency at lineBytes granularity (the gather sector size, which
+// may be finer than the nominal L2 line). Returns nil for a nil config
+// (no cache: every probe misses).
+func newCache(cfg *CacheConfig, lineBytes int) *model.LRU {
+	return configureCache(new(model.LRU), cfg, lineBytes)
 }
 
-// newCache builds the cache simulator from a configuration, applying
-// RHSFraction to the capacity and tracking residency at lineBytes
-// granularity (the gather sector size, which may be finer than the
-// nominal L2 line). Returns nil for a nil config (no cache: every
-// probe misses).
-func newCache(cfg *CacheConfig, lineBytes int) *cache {
-	c := new(cache)
-	if !c.configure(cfg, lineBytes) {
-		return nil
-	}
-	return c
-}
-
-// configure sizes c for cfg as newCache does, reusing its tag array
-// when it is large enough, and empties it. It reports false when cfg
-// models no cache.
-func (c *cache) configure(cfg *CacheConfig, lineBytes int) bool {
+// configureCache sizes c for cfg as newCache does, reusing its tag
+// array when it is large enough, and empties it. It returns nil when
+// cfg models no cache, else c.
+func configureCache(c *model.LRU, cfg *CacheConfig, lineBytes int) *model.LRU {
 	if cfg == nil {
-		return false
+		return nil
 	}
 	// Contract check: Device.Validate rejects such a config before any
 	// kernel runs, so only a caller that skipped it gets here.
@@ -73,7 +56,7 @@ func (c *cache) configure(cfg *CacheConfig, lineBytes int) bool {
 	}
 	frac := cfg.RHSFraction
 	if frac <= 0 {
-		return false
+		return nil
 	}
 	if frac > 1 {
 		frac = 1
@@ -86,65 +69,6 @@ func (c *cache) configure(cfg *CacheConfig, lineBytes int) bool {
 	if lines < cfg.Assoc {
 		lines = cfg.Assoc
 	}
-	nSets := lines / cfg.Assoc
-	if nSets < 1 {
-		nSets = 1
-	}
-	c.lineBits = log2(lineBytes)
-	c.assoc = cfg.Assoc
-	c.nSets = int64(nSets)
-	if n := nSets * cfg.Assoc; cap(c.tags) >= n {
-		c.tags = c.tags[:n]
-	} else {
-		c.tags = make([]int64, n)
-	}
-	c.reset()
-	return true
-}
-
-// probe looks up the line containing addr, updating LRU state.
-// It returns true on a hit. A nil cache always misses.
-func (c *cache) probe(addr int64) bool {
-	if c == nil {
-		return false
-	}
-	line := addr >> c.lineBits
-	s := int(line%c.nSets) * c.assoc
-	set := c.tags[s : s+c.assoc]
-	for i, tag := range set {
-		if tag == line {
-			// Move to front (MRU).
-			copy(set[1:i+1], set[:i])
-			set[0] = line
-			c.hits++
-			return true
-		}
-		if tag < 0 {
-			break // the remaining ways are empty too
-		}
-	}
-	c.misses++
-	// Insert at the front, evicting the LRU way when the set is full.
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line
-	return false
-}
-
-// reset clears contents and counters.
-func (c *cache) reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	c.hits, c.misses = 0, 0
-}
-
-// hitRate returns hits/(hits+misses), 0 when unused.
-func (c *cache) hitRate() float64 {
-	if c == nil || c.hits+c.misses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
+	c.Reset(max(lines/cfg.Assoc, 1), cfg.Assoc, lineBytes)
+	return c
 }

@@ -275,14 +275,19 @@ func TestPlanCompileAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pc.entries[pc.order[0]].plan.(*Plan[float64])
+	// One scratch for every compile, as a warm compileScratches pool
+	// hands out: the race detector drops pooled items at random, which
+	// would add a fresh scratch's allocations to some runs.
+	sc := new(compileScratch)
 	allocs := func(l2 *CacheConfig) float64 {
 		d := TeslaC2050()
 		d.L2 = l2
-		return testing.AllocsPerRun(20, func() { compilePlan(d, p.src) })
+		return testing.AllocsPerRun(20, func() { compilePlanWith(d, p.src, sc) })
 	}
 	small := allocs(&CacheConfig{Bytes: 16 * 32, LineBytes: 128, Assoc: 16, RHSFraction: 1}) // one set
 	big := allocs(DefaultL2())                                                               // 768 sets
-	if nSets := newCache(DefaultL2(), TeslaC2050().GatherSectorBytes).nSets; nSets != 768 {
+	l2, sector := DefaultL2(), TeslaC2050().GatherSectorBytes
+	if nSets := int(float64(l2.Bytes)*l2.RHSFraction) / sector / l2.Assoc; nSets != 768 {
 		t.Fatalf("C2050 L2 has %d sets, want 768", nSets)
 	}
 	if big > small+1 {

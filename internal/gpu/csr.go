@@ -83,7 +83,7 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 			st.BytesIdx += int64(len(idxSegs.segs)) * segBytes
 			for _, sec := range rhsSegs.segs {
 				st.RHSProbes++
-				if !l2.probe(sec << secShift) {
+				if !l2.Probe(sec << secShift) {
 					st.RHSMisses++
 					st.BytesRHS += secBytes
 				}
@@ -149,7 +149,7 @@ func RunCSRVector[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 			st.BytesIdx += int64(len(idxSegs.segs)) * segBytes
 			for _, sec := range rhsSegs.segs {
 				st.RHSProbes++
-				if !l2.probe(sec << secShift) {
+				if !l2.Probe(sec << secShift) {
 					st.RHSMisses++
 					st.BytesRHS += secBytes
 				}

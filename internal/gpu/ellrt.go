@@ -88,7 +88,7 @@ func RunELLRT[T matrix.Float](d *Device, e *formats.ELLRT[T], y, x []T, opt RunO
 			st.BytesIdx += int64(len(idxSegs.segs)) * segBytes
 			for _, sec := range rhsSegs.segs {
 				st.RHSProbes++
-				if !l2.probe(sec << secShift) {
+				if !l2.Probe(sec << secShift) {
 					st.RHSMisses++
 					st.BytesRHS += secBytes
 				}

@@ -202,60 +202,50 @@ func TestOccupancyFactor(t *testing.T) {
 }
 
 func TestCacheBasics(t *testing.T) {
-	c := newCache(&CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 1}, 128)
-	if c.probe(0) {
+	cfg := &CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 1}
+	c := newCache(cfg, 128)
+	if c.Probe(0) {
 		t.Error("cold miss expected")
 	}
-	if !c.probe(64) { // same line
+	if !c.Probe(64) { // same line
 		t.Error("same-line hit expected")
 	}
-	if c.probe(128) {
+	if c.Probe(128) {
 		t.Error("next line should miss")
 	}
-	if !c.probe(0) {
+	if !c.Probe(0) {
 		t.Error("line 0 still resident")
 	}
-	if hr := c.hitRate(); math.Abs(hr-0.5) > 1e-12 {
-		t.Errorf("hit rate = %g", hr)
-	}
-	c.reset()
-	if c.hits != 0 || c.misses != 0 {
-		t.Error("reset did not clear counters")
-	}
-	if c.probe(0) {
-		t.Error("reset did not clear contents")
+	if configureCache(c, cfg, 128) != c || c.Probe(0) {
+		t.Error("reconfiguring did not clear contents")
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way, line 128, 4 lines → 2 sets. Lines 0, 2, 4 map to set 0.
 	c := newCache(&CacheConfig{Bytes: 4 * 128, LineBytes: 128, Assoc: 2, RHSFraction: 1}, 128)
-	c.probe(0 * 128)
-	c.probe(2 * 128)
-	c.probe(0 * 128) // touch line 0 → MRU
-	c.probe(4 * 128) // evicts line 2 (LRU)
-	if !c.probe(0 * 128) {
+	c.Probe(0 * 128)
+	c.Probe(2 * 128)
+	c.Probe(0 * 128) // touch line 0 → MRU
+	c.Probe(4 * 128) // evicts line 2 (LRU)
+	if !c.Probe(0 * 128) {
 		t.Error("line 0 evicted despite MRU")
 	}
-	if c.probe(2 * 128) {
+	if c.Probe(2 * 128) {
 		t.Error("line 2 should have been evicted")
 	}
 }
 
 func TestCacheNilAlwaysMisses(t *testing.T) {
-	var c *cache
-	if c.probe(0) || c.probe(0) {
-		t.Error("nil cache must always miss")
-	}
-	if c.hitRate() != 0 {
-		t.Error("nil cache hit rate")
-	}
-	c.reset() // must not panic
 	if newCache(nil, 32) != nil {
 		t.Error("nil config should give nil cache")
 	}
-	if newCache(&CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 0}, 32) != nil {
+	c := newCache(&CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 0}, 32)
+	if c != nil {
 		t.Error("zero RHS fraction should disable the cache")
+	}
+	if c.Probe(0) || c.Probe(0) {
+		t.Error("nil cache must always miss")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"pjds/internal/core"
 	"pjds/internal/matrix"
+	"pjds/internal/model"
 	"pjds/internal/profiles"
 	"pjds/internal/telemetry"
 )
@@ -125,7 +126,7 @@ func (p *Plan[T]) Warps() int { return p.total.Warps }
 // offsets. Compiles borrow it from compileScratches, so a warm compile
 // allocates none of them.
 type compileScratch struct {
-	l2   cache
+	l2   model.LRU
 	rhs  sectorSet
 	base []int64
 }
@@ -196,10 +197,7 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 	segBytes := int64(d.SegmentBytes)
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
-	var l2 *cache
-	if sc.l2.configure(d.L2, d.GatherSectorBytes) {
-		l2 = &sc.l2
-	}
+	l2 := configureCache(&sc.l2, d.L2, d.GatherSectorBytes)
 	// RHS element c lies in sector (addrRHS + c·es) >> secShift, stored
 	// at that minus the sector of element 0.
 	rhs := &sc.rhs
@@ -273,7 +271,7 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 			t.BytesIdx += idxSegs * segBytes
 			for _, sec := range rhs.secs {
 				t.RHSProbes++
-				if !l2.probe(sec << secShift) {
+				if !l2.Probe(sec << secShift) {
 					t.RHSMisses++
 					t.BytesRHS += secBytes
 				}

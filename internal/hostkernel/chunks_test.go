@@ -1,4 +1,4 @@
-package cpu
+package hostkernel
 
 import (
 	"math"
@@ -8,22 +8,10 @@ import (
 	"pjds/internal/matrix"
 )
 
-func TestWestmereValidate(t *testing.T) {
-	if err := WestmereEP().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := WestmereEP()
-	bad.Cores = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid node accepted")
-	}
-	if _, err := bad.EstimateCRS(matgen.Stencil2D(4, 4)); err == nil {
-		t.Error("estimate on invalid node accepted")
-	}
-}
-
+// TestMulVecParallelMatchesSequential: the blocked CRS kernel at the
+// Westmere node's 12 workers agrees with the sequential reference and
+// rejects a mis-sized x.
 func TestMulVecParallelMatchesSequential(t *testing.T) {
-	n := WestmereEP()
 	m := matgen.Banded(5000, 3, 30, 100, 1)
 	x := make([]float64, 5000)
 	for i := range x {
@@ -33,8 +21,10 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
+	k := NewBlockedCRS(m, Options{Workers: 12})
+	defer k.Close()
 	y := make([]float64, 5000)
-	if err := n.MulVecParallel(m, y, x); err != nil {
+	if err := k.MulVec(y, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range y {
@@ -42,14 +32,14 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("y[%d] = %g, want %g", i, y[i], ref[i])
 		}
 	}
-	if err := n.MulVecParallel(m, y, x[:10]); err == nil {
+	if err := k.MulVec(y, x[:10]); err == nil {
 		t.Error("wrong x size accepted")
 	}
 }
 
 func TestNnzBalancedChunks(t *testing.T) {
 	m := matgen.PowerLaw(1000, 2, 200, 3, 2)
-	bounds := nnzBalancedChunks(m, 4)
+	bounds := Chunks(m.RowPtr, 4)
 	if bounds[0] != 0 || bounds[4] != 1000 {
 		t.Fatalf("bounds = %v", bounds)
 	}
@@ -68,7 +58,7 @@ func TestNnzBalancedChunks(t *testing.T) {
 	}
 }
 
-// TestNnzBalancedChunksDegenerate pins the schedule on the awkward
+// TestNnzBalancedChunksDegenerate pins the nnz-balanced schedule on the awkward
 // inputs: more workers than rows, a run of empty tail rows, every
 // non-zero concentrated in a single row, and zero/negative worker
 // counts. The invariants are what every caller relies on: bounds are
@@ -96,7 +86,7 @@ func TestNnzBalancedChunksDegenerate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bounds := nnzBalancedChunks(tc.m, tc.workers)
+			bounds := Chunks(tc.m.RowPtr, tc.workers)
 			workers := tc.workers
 			if workers < 1 {
 				workers = 1
@@ -116,9 +106,9 @@ func TestNnzBalancedChunksDegenerate(t *testing.T) {
 	}
 }
 
-// TestMulVecParallelBitIdentical: the blocked hostkernel behind
-// MulVecParallel must reproduce the naive reference bit for bit at
-// every worker count, because the per-row summation order never
+// TestMulVecParallelBitIdentical: the blocked CRS kernel must
+// reproduce the naive reference bit for bit at every worker count up
+// to the Westmere node's 12, because the per-row summation order never
 // changes with the schedule.
 func TestMulVecParallelBitIdentical(t *testing.T) {
 	m := matgen.PowerLaw(700, 2, 80, 0.7, 9)
@@ -130,11 +120,12 @@ func TestMulVecParallelBitIdentical(t *testing.T) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
-	for _, cores := range []int{1, 2, 4, 8} {
-		n := WestmereEP()
-		n.Cores = cores
+	for _, cores := range []int{1, 2, 4, 8, 12} {
+		k := NewBlockedCRS(m, Options{Workers: cores})
 		y := make([]float64, m.NRows)
-		if err := n.MulVecParallel(m, y, x); err != nil {
+		err := k.MulVec(y, x)
+		k.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range y {
@@ -142,62 +133,5 @@ func TestMulVecParallelBitIdentical(t *testing.T) {
 				t.Fatalf("cores=%d: y[%d] = %v, reference %v", cores, i, y[i], ref[i])
 			}
 		}
-	}
-}
-
-func TestEstimateCRSBandedVsRandom(t *testing.T) {
-	n := WestmereEP()
-	banded := matgen.Banded(200000, 10, 20, 200, 3)
-	random := matgen.Random(200000, 10, 20, 3)
-	sb, err := n.EstimateCRS(banded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := n.EstimateCRS(random)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.Alpha >= sr.Alpha {
-		t.Errorf("banded alpha %.2f not below random alpha %.2f", sb.Alpha, sr.Alpha)
-	}
-	if sb.GFlops <= sr.GFlops {
-		t.Errorf("banded %.2f GF/s not above random %.2f", sb.GFlops, sr.GFlops)
-	}
-	if sb.CodeBalance < 6 || sb.CodeBalance > 11 {
-		t.Errorf("code balance %.2f outside CRS DP window", sb.CodeBalance)
-	}
-}
-
-// TestWestmereTableILevel: on the paper's matrices the Westmere CRS
-// row of Table I sits at 3.9–5.8 GF/s; the model should land in that
-// neighbourhood (generated matrices, scaled down — α only improves
-// with smaller vectors, so allow a generous upper band).
-func TestWestmereTableILevel(t *testing.T) {
-	n := WestmereEP()
-	for _, name := range []string{"DLR1", "sAMG"} {
-		tm, err := matgen.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := tm.Generate(0.1, 4)
-		s, err := n.EstimateCRS(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.GFlops < 3 || s.GFlops > 8 {
-			t.Errorf("%s: Westmere CRS %.1f GF/s, Table I band is 3.9–5.8", name, s.GFlops)
-		}
-	}
-}
-
-func TestEstimateEmptyMatrix(t *testing.T) {
-	n := WestmereEP()
-	empty := matrix.NewCOO[float64](10, 10).ToCSR()
-	s, err := n.EstimateCRS(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Alpha != 0 || s.GFlops != 0 {
-		t.Errorf("empty stats = %+v", s)
 	}
 }

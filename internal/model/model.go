@@ -1,10 +1,13 @@
-// Package perfmodel implements the analytic performance model of
-// §II-B: the worst-case code balance of the ELLPACK/pJDS kernels
-// (Eq. 1), the wallclock decomposition into kernel and PCIe time
-// (Eq. 2), and the N_nzr ranges for which GPGPU acceleration pays off
-// (Eqs. 3 and 4). The model is what the paper uses to rule out the
+// Package model holds the paper's analytic models (§II-B and Table I):
+// the worst-case code balance of the ELLPACK/pJDS kernels (Eq. 1), the
+// wallclock decomposition into kernel and PCIe time (Eq. 2), the N_nzr
+// ranges for which GPGPU acceleration pays off (Eqs. 3 and 4), the
+// PCIe link those equations price, the Westmere CRS baseline of
+// Table I's last row, and the set-associative LRU that measures the
+// RHS reuse factor α for both the CPU baseline and the simulated GPU
+// L2. The Eq. 3/4 analysis is what the paper uses to rule out the
 // HMEp and sAMG matrices for multi-GPU runs.
-package perfmodel
+package model
 
 import (
 	"fmt"
@@ -34,9 +37,9 @@ func CodeBalanceSP(alpha, nnzr float64) float64 {
 // loaded exactly once (the κ = 0 case of Schubert et al. [4]).
 func AlphaIdeal(nnzr float64) float64 { return 1 / nnzr }
 
-// Model bundles the two bandwidths the §II-B analysis is parameterized
-// by.
-type Model struct {
+// Offload bundles the two bandwidths the §II-B offload analysis is
+// parameterized by.
+type Offload struct {
 	// BGPU is the device-memory bandwidth in bytes/s.
 	BGPU float64
 	// BPCI is the host↔device PCIe bandwidth in bytes/s.
@@ -44,9 +47,9 @@ type Model struct {
 }
 
 // Validate reports configuration errors.
-func (m Model) Validate() error {
+func (m Offload) Validate() error {
 	if m.BGPU <= 0 || m.BPCI <= 0 {
-		return fmt.Errorf("perfmodel: non-positive bandwidth in %+v", m)
+		return fmt.Errorf("model: non-positive bandwidth in %+v", m)
 	}
 	return nil
 }
@@ -56,19 +59,19 @@ func (m Model) Validate() error {
 // alpha, double precision:
 //
 //	T_MVM = 8N/B_GPU · (N_nzr(α + 3/2) + 2)
-func (m Model) TMVMSeconds(n int, nnzr, alpha float64) float64 {
+func (m Offload) TMVMSeconds(n int, nnzr, alpha float64) float64 {
 	return 8 * float64(n) / m.BGPU * (nnzr*(alpha+1.5) + 2)
 }
 
 // TPCISeconds returns the PCIe transfer time of Eq. (2): both the RHS
 // upload and LHS download move 8N bytes (DP).
-func (m Model) TPCISeconds(n int) float64 {
+func (m Offload) TPCISeconds(n int) float64 {
 	return 16 * float64(n) / m.BPCI
 }
 
 // PCIPenalty returns T_PCI/(T_MVM+T_PCI): the fraction of total
 // wallclock spent on the bus.
-func (m Model) PCIPenalty(n int, nnzr, alpha float64) float64 {
+func (m Offload) PCIPenalty(n int, nnzr, alpha float64) float64 {
 	tm := m.TMVMSeconds(n, nnzr, alpha)
 	tp := m.TPCISeconds(n)
 	return tp / (tm + tp)
@@ -79,7 +82,7 @@ func (m Model) PCIPenalty(n int, nnzr, alpha float64) float64 {
 // kernel itself (T_MVM ≤ T_PCI):
 //
 //	N_nzr ≤ 2(B_GPU/B_PCI − 1)/(α + 3/2)
-func (m Model) MaxNnzrFor50PctPenalty(alpha float64) float64 {
+func (m Offload) MaxNnzrFor50PctPenalty(alpha float64) float64 {
 	return 2 * (m.BGPU/m.BPCI - 1) / (alpha + 1.5)
 }
 
@@ -87,7 +90,7 @@ func (m Model) MaxNnzrFor50PctPenalty(alpha float64) float64 {
 // above this value the PCIe penalty is below 10% (T_MVM ≥ 10·T_PCI):
 //
 //	N_nzr ≥ (20·B_GPU/B_PCI − 2)/(α + 3/2)
-func (m Model) MinNnzrFor10PctPenalty(alpha float64) float64 {
+func (m Offload) MinNnzrFor10PctPenalty(alpha float64) float64 {
 	return (20*m.BGPU/m.BPCI - 2) / (alpha + 1.5)
 }
 
@@ -95,7 +98,7 @@ func (m Model) MinNnzrFor10PctPenalty(alpha float64) float64 {
 // of the Eq. (3) analysis: the paper plugs α = 1/N_nzr into the bound
 // and reports N_nzr ≤ 25 at B_GPU ≳ 20·B_PCI. The bound then depends
 // on its own result; iterate to a fixed point.
-func (m Model) SolveAlphaSelfConsistent(bound func(alpha float64) float64) float64 {
+func (m Offload) SolveAlphaSelfConsistent(bound func(alpha float64) float64) float64 {
 	nnzr := bound(1) // start from the α = 1 bound
 	for i := 0; i < 100; i++ {
 		next := bound(1 / math.Max(nnzr, 1))
@@ -119,6 +122,6 @@ func GFlopsFromTime(nnz int64, seconds float64) float64 {
 // EffectiveGFlops returns the PCIe-inclusive performance: the §III
 // introduction quotes 12.9 → 10.9 GF/s for DLR1 and 3.7 / 2.3 GF/s
 // for HMEp / sAMG once transfers are counted.
-func (m Model) EffectiveGFlops(n int, nnz int64, nnzr, alpha float64) float64 {
+func (m Offload) EffectiveGFlops(n int, nnz int64, nnzr, alpha float64) float64 {
 	return GFlopsFromTime(nnz, m.TMVMSeconds(n, nnzr, alpha)+m.TPCISeconds(n))
 }

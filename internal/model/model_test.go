@@ -1,11 +1,9 @@
-package perfmodel
+package model
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"pjds/internal/pcie"
 )
 
 func TestCodeBalanceDPLimits(t *testing.T) {
@@ -42,13 +40,13 @@ func TestAlphaIdeal(t *testing.T) {
 func TestEq3WorstCaseReproducesPaperNumbers(t *testing.T) {
 	// §II-B: "In the worst case, α = 1/N_nzr and B_GPU ≳ 20 B_PCI lead
 	// to N_nzr ≤ 25."
-	m := Model{BGPU: 20, BPCI: 1}
+	m := Offload{BGPU: 20, BPCI: 1}
 	got := m.SolveAlphaSelfConsistent(m.MaxNnzrFor50PctPenalty)
 	if math.Abs(got-25) > 1.0 {
 		t.Errorf("Eq. 3 worst case = %.1f, paper says ≈25", got)
 	}
 	// "if α = 1 and B_GPU ≈ 10 B_PCI we have N_nzr ≤ 7."
-	m2 := Model{BGPU: 10, BPCI: 1}
+	m2 := Offload{BGPU: 10, BPCI: 1}
 	if got := m2.MaxNnzrFor50PctPenalty(1); math.Abs(got-7.2) > 0.3 {
 		t.Errorf("Eq. 3 α=1 case = %.1f, paper says ≈7", got)
 	}
@@ -57,12 +55,12 @@ func TestEq3WorstCaseReproducesPaperNumbers(t *testing.T) {
 func TestEq4ReproducesPaperNumbers(t *testing.T) {
 	// "at B_GPU ≈ 10 B_PCI and α = 1 a value of N_nzr ≳ 80 is
 	// sufficient" for <10% penalty.
-	m := Model{BGPU: 10, BPCI: 1}
+	m := Offload{BGPU: 10, BPCI: 1}
 	if got := m.MinNnzrFor10PctPenalty(1); math.Abs(got-79.2) > 1 {
 		t.Errorf("Eq. 4 α=1 = %.1f, paper says ≈80", got)
 	}
 	// "at B_GPU ≈ 20 B_PCI and α = 1/N_nzr one arrives at N_nzr ≳ 266."
-	m2 := Model{BGPU: 20, BPCI: 1}
+	m2 := Offload{BGPU: 20, BPCI: 1}
 	got := m2.SolveAlphaSelfConsistent(m2.MinNnzrFor10PctPenalty)
 	if math.Abs(got-265) > 2 {
 		t.Errorf("Eq. 4 worst case = %.1f, paper says ≈266", got)
@@ -70,7 +68,7 @@ func TestEq4ReproducesPaperNumbers(t *testing.T) {
 }
 
 func TestTMVMAndTPCI(t *testing.T) {
-	m := Model{BGPU: 91e9, BPCI: 6e9}
+	m := Offload{BGPU: 91e9, BPCI: 6e9}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +90,7 @@ func TestTMVMAndTPCI(t *testing.T) {
 }
 
 func TestPenaltyMonotoneInNnzr(t *testing.T) {
-	m := Model{BGPU: 91e9, BPCI: 6e9}
+	m := Offload{BGPU: 91e9, BPCI: 6e9}
 	prev := 1.0
 	for _, nnzr := range []float64{5, 15, 50, 150, 400} {
 		p := m.PCIPenalty(1<<20, nnzr, 0.5)
@@ -108,7 +106,7 @@ func TestPenaltyMonotoneInNnzr(t *testing.T) {
 // fall in the PCIe-dominated regime; DLR1 (≈144), DLR2 (≈315) and
 // UHBR (≈123) stay GPU-worthy.
 func TestPaperMatrixClassification(t *testing.T) {
-	m := Model{BGPU: 91e9, BPCI: 6e9} // ratio ≈ 15.2
+	m := Offload{BGPU: 91e9, BPCI: 6e9} // ratio ≈ 15.2
 	cut50 := m.MaxNnzrFor50PctPenalty(1)
 	for _, c := range []struct {
 		name string
@@ -140,7 +138,7 @@ func TestPaperMatrixClassification(t *testing.T) {
 // 12.9 GF/s for DLR1": with kernel-only performance near 12.9 GF/s,
 // adding PCIe transfers should land near 10.9.
 func TestEffectiveGFlopsDLR1(t *testing.T) {
-	m := Model{BGPU: 91e9, BPCI: 6e9}
+	m := Offload{BGPU: 91e9, BPCI: 6e9}
 	const n = 278502
 	nnzr := 144.0
 	nnz := int64(40025628)
@@ -158,11 +156,25 @@ func TestEffectiveGFlopsDLR1(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Model{BGPU: 0, BPCI: 1}).Validate(); err == nil {
-		t.Error("zero BGPU accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  interface{ Validate() error }
+	}{
+		{"zero BGPU", Offload{BGPU: 0, BPCI: 1}},
+		{"negative BPCI", Offload{BGPU: 1, BPCI: -1}},
+		{"zero link bandwidth", &Link{BytesPerSecond: 0}},
+		{"negative link latency", &Link{BytesPerSecond: 1, LatencySeconds: -1}},
+		{"NaN link bandwidth", &Link{BytesPerSecond: math.NaN()}},
+		{"infinite link bandwidth", &Link{BytesPerSecond: math.Inf(1)}},
+		{"NaN link latency", &Link{BytesPerSecond: 1, LatencySeconds: math.NaN()}},
+		{"infinite link latency", &Link{BytesPerSecond: 1, LatencySeconds: math.Inf(1)}},
+	} {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if err := (Model{BGPU: 1, BPCI: -1}).Validate(); err == nil {
-		t.Error("negative BPCI accepted")
+	if err := Gen2x16().Validate(); err != nil {
+		t.Errorf("default link rejected: %v", err)
 	}
 }
 
@@ -175,12 +187,12 @@ func TestGFlopsFromTime(t *testing.T) {
 	}
 }
 
-// TestModelAgainstPCIeLink: the abstract model and the pcie.Link
+// TestModelAgainstPCIeLink: the abstract model and the PCIe Link
 // substrate agree on transfer times when latency is zero.
 func TestModelAgainstPCIeLink(t *testing.T) {
-	link := pcie.Gen2x16()
+	link := Gen2x16()
 	link.LatencySeconds = 0
-	m := Model{BGPU: 91e9, BPCI: link.BytesPerSecond}
+	m := Offload{BGPU: 91e9, BPCI: link.BytesPerSecond}
 	n := 500000
 	got := link.RoundTripSeconds(int64(8*n), int64(8*n))
 	want := m.TPCISeconds(n)

@@ -1,16 +1,18 @@
-// Package pcie models the host↔device PCI-Express link whose limited
-// bandwidth §II-B identifies as the decisive bottleneck for spMVM with
-// few non-zeros per row: the RHS vector must be uploaded and the LHS
+package model
+
+import (
+	"fmt"
+	"math"
+)
+
+// Link models the host↔device PCI-Express link whose limited bandwidth
+// §II-B identifies as the decisive bottleneck for spMVM with few
+// non-zeros per row: the RHS vector must be uploaded and the LHS
 // vector downloaded for every multiplication, and in the distributed
-// code all MPI traffic crosses this bus too.
-package pcie
-
-import "fmt"
-
-// Link is a PCIe transfer model with fixed per-transfer latency and a
-// sustained bandwidth. The paper reasons in terms of the ratio
-// B_GPU/B_PCI ≈ 10–20; the default corresponds to a PCIe 2.0 ×16 slot
-// as on the Dirac nodes.
+// code all MPI traffic crosses this bus too. It has a fixed
+// per-transfer latency and a sustained bandwidth. The paper reasons in
+// terms of the ratio B_GPU/B_PCI ≈ 10–20; the default corresponds to a
+// PCIe 2.0 ×16 slot as on the Dirac nodes.
 type Link struct {
 	Name string
 	// BytesPerSecond is the sustained host↔device copy bandwidth.
@@ -28,13 +30,14 @@ func Gen2x16() *Link {
 	return &Link{Name: "PCIe 2.0 x16", BytesPerSecond: 5e9, LatencySeconds: 12e-6}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: the bandwidth must be
+// positive and the latency non-negative, both finite.
 func (l *Link) Validate() error {
-	if l.BytesPerSecond <= 0 {
-		return fmt.Errorf("pcie: %s: non-positive bandwidth", l.Name)
+	if !(l.BytesPerSecond > 0) || math.IsInf(l.BytesPerSecond, 1) {
+		return fmt.Errorf("model: PCIe link %q: bandwidth %g B/s, want positive and finite", l.Name, l.BytesPerSecond)
 	}
-	if l.LatencySeconds < 0 {
-		return fmt.Errorf("pcie: %s: negative latency", l.Name)
+	if !(l.LatencySeconds >= 0) || math.IsInf(l.LatencySeconds, 1) {
+		return fmt.Errorf("model: PCIe link %q: latency %g s, want non-negative and finite", l.Name, l.LatencySeconds)
 	}
 	return nil
 }

@@ -1,4 +1,4 @@
-package pcie
+package model
 
 import (
 	"math"
@@ -60,14 +60,5 @@ func TestTransferMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := (&Link{BytesPerSecond: 0}).Validate(); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-	if err := (&Link{BytesPerSecond: 1, LatencySeconds: -1}).Validate(); err == nil {
-		t.Error("negative latency accepted")
 	}
 }

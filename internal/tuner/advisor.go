@@ -1,18 +1,21 @@
-// Package advisor operationalizes the paper's format and offload
-// guidance: given a matrix's structure statistics and a device, it
-// answers the two questions §II poses — is the GPU worth using at all
-// (the Eq. 3/4 PCIe analysis), and which storage format should hold
-// the matrix (the §II-A data-reduction and utilization discussion).
-package advisor
+package tuner
 
 import (
 	"fmt"
 
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
-	"pjds/internal/pcie"
-	"pjds/internal/perfmodel"
+	"pjds/internal/model"
 )
+
+// deviceOr returns dev, or the Fermi C2070 every model and sweep
+// defaults to when dev is nil.
+func deviceOr(dev *gpu.Device) *gpu.Device {
+	if dev == nil {
+		return gpu.TeslaC2070()
+	}
+	return dev
+}
 
 // Verdict is the offload recommendation.
 type Verdict int
@@ -66,9 +69,7 @@ type Recommendation struct {
 // RHS-visible share of the L2, gathers mostly hit; otherwise they
 // mostly miss. Interpolates between the ideal 1/N_nzr and 1.
 func EstimateAlpha(st matrix.Stats, dev *gpu.Device) float64 {
-	if dev == nil {
-		dev = gpu.TeslaC2070()
-	}
+	dev = deviceOr(dev)
 	cacheBytes := 0.0
 	if dev.L2 != nil {
 		cacheBytes = float64(dev.L2.Bytes) * dev.L2.RHSFraction
@@ -76,7 +77,7 @@ func EstimateAlpha(st matrix.Stats, dev *gpu.Device) float64 {
 	spanBytes := st.AvgColSpan * 8
 	alpha := 1.0
 	if st.AvgRowLen > 0 {
-		ideal := perfmodel.AlphaIdeal(st.AvgRowLen)
+		ideal := model.AlphaIdeal(st.AvgRowLen)
 		switch {
 		case cacheBytes == 0:
 			alpha = 1
@@ -93,22 +94,20 @@ func EstimateAlpha(st matrix.Stats, dev *gpu.Device) float64 {
 
 // Recommend analyses the statistics of a matrix for the given device
 // and PCIe link (nil selects the Fermi C2070 and PCIe 2.0 defaults).
-func Recommend(st matrix.Stats, dev *gpu.Device, link *pcie.Link) Recommendation {
-	if dev == nil {
-		dev = gpu.TeslaC2070()
-	}
+func Recommend(st matrix.Stats, dev *gpu.Device, link *model.Link) Recommendation {
+	dev = deviceOr(dev)
 	if link == nil {
-		link = pcie.Gen2x16()
+		link = model.Gen2x16()
 	}
 	var rec Recommendation
 	alpha := EstimateAlpha(st, dev)
 	rec.AlphaEstimate = alpha
 
 	// Offload verdict via Eqs. (3)/(4).
-	model := perfmodel.Model{BGPU: dev.Bandwidth(), BPCI: link.BytesPerSecond}
-	lo := model.MaxNnzrFor50PctPenalty(alpha)
-	hi := model.MinNnzrFor10PctPenalty(alpha)
-	rec.PCIePenaltyPct = 100 * model.PCIPenalty(max(st.Rows, 1), max(st.AvgRowLen, 1), alpha)
+	off := model.Offload{BGPU: dev.Bandwidth(), BPCI: link.BytesPerSecond}
+	lo := off.MaxNnzrFor50PctPenalty(alpha)
+	hi := off.MinNnzrFor10PctPenalty(alpha)
+	rec.PCIePenaltyPct = 100 * off.PCIPenalty(max(st.Rows, 1), max(st.AvgRowLen, 1), alpha)
 	switch {
 	case st.AvgRowLen <= lo:
 		rec.Offload = StayOnCPU

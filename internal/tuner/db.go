@@ -5,6 +5,14 @@
 // runledger-style JSONL database keyed by matrix fingerprint and
 // device, so a matrix is tuned once and every later upload or
 // benchmark run reuses the stored pick.
+//
+// The package is also the advisor that operationalizes the paper's
+// format and offload guidance without measuring: given a matrix's
+// structure statistics and a device, Recommend answers the two
+// questions §II poses — is the GPU worth using at all (the Eq. 3/4
+// PCIe analysis), and which storage format should hold the matrix (the
+// §II-A data-reduction and utilization discussion) — and RankFormats
+// ranks the contenders with the sweep's own model pass.
 package tuner
 
 import (

@@ -1,4 +1,4 @@
-package advisor
+package tuner
 
 import (
 	"testing"

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"pjds/internal/advisor"
 	"pjds/internal/core"
 	"pjds/internal/formats"
 	"pjds/internal/gpu"
@@ -51,12 +50,7 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c Config) device() *gpu.Device {
-	if c.Device == nil {
-		return gpu.TeslaC2070()
-	}
-	return c.Device
-}
+func (c Config) device() *gpu.Device { return deviceOr(c.Device) }
 
 func (c Config) now() func() time.Time {
 	if c.Now == nil {
@@ -96,9 +90,7 @@ func (c Config) metrics() *telemetry.Registry {
 // Degenerate duplicates (σ clamping collapses cells on small
 // matrices) are deduplicated, keeping first occurrence order.
 func Grid(n int, dev *gpu.Device) []Cell {
-	if dev == nil {
-		dev = gpu.TeslaC2070()
-	}
+	dev = deviceOr(dev)
 	cells := []Cell{
 		{Format: "crs"},
 		{Format: "pjds", C: 32, Sigma: n},
@@ -184,25 +176,55 @@ func (c Cell) sellGeometry(n int) (chunk, sigma int) {
 	return c.C, c.Sigma
 }
 
-// modelBytesPerNnz is the Eq. 1 traffic prediction the pruning pass
-// ranks cells by (see advisor.RankFormats for the derivation). For SELL
-// and pJDS cells it sets the cell's β and also returns the layout's
-// stored slot count; it returns 0 slots for the others.
+// modelBytesPerNnz is the Eq. 1 traffic prediction the model pass
+// ranks cells by: Eq. (1)'s per-nnz traffic 12 + 8α + 16/N_nzr with
+// the format's own correction:
+//
+//   - pJDS/SELL: val+idx streams inflate by the zero-padding (1+β),
+//     with β predicted exactly from the row lengths;
+//   - CMRS: no padding, but one row-in-strip metadata byte per
+//     non-zero;
+//   - CRS: the scalar kernel's per-lane row walk breaks coalescing,
+//     inflating val+idx by a device-dependent gather factor.
+//
+// For SELL and pJDS cells it sets the cell's β and also returns the
+// layout's stored slot count; it returns 0 slots for the others.
 func modelBytesPerNnz(c *Cell, pad *formats.Padding, n int, alpha, nnzr float64, dev *gpu.Device) (float64, int64) {
-	base := 8*alpha + 16/nnzr
+	base := 8*alpha + 16/nnzr // RHS gather + LHS/rowLen streams, per nnz
 	switch c.Format {
 	case "crs":
-		gather := float64(dev.SegmentBytes) / 16
-		if gather < 1 {
-			gather = 1
-		}
-		return 12*gather + base, 0
+		return 12*crsGather(dev) + base, 0
 	case "cmrs":
 		return 13 + base, 0
 	}
 	var stored int64
 	stored, c.Beta = pad.Estimate(c.sellGeometry(n))
 	return 12*(1+c.Beta) + base, stored
+}
+
+// crsGather is the scalar-CSR gather factor: each lane streams its own
+// row, so a warp-step touches up to one segment per lane instead of
+// sharing them; half the segment granularity over the element size is
+// the simulator-observed midpoint between aligned and worst case.
+func crsGather(dev *gpu.Device) float64 {
+	return max(float64(dev.SegmentBytes)/16, 1)
+}
+
+// modelPass scores every cell with modelBytesPerNnz for a matrix with
+// statistics st and row lengths lens, and returns each cell's stored
+// slot count.
+func modelPass(cells []Cell, st matrix.Stats, lens []int, dev *gpu.Device) []int64 {
+	alpha := EstimateAlpha(st, dev)
+	nnzr := st.AvgRowLen
+	if nnzr <= 0 {
+		nnzr = 1
+	}
+	pad := formats.NewPadding(lens)
+	stored := make([]int64, len(cells))
+	for i := range cells {
+		cells[i].ModelBytesPerNnz, stored[i] = modelBytesPerNnz(&cells[i], pad, len(lens), alpha, nnzr, dev)
+	}
+	return stored
 }
 
 // Tune sweeps the grid for m and returns the completed entry (not yet
@@ -227,15 +249,9 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 		})
 	}
 
-	st := matrix.ComputeStats(m)
 	lens := make([]int, m.NRows)
 	for i := range lens {
 		lens[i] = m.RowLen(i)
-	}
-	alpha := advisor.EstimateAlpha(st, dev)
-	nnzr := st.AvgRowLen
-	if nnzr <= 0 {
-		nnzr = 1
 	}
 
 	cells := cfg.Grid
@@ -246,11 +262,9 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 
 	// Model pass: score every cell, then prune beyond the band.
 	tModel := now()
-	pad := formats.NewPadding(lens)
-	stored := make([]int64, len(cells))
+	stored := modelPass(cells, matrix.ComputeStats(m), lens, dev)
 	best := 0.0
 	for i := range cells {
-		cells[i].ModelBytesPerNnz, stored[i] = modelBytesPerNnz(&cells[i], pad, m.NRows, alpha, nnzr, dev)
 		if i == 0 || cells[i].ModelBytesPerNnz < best {
 			best = cells[i].ModelBytesPerNnz
 		}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pjds/internal/advisor"
 	"pjds/internal/core"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
@@ -337,7 +336,7 @@ func TestModelPassMatchesPerCellEstimate(t *testing.T) {
 		for i := range lens {
 			lens[i] = m.RowLen(i)
 		}
-		base := 8*advisor.EstimateAlpha(st, dev) + 16/st.AvgRowLen
+		base := 8*EstimateAlpha(st, dev) + 16/st.AvgRowLen
 		want := Grid(m.NRows, dev)
 		best := math.Inf(1)
 		for i, c := range want {

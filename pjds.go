@@ -22,7 +22,6 @@ package pjds
 import (
 	"io"
 
-	"pjds/internal/advisor"
 	"pjds/internal/core"
 	"pjds/internal/distmv"
 	"pjds/internal/distsolver"
@@ -30,10 +29,11 @@ import (
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
+	"pjds/internal/model"
 	"pjds/internal/mpi"
-	"pjds/internal/pcie"
 	"pjds/internal/simnet"
 	"pjds/internal/solver"
+	"pjds/internal/tuner"
 )
 
 // Sparse-matrix substrate (double precision).
@@ -293,10 +293,10 @@ func DistributedPowerIteration(c *ClusterComm, rp *RankProblem, v0 []float64, to
 
 // Recommend applies the paper's §II guidance to a matrix's structure:
 // whether GPU offload pays (Eqs. 3/4) and which format to use.
-func Recommend(st Stats) advisor.Recommendation { return advisor.Recommend(st, nil, nil) }
+func Recommend(st Stats) tuner.Recommendation { return tuner.Recommend(st, nil, nil) }
 
 // QDRInfiniBand returns the Dirac-like interconnect model.
 func QDRInfiniBand() *simnet.Fabric { return simnet.QDRInfiniBand() }
 
 // PCIeGen2x16 returns the host↔device link model.
-func PCIeGen2x16() *pcie.Link { return pcie.Gen2x16() }
+func PCIeGen2x16() *model.Link { return model.Gen2x16() }

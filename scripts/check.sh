@@ -10,7 +10,7 @@
 #     tolerant solver, telemetry, flight recorder, health, service, the
 #     GPU worker pool, the ingest-and-convert pipeline, host kernels
 #     and tuner;
-#   - a bounded fuzz run of the tuning-DB tail reader;
+#   - bounded fuzz runs of the tuning-DB tail reader and the fault DSL;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
 #     beat best-of-3 naive, and best-of-3 pJDS (SELL-32-N) must stay
 #     within 1.25x of best-of-3 SELL-8;
@@ -71,13 +71,14 @@ go test -race ./internal/matrix/... ./internal/core/... \
     ./internal/formats/... ./internal/par/... ./internal/convert/...
 
 echo "== go test -race (host kernels, worker pools, tuner) =="
-go test -race ./internal/hostkernel/... ./internal/cpu/... \
+go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, bounded) =="
-# The checked-in corpus already runs under go test; this explores
-# beyond it for a fixed time.
+echo "== fuzz (tuning-DB tail reader and fault DSL, bounded) =="
+# The checked-in corpora already run under go test; this explores
+# beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
+go test -run '^$' -fuzz '^FuzzFaultsParse$' -fuzztime 10s ./internal/faults/
 
 echo "== host-kernel speed gate (best-of-3 blocked below best-of-3 naive) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
@@ -153,10 +154,12 @@ cmp "$TMP/host-naive" "$TMP/host-cmrs"
 echo "== format tuning smoke (tune -> recommend -> run, digest + cache gates) =="
 # The auto-tuner sweeps the (C, σ) grid once, every tuned pick must be
 # bit-identical to the naive CSR reference (the MATCH digest lines) and
-# no more than 1.25x slower than the pJDS preset, matinfo -recommend and
-# perfreport -tune must surface the persisted winner, and a second bench
-# run must answer every matrix from the DB without re-sweeping.
-go run ./cmd/spmvbench -format auto -scale 0.02 -host-iters 1 \
+# no more than 1.25x slower than the pJDS preset (best of 5 timed runs
+# on each side, so one descheduled run cannot fail it), matinfo
+# -recommend and perfreport -tune must surface the persisted winner,
+# and a second bench run must answer every matrix from the DB without
+# re-sweeping.
+go run ./cmd/spmvbench -format auto -scale 0.02 -host-iters 5 \
     -tuning-db "$TMP/tuning.jsonl" -tune-json "$TMP/tune1.json" >"$TMP/tune1.out"
 grep '^digest ' "$TMP/tune1.out" | grep -v ' MATCH ' && {
     echo "a tuned pick diverged from the naive digest:" >&2

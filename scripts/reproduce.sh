@@ -11,9 +11,9 @@ BIN=/tmp/pjds-bin
 
 $BIN/matinfo   -demo                                              > results/fig1_full.txt
 $BIN/spmvbench -fig2 -matrix sAMG -scale 1                        > results/fig2_full.txt
-$BIN/histogram -scale 1                                           > results/fig3_full.txt
+$BIN/spmvbench -fig3 -scale 1                                     > results/fig3_full.txt
 $BIN/spmvbench -table1 -scale 1                                   > results/table1_full.txt
-$BIN/pcimodel  -scale 1                                           > results/sec2b_full.txt
+$BIN/spmvbench -sec2b -scale 1                                    > results/sec2b_full.txt
 $BIN/scaling   -timeline -matrix dlr1 -scale 1 -timelinenodes 8   > results/fig4_full.txt
 $BIN/scaling   -matrix dlr1 -scale 1 -iters 2                     > results/fig5a_full.txt
 $BIN/scaling   -matrix uhbr -scale 1 -iters 2                     > results/fig5b_full.txt
@@ -22,6 +22,6 @@ $BIN/spmvbench -outlook -scale 1                                  > results/outl
 $BIN/scaling   -weak -matrix dlr1 -nodes 1,2,4,8,16,32 -basescale 0.03 -iters 2 > results/weak_full.txt
 $BIN/spmvbench -ablations -matrix sAMG -scale 0.5                 > results/ablations_full.txt
 $BIN/scaling   -ablations -matrix dlr1 -scale 1                  >> results/ablations_full.txt
-$BIN/papercheck -scale 1                                          > results/papercheck_full.txt
+$BIN/spmvbench -papercheck -scale 1                               > results/papercheck_full.txt
 
 echo "all artefacts written to results/"
