@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pjds/internal/core"
@@ -121,17 +123,58 @@ func presetMatrices() []presetMatrix {
 	}
 	xg[0] = math.Inf(1)
 
+	// Rows 0–39 of 100 hold entries and rows 40–99 are empty, so the
+	// trailing chunks of every chunk height are empty (length 0).
+	tail := matrix.NewCOO[float64](100, 50)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 1+(i*3)%17; j++ {
+			tail.Add(i, rng.Intn(50), rng.NormFloat64())
+		}
+	}
+
+	// x holds NaN, ±Inf and -0 among finite values. Every third row
+	// meets +Inf, then -Inf, then NaN, so the sum turns into the NaN
+	// Inf - Inf makes before it meets x's NaN; the next rows multiply
+	// only the -0 entries; the rest are random.
+	hostile := matrix.NewCOO[float64](70, 50)
+	for i := 0; i < 70; i++ {
+		switch i % 3 {
+		case 0:
+			hostile.Add(i, 11, 1+rng.Float64())
+			hostile.Add(i, 17, 1+rng.Float64())
+			hostile.Add(i, 41, rng.NormFloat64())
+		case 1:
+			hostile.Add(i, 3, rng.NormFloat64())
+			hostile.Add(i, 29, rng.NormFloat64())
+		default:
+			for j := 0; j < (i*7)%13; j++ {
+				hostile.Add(i, rng.Intn(50), rng.NormFloat64())
+			}
+		}
+	}
+	xh := make([]float64, 50)
+	for i := range xh {
+		xh[i] = rng.NormFloat64()
+	}
+	xh[3], xh[11], xh[17], xh[29], xh[41] = math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.NaN()
+
 	return []presetMatrix{
 		{"random", random, xr},
 		{"empty-row-inf-x", inf.ToCSR(), []float64{math.Inf(1), 1, 2}},
 		{"empty-rows-in-groups-inf-x", gaps.ToCSR(), xg},
 		{"0x0", matrix.NewCOO[float64](0, 0).ToCSR(), nil},
 		{"all-empty", matrix.NewCOO[float64](5, 4).ToCSR(), []float64{math.Inf(1), math.NaN(), 1, 2}},
+		{"empty-trailing-chunks", tail.ToCSR(), xr},
+		{"nan-inf-negzero-x", hostile.ToCSR(), xh},
 	}
 }
 
+// sameBits reports bit-identity, with one exception: where two NaNs
+// with different payloads meet in an add, x86 keeps the first
+// operand's and the compiler may commute a scalar add, so a NaN need
+// only match a NaN.
 func sameBits[T matrix.Float](a, b T) bool {
-	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b)) || a != a && b != b
 }
 
 // addBase is the nonzero y an accumulating product starts from.
@@ -180,6 +223,7 @@ func checkPresets[T matrix.Float](t *testing.T, m *matrix.CSR[T], x []T) {
 					t.Fatalf("MulVecPermuted stored row %d: %v, CSR %v", i, yp[i], ref[old])
 				}
 			}
+			checkRanges(t, s, x, ref, refAdd, base)
 			for _, workers := range []int{1, 3} {
 				for _, acc := range []bool{false, true} {
 					yd := make([]T, s.NPad)
@@ -205,13 +249,72 @@ func checkPresets[T matrix.Float](t *testing.T, m *matrix.CSR[T], x []T) {
 	}
 }
 
+// rangeCuts split stored rows [0, N) into MulRows calls that start and
+// end mid-chunk and mid-group, as the device worker pool's warp runs
+// and the host kernel's nnz-balanced slices do; cuts past N clamp.
+var rangeCuts = [][]int{nil, {1}, {8}, {13, 40}, {32, 64}, {5, 21, 37, 64}, {3, 66, 67}}
+
+// checkRanges runs s.MulRows over every split of rangeCuts into y in
+// stored order (perm nil) and in the original order (perm = s.Perm),
+// storing and adding, and compares each with CSR.
+func checkRanges[T matrix.Float](t *testing.T, s *core.SELL[T], x, ref, refAdd, base []T) {
+	t.Helper()
+	for _, permuted := range []bool{false, true} {
+		var perm matrix.Perm
+		if permuted {
+			perm = s.Perm
+		}
+		// at maps a y index to its original row.
+		at := func(i int) int { return s.Perm[i] }
+		if permuted {
+			at = func(i int) int { return i }
+		}
+		for _, add := range []bool{false, true} {
+			for _, cuts := range rangeCuts {
+				y := make([]T, s.N)
+				want := ref
+				if add {
+					want = refAdd
+					for i := range y {
+						y[i] = base[at(i)]
+					}
+				}
+				lo := 0
+				for _, hi := range append(cuts, s.N) {
+					hi = min(max(hi, lo), s.N)
+					s.MulRows(y, x, lo, hi, perm, add)
+					lo = hi
+				}
+				for i := range y {
+					if !sameBits(y[i], want[at(i)]) {
+						t.Fatalf("MulRows cuts=%v perm=%v add=%v: y[%d] = %v, CSR %v", cuts, permuted, add, i, y[i], want[at(i)])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPresetsBitIdenticalToCSR is the one table over every SELL preset
 // and a (C, σ) grid in both precisions: host MulVec and MulVecPermuted,
-// the device replay with and without accumulate, and the pJDS and
-// SELL-C-σ host kernels at several worker counts all walk true row
-// lengths, so even an empty row against an infinite x entry yields
-// CSR's exact 0.
+// MulRows over split ranges with and without perm and add, the device
+// replay with and without accumulate, and the pJDS and SELL-C-σ host
+// kernels at several worker counts all walk true row lengths, so even
+// an empty row against an infinite x entry yields CSR's exact 0. The
+// table runs on the AVX-512 group kernel where the host has it, and
+// again with the eight-lane groups forced onto the Go loop.
 func TestPresetsBitIdenticalToCSR(t *testing.T) {
+	if !core.GroupKernel() {
+		t.Log("no AVX-512 group kernel on this host: both passes run the Go loop")
+	}
+	checkAllPresets(t)
+	t.Run("go-loop", func(t *testing.T) {
+		core.WithoutGroupKernel(t)
+		checkAllPresets(t)
+	})
+}
+
+func checkAllPresets(t *testing.T) {
 	for _, pm := range presetMatrices() {
 		t.Run(pm.name+"/DP", func(t *testing.T) { checkPresets(t, pm.m, pm.x) })
 		xs := make([]float32, len(pm.x))
@@ -306,6 +409,69 @@ func checkHostPJDS(t *testing.T, m *matrix.CSR[float64], x []float64) {
 			}
 		})
 	}
+}
+
+// TestCorruptColumnIndexPanics: a column index outside x in a built
+// layout makes MulRows panic with the runtime's index error, with the
+// same message and the same rows of y written on the group kernel as
+// on the Go loop. The kernel checks every active index before it
+// gathers and hands the group to the Go loop, so it never reads
+// outside x.
+func TestCorruptColumnIndexPanics(t *testing.T) {
+	pm := presetMatrices()[0]
+	for _, pc := range presetCases[float64]() {
+		for _, bad := range []int32{int32(pm.m.NCols), -1, math.MaxInt32, math.MinInt32} {
+			t.Run(fmt.Sprintf("%s/col=%d", pc.name, bad), func(t *testing.T) {
+				run := func(t *testing.T) (string, []float64) {
+					s, err := pc.build(pm.m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The last element of the first non-empty stored
+					// row from the middle on.
+					i := s.N / 2
+					for s.RowLen[i] == 0 {
+						i++
+					}
+					sl := i / s.C
+					s.ColIdx[int(s.SliceStart[sl])+i-sl*s.C+(int(s.RowLen[i])-1)*s.C] = bad
+					y := make([]float64, s.N)
+					return mulRowsPanic(s, y, pm.x), y
+				}
+				var msg [2]string
+				var y [2][]float64
+				t.Run("kernel", func(t *testing.T) { msg[0], y[0] = run(t) })
+				t.Run("go-loop", func(t *testing.T) {
+					core.WithoutGroupKernel(t)
+					msg[1], y[1] = run(t)
+				})
+				if !strings.Contains(msg[1], "index out of range") || msg[0] != msg[1] {
+					t.Fatalf("panic %q with the group kernel, %q on the Go loop; want the same index error", msg[0], msg[1])
+				}
+				for i := range y[0] {
+					if math.Float64bits(y[0][i]) != math.Float64bits(y[1][i]) {
+						t.Fatalf("y[%d] = %v with the group kernel, %v on the Go loop", i, y[0][i], y[1][i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// mulRowsPanic runs s.MulRows over every stored row and returns the
+// message of the runtime error it panics with ("" when it returns).
+func mulRowsPanic(s *core.SELL[float64], y, x []float64) (msg string) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case runtime.Error:
+			msg = r.Error()
+		default:
+			msg = fmt.Sprintf("not a runtime error: %v", r)
+		}
+	}()
+	s.MulRows(y, x, 0, s.N, nil, false)
+	return ""
 }
 
 // phaseLog records the conversion phases in the order they start.

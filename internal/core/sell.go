@@ -459,13 +459,17 @@ func (s *SELL[T]) MulVec(y, x []T) error {
 // caller's to check.
 //
 // When C is a multiple of 8 (else of 4) the rows run in groups of 8
-// (4) lanes of one chunk whose accumulators stay in registers over the
-// group's common prefix — the lockstep SELL-C-σ is laid out for — and
-// each lane then finishes its ragged tail alone; other chunk heights,
-// and the unaligned rows at either end of the range, run lane by lane.
-// Every lane sums its row from zero in stored column order and never
-// reads padding, so the result is bit-identical to CRS (a padding 0·x
-// would flip a -0 sum to +0, and 0·Inf is NaN).
+// (4) lanes of one chunk — the lockstep SELL-C-σ is laid out for. On
+// an amd64 CPU with AVX-512 the eight-lane groups run as one assembly
+// kernel (sell_amd64.s): a masked gather per step, with the mask
+// "row length > j" so no lane adds padding. Elsewhere the groups run
+// as Go loops whose accumulators stay in registers over the group's
+// common prefix, each lane then finishing its ragged tail alone. Other
+// chunk heights, and the unaligned rows at either end of the range,
+// run lane by lane. Every lane sums its row from zero in stored column
+// order, with separate multiplies and adds, and never reads padding,
+// so the result is bit-identical to CRS (a padding 0·x would flip a
+// -0 sum to +0, and 0·Inf is NaN).
 func (s *SELL[T]) MulRows(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
 	g := 1
 	switch {
@@ -479,7 +483,7 @@ func (s *SELL[T]) MulRows(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
 	s.lanes1(y, x, lo, a, perm, add)
 	switch g {
 	case 8:
-		s.lanes8(y, x, a, b, perm, add)
+		s.lanes8(y, x, groups8(s, y, x, a, b, perm, add), b, perm, add)
 	case 4:
 		s.lanes4(y, x, a, b, perm, add)
 	default:

@@ -7,16 +7,37 @@ import (
 	"pjds/internal/matrix"
 )
 
+// fuzzChunkHeights are the SELL chunk heights FuzzHostKernels draws
+// from: the lane-by-lane and four-lane Go loops below 8, and the
+// eight-lane groups (the AVX-512 group kernel where the host has it)
+// from 8 up.
+var fuzzChunkHeights = []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 32}
+
+// hostileX are the x entries FuzzHostKernels mixes in: NaN, both
+// infinities, both zeros, a subnormal, and magnitudes whose products
+// overflow.
+var hostileX = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, 1e308, -1e308}
+
+// sameBits reports bit-identity, except that a NaN need only match a
+// NaN: where two NaNs with different payloads meet in an add, x86 keeps
+// the first operand's and the compiler may commute a scalar add.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
 // FuzzHostKernels drives the blocked and SELL kernels with
-// fuzzer-shaped matrices and geometry (worker count, unroll width,
-// tile width, chunk height, sorting window) and demands bit-identity
-// with the naive CRS reference — the same cross-check discipline as
-// the PR5 parallel-vs-sequential conversion fuzz.
+// fuzzer-shaped matrices, geometry (worker count, unroll width, tile
+// width, chunk height, sorting window) and x (a nonzero hostile picks
+// entries that take NaN, infinite, zero, subnormal or overflowing
+// values) and demands bit-identity with the naive CRS reference — the
+// same cross-check discipline as the parallel-vs-sequential conversion
+// fuzz.
 func FuzzHostKernels(f *testing.F) {
-	f.Add(uint8(8), uint8(8), uint8(2), uint8(0), uint8(16), []byte{0x11, 0x22, 0x33})
-	f.Add(uint8(1), uint8(1), uint8(7), uint8(1), uint8(0), []byte{})
-	f.Add(uint8(64), uint8(3), uint8(4), uint8(9), uint8(3), []byte{0xff, 0x00, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, rows, cols, workers, geom, tile uint8, pattern []byte) {
+	f.Add(uint8(8), uint8(8), uint8(2), uint8(0), uint8(16), uint8(0), []byte{0x11, 0x22, 0x33})
+	f.Add(uint8(1), uint8(1), uint8(7), uint8(1), uint8(0), uint8(0), []byte{})
+	f.Add(uint8(64), uint8(3), uint8(4), uint8(9), uint8(3), uint8(2), []byte{0xff, 0x00, 0xff, 0x7f})
+	f.Add(uint8(63), uint8(40), uint8(2), uint8(7), uint8(0), uint8(3), []byte{0x81, 0x22, 0x9a, 0x04, 0x11, 0xe7, 0x50, 0x33, 0x6c, 0x02})
+	f.Fuzz(func(t *testing.T, rows, cols, workers, geom, tile, hostile uint8, pattern []byte) {
 		n := int(rows)%64 + 1
 		c := int(cols)%64 + 1
 		w := int(workers)%9 + 1
@@ -24,7 +45,7 @@ func FuzzHostKernels(f *testing.F) {
 		if geom&1 != 0 {
 			unroll = 8
 		}
-		chunkH := int(geom)%7 + 1    // SELL C in [1, 7] exercises the generic path too
+		chunkH := fuzzChunkHeights[int(geom)%len(fuzzChunkHeights)]
 		sigma := int(geom)%48 + 1    // SELL σ
 		tileCols := int(tile)%32 - 1 // ≤ 0 leaves tiling off; small tiles split rows often
 		coo := matrix.NewCOO[float64](n, c)
@@ -40,6 +61,9 @@ func FuzzHostKernels(f *testing.F) {
 		x := make([]float64, c)
 		for i := range x {
 			x[i] = float64(i%5) - 2
+			if hostile != 0 && (i*7+int(hostile))%(int(hostile)%4+2) == 0 {
+				x[i] = hostileX[(i+int(hostile))%len(hostileX)]
+			}
 		}
 		ref := make([]float64, n)
 		if err := m.MulVec(ref, x); err != nil {
@@ -56,7 +80,7 @@ func FuzzHostKernels(f *testing.F) {
 				t.Fatal(err)
 			}
 			for i := range y {
-				if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+				if !sameBits(y[i], ref[i]) {
 					t.Fatalf("%s (w=%d unroll=%d tile=%d C=%d σ=%d): y[%d] = %v, reference %v",
 						kind, w, unroll, tileCols, chunkH, sigma, i, y[i], ref[i])
 				}
@@ -72,7 +96,7 @@ func FuzzHostKernels(f *testing.F) {
 				t.Fatal(err)
 			}
 			for i := range y {
-				if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+				if !sameBits(y[i], want[i]) {
 					t.Fatalf("%s add: y[%d] = %v, reference %v", kind, i, y[i], want[i])
 				}
 			}

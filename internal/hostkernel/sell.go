@@ -16,8 +16,7 @@ import (
 // consecutive rows padded to the chunk maximum. Chunks are split
 // nnz-balanced over the workers, and each worker runs core's
 // SELL.MulRows over its chunks: groups of 8 (then 4) lanes advance in
-// lockstep with their accumulators in registers over the group's
-// common prefix, then each lane finishes its ragged tail alone. Each
+// lockstep, as one AVX-512 gather kernel where the CPU has it. Each
 // lane sums its row in stored column order and padding is never
 // touched, so results are bit-identical to the naive reference.
 type SELL struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -232,6 +233,13 @@ func ReadTrace(r io.Reader) ([]Span, error) {
 		if e.Ph != "X" {
 			continue
 		}
+		start, end := e.Ts/1e6, (e.Ts+e.Dur)/1e6
+		// WriteTrace scales times back to microseconds, so a time
+		// that overflows there (a huge ts + dur) was never written by
+		// it and could not be written again.
+		if math.IsInf(1e6*end, 0) {
+			return nil, fmt.Errorf("telemetry: trace event %q ends at %g+%g µs, out of range", e.Name, e.Ts, e.Dur)
+		}
 		var args map[string]string
 		if len(e.Args) > 0 {
 			args = make(map[string]string, len(e.Args))
@@ -241,7 +249,7 @@ func ReadTrace(r io.Reader) ([]Span, error) {
 		}
 		log.Add(Span{
 			Proc: e.PID, Lane: laneOf(e.PID, e.TID), Cat: e.Cat, Name: e.Name,
-			Start: e.Ts / 1e6, End: (e.Ts + e.Dur) / 1e6,
+			Start: start, End: end,
 			Args: args,
 		})
 	}

@@ -1,16 +1,18 @@
 #!/bin/sh
 # Repository health check, the one CI script (bench/run.sh is the one
 # benchmark). In order:
-#   - gofmt, go vet, build, the full test suite (which carries the
-#     0 allocs/op gates of the telemetry, flight-recorder, admission
-#     and host-kernel hot paths), and vet plus short tests of the
-#     separate bench/ module, which root ./... never builds;
+#   - gofmt, go vet (native and GOARCH=arm64), build, the full test
+#     suite (which carries the 0 allocs/op gates of the telemetry,
+#     flight-recorder, admission and host-kernel hot paths), and vet
+#     plus short tests of the separate bench/ module, which root ./...
+#     never builds;
 #   - race runs over the concurrency-heavy packages: virtual-time
 #     fabric, MPI-like layer, distributed spMVM, fault plans, fault-
 #     tolerant solver, telemetry, flight recorder, health, service, the
 #     GPU worker pool, the ingest-and-convert pipeline, host kernels
 #     and tuner;
-#   - bounded fuzz runs of the tuning-DB tail reader and the fault DSL;
+#   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL and
+#     the Chrome-trace reader;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
 #     beat best-of-3 naive, and best-of-3 pJDS (SELL-32-N) must stay
 #     within 1.25x of best-of-3 SELL-8;
@@ -45,6 +47,11 @@ test -z "$(gofmt -l .)" || {
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet, GOARCH=arm64 (the non-amd64 fallbacks build) =="
+# The AVX-512 group kernel is amd64 assembly; every other architecture
+# must build the Go fallback of each assembly function.
+GOARCH=arm64 go vet ./...
+
 echo "== go build =="
 go build ./...
 
@@ -74,11 +81,15 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader and fault DSL, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL and trace reader, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
 go test -run '^$' -fuzz '^FuzzFaultsParse$' -fuzztime 10s ./internal/faults/
+# Go's minimizer may spend up to a minute, by default, shrinking one
+# new multi-kilobyte trace while no input runs; 2s keeps the 10s
+# exploring.
+go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./internal/telemetry/
 
 echo "== host-kernel speed gate (best-of-3 blocked below best-of-3 naive) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
