@@ -26,7 +26,6 @@ import (
 	"pjds/internal/convert"
 	"pjds/internal/core"
 	"pjds/internal/experiments"
-	"pjds/internal/formats"
 	"pjds/internal/matrix"
 	"pjds/internal/par"
 	"pjds/internal/textplot"
@@ -205,8 +204,8 @@ func printFootprints(out io.Writer, m *matrix.CSR[float64], opt matrix.ConvertOp
 	if err != nil {
 		return err
 	}
-	list := []formats.Format[float64]{
-		formats.NewCRS(m),
+	list := []core.Format[float64]{
+		core.NewCRS(m),
 		core.NewELLPACK(m, opt),
 		core.NewELLPACKR(m, opt),
 		sell,
@@ -220,7 +219,7 @@ func printFootprints(out io.Writer, m *matrix.CSR[float64], opt matrix.ConvertOp
 			f.Name(),
 			fmt.Sprint(f.StoredElems()),
 			fmt.Sprintf("%.1f", float64(f.FootprintBytes())/(1<<20)),
-			fmt.Sprintf("%+.1f%%", -100*formats.DataReduction[float64](ell, f)),
+			fmt.Sprintf("%+.1f%%", -100*core.DataReduction[float64](ell, f)),
 		})
 	}
 	return textplot.Table(out, rows)

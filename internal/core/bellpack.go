@@ -1,9 +1,8 @@
-package formats
+package core
 
 import (
 	"fmt"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -61,12 +60,12 @@ func NewBELLPACK[T matrix.Float](m *matrix.CSR[T], br, bc int) (*BELLPACK[T], er
 // is bit-identical for every worker count.
 func NewBELLPACKWith[T matrix.Float](m *matrix.CSR[T], br, bc int, opt matrix.ConvertOptions) (*BELLPACK[T], error) {
 	if br < 1 || bc < 1 {
-		return nil, fmt.Errorf("formats: BELLPACK block %dx%d", br, bc)
+		return nil, fmt.Errorf("core: BELLPACK block %dx%d", br, bc)
 	}
 	n := m.NRows
 	blockRows := (n + br - 1) / br
 	// Pad block rows so scalar rows are a multiple of the warp size.
-	scalarPad := ((blockRows*br + core.WarpSize - 1) / core.WarpSize) * core.WarpSize
+	scalarPad := ((blockRows*br + WarpSize - 1) / WarpSize) * WarpSize
 	blockRowsPad := scalarPad / br
 	if scalarPad%br != 0 {
 		blockRowsPad++
@@ -192,7 +191,7 @@ func (e *BELLPACK[T]) FootprintBytes() int64 {
 // blocks (ELLPACK-R style, stopping at the true block count).
 func (e *BELLPACK[T]) MulVec(y, x []T) error {
 	if len(x) != e.NCols || len(y) != e.N {
-		return fmt.Errorf("formats: BELLPACK MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
+		return fmt.Errorf("core: BELLPACK MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
 	}
 	for i := 0; i < e.N; i++ {
 		b := i / e.BR

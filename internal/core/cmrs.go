@@ -1,4 +1,4 @@
-package formats
+package core
 
 import (
 	"fmt"
@@ -74,7 +74,7 @@ func (c *CMRS[T]) Reset(m *matrix.CSR[T], height int, opt matrix.ConvertOptions)
 		height = DefaultStripHeight
 	}
 	if height < 1 || height > MaxStripHeight {
-		return fmt.Errorf("formats: CMRS strip height %d outside [1, %d]", height, MaxStripHeight)
+		return fmt.Errorf("core: CMRS strip height %d outside [1, %d]", height, MaxStripHeight)
 	}
 	done := opt.Phase("cmrs-fill")
 	defer done()
@@ -146,7 +146,7 @@ func (c *CMRS[T]) FootprintBytes() int64 {
 // stored column order — bit-identical to the CRS reference.
 func (c *CMRS[T]) MulVec(y, x []T) error {
 	if len(x) != c.NCols || len(y) != c.N {
-		return fmt.Errorf("formats: CMRS MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), c.N, c.NCols, matrix.ErrShape)
+		return fmt.Errorf("core: CMRS MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), c.N, c.NCols, matrix.ErrShape)
 	}
 	for i := range y[:c.N] {
 		y[i] = 0

@@ -1,9 +1,8 @@
-package formats
+package core
 
 import (
 	"fmt"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -48,13 +47,13 @@ func NewELLRT[T matrix.Float](m *matrix.CSR[T], threads int) (*ELLRT[T], error) 
 // is parallel over rows (row i writes only its own group slots), so
 // the result is bit-identical for every worker count.
 func NewELLRTWith[T matrix.Float](m *matrix.CSR[T], threads int, opt matrix.ConvertOptions) (*ELLRT[T], error) {
-	if threads < 1 || core.WarpSize%threads != 0 {
-		return nil, fmt.Errorf("formats: ELLR-T with T=%d (must divide the warp size %d)", threads, core.WarpSize)
+	if threads < 1 || WarpSize%threads != 0 {
+		return nil, fmt.Errorf("core: ELLR-T with T=%d (must divide the warp size %d)", threads, WarpSize)
 	}
 	done := opt.Phase("ellrt-fill")
 	defer done()
 	n := m.NRows
-	npad := ((n + core.WarpSize - 1) / core.WarpSize) * core.WarpSize
+	npad := ((n + WarpSize - 1) / WarpSize) * WarpSize
 	maxLen := m.MaxRowLen()
 	padded := ((maxLen + threads - 1) / threads) * threads
 	e := &ELLRT[T]{
@@ -118,19 +117,30 @@ func (e *ELLRT[T]) FootprintBytes() int64 {
 }
 
 // MulVec implements Format with the host rendering of the cooperative
-// kernel (each row still sums ceil(len/T)·T slots; padding contributes
-// zero).
+// kernel.
 func (e *ELLRT[T]) MulVec(y, x []T) error {
 	if len(x) != e.NCols || len(y) != e.N {
-		return fmt.Errorf("formats: ELLR-T MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
+		return fmt.Errorf("core: ELLR-T MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
 	}
-	for i := 0; i < e.N; i++ {
+	e.MulRows(y, x, 0, e.N, false)
+	return nil
+}
+
+// MulRows computes rows [lo, hi) of y = A·x (y += A·x when add). Each
+// row sums its true length in stored column order, which the T lanes
+// of the cooperative kernel split but do not reorder, so y is
+// bit-identical to CRS. The caller checks the shapes.
+func (e *ELLRT[T]) MulRows(y, x []T, lo, hi int, add bool) {
+	for i := lo; i < hi; i++ {
 		var sum T
 		for j := 0; j < int(e.RowLen[i]); j++ {
 			at := e.index(i, j)
 			sum += e.Val[at] * x[e.ColIdx[at]]
 		}
-		y[i] = sum
+		if add {
+			y[i] += sum
+		} else {
+			y[i] = sum
+		}
 	}
-	return nil
 }

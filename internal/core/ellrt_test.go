@@ -1,4 +1,4 @@
-package formats
+package core
 
 import (
 	"math"

@@ -1,20 +1,14 @@
-// Package formats holds the common Format surface of the spMVM storage
-// formats and the ones that are not SELL-C-σ presets: the ELLR-T and
-// blocked-ELLPACK variants, CMRS, and a CRS adapter. ELLPACK, ELLPACK-R,
-// JDS, pJDS and sliced ELLPACK are all presets of core.SELL.
-//
-// Every format exposes its raw arrays so the SIMT simulator in
-// internal/gpu can replay the exact memory-access pattern of the
-// corresponding CUDA kernel.
-package formats
+package core
 
-import (
-	"pjds/internal/core"
-	"pjds/internal/matrix"
-)
+import "pjds/internal/matrix"
+
+// This file holds the common Format surface of the spMVM storage
+// formats. The SELL presets satisfy it structurally, and so do the
+// formats that are not SELL-C-σ presets: ELLR-T (ellrt.go), blocked
+// ELLPACK (bellpack.go), CMRS (cmrs.go) and the CRS adapter below.
 
 // Format is the common surface of all spMVM storage formats. The
-// core.SELL presets satisfy it structurally.
+// SELL presets satisfy it structurally.
 type Format[T matrix.Float] interface {
 	// Name identifies the format ("ELLPACK", "ELLPACK-R", "pJDS", ...).
 	Name() string
@@ -39,10 +33,6 @@ type Format[T matrix.Float] interface {
 type RowPermuted interface {
 	RowPerm() matrix.Perm
 }
-
-// SizeofElem reports the element byte width (4 for float32, 8 for
-// float64); re-exported from internal/core for convenience.
-func SizeofElem[T matrix.Float]() int { return core.SizeofElem[T]() }
 
 // DataReduction returns the fractional reduction of stored value slots
 // of format b relative to format a: 1 − stored(b)/stored(a). Table I's

@@ -1,10 +1,9 @@
-package formats
+package core
 
 import (
 	"reflect"
 	"testing"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -18,10 +17,10 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 	for w := 2; w <= 8; w += 2 {
 		par := matrix.ConvertOptions{Workers: w, ForceParallel: true}
 
-		if base := core.NewELLPACK(m, seq); !reflect.DeepEqual(base, core.NewELLPACK(m, par)) {
+		if base := NewELLPACK(m, seq); !reflect.DeepEqual(base, NewELLPACK(m, par)) {
 			t.Fatalf("workers=%d: ELLPACK differs", w)
 		}
-		if base := core.NewELLPACKR(m, seq); !reflect.DeepEqual(base, core.NewELLPACKR(m, par)) {
+		if base := NewELLPACKR(m, seq); !reflect.DeepEqual(base, NewELLPACKR(m, par)) {
 			t.Fatalf("workers=%d: ELLPACK-R differs", w)
 		}
 
@@ -34,11 +33,11 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: BELLPACK differs (err=%v)", w, err)
 		}
 
-		sb, err := core.NewSELL(m, 32, 128, seq)
+		sb, err := NewSELL(m, 32, 128, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := core.NewSELL(m, 32, 128, par)
+		sp, err := NewSELL(m, 32, 128, par)
 		if err != nil || !reflect.DeepEqual(sb, sp) {
 			t.Fatalf("workers=%d: SELL differs (err=%v)", w, err)
 		}
@@ -52,11 +51,11 @@ func TestFormatsWorkerDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: ELLR-T differs (err=%v)", w, err)
 		}
 
-		jb, err := core.NewPJDS(m, core.Options{Convert: seq})
+		jb, err := NewPJDS(m, Options{Convert: seq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		jp, err := core.NewPJDS(m, core.Options{Convert: par})
+		jp, err := NewPJDS(m, Options{Convert: par})
 		if err != nil || !reflect.DeepEqual(jb, jp) {
 			t.Fatalf("workers=%d: pJDS differs (err=%v)", w, err)
 		}
@@ -73,7 +72,7 @@ func TestSlicedELLWithMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.NewSELL(m, 16, sigma, matrix.ConvertOptions{Workers: 4, ForceParallel: true, Arena: matrix.NewArena()})
+		got, err := NewSELL(m, 16, sigma, matrix.ConvertOptions{Workers: 4, ForceParallel: true, Arena: matrix.NewArena()})
 		if err != nil {
 			t.Fatal(err)
 		}

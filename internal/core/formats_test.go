@@ -1,4 +1,4 @@
-package formats
+package core
 
 import (
 	"math"
@@ -6,43 +6,29 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
 // Shorthands for the core layouts built with default conversion
 // options.
-func newELL[T matrix.Float](m *matrix.CSR[T]) *core.SELL[T] {
-	return core.NewELLPACK(m, matrix.ConvertOptions{})
+func newELL[T matrix.Float](m *matrix.CSR[T]) *SELL[T] {
+	return NewELLPACK(m, matrix.ConvertOptions{})
 }
 
-func newELLR[T matrix.Float](m *matrix.CSR[T]) *core.SELL[T] {
-	return core.NewELLPACKR(m, matrix.ConvertOptions{})
+func newELLR[T matrix.Float](m *matrix.CSR[T]) *SELL[T] {
+	return NewELLPACKR(m, matrix.ConvertOptions{})
 }
 
-func newSliced[T matrix.Float](m *matrix.CSR[T], c, sigma int) (*core.SELL[T], error) {
-	return core.NewSELL(m, c, sigma, matrix.ConvertOptions{})
+func newSliced[T matrix.Float](m *matrix.CSR[T], c, sigma int) (*SELL[T], error) {
+	return NewSELL(m, c, sigma, matrix.ConvertOptions{})
 }
 
-func newPJDS[T matrix.Float](m *matrix.CSR[T]) (*core.PJDS[T], error) {
-	return core.NewPJDS(m, core.Options{})
+func newPJDS[T matrix.Float](m *matrix.CSR[T]) (*PJDS[T], error) {
+	return NewPJDS(m, Options{})
 }
 
-func newJDS[T matrix.Float](m *matrix.CSR[T]) (*core.PJDS[T], error) {
-	return core.NewPJDS(m, core.Options{BlockHeight: 1})
-}
-
-func randomCSR(rows, cols int, density float64, seed int64) *matrix.CSR[float64] {
-	rng := rand.New(rand.NewSource(seed))
-	coo := matrix.NewCOO[float64](rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if rng.Float64() < density {
-				coo.Add(i, j, rng.NormFloat64())
-			}
-		}
-	}
-	return coo.ToCSR()
+func newJDS[T matrix.Float](m *matrix.CSR[T]) (*PJDS[T], error) {
+	return NewPJDS(m, Options{BlockHeight: 1})
 }
 
 // allFormats builds every format in the repository for m.

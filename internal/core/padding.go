@@ -1,13 +1,12 @@
-package formats
+package core
 
 import (
 	"slices"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
-// The SELL-C-σ layout itself (core.SELL) carries the paper's padded
+// The SELL-C-σ layout itself (SELL) carries the paper's padded
 // formats as presets; this file adds the layout-quality measures the
 // (C, σ) auto-tuner works with: the zero-padding overhead β and its
 // row-length estimate, Padding. See DESIGN.md "SELL-C-σ presets and the
@@ -60,7 +59,7 @@ func NewPadding(lens []int) *Padding {
 }
 
 // Estimate returns the number of value slots, padding included, of
-// the layout core.NewSELL builds with chunk height c and sorting window
+// the layout NewSELL builds with chunk height c and sorting window
 // sigma — exactly its len(Val) — and that layout's β = stored/nnz − 1
 // (0 for an empty matrix). Both are 0 when c < 1.
 func (p *Padding) Estimate(c, sigma int) (stored int64, beta float64) {
@@ -68,8 +67,8 @@ func (p *Padding) Estimate(c, sigma int) (stored int64, beta float64) {
 	if c < 1 {
 		return 0, 0
 	}
-	// Mirror core.NewSELL's clamping so the count is exact.
-	sorted := p.sortedLens(core.ClampSigma(c, sigma, n))
+	// Mirror NewSELL's clamping so the count is exact.
+	sorted := p.sortedLens(ClampSigma(c, sigma, n))
 	for lo := 0; lo < n; lo += c {
 		stored += int64(slices.Max(sorted[lo:min(lo+c, n)])) * int64(c)
 	}
@@ -80,7 +79,7 @@ func (p *Padding) Estimate(c, sigma int) (stored int64, beta float64) {
 }
 
 // sortedLens returns the row lengths sorted descending inside each
-// window of sigma rows, as core.NewSELL sorts them (the lengths
+// window of sigma rows, as NewSELL sorts them (the lengths
 // themselves when sigma ≤ 1).
 func (p *Padding) sortedLens(sigma int) []int {
 	if sigma <= 1 {

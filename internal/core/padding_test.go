@@ -1,11 +1,10 @@
-package formats
+package core
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -21,7 +20,7 @@ func TestSELLName(t *testing.T) {
 		{4, 0, 1000, "SELL-4-1"},
 	}
 	for _, tc := range cases {
-		if got := core.SELLName(tc.c, tc.sigma, tc.n); got != tc.want {
+		if got := SELLName(tc.c, tc.sigma, tc.n); got != tc.want {
 			t.Errorf("SELLName(%d, %d, %d) = %q, want %q", tc.c, tc.sigma, tc.n, got, tc.want)
 		}
 	}
@@ -56,7 +55,7 @@ func TestSELLPJDSEquivalence(t *testing.T) {
 // original unsorted sliced-ELLPACK.
 func TestSELLC1MatchesUnsortedSliced(t *testing.T) {
 	m := randomCSR(200, 180, 0.05, 3)
-	a, err := core.NewSELL(m, 8, 1, matrix.ConvertOptions{Workers: 3, ForceParallel: true})
+	a, err := NewSELL(m, 8, 1, matrix.ConvertOptions{Workers: 3, ForceParallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

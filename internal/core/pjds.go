@@ -27,6 +27,13 @@
 // get correct results, at the cost the paper describes (permutation only
 // pays off when done once around an entire iterative solve). Both run
 // SELL.MulRows, the one numeric kernel of every preset.
+//
+// The formats that are not SELL presets live here too: ELLR-T,
+// blocked ELLPACK (BELLPACK), CMRS and the CRS adapter, all behind the
+// common Format interface, plus the layout-quality measures
+// (ZeroPadding, ChunkOccupancy, Padding) the format tuner works with.
+// Every format exposes its raw arrays so the SIMT simulator in
+// internal/gpu can replay the memory-access pattern of its CUDA kernel.
 package core
 
 import "pjds/internal/matrix"

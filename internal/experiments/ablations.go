@@ -7,7 +7,6 @@ import (
 
 	"pjds/internal/core"
 	"pjds/internal/distmv"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
@@ -51,7 +50,7 @@ func AblationL2(name string, scale float64, w io.Writer) ([]AblationPoint, error
 	} {
 		dev := gpu.TeslaC2070()
 		c.mod(dev)
-		st, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, gpu.RunOptions{})
+		st, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, oneShot())
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +79,7 @@ func AblationSortWindow(name string, scale float64, w io.Writer) ([]AblationPoin
 		if err != nil {
 			return nil, err
 		}
-		st, err := gpu.RunSELL(dev, s, make([]float64, s.NPad), x, gpu.RunOptions{})
+		st, err := gpu.RunSELL(dev, s, make([]float64, s.NPad), x, oneShot())
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +115,7 @@ func AblationBlockHeight(name string, scale float64, w io.Writer) ([]AblationPoi
 		if err != nil {
 			return nil, err
 		}
-		st, err := gpu.RunPJDS(dev, p, make([]float64, p.NPad), x, gpu.RunOptions{})
+		st, err := gpu.RunPJDS(dev, p, make([]float64, p.NPad), x, oneShot())
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +224,7 @@ func AblationRCM(name string, scale float64, w io.Writer) ([]AblationPoint, erro
 		if err != nil {
 			return err
 		}
-		st, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), xx, gpu.RunOptions{})
+		st, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), xx, oneShot())
 		if err != nil {
 			return err
 		}
@@ -280,11 +279,11 @@ func AblationELLRT(name string, scale float64, w io.Writer) ([]AblationPoint, er
 	arena := matrix.NewArena()
 	for _, threads := range []int{1, 2, 4, 8} {
 		arena.Reset()
-		e, err := formats.NewELLRTWith(m, threads, matrix.ConvertOptions{Arena: arena})
+		e, err := core.NewELLRTWith(m, threads, matrix.ConvertOptions{Arena: arena})
 		if err != nil {
 			return nil, err
 		}
-		st, err := gpu.RunELLRT(dev, e, make([]float64, m.NRows), x, gpu.RunOptions{})
+		st, err := gpu.RunELLRT(dev, e, make([]float64, m.NRows), x, oneShot())
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +297,7 @@ func AblationELLRT(name string, scale float64, w io.Writer) ([]AblationPoint, er
 	if err != nil {
 		return nil, err
 	}
-	st, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, gpu.RunOptions{})
+	st, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, oneShot())
 	if err != nil {
 		return nil, err
 	}

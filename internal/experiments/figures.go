@@ -8,7 +8,6 @@ import (
 	"pjds/internal/core"
 	"pjds/internal/critpath"
 	"pjds/internal/distmv"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 	"pjds/internal/model"
@@ -41,17 +40,18 @@ func RunFig2(name string, scale float64, w io.Writer) ([]Fig2Row, error) {
 	dev := gpu.TeslaC2070()
 	x := testVector(m.NCols)
 	y := make([]float64, m.NRows)
+	opt := oneShot()
 	var rows []Fig2Row
 
 	ell := core.NewELLPACK(m, matrix.ConvertOptions{})
-	stE, err := gpu.RunSELL(dev, ell, y, x, gpu.RunOptions{})
+	stE, err := gpu.RunSELL(dev, ell, y, x, opt)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, fig2Row(ell, stE))
 
 	ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
-	stR, err := gpu.RunSELL(dev, ellr, y, x, gpu.RunOptions{})
+	stR, err := gpu.RunSELL(dev, ellr, y, x, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func RunFig2(name string, scale float64, w io.Writer) ([]Fig2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	stP, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, gpu.RunOptions{})
+	stP, err := gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func RunFig2(name string, scale float64, w io.Writer) ([]Fig2Row, error) {
 	return rows, textplot.Table(w, table)
 }
 
-func fig2Row[T matrix.Float](f formats.Format[T], st *gpu.KernelStats) Fig2Row {
+func fig2Row[T matrix.Float](f core.Format[T], st *gpu.KernelStats) Fig2Row {
 	return Fig2Row{
 		Format:         f.Name(),
 		StoredElems:    f.StoredElems(),
@@ -302,7 +302,7 @@ func RunSec2B(scale float64, w io.Writer) (*Sec2BReport, error) {
 		}
 		ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
 		x := testVector(m.NCols)
-		st, err := gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, gpu.RunOptions{})
+		st, err := gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, oneShot())
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 )
@@ -143,6 +144,12 @@ func saveToDisk(key string, m *matrix.CSR[float64]) {
 	}
 	os.Rename(tmp, path)
 }
+
+// oneShot returns kernel run options with a plan cache of their own.
+// A driver's plans are one-shot: compiled into the package-default
+// cache, they would keep every format the driver builds (and, for the
+// CSR kernels, the cached matrix itself) reachable after DropCached.
+func oneShot() gpu.RunOptions { return gpu.RunOptions{Plans: gpu.NewPlanCache(0)} }
 
 // DropCached evicts a cached matrix (memory management for the
 // full-scale runs).

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 	"pjds/internal/textplot"
@@ -43,6 +42,7 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		}
 		x := testVector(m.NCols)
 		nnz := float64(m.Nnz())
+		opt := oneShot()
 
 		record := func(format string, stored int64, st *gpu.KernelStats) {
 			c := ComparisonCell{
@@ -62,33 +62,33 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		}
 
 		// CSR baselines of Bell & Garland (reference [1]).
-		st, err := gpu.RunCSRScalar(dev, m, make([]float64, m.NRows), x, gpu.RunOptions{})
+		st, err := gpu.RunCSRScalar(dev, m, make([]float64, m.NRows), x, opt)
 		if err != nil {
 			return nil, err
 		}
 		record("CSR-scalar", int64(m.Nnz()), st)
-		if st, err = gpu.RunCSRVector(dev, m, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunCSRVector(dev, m, make([]float64, m.NRows), x, opt); err != nil {
 			return nil, err
 		}
 		record("CSR-vector", int64(m.Nnz()), st)
 
 		ell := core.NewELLPACK(m, matrix.ConvertOptions{})
-		if st, err = gpu.RunSELL(dev, ell, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunSELL(dev, ell, make([]float64, m.NRows), x, opt); err != nil {
 			return nil, err
 		}
 		record(ell.Name(), ell.StoredElems(), st)
 
 		ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
-		if st, err = gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, opt); err != nil {
 			return nil, err
 		}
 		record(ellr.Name(), ellr.StoredElems(), st)
 
-		ert, err := formats.NewELLRT(m, 4)
+		ert, err := core.NewELLRT(m, 4)
 		if err != nil {
 			return nil, err
 		}
-		if st, err = gpu.RunELLRT(dev, ert, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunELLRT(dev, ert, make([]float64, m.NRows), x, opt); err != nil {
 			return nil, err
 		}
 		record(ert.Name(), ert.StoredElems(), st)
@@ -98,7 +98,7 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			if st, err = gpu.RunSELL(dev, sell, make([]float64, sell.NPad), x, gpu.RunOptions{}); err != nil {
+			if st, err = gpu.RunSELL(dev, sell, make([]float64, sell.NPad), x, opt); err != nil {
 				return nil, err
 			}
 			label := sell.Name()
@@ -115,11 +115,11 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		if br == 0 {
 			br = 2
 		}
-		bell, err := formats.NewBELLPACK(m, br, br)
+		bell, err := core.NewBELLPACK(m, br, br)
 		if err != nil {
 			return nil, err
 		}
-		if st, err = gpu.RunBELLPACK(dev, bell, make([]float64, m.NRows), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunBELLPACK(dev, bell, make([]float64, m.NRows), x, opt); err != nil {
 			return nil, err
 		}
 		record(bell.Name(), bell.StoredElems(), st)
@@ -128,7 +128,7 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st, err = gpu.RunPJDS(dev, jds, make([]float64, jds.NPad), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunPJDS(dev, jds, make([]float64, jds.NPad), x, opt); err != nil {
 			return nil, err
 		}
 		record(jds.Name(), jds.StoredElems(), st)
@@ -137,7 +137,7 @@ func RunFormatComparison(scale float64, w io.Writer) ([]ComparisonCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st, err = gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, gpu.RunOptions{}); err != nil {
+		if st, err = gpu.RunPJDS(dev, pj, make([]float64, pj.NPad), x, opt); err != nil {
 			return nil, err
 		}
 		record(pj.Name(), pj.StoredElems(), st)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
@@ -109,7 +108,7 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 	if err != nil {
 		return nil, err
 	}
-	row.DataReductionPct = 100 * formats.DataReduction[float64](ell, pj)
+	row.DataReductionPct = 100 * core.DataReduction[float64](ell, pj)
 	row.PJDSOverheadPct = 100 * pj.PaddingOverhead()
 	ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
 	scaleUp := float64(paperN(name)) / float64(m.NRows)
@@ -128,13 +127,14 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 
 	// DP runs: simulate once (ECC on), re-derive for ECC off.
 	fmt.Fprintf(w, "# %s: DP kernels...\n", name)
-	stE, err := gpu.RunSELL(eccOn, ellr, y, x, gpu.RunOptions{})
+	opt := oneShot()
+	stE, err := gpu.RunSELL(eccOn, ellr, y, x, opt)
 	if err != nil {
 		return nil, err
 	}
 	row.DP.ECCOn.ELLPACKR = cell(*stE)
 	row.DP.ECCOff.ELLPACKR = cell(stE.Rederive(eccOff))
-	stP, err := gpu.RunPJDS(eccOn, pj, make([]float64, pj.NPad), x, gpu.RunOptions{})
+	stP, err := gpu.RunPJDS(eccOn, pj, make([]float64, pj.NPad), x, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -153,6 +153,7 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 	ms := matrix.Convert[float32](m)
 	ellr = nil
 	pj = nil
+	opt = oneShot() // drops the DP plans, which reference ellr and pj
 	runtime.GC()
 	ellrS := core.NewELLPACKR(ms, matrix.ConvertOptions{})
 	pjS, err := core.NewPJDS(ms, core.Options{})
@@ -164,13 +165,13 @@ func table1Row(name string, m *matrix.CSR[float64], w io.Writer) (*Table1Row, er
 		xs[i] = float32(x[i])
 	}
 	ys := make([]float32, ms.NRows)
-	stES, err := gpu.RunSELL(eccOn, ellrS, ys, xs, gpu.RunOptions{})
+	stES, err := gpu.RunSELL(eccOn, ellrS, ys, xs, opt)
 	if err != nil {
 		return nil, err
 	}
 	row.SP.ECCOn.ELLPACKR = cell(*stES)
 	row.SP.ECCOff.ELLPACKR = cell(stES.Rederive(eccOff))
-	stPS, err := gpu.RunPJDS(eccOn, pjS, make([]float32, pjS.NPad), xs, gpu.RunOptions{})
+	stPS, err := gpu.RunPJDS(eccOn, pjS, make([]float32, pjS.NPad), xs, opt)
 	if err != nil {
 		return nil, err
 	}

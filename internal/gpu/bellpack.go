@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/matrix"
 )
 
@@ -14,7 +13,7 @@ import (
 // block coalesced. One block-column index serves BR·BC values, which
 // is the format's whole point — the index stream shrinks by the block
 // area (reference [2]'s structure-aware advantage over pJDS).
-func RunBELLPACK[T matrix.Float](d *Device, e *formats.BELLPACK[T], y, x []T, opt RunOptions) (*KernelStats, error) {
+func RunBELLPACK[T matrix.Float](d *Device, e *core.BELLPACK[T], y, x []T, opt RunOptions) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

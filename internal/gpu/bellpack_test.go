@@ -3,7 +3,7 @@ package gpu
 import (
 	"testing"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/matgen"
 )
 
@@ -13,7 +13,7 @@ func TestRunBELLPACKMatchesReference(t *testing.T) {
 	x := randVec(m.NCols, 51)
 	ref := refMulVec(t, m, x)
 	for _, blk := range [][2]int{{1, 1}, {5, 5}, {2, 4}} {
-		e, err := formats.NewBELLPACK(m, blk[0], blk[1])
+		e, err := core.NewBELLPACK(m, blk[0], blk[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestBELLPACKBeatsScalarFormatsOnBlockMatrix(t *testing.T) {
 	d := TeslaC2070()
 	m := matgen.DLR2(0.01, 6)
 	x := randVec(m.NCols, 52)
-	e, err := formats.NewBELLPACK(m, 5, 5)
+	e, err := core.NewBELLPACK(m, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestBELLPACKBeatsScalarFormatsOnBlockMatrix(t *testing.T) {
 func TestRunBELLPACKValidation(t *testing.T) {
 	d := TeslaC2070()
 	m := matgen.DLR2(0.002, 7)
-	e, err := formats.NewBELLPACK(m, 5, 5)
+	e, err := core.NewBELLPACK(m, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package gpu
 import (
 	"fmt"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
 )
@@ -20,7 +20,7 @@ import (
 // with a per-row accumulator, so results are bit-identical to the
 // naive CRS reference at any worker count (warps own disjoint strips,
 // strips own disjoint rows).
-func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOptions) (*KernelStats, error) {
+func RunCMRS[T matrix.Float](d *Device, c *core.CMRS[T], y, x []T, opt RunOptions) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -34,23 +34,19 @@ func RunCMRS[T matrix.Float](d *Device, c *formats.CMRS[T], y, x []T, opt RunOpt
 		return nil, err
 	}
 	ws := d.WarpSize
-	p, ps := planFor(opt, d, c, func() *Plan[T] {
+	p, ps := planFor(opt, d, c, c.Name(), func() *Plan[T] {
 		// One warp per strip: lane l of strip s touches elements
-		// StripPtr[s] + j·ws + l, so lane steps are ceil((nnz_s − l)/ws).
-		nPad := c.NStrips * ws
-		steps := make([]int32, nPad)
-		for s := 0; s < c.NStrips; s++ {
-			nnzS := int(c.StripPtr[s+1] - c.StripPtr[s])
-			for lane := 0; lane < ws && lane < nnzS; lane++ {
-				steps[s*ws+lane] = int32((nnzS - lane + ws - 1) / ws)
-			}
+		// StripPtr[s] + j·ws + l, one group of ws lanes per strip.
+		lens := make([]int32, c.NStrips)
+		for s := range lens {
+			lens[s] = int32(c.StripPtr[s+1] - c.StripPtr[s])
 		}
 		segBytes := int64(d.SegmentBytes)
 		return compilePlan(d, planSource[T]{
-			kernel: c.Name(), rows: c.N, cols: c.NCols, nPad: nPad,
+			kernel: c.Name(), rows: c.N, cols: c.NCols, nPad: c.NStrips * ws,
 			nnz: int64(c.NnzV), metaSegs: 1, // strip-pointer load (overridden per warp below)
 			col: c.ColIdx, chunk: ws, chunkStart: c.StripPtr,
-			steps:    steps,
+			lens: lens, group: ws,
 			geometry: []telemetry.Label{telemetry.Li("height", c.Height)},
 			stored:   c.StoredElems(),
 			lhsRows: func(wbase, lanes int) (int, int) {

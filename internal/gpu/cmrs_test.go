@@ -3,7 +3,7 @@ package gpu
 import (
 	"testing"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/telemetry"
 )
 
@@ -16,7 +16,7 @@ func TestRunCMRSBitIdentical(t *testing.T) {
 	x := randVec(270, 72)
 	ref := refMulVec(t, m, x)
 	for _, height := range []int{1, 8, 16, 32} {
-		c, err := formats.NewCMRS(m, height)
+		c, err := core.NewCMRS(m, height)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestRunCMRSAccumulate(t *testing.T) {
 	m := bandedCSR(200, 3, 12, 73)
 	x := randVec(200, 74)
 	ref := refMulVec(t, m, x)
-	c, err := formats.NewCMRS(m, 16)
+	c, err := core.NewCMRS(m, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunCMRSAccumulate(t *testing.T) {
 func TestCMRSCoalescing(t *testing.T) {
 	d := TeslaC2070()
 	m := randomCSR(512, 512, 0.03, 75)
-	c, err := formats.NewCMRS(m, 16)
+	c, err := core.NewCMRS(m, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCMRSCoalescing(t *testing.T) {
 func TestRunCMRSValidation(t *testing.T) {
 	d := TeslaC2070()
 	m := randomCSR(64, 64, 0.1, 77)
-	c, err := formats.NewCMRS(m, 8)
+	c, err := core.NewCMRS(m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRunCMRSValidation(t *testing.T) {
 		t.Error("short y accepted")
 	}
 	// Strip height above the warp size cannot be scattered in-warp.
-	tall, err := formats.NewCMRS(m, d.WarpSize+1)
+	tall, err := core.NewCMRS(m, d.WarpSize+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCMRSFormatGeometryTelemetry(t *testing.T) {
 	d := TeslaC2070()
 	m := randomCSR(128, 128, 0.05, 79)
 	reg := telemetry.NewRegistry()
-	c, err := formats.NewCMRS(m, 16)
+	c, err := core.NewCMRS(m, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

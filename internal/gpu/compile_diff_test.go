@@ -8,7 +8,6 @@ import (
 
 	"pjds/internal/core"
 	"pjds/internal/distmv"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
@@ -39,7 +38,7 @@ func sellCase[T matrix.Float](name string, m *matrix.CSR[T], build func(*matrix.
 
 func cmrsCase[T matrix.Float](name string, m *matrix.CSR[T], height int) compileCase {
 	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
-		c, err := formats.NewCMRS(m, height)
+		c, err := core.NewCMRS(m, height)
 		if err != nil {
 			return err
 		}
@@ -48,8 +47,28 @@ func cmrsCase[T matrix.Float](name string, m *matrix.CSR[T], height int) compile
 	}}
 }
 
+func ellrtCase[T matrix.Float](name string, m *matrix.CSR[T], threads int) compileCase {
+	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
+		e, err := core.NewELLRT(m, threads)
+		if err != nil {
+			return err
+		}
+		_, err = gpu.RunELLRT(d, e, make([]T, e.N), make([]T, e.NCols), runOpt(pc))
+		return err
+	}}
+}
+
+func csrCase[T matrix.Float](name string, m *matrix.CSR[T], run func(*gpu.Device, *matrix.CSR[T], []T, []T, gpu.RunOptions) (*gpu.KernelStats, error)) compileCase {
+	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
+		_, err := run(d, m, make([]T, m.NRows), make([]T, m.NCols), runOpt(pc))
+		return err
+	}}
+}
+
 // presetCases covers every SELL preset and the (C, σ) grid of core's
-// TestPresetsBitIdenticalToCSR, plus CMRS at several strip heights.
+// TestPresetsBitIdenticalToCSR, CMRS at several strip heights, ELLR-T
+// at every T that divides the warp, and both CSR kernels, which share
+// one matrix and so must compile two plans.
 func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	cv := matrix.ConvertOptions{}
 	sell := func(c, sigma int) func(*matrix.CSR[T]) (*core.SELL[T], error) {
@@ -82,12 +101,17 @@ func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	for _, h := range []int{1, 4, 8, 32} {
 		cases = append(cases, cmrsCase(fmt.Sprintf("%s/CMRS-%d", tag, h), m, h))
 	}
-	return cases
+	for _, threads := range []int{1, 2, 4, 8, 16, 32} {
+		cases = append(cases, ellrtCase(fmt.Sprintf("%s/ELLR-T(%d)", tag, threads), m, threads))
+	}
+	return append(cases,
+		csrCase(tag+"/CSR-scalar", m, gpu.RunCSRScalar[T]),
+		csrCase(tag+"/CSR-vector", m, gpu.RunCSRVector[T]))
 }
 
 // compileMatrices returns the preset inputs: mixed row lengths over a
-// few warps, the same with every third row empty, and a banded matrix
-// spanning many warps.
+// few warps, the same with every third row empty, a matrix with no
+// non-zeros, and a banded matrix spanning many warps.
 func compileMatrices() []struct {
 	name string
 	m    *matrix.CSR[float64]
@@ -115,7 +139,10 @@ func compileMatrices() []struct {
 	return []struct {
 		name string
 		m    *matrix.CSR[float64]
-	}{{"random", random.ToCSR()}, {"empty-rows", gaps.ToCSR()}, {"banded", banded.ToCSR()}}
+	}{
+		{"random", random.ToCSR()}, {"empty-rows", gaps.ToCSR()},
+		{"empty", matrix.NewCOO[float64](33, 40).ToCSR()}, {"banded", banded.ToCSR()},
+	}
 }
 
 // checkCompiles runs every case into one plan cache per device and

@@ -81,14 +81,14 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 		lanes := min(ws, src.nPad-wbase)
 		maxLen := 0
 		for lane := 0; lane < lanes; lane++ {
-			maxLen = max(maxLen, int(src.steps[wbase+lane]))
+			maxLen = max(maxLen, refLaneSteps(src, wbase+lane))
 			base[lane] = src.base(wbase + lane)
 		}
 		t.Warps++
 		if maxLen > 0 {
 			t.ActiveWarps++
 		}
-		t.WarpSteps += int64(maxLen)
+		t.WarpSteps += int64(maxLen) + src.reduceSteps
 		if src.metaBytes != nil {
 			t.BytesMeta += src.metaBytes(wbase, lanes)
 		} else {
@@ -100,7 +100,7 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 			rhsSegs.reset()
 			for lane := 0; lane < lanes; lane++ {
 				i := wbase + lane
-				if j >= int(src.steps[i]) {
+				if j >= refLaneSteps(src, i) {
 					continue
 				}
 				at := base[lane] + int64(j)*stride
@@ -138,6 +138,17 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 	return t
 }
 
+// refLaneSteps is the step count of lane l by the definition of
+// planSource.lens and group: ceil((lens[g] − t)/group) for lane t of
+// group g, 0 when the group's run ends before the lane.
+func refLaneSteps[T matrix.Float](src planSource[T], l int) int {
+	n := int(src.lens[l/src.group]) - l%src.group
+	if n <= 0 {
+		return 0
+	}
+	return (n + src.group - 1) / src.group
+}
+
 // laneAddressesIncrease checks the property the run counting relies
 // on: in every warp step, the active lanes' storage addresses strictly
 // increase with the lane.
@@ -145,15 +156,15 @@ func laneAddressesIncrease[T matrix.Float](d *Device, src planSource[T]) error {
 	ws := d.WarpSize
 	for wbase := 0; wbase < src.nPad; wbase += ws {
 		lanes := min(ws, src.nPad-wbase)
-		maxLen := int32(0)
-		for _, n := range src.steps[wbase : wbase+lanes] {
-			maxLen = max(maxLen, n)
+		maxLen := 0
+		for lane := 0; lane < lanes; lane++ {
+			maxLen = max(maxLen, refLaneSteps(src, wbase+lane))
 		}
-		for j := int32(0); j < maxLen; j++ {
+		for j := 0; j < maxLen; j++ {
 			last := int64(-1)
 			for lane := 0; lane < lanes; lane++ {
 				i := wbase + lane
-				if j >= src.steps[i] {
+				if j >= refLaneSteps(src, i) {
 					continue
 				}
 				at := src.base(i) + int64(j)*int64(src.chunk)

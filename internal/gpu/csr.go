@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 
-	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -18,151 +17,65 @@ import (
 //   - CSR-vector: one warp per row; the 32 lanes stride the row
 //     jointly, restoring coalescing, but short rows leave most lanes
 //     idle and each row pays a reduction.
+//
+// Both are plan sources over the CSR arrays as stored: the row
+// pointers are the chunk starts, and a row is one group of one lane
+// (scalar) or of a whole warp (vector). The numeric replay is the
+// sequential CRS row sum, so y is bit-identical to CRS.
 
 // RunCSRScalar executes the one-thread-per-row CSR spMVM.
 func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt RunOptions) (*KernelStats, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if len(x) != m.NCols || len(y) != m.NRows {
-		return nil, fmt.Errorf("gpu: CSR-scalar run |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), m.NRows, m.NCols, matrix.ErrShape)
-	}
-	if err := eccCheck(opt, "CSR-scalar"); err != nil {
-		return nil, err
-	}
-	es := core.SizeofElem[T]()
-	st := &KernelStats{Kernel: "CSR-scalar", Rows: m.NRows, Nnz: int64(m.Nnz()), UsefulFlops: 2 * int64(m.Nnz()), ElemBytes: es}
-	ws := d.WarpSize
-	segShift := log2(d.SegmentBytes)
-	segBytes := int64(d.SegmentBytes)
-	secShift := log2(d.GatherSectorBytes)
-	secBytes := int64(d.GatherSectorBytes)
-	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs segCounter
-	sum := make([]T, ws)
-
-	for wbase := 0; wbase < m.NRows; wbase += ws {
-		st.Warps++
-		lanes := ws
-		if wbase+lanes > m.NRows {
-			lanes = m.NRows - wbase
+	return runCSR(d, m, y, x, opt, "CSR-scalar", func(src *planSource[T]) {
+		// Lane i walks row i: chunk 1 starting at RowPtr[i].
+		ws := d.WarpSize
+		src.nPad, src.chunk, src.group = m.NRows, 1, 1
+		src.metaSegs = 1 // row-pointer load
+		src.mul = func(y, x []T, wlo, whi int, accumulate bool) {
+			m.MulRows(y, x, min(wlo*ws, m.NRows), min(whi*ws, m.NRows), accumulate)
 		}
-		maxLen := 0
-		for lane := 0; lane < lanes; lane++ {
-			if l := m.RowLen(wbase + lane); l > maxLen {
-				maxLen = l
-			}
-		}
-		if maxLen > 0 {
-			st.ActiveWarps++
-		}
-		st.WarpSteps += int64(maxLen)
-		st.BytesMeta += segBytes // row-pointer load
-		clear(sum)
-		for j := 0; j < maxLen; j++ {
-			valSegs.reset()
-			idxSegs.reset()
-			rhsSegs.reset()
-			for lane := 0; lane < lanes; lane++ {
-				i := wbase + lane
-				lo := m.RowPtr[i]
-				if j >= m.RowPtr[i+1]-lo {
-					continue
-				}
-				k := lo + j
-				c := m.ColIdx[k]
-				sum[lane] += m.Val[k] * x[c]
-				st.ExecutedLaneSteps++
-				// Lane k positions are scattered across the compressed
-				// stream: every lane usually hits its own segment.
-				valSegs.add(addrVal+int64(k)*int64(es), segShift)
-				idxSegs.add(addrIdx+int64(k)*4, segShift)
-				rhsSegs.add(addrRHS+int64(c)*int64(es), secShift)
-			}
-			st.BytesVal += int64(len(valSegs.segs)) * segBytes
-			st.BytesIdx += int64(len(idxSegs.segs)) * segBytes
-			for _, sec := range rhsSegs.segs {
-				st.RHSProbes++
-				if !l2.Probe(sec << secShift) {
-					st.RHSMisses++
-					st.BytesRHS += secBytes
-				}
-			}
-		}
-		hi := wbase + lanes
-		st.BytesLHS += lhsBytes(wbase, hi, es, segShift, segBytes, opt.Accumulate)
-		storeResult(y, sum[:lanes], wbase, m.NRows, opt.Accumulate)
-	}
-	st.finish(d, ws)
-	st.Publish(opt.Metrics, opt.MetricLabels...)
-	return st, nil
+	})
 }
 
-// RunCSRVector executes the one-warp-per-row CSR spMVM.
+// RunCSRVector executes the one-warp-per-row CSR spMVM. Its model
+// charges no row-pointer load.
 func RunCSRVector[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt RunOptions) (*KernelStats, error) {
+	return runCSR(d, m, y, x, opt, "CSR-vector", func(src *planSource[T]) {
+		// Warp i strides row i: lane t touches RowPtr[i] + t + j·ws.
+		ws := d.WarpSize
+		src.nPad, src.chunk, src.group = m.NRows*ws, ws, ws
+		src.reduceSteps = int64(log2(ws))
+		src.lhsRows = func(wbase, lanes int) (int, int) { return wbase / ws, wbase/ws + 1 }
+		src.mul = func(y, x []T, wlo, whi int, accumulate bool) {
+			m.MulRows(y, x, wlo, whi, accumulate)
+		}
+	})
+}
+
+// runCSR validates a CSR kernel launch and replays its plan; shape sets
+// the kernel-specific fields of the plan source.
+func runCSR[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt RunOptions, kernel string, shape func(*planSource[T])) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	if len(x) != m.NCols || len(y) != m.NRows {
-		return nil, fmt.Errorf("gpu: CSR-vector run |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), m.NRows, m.NCols, matrix.ErrShape)
+		return nil, fmt.Errorf("gpu: %s run |x|=%d |y|=%d on %dx%d: %w", kernel, len(x), len(y), m.NRows, m.NCols, matrix.ErrShape)
 	}
-	if err := eccCheck(opt, "CSR-vector"); err != nil {
+	if err := eccCheck(opt, kernel); err != nil {
 		return nil, err
 	}
-	es := core.SizeofElem[T]()
-	st := &KernelStats{Kernel: "CSR-vector", Rows: m.NRows, Nnz: int64(m.Nnz()), UsefulFlops: 2 * int64(m.Nnz()), ElemBytes: es}
-	ws := d.WarpSize
-	segShift := log2(d.SegmentBytes)
-	segBytes := int64(d.SegmentBytes)
-	secShift := log2(d.GatherSectorBytes)
-	secBytes := int64(d.GatherSectorBytes)
-	l2 := newCache(d.L2, d.GatherSectorBytes)
-	var valSegs, idxSegs, rhsSegs segCounter
-	redSteps := int64(log2(ws))
-
-	for i := 0; i < m.NRows; i++ {
-		st.Warps++
-		lo, hiK := m.RowPtr[i], m.RowPtr[i+1]
-		if hiK > lo {
-			st.ActiveWarps++
+	p, ps := planFor(opt, d, m, kernel, func() *Plan[T] {
+		src := planSource[T]{
+			kernel: kernel, rows: m.NRows, cols: m.NCols,
+			nnz: int64(m.Nnz()), col: m.ColIdx,
+			lens:       make([]int32, m.NRows),
+			chunkStart: make([]int64, m.NRows),
 		}
-		steps := (hiK - lo + ws - 1) / ws
-		st.WarpSteps += int64(steps) + redSteps
-		var sum T
-		for s := 0; s < steps; s++ {
-			valSegs.reset()
-			idxSegs.reset()
-			rhsSegs.reset()
-			for lane := 0; lane < ws; lane++ {
-				k := lo + s*ws + lane
-				if k >= hiK {
-					break
-				}
-				c := m.ColIdx[k]
-				sum += m.Val[k] * x[c]
-				st.ExecutedLaneSteps++
-				valSegs.add(addrVal+int64(k)*int64(es), segShift)
-				idxSegs.add(addrIdx+int64(k)*4, segShift)
-				rhsSegs.add(addrRHS+int64(c)*int64(es), secShift)
-			}
-			st.BytesVal += int64(len(valSegs.segs)) * segBytes
-			st.BytesIdx += int64(len(idxSegs.segs)) * segBytes
-			for _, sec := range rhsSegs.segs {
-				st.RHSProbes++
-				if !l2.Probe(sec << secShift) {
-					st.RHSMisses++
-					st.BytesRHS += secBytes
-				}
-			}
+		for i := range src.lens {
+			src.lens[i] = int32(m.RowLen(i))
+			src.chunkStart[i] = int64(m.RowPtr[i])
 		}
-		if opt.Accumulate {
-			y[i] += sum
-		} else {
-			y[i] = sum
-		}
-		st.BytesLHS += lhsBytes(i, i+1, es, segShift, segBytes, opt.Accumulate)
-	}
-	st.finish(d, ws)
-	st.Publish(opt.Metrics, opt.MetricLabels...)
-	return st, nil
+		shape(&src)
+		return compilePlan(d, src)
+	})
+	return p.run(d, y, x, opt, ps), nil
 }

@@ -126,6 +126,8 @@ func (d *Device) Validate() error {
 	switch {
 	case d.NumMPs <= 0 || d.ALUsPerMP <= 0 || d.WarpSize <= 0:
 		return fmt.Errorf("gpu: %s: non-positive SIMT geometry", d.Name)
+	case d.WarpSize&(d.WarpSize-1) != 0:
+		return fmt.Errorf("gpu: %s: warp size %d not a power of two", d.Name, d.WarpSize)
 	case d.ClockGHz <= 0:
 		return fmt.Errorf("gpu: %s: non-positive clock", d.Name)
 	case d.SegmentBytes <= 0 || d.SegmentBytes&(d.SegmentBytes-1) != 0:

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 )
 
 func TestRunELLRTMatchesReference(t *testing.T) {
@@ -13,7 +13,7 @@ func TestRunELLRTMatchesReference(t *testing.T) {
 	x := randVec(600, 32)
 	ref := refMulVec(t, m, x)
 	for _, threads := range []int{1, 2, 4, 8} {
-		e, err := formats.NewELLRT(m, threads)
+		e, err := core.NewELLRT(m, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestELLRTImprovesOccupancyOnSmallMatrices(t *testing.T) {
 	x := randVec(512, 34)
 	y := make([]float64, 512)
 
-	e1, err := formats.NewELLRT(m, 1)
+	e1, err := core.NewELLRT(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestELLRTImprovesOccupancyOnSmallMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e8, err := formats.NewELLRT(m, 8)
+	e8, err := core.NewELLRT(m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestELLRTImprovesOccupancyOnSmallMatrices(t *testing.T) {
 func TestRunELLRTValidation(t *testing.T) {
 	d := TeslaC2070()
 	m := bandedCSR(64, 3, 6, 35)
-	e, err := formats.NewELLRT(m, 4)
+	e, err := core.NewELLRT(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestELLRTAccumulate(t *testing.T) {
 	m := bandedCSR(100, 3, 9, 36)
 	x := randVec(100, 37)
 	ref := refMulVec(t, m, x)
-	e, err := formats.NewELLRT(m, 2)
+	e, err := core.NewELLRT(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

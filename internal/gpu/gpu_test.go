@@ -113,6 +113,7 @@ func TestDeviceValidate(t *testing.T) {
 		func(d *Device) { d.NumMPs = 0 },
 		func(d *Device) { d.ClockGHz = -1 },
 		func(d *Device) { d.SegmentBytes = 100 },
+		func(d *Device) { d.WarpSize = 24 }, // lane groups are shifts of the warp size
 		func(d *Device) { d.BandwidthECC = 0 },
 		func(d *Device) { d.WarpsToSaturate = 0 },
 	}

@@ -68,21 +68,25 @@ func RunSELL[T matrix.Float](d *Device, s *core.SELL[T], yp, xp []T, opt RunOpti
 	if err := eccCheck(opt, name); err != nil {
 		return nil, err
 	}
-	p, ps := planFor(opt, d, s, func() *Plan[T] {
+	p, ps := planFor(opt, d, s, name, func() *Plan[T] {
 		ws := d.WarpSize
 		src := planSource[T]{
 			kernel: name, rows: s.N, cols: s.NCols, nPad: s.NPad,
 			nnz: int64(s.Nnz), metaSegs: s.MetaSegments(),
 			col: s.ColIdx, chunk: s.C, chunkStart: s.SliceStart,
-			steps: s.RowLen,
+			lens: s.RowLen, group: 1,
 			mul: func(y, x []T, wlo, whi int, accumulate bool) {
 				s.MulRows(y, x, min(wlo*ws, s.N), min(whi*ws, s.N), nil, accumulate)
 			},
 		}
 		if s.PadsLanes() {
-			src.steps = make([]int32, s.NPad)
-			for i := range src.steps {
-				src.steps[i] = int32(s.MaxRowLen)
+			// Every lane runs to the global maximum: one group per
+			// warp, whose length MaxRowLen·ws gives each of its lanes
+			// MaxRowLen steps.
+			src.group = ws
+			src.lens = make([]int32, (s.NPad+ws-1)/ws)
+			for g := range src.lens {
+				src.lens[g] = int32(s.MaxRowLen * ws)
 			}
 		}
 		if s.Jagged() {

@@ -34,12 +34,13 @@ func DefaultWorkers() int {
 }
 
 // planSource describes one storage format's warp-level access pattern
-// to the shared plan compiler and replay loop. Every kernel that uses
-// it stores its elements chunk-major: element (i, j) of padded row i
-// lives at chunkStart[i/chunk] + j*chunk + i%chunk. The SELL presets
-// and CMRS differ only in these fields; everything else — coalescing
-// analysis, L2 simulation, divergence accounting, the worker pool and
-// the telemetry — is shared.
+// to the shared plan compiler and replay loop. nPad lanes run in warps
+// of the device's warp size, and every kernel that uses it stores its
+// elements chunk-major: step j of lane l touches storage position
+// chunkStart[l/chunk] + j*chunk + l%chunk. The SELL presets, CSR-scalar,
+// CSR-vector, ELLR-T and CMRS differ only in these fields; everything
+// else — coalescing analysis, L2 simulation, divergence accounting, the
+// worker pool and the telemetry — is shared.
 type planSource[T matrix.Float] struct {
 	kernel           string
 	rows, cols, nPad int
@@ -51,10 +52,18 @@ type planSource[T matrix.Float] struct {
 	col        []int32
 	chunk      int
 	chunkStart []int64
-	// steps[i] is the number of SIMT steps padded row i executes on the
-	// device: its true row length, or the global maximum for plain
-	// ELLPACK, which computes on padding.
-	steps []int32
+	// lens and group give every lane its SIMT step count. The lanes
+	// form consecutive groups of group lanes (a power of two dividing
+	// the warp size) that stride one element run of length lens[g]
+	// jointly: lane t of group g runs ceil((lens[g] − t)/group) steps.
+	// One lane per row is group 1 with lens the row lengths; CSR-vector
+	// and CMRS put a whole warp on one row or strip, ELLR-T T lanes on
+	// one row.
+	lens  []int32
+	group int
+	// reduceSteps is the intra-warp reduction every warp adds to its
+	// SIMT steps when a group's lanes share one row.
+	reduceSteps int64
 	// colStart, when non-nil, replaces the chunk-major device address
 	// of (i, j) by the jagged-diagonal address colStart[j]+i (pJDS,
 	// Listing 2) in the coalescing analysis.
@@ -70,9 +79,9 @@ type planSource[T matrix.Float] struct {
 	// contract) and accumulate each row in stored column order (the
 	// bit-identity contract).
 	mul func(y, x []T, wlo, whi int, accumulate bool)
-	// The optional hooks below cover element-parallel kernels (CMRS)
-	// whose warps do not map one lane to one row; nil selects the
-	// row-parallel behaviour.
+	// The optional hooks below cover kernels whose warps do not map one
+	// lane to one row (CSR-vector, ELLR-T, CMRS); nil selects the
+	// one-lane-per-row behaviour.
 	//
 	// lhsRows reports the result rows warp [wbase, wbase+lanes) writes;
 	// nil means rows wbase..wbase+lanes clipped to rows.
@@ -123,12 +132,13 @@ func (p *Plan[T]) Warps() int { return p.total.Warps }
 
 // compileScratch is the reusable working state of one plan compile:
 // the L2 model, the per-step RHS sector set and the warp's lane base
-// offsets. Compiles borrow it from compileScratches, so a warm compile
-// allocates none of them.
+// offsets and step counts. Compiles borrow it from compileScratches, so
+// a warm compile allocates none of them.
 type compileScratch struct {
-	l2   model.LRU
-	rhs  sectorSet
-	base []int64
+	l2    model.LRU
+	rhs   sectorSet
+	base  []int64
+	steps []int32
 }
 
 var compileScratches = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -204,10 +214,14 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 	sec0 := int64(addrRHS) >> secShift
 	rhs.size(int((addrRHS+int64(max(src.cols, 1)-1)*es)>>secShift - sec0 + 1))
 	if cap(sc.base) < ws {
-		sc.base = make([]int64, ws)
+		sc.base, sc.steps = make([]int64, ws), make([]int32, ws)
 	}
-	base := sc.base[:ws]
+	base, stepBuf := sc.base[:ws], sc.steps[:ws]
 	stride := int64(src.chunk)
+	// Lane t of a group runs (lens − t + group − 1) >> gShift steps,
+	// which is never negative because t < group.
+	gShift := log2(src.group)
+	gMask := int32(src.group - 1)
 
 	p := &Plan[T]{
 		src:      src,
@@ -226,17 +240,20 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 	t := &p.total
 	for wbase := 0; wbase < src.nPad; wbase += ws {
 		lanes := min(ws, src.nPad-wbase)
-		steps := src.steps[wbase : wbase+lanes]
+		steps := stepBuf[:lanes]
 		maxLen := int32(0)
-		for lane, n := range steps {
+		for lane := range steps {
+			l := wbase + lane
+			n := (src.lens[l>>gShift] - int32(l)&gMask + gMask) >> gShift
+			steps[lane] = n
 			maxLen = max(maxLen, n)
-			base[lane] = src.base(wbase + lane)
+			base[lane] = src.base(l)
 		}
 		t.Warps++
 		if maxLen > 0 {
 			t.ActiveWarps++
 		}
-		t.WarpSteps += int64(maxLen)
+		t.WarpSteps += int64(maxLen) + src.reduceSteps
 		if src.metaBytes != nil {
 			t.BytesMeta += src.metaBytes(wbase, lanes)
 		} else {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"pjds/internal/core"
 	"pjds/internal/telemetry"
 )
 
@@ -20,9 +21,9 @@ type kernelCase struct {
 	run  func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error)
 }
 
-// kernelCases builds all four kernels over one imbalanced matrix
-// (mixed row lengths exercise divergence, partial transactions, and
-// the trailing partial warp via a non-multiple-of-32 size).
+// kernelCases builds every plan-compiled kernel over one imbalanced
+// matrix (mixed row lengths exercise divergence, partial transactions,
+// and the trailing partial warp via a non-multiple-of-32 size).
 func kernelCases(t *testing.T) (cases []kernelCase, x []float64) {
 	t.Helper()
 	const n = 1517
@@ -39,6 +40,14 @@ func kernelCases(t *testing.T) (cases []kernelCase, x []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ert, err := core.NewELLRT(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmrs, err := core.NewCMRS(m, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []kernelCase{
 		{"ELLPACK", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
 			return RunSELL(d, ell, y, x, opt)
@@ -52,13 +61,26 @@ func kernelCases(t *testing.T) (cases []kernelCase, x []float64) {
 		{"sliced-ELL", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
 			return RunSELL(d, s, y, x, opt)
 		}},
+		{"CSR-scalar", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
+			return RunCSRScalar(d, m, y, x, opt)
+		}},
+		{"CSR-vector", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
+			return RunCSRVector(d, m, y, x, opt)
+		}},
+		{"ELLR-T", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
+			return RunELLRT(d, ert, y, x, opt)
+		}},
+		{"CMRS", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
+			return RunCMRS(d, cmrs, y, x, opt)
+		}},
 	}, x
 }
 
 // TestWorkerDeterminism asserts the tentpole guarantee: parallel
-// execution (Workers=8) is byte-identical to sequential (Workers=1) in
-// the result vector, the KernelStats, and the full telemetry registry
-// output — for every kernel, with and without accumulation.
+// execution (Workers=3 and 8) is byte-identical to sequential
+// (Workers=1) in the result vector, the KernelStats, and the full
+// telemetry registry output — for every kernel, with and without
+// accumulation.
 func TestWorkerDeterminism(t *testing.T) {
 	cases, x := kernelCases(t)
 	for _, kc := range cases {
@@ -92,18 +114,20 @@ func TestWorkerDeterminism(t *testing.T) {
 					return outcome{y: y, st: st, prom: buf.Bytes()}
 				}
 				seq := runWith(1)
-				par := runWith(8)
-				for i := range seq.y {
-					if math.Float64bits(seq.y[i]) != math.Float64bits(par.y[i]) {
-						t.Fatalf("y[%d]: sequential %x, parallel %x", i,
-							math.Float64bits(seq.y[i]), math.Float64bits(par.y[i]))
+				for _, workers := range []int{3, 8} {
+					par := runWith(workers)
+					for i := range seq.y {
+						if math.Float64bits(seq.y[i]) != math.Float64bits(par.y[i]) {
+							t.Fatalf("y[%d]: sequential %x, %d workers %x", i,
+								math.Float64bits(seq.y[i]), workers, math.Float64bits(par.y[i]))
+						}
 					}
-				}
-				if !reflect.DeepEqual(seq.st, par.st) {
-					t.Fatalf("stats diverge:\nseq: %+v\npar: %+v", seq.st, par.st)
-				}
-				if !bytes.Equal(seq.prom, par.prom) {
-					t.Fatalf("telemetry diverges:\nseq:\n%s\npar:\n%s", seq.prom, par.prom)
+					if !reflect.DeepEqual(seq.st, par.st) {
+						t.Fatalf("stats diverge at %d workers:\nseq: %+v\npar: %+v", workers, seq.st, par.st)
+					}
+					if !bytes.Equal(seq.prom, par.prom) {
+						t.Fatalf("telemetry diverges at %d workers:\nseq:\n%s\npar:\n%s", workers, seq.prom, par.prom)
+					}
 				}
 			})
 		}
@@ -250,6 +274,51 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	}
 }
 
+// TestPlanCacheCSRKernels: CSR-scalar and CSR-vector read the same
+// *matrix.CSR, so the plan key must carry the kernel — one matrix
+// compiles two plans, a second run of each hits its own, and
+// invalidating the matrix drops both.
+func TestPlanCacheCSRKernels(t *testing.T) {
+	m := bandedCSR(300, 2, 40, 19)
+	x := randVec(300, 20)
+	pc := NewPlanCache(0)
+	opt := RunOptions{Plans: pc, Metrics: telemetry.NewRegistry()}
+	d := TeslaC2070()
+	runs := []func() (*KernelStats, error){
+		func() (*KernelStats, error) { return RunCSRScalar(d, m, make([]float64, 300), x, opt) },
+		func() (*KernelStats, error) { return RunCSRVector(d, m, make([]float64, 300), x, opt) },
+	}
+	first := make([]*KernelStats, len(runs))
+	for i, run := range runs {
+		st, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[i] = st
+	}
+	if s := pc.Stats(); s.Compiles != 2 || s.Misses != 2 || s.Hits != 0 || s.Entries != 2 {
+		t.Fatalf("after one run of each kernel: %+v", s)
+	}
+	if first[0].Kernel != "CSR-scalar" || first[1].Kernel != "CSR-vector" {
+		t.Fatalf("kernels %q, %q", first[0].Kernel, first[1].Kernel)
+	}
+	for i, run := range runs {
+		st, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, first[i]) {
+			t.Errorf("%s replay stats differ:\n%+v\n%+v", st.Kernel, st, first[i])
+		}
+	}
+	if s := pc.Stats(); s.Compiles != 2 || s.Hits != 2 {
+		t.Fatalf("after a second run of each kernel: %+v", s)
+	}
+	if n := pc.Invalidate(m); n != 2 || pc.Len() != 0 {
+		t.Fatalf("Invalidate removed %d, %d left; want 2, 0", n, pc.Len())
+	}
+}
+
 // TestPlanCacheEviction checks the FIFO capacity bound.
 func TestPlanCacheEviction(t *testing.T) {
 	m := bandedCSR(300, 2, 10, 13)
@@ -349,7 +418,7 @@ func TestPlanAccessors(t *testing.T) {
 	src := planSource[float64]{
 		kernel: "ELLPACK-R", rows: ellr.N, cols: ellr.NCols, nPad: ellr.NPad,
 		nnz: int64(ellr.Nnz), metaSegs: 1, col: ellr.ColIdx,
-		chunk: ellr.C, chunkStart: ellr.SliceStart, steps: ellr.RowLen,
+		chunk: ellr.C, chunkStart: ellr.SliceStart, lens: ellr.RowLen, group: 1,
 	}
 	p := compilePlan(d, src)
 	if p.Kernel() != "ELLPACK-R" {

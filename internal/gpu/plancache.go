@@ -40,11 +40,13 @@ func fingerprint(d *Device) devFingerprint {
 }
 
 // planKey identifies a compiled plan: the matrix identity (the format
-// pointer — formats are treated as immutable once handed to a kernel)
-// plus the device geometry fingerprint.
+// pointer — formats are treated as immutable once handed to a kernel),
+// the kernel that reads it (CSR-scalar and CSR-vector share one
+// *matrix.CSR) and the device geometry fingerprint.
 type planKey struct {
-	src any
-	fp  devFingerprint
+	src    any
+	kernel string
+	fp     devFingerprint
 }
 
 // planEntry is one cache slot. once gives single-flight compilation:
@@ -76,11 +78,12 @@ type PlanCache struct {
 // DefaultPlanCacheSize bounds a cache made with NewPlanCache(0), the
 // package default included. An entry holds one plan's counter totals
 // and telemetry handles, a few hundred bytes whatever the matrix size
-// (plus one step count per row for plain ELLPACK and col_start[] for
-// pJDS), but it also keeps its format's arrays reachable until it is
-// evicted. Callers whose plans are one-shot, such as the distributed
-// engine's per-rank profiles, therefore compile into a cache of their
-// own that dies with them rather than into the default.
+// (plus col_start[] for pJDS, one length per strip for CMRS and 12
+// bytes a row for the CSR kernels), but it also keeps its format's
+// arrays reachable until it is evicted. Callers whose plans are
+// one-shot, such as the distributed engine's per-rank profiles and the
+// experiment drivers, therefore compile into a cache of their own that
+// dies with them rather than into the default.
 const DefaultPlanCacheSize = 128
 
 // NewPlanCache returns a cache holding at most max plans (max ≤ 0
@@ -181,19 +184,20 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// planFor returns the compiled plan for (src format, device geometry),
+// planFor returns the compiled plan for (src format, kernel, device
+// geometry),
 // compiling at most once per cache entry even under concurrent
 // lookups, and the plan's telemetry handles for this run's registry
 // and labels, through which it has already published the lookup. The
 // generic instantiation is resolved by the caller's build closure;
 // entries of different element types never share a key because the
 // format pointers differ.
-func planFor[T matrix.Float](opt RunOptions, d *Device, src any, build func() *Plan[T]) (*Plan[T], *planSeries) {
+func planFor[T matrix.Float](opt RunOptions, d *Device, src any, kernel string, build func() *Plan[T]) (*Plan[T], *planSeries) {
 	pc := opt.Plans
 	if pc == nil {
 		pc = defaultPlans
 	}
-	key := planKey{src: src, fp: fingerprint(d)}
+	key := planKey{src: src, kernel: kernel, fp: fingerprint(d)}
 	e, existed := pc.entry(key)
 	e.once.Do(func() {
 		t0 := time.Now()

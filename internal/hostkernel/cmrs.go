@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/par"
 	"pjds/internal/profiles"
@@ -20,7 +20,7 @@ import (
 // results are bit-identical to the naive reference at any worker
 // count (workers own whole strips, strips own disjoint rows).
 type CMRSKernel struct {
-	c      *formats.CMRS[float64]
+	c      *core.CMRS[float64]
 	bounds []int       // per-worker strip ranges, nnz-balanced
 	acc    [][]float64 // per-worker strip-local accumulators (len Height)
 	pool   *par.Pool
@@ -32,9 +32,9 @@ type CMRSKernel struct {
 }
 
 // NewCMRSKernel converts m into a CMRS layout with strip height
-// Options.C (0 = formats.DefaultStripHeight) and builds the kernel.
+// Options.C (0 = core.DefaultStripHeight) and builds the kernel.
 func NewCMRSKernel(m *matrix.CSR[float64], opt Options) (*CMRSKernel, error) {
-	c, err := formats.NewCMRSWith(m, opt.C, matrix.ConvertOptions{Workers: opt.Workers})
+	c, err := core.NewCMRSWith(m, opt.C, matrix.ConvertOptions{Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +42,7 @@ func NewCMRSKernel(m *matrix.CSR[float64], opt Options) (*CMRSKernel, error) {
 }
 
 // NewCMRSOver builds the kernel over an existing CMRS layout.
-func NewCMRSOver(c *formats.CMRS[float64], opt Options) (*CMRSKernel, error) {
+func NewCMRSOver(c *core.CMRS[float64], opt Options) (*CMRSKernel, error) {
 	workers := par.Resolve(opt.Workers)
 	if workers > c.NStrips {
 		workers = c.NStrips
@@ -75,7 +75,7 @@ func NewCMRSOver(c *formats.CMRS[float64], opt Options) (*CMRSKernel, error) {
 }
 
 // Layout exposes the underlying CMRS (reporting: footprint, geometry).
-func (k *CMRSKernel) Layout() *formats.CMRS[float64] { return k.c }
+func (k *CMRSKernel) Layout() *core.CMRS[float64] { return k.c }
 
 // Name implements Kernel.
 func (k *CMRSKernel) Name() string { return string(KindCMRS) }

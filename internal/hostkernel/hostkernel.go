@@ -145,7 +145,7 @@ type Options struct {
 	// the tile-by-tile sum in stored-column order.
 	TileCols int
 	// C is the SELL chunk height (0 = Unroll). The CMRS kernel reuses
-	// it as the strip height (0 = formats.DefaultStripHeight).
+	// it as the strip height (0 = core.DefaultStripHeight).
 	C int
 	// Sigma is the SELL sorting window σ (0 = DefaultSigma).
 	Sigma int

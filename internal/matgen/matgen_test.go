@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/matrix"
 )
 
@@ -78,7 +77,7 @@ func TestGeneratorTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		red := 100 * formats.DataReduction[float64](ell, p)
+		red := 100 * core.DataReduction[float64](ell, p)
 		if math.Abs(red-tm.PaperReductionPct) > 6 {
 			t.Errorf("%s: data reduction %.1f%%, paper says %.1f%%", tm.Name, red, tm.PaperReductionPct)
 		}

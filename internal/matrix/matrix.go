@@ -5,7 +5,7 @@
 // paper's analysis (Fig. 3, Table I) is built on.
 //
 // CRS is the canonical in-memory representation: every GPU storage
-// format in internal/formats is constructed from a CRS matrix, and the
+// format in internal/core is constructed from a CRS matrix, and the
 // CRS sequential kernel is the reference against which all other
 // kernels are verified.
 //
@@ -144,14 +144,7 @@ func (m *CSR[T]) MulVec(y, x []T) error {
 	if len(x) != m.NCols || len(y) != m.NRows {
 		return fmt.Errorf("matrix: MulVec with |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), m.NRows, m.NCols, ErrShape)
 	}
-	for i := 0; i < m.NRows; i++ {
-		var sum T
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			sum += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
+	m.MulRows(y, x, 0, m.NRows, false)
 	return nil
 }
 
@@ -161,15 +154,25 @@ func (m *CSR[T]) MulVecAdd(y, x []T) error {
 	if len(x) != m.NCols || len(y) != m.NRows {
 		return fmt.Errorf("matrix: MulVecAdd with |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), m.NRows, m.NCols, ErrShape)
 	}
-	for i := 0; i < m.NRows; i++ {
+	m.MulRows(y, x, 0, m.NRows, true)
+	return nil
+}
+
+// MulRows computes rows [lo, hi) of y = A·x (y += A·x when add), each
+// row summed from zero in stored column order. The caller checks the
+// shapes.
+func (m *CSR[T]) MulRows(y, x []T, lo, hi int, add bool) {
+	for i := lo; i < hi; i++ {
 		var sum T
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
+		for k, end := m.RowPtr[i], m.RowPtr[i+1]; k < end; k++ {
 			sum += m.Val[k] * x[m.ColIdx[k]]
 		}
-		y[i] += sum
+		if add {
+			y[i] += sum
+		} else {
+			y[i] = sum
+		}
 	}
-	return nil
 }
 
 // Transpose returns Aᵀ as a new CSR matrix.
@@ -190,7 +193,7 @@ func (m *CSR[T]) Transpose() *CSR[T] {
 	next := make([]int, m.NCols)
 	copy(next, t.RowPtr[:m.NCols])
 	for i := 0; i < m.NRows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+		for k, end := m.RowPtr[i], m.RowPtr[i+1]; k < end; k++ {
 			c := m.ColIdx[k]
 			p := next[c]
 			next[c]++

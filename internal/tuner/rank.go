@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"pjds/internal/formats"
+	"pjds/internal/core"
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 )
@@ -48,7 +48,7 @@ func RankFormats(st matrix.Stats, lens []int, dev *gpu.Device) []FormatScore {
 		{Format: "crs"},
 		{Format: "pjds", C: 32, Sigma: n},
 		{Format: "sell", C: 32, Sigma: sigma},
-		{Format: "cmrs", Height: formats.DefaultStripHeight},
+		{Format: "cmrs", Height: core.DefaultStripHeight},
 	}
 	modelPass(cells, st, lens, dev)
 	out := make([]FormatScore, len(cells))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pjds/internal/core"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/hostkernel"
 	"pjds/internal/matrix"
@@ -110,8 +109,8 @@ func Grid(n int, dev *gpu.Device) []Cell {
 		if h > dev.WarpSize {
 			h = dev.WarpSize
 		}
-		if h > formats.MaxStripHeight {
-			h = formats.MaxStripHeight
+		if h > core.MaxStripHeight {
+			h = core.MaxStripHeight
 		}
 		cells = append(cells, Cell{Format: "cmrs", Height: h})
 	}
@@ -141,7 +140,7 @@ func KernelFor(c Cell, m *matrix.CSR[float64], workers int, reg *telemetry.Regis
 type sweepScratch struct {
 	layout core.SELL[float64]
 	arena  matrix.Arena
-	cmrs   formats.CMRS[float64]
+	cmrs   core.CMRS[float64]
 }
 
 // kernelFor is KernelFor over sweep scratch: SELL, pJDS and CMRS cells
@@ -189,7 +188,7 @@ func (c Cell) sellGeometry(n int) (chunk, sigma int) {
 //
 // For SELL and pJDS cells it sets the cell's β and also returns the
 // layout's stored slot count; it returns 0 slots for the others.
-func modelBytesPerNnz(c *Cell, pad *formats.Padding, n int, alpha, nnzr float64, dev *gpu.Device) (float64, int64) {
+func modelBytesPerNnz(c *Cell, pad *core.Padding, n int, alpha, nnzr float64, dev *gpu.Device) (float64, int64) {
 	base := 8*alpha + 16/nnzr // RHS gather + LHS/rowLen streams, per nnz
 	switch c.Format {
 	case "crs":
@@ -219,7 +218,7 @@ func modelPass(cells []Cell, st matrix.Stats, lens []int, dev *gpu.Device) []int
 	if nnzr <= 0 {
 		nnzr = 1
 	}
-	pad := formats.NewPadding(lens)
+	pad := core.NewPadding(lens)
 	stored := make([]int64, len(cells))
 	for i := range cells {
 		cells[i].ModelBytesPerNnz, stored[i] = modelBytesPerNnz(&cells[i], pad, len(lens), alpha, nnzr, dev)

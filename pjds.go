@@ -25,7 +25,6 @@ import (
 	"pjds/internal/core"
 	"pjds/internal/distmv"
 	"pjds/internal/distsolver"
-	"pjds/internal/formats"
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
@@ -91,11 +90,11 @@ type (
 	// ELLPACK and (as the embedded layout of PJDS) pJDS and JDS.
 	SELL = core.SELL[float64]
 	// ELLRT is the T-threads-per-row ELLR-T variant.
-	ELLRT = formats.ELLRT[float64]
+	ELLRT = core.ELLRT[float64]
 	// BELLPACK is the blocked ELLPACK of Choi et al. (reference [2]).
-	BELLPACK = formats.BELLPACK[float64]
+	BELLPACK = core.BELLPACK[float64]
 	// Format is the common interface of all storage formats.
-	Format = formats.Format[float64]
+	Format = core.Format[float64]
 )
 
 // NewPJDS builds the pJDS representation of m.
@@ -117,14 +116,14 @@ func NewSlicedELL(m *CSR, c, sigma int) (*SELL, error) {
 }
 
 // NewELLRT builds an ELLR-T matrix with T threads per row.
-func NewELLRT(m *CSR, threads int) (*ELLRT, error) { return formats.NewELLRT(m, threads) }
+func NewELLRT(m *CSR, threads int) (*ELLRT, error) { return core.NewELLRT(m, threads) }
 
 // NewBELLPACK builds a blocked-ELLPACK matrix with br×bc tiles.
-func NewBELLPACK(m *CSR, br, bc int) (*BELLPACK, error) { return formats.NewBELLPACK(m, br, bc) }
+func NewBELLPACK(m *CSR, br, bc int) (*BELLPACK, error) { return core.NewBELLPACK(m, br, bc) }
 
 // DataReduction returns 1 − stored(b)/stored(a), Table I's first row
 // when a is ELLPACK and b is pJDS.
-func DataReduction(a, b Format) float64 { return formats.DataReduction[float64](a, b) }
+func DataReduction(a, b Format) float64 { return core.DataReduction[float64](a, b) }
 
 // GPU simulation.
 type (

@@ -75,7 +75,7 @@ go test -race ./internal/gpu/...
 
 echo "== go test -race (ingest-and-convert pipeline) =="
 go test -race ./internal/matrix/... ./internal/core/... \
-    ./internal/formats/... ./internal/par/... ./internal/convert/...
+    ./internal/par/... ./internal/convert/...
 
 echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
