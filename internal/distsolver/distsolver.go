@@ -10,7 +10,6 @@ package distsolver
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	"pjds/internal/core"
@@ -274,6 +273,19 @@ func NewOperator(rp *distmv.RankProblem, c *mpi.Comm) *Operator {
 	return &Operator{RP: rp, Halo: NewHalo(rp, c), c: c, KernelBW: 20e9}
 }
 
+// newSolveOperator builds a solve's operator for one rank, instrumented
+// and routed to the instrument's device when it names one.
+func newSolveOperator(rp *distmv.RankProblem, c *mpi.Comm, in *Instrument) (*Operator, error) {
+	op := NewOperator(rp, c)
+	op.Inst = in
+	if in != nil && in.Device != nil {
+		if err := op.UseDevice(in.Device, in.Workers); err != nil {
+			return nil, err
+		}
+	}
+	return op, nil
+}
+
 // Dim returns the number of locally owned rows.
 func (op *Operator) Dim() int { return op.RP.LocalRows() }
 
@@ -296,22 +308,4 @@ func (op *Operator) Apply(y, x []float64) error {
 		}
 		return op.hostMul(y, x, halo)
 	})
-}
-
-// Dot returns the global dot product of two distributed vectors.
-func Dot(c *mpi.Comm, x, y []float64) (float64, error) {
-	s := 0.0
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return c.AllreduceSum(s)
-}
-
-// Norm2 returns the global 2-norm of a distributed vector.
-func Norm2(c *mpi.Comm, x []float64) (float64, error) {
-	d, err := Dot(c, x, x)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(d), nil
 }

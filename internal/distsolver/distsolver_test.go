@@ -63,6 +63,8 @@ func TestOperatorMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDistributedDotAndNorm checks the reduction the solve hooks hand
+// to the shared solver loops: a local solver.Dot, then an all-reduce.
 func TestDistributedDotAndNorm(t *testing.T) {
 	m := matgen.Stencil2D(40, 40)
 	x := make([]float64, m.NRows)
@@ -74,19 +76,15 @@ func TestDistributedDotAndNorm(t *testing.T) {
 		want += v * v
 	}
 	runDistributed(t, m, 4, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {
-		lo, hi := rp.RowLo, rp.RowHi
-		got, err := Dot(c, x[lo:hi], x[lo:hi])
+		h := (*Instrument)(nil).hooks(c, rp.Rank, "cg", "CG iteration", nil)
+		got, err := h.Reduce(solver.Dot(x[rp.RowLo:rp.RowHi], x[rp.RowLo:rp.RowHi]))
 		if err != nil {
 			return err
 		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("rank %d: dot = %g, want %g", c.Rank(), got, want)
 		}
-		n, err := Norm2(c, x[lo:hi])
-		if err != nil {
-			return err
-		}
-		if math.Abs(n-math.Sqrt(want)) > 1e-9 {
+		if n := math.Sqrt(got); math.Abs(n-math.Sqrt(want)) > 1e-9 {
 			t.Errorf("rank %d: norm = %g", c.Rank(), n)
 		}
 		return nil
@@ -223,6 +221,10 @@ func TestPowerIterationValidation(t *testing.T) {
 	runDistributed(t, m, 2, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {
 		if _, err := PowerIteration(c, rp, make([]float64, 1), 1e-10, 5); err == nil {
 			t.Errorf("rank %d: bad v0 accepted", c.Rank())
+		}
+		// An all-zero start vector has no direction to normalize.
+		if _, err := PowerIteration(c, rp, make([]float64, rp.LocalRows()), 1e-10, 5); err == nil || errors.Is(err, ErrNotConverged) {
+			t.Errorf("rank %d: zero v0 not rejected up front: %v", c.Rank(), err)
 		}
 		return nil
 	})

@@ -5,6 +5,7 @@ import (
 
 	"pjds/internal/gpu"
 	"pjds/internal/mpi"
+	"pjds/internal/solver"
 	"pjds/internal/telemetry"
 )
 
@@ -36,13 +37,13 @@ func (in *Instrument) registry() *telemetry.Registry {
 	return in.Metrics
 }
 
-// emit records one span on the rank's solver lane.
-func (in *Instrument) emit(rank int, cat, name string, start, end float64, args map[string]string) {
+// emit records one span on one of the rank's lanes.
+func (in *Instrument) emit(rank int, lane, cat, name string, start, end float64, args map[string]string) {
 	if in == nil || in.Spans == nil {
 		return
 	}
 	in.Spans.Add(telemetry.Span{
-		Proc: rank, Lane: "solver", Cat: cat, Name: name,
+		Proc: rank, Lane: lane, Cat: cat, Name: name,
 		Start: start, End: end, Args: args,
 	})
 }
@@ -58,9 +59,40 @@ func (in *Instrument) spanned(c *mpi.Comm, rank int, cat, name string, iter int,
 		for i := 0; i+1 < len(kv); i += 2 {
 			args[kv[i]] = kv[i+1]
 		}
-		in.emit(rank, cat, name, start, c.Clock(), args)
+		in.emit(rank, "solver", cat, name, start, c.Clock(), args)
 	}
 	return err
+}
+
+// hooks wires one rank's solve into the shared loops of
+// internal/solver: local sums all-reduce over c, and before (optional)
+// runs at the top of every iteration. With an Instrument, every
+// iteration also becomes a span called span on the rank's solver lane
+// and moves the solver_iterations/solver_residual gauges of method.
+func (in *Instrument) hooks(c *mpi.Comm, rank int, method, span string, before func(iteration int) error) solver.Hooks {
+	var t0 float64
+	h := solver.Hooks{
+		Reduce: c.AllreduceSum,
+		Before: func(iteration int) error {
+			if before != nil {
+				if err := before(iteration); err != nil {
+					return err
+				}
+			}
+			t0 = c.Clock()
+			return nil
+		},
+	}
+	if in == nil {
+		return h
+	}
+	gauges := solver.GaugeProbe(in.registry(), method, telemetry.Li("rank", rank))
+	h.After = func(iteration int, residual float64) {
+		in.emit(rank, "solver", "solver", span, t0, c.Clock(),
+			map[string]string{"iteration": strconv.Itoa(iteration)})
+		gauges(iteration, residual)
+	}
+	return h
 }
 
 // firstInstrument picks the effective instrument from a variadic tail.

@@ -1,19 +1,18 @@
 package distsolver
 
 import (
-	"errors"
-	"fmt"
-	"math"
 	"strconv"
 
 	"pjds/internal/distmv"
 	"pjds/internal/mpi"
 	"pjds/internal/profiles"
+	"pjds/internal/solver"
 	"pjds/internal/telemetry"
 )
 
-// ErrNotConverged mirrors the serial solver package's sentinel.
-var ErrNotConverged = errors.New("distsolver: not converged")
+// ErrNotConverged is the serial solver package's sentinel: the
+// distributed solves run its loops.
+var ErrNotConverged = solver.ErrNotConverged
 
 // CGResult reports a distributed conjugate-gradient solve.
 type CGResult struct {
@@ -31,177 +30,49 @@ func CG(c *mpi.Comm, rp *distmv.RankProblem, x, b []float64, tol float64, maxIte
 	// phase=mpi to phase=solver, keeping the rank for per-rank slicing.
 	profiles.SetPhase(profiles.PhaseSolver, "rank", strconv.Itoa(rp.Rank))
 	in := firstInstrument(inst)
-	var gIter, gRes *telemetry.Gauge
-	if in != nil {
-		reg := in.registry()
-		lbl := []telemetry.Label{telemetry.L("method", "cg"), telemetry.Li("rank", rp.Rank)}
-		reg.Help("solver_iterations", "iterations completed by the most recent solve")
-		reg.Help("solver_residual", "current convergence measure of the most recent solve")
-		gIter = reg.Gauge("solver_iterations", lbl...)
-		gRes = reg.Gauge("solver_residual", lbl...)
-	}
-	op := NewOperator(rp, c)
-	op.Inst = in
-	if in != nil && in.Device != nil {
-		if err := op.UseDevice(in.Device, in.Workers); err != nil {
-			return CGResult{}, err
-		}
-	}
-	n := op.Dim()
-	if len(x) != n || len(b) != n {
-		return CGResult{}, fmt.Errorf("distsolver: CG |x|=%d |b|=%d, own %d rows", len(x), len(b), n)
-	}
-	r := make([]float64, n)
-	if err := op.Apply(r, x); err != nil {
-		return CGResult{}, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	p := append([]float64(nil), r...)
-	ap := make([]float64, n)
-	rr, err := Dot(c, r, r)
+	h := in.hooks(c, rp.Rank, "cg", "CG iteration", nil)
+	op, err := newSolveOperator(rp, c, in)
 	if err != nil {
 		return CGResult{}, err
 	}
-	bnorm, err := Norm2(c, b)
+	s, err := solver.NewCGState(op, x, b, h)
 	if err != nil {
 		return CGResult{}, err
 	}
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	res := CGResult{}
-	for k := 0; k < maxIter; k++ {
-		if math.Sqrt(rr) <= tol*bnorm {
-			res.Residual = math.Sqrt(rr)
-			return res, nil
-		}
-		t0 := c.Clock()
-		if err := op.Apply(ap, p); err != nil {
-			return res, err
-		}
-		pap, err := Dot(c, p, ap)
-		if err != nil {
-			return res, err
-		}
-		if pap <= 0 {
-			return res, fmt.Errorf("distsolver: operator not positive definite (pᵀAp = %g)", pap)
-		}
-		alpha := rr / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rrNew, err := Dot(c, r, r)
-		if err != nil {
-			return res, err
-		}
-		beta := rrNew / rr
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rr = rrNew
-		res.Iterations++
-		in.emit(rp.Rank, "solver", "CG iteration", t0, c.Clock(),
-			map[string]string{"iteration": strconv.Itoa(res.Iterations)})
-		if gIter != nil {
-			gIter.Set(float64(res.Iterations))
-			gRes.Set(math.Sqrt(rr))
-		}
-	}
-	res.Residual = math.Sqrt(rr)
-	if res.Residual > tol*bnorm {
-		return res, fmt.Errorf("%w: residual %g after %d iterations", ErrNotConverged, res.Residual, maxIter)
-	}
-	return res, nil
+	res, err := s.Run(op, tol, maxIter, h)
+	return CGResult{Iterations: res.Iterations, Residual: res.Residual}, err
 }
 
-// PowerResult reports a distributed power iteration.
-type PowerResult struct {
-	Eigenvalue float64
-	Iterations int
-	// Vector is this rank's slice of the normalized eigenvector.
-	Vector []float64
-}
+// PowerResult reports a distributed power iteration; Vector is this
+// rank's slice of the normalized eigenvector.
+type PowerResult = solver.PowerResult
 
 // PowerIteration finds the dominant eigenvalue of the distributed
 // operator; v0 (optional) is this rank's slice of the start vector.
-// An optional Instrument records convergence gauges and per-iteration
-// spans.
+// An optional Instrument records convergence gauges, the eigenvalue
+// estimate and per-iteration spans.
 func PowerIteration(c *mpi.Comm, rp *distmv.RankProblem, v0 []float64, tol float64, maxIter int, inst ...*Instrument) (PowerResult, error) {
 	profiles.SetPhase(profiles.PhaseSolver, "rank", strconv.Itoa(rp.Rank))
 	in := firstInstrument(inst)
-	var gIter, gRes, gEig *telemetry.Gauge
+	var res PowerResult
+	h := in.hooks(c, rp.Rank, "power", "power iteration", nil)
 	if in != nil {
 		reg := in.registry()
-		lbl := []telemetry.Label{telemetry.L("method", "power"), telemetry.Li("rank", rp.Rank)}
-		reg.Help("solver_iterations", "iterations completed by the most recent solve")
-		reg.Help("solver_residual", "current convergence measure of the most recent solve")
 		reg.Help("solver_eigenvalue", "current dominant-eigenvalue estimate")
-		gIter = reg.Gauge("solver_iterations", lbl...)
-		gRes = reg.Gauge("solver_residual", lbl...)
-		gEig = reg.Gauge("solver_eigenvalue", telemetry.Li("rank", rp.Rank))
-	}
-	op := NewOperator(rp, c)
-	op.Inst = in
-	if in != nil && in.Device != nil {
-		if err := op.UseDevice(in.Device, in.Workers); err != nil {
-			return PowerResult{}, err
+		eig := reg.Gauge("solver_eigenvalue", telemetry.Li("rank", rp.Rank))
+		gauges := h.After
+		h.After = func(iteration int, change float64) {
+			gauges(iteration, change)
+			eig.Set(res.Eigenvalue)
 		}
 	}
-	n := op.Dim()
-	v := make([]float64, n)
-	if v0 != nil {
-		if len(v0) != n {
-			return PowerResult{}, fmt.Errorf("distsolver: |v0|=%d, own %d rows", len(v0), n)
-		}
-		copy(v, v0)
-	} else {
-		for i := range v {
-			v[i] = 1 + 0.001*float64((rp.RowLo+i)%17)
-		}
-	}
-	norm, err := Norm2(c, v)
+	op, err := newSolveOperator(rp, c, in)
 	if err != nil {
 		return PowerResult{}, err
 	}
-	for i := range v {
-		v[i] /= norm
+	if res.Vector, err = solver.PowerStart(v0, op.Dim(), rp.RowLo); err != nil {
+		return PowerResult{}, err
 	}
-	av := make([]float64, n)
-	lambda := 0.0
-	for k := 0; k < maxIter; k++ {
-		t0 := c.Clock()
-		if err := op.Apply(av, v); err != nil {
-			return PowerResult{}, err
-		}
-		next, err := Dot(c, v, av)
-		if err != nil {
-			return PowerResult{}, err
-		}
-		nv, err := Norm2(c, av)
-		if err != nil {
-			return PowerResult{}, err
-		}
-		if nv == 0 {
-			return PowerResult{}, fmt.Errorf("distsolver: hit the null space")
-		}
-		for i := range v {
-			v[i] = av[i] / nv
-		}
-		in.emit(rp.Rank, "solver", "power iteration", t0, c.Clock(),
-			map[string]string{"iteration": strconv.Itoa(k + 1)})
-		if gIter != nil {
-			gIter.Set(float64(k + 1))
-			gRes.Set(math.Abs(next - lambda))
-			gEig.Set(next)
-		}
-		if k > 0 && math.Abs(next-lambda) <= tol*math.Abs(next) {
-			return PowerResult{Eigenvalue: next, Iterations: k + 1, Vector: v}, nil
-		}
-		lambda = next
-	}
-	return PowerResult{Eigenvalue: lambda, Iterations: maxIter, Vector: v},
-		fmt.Errorf("%w: power iteration after %d steps", ErrNotConverged, maxIter)
+	err = solver.Power(op, &res, tol, maxIter, h)
+	return res, err
 }

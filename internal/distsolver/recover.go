@@ -3,7 +3,6 @@ package distsolver
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 
@@ -12,7 +11,7 @@ import (
 	"pjds/internal/gpu"
 	"pjds/internal/mpi"
 	"pjds/internal/simnet"
-	"pjds/internal/telemetry"
+	"pjds/internal/solver"
 )
 
 // FaultSchedule is the slice of a fault plan the recovery driver
@@ -65,32 +64,21 @@ type RecoverConfig struct {
 	Inst *Instrument
 }
 
-func (cfg *RecoverConfig) every() int {
+// withDefaults fills the unset fields with their documented defaults.
+func (cfg RecoverConfig) withDefaults() RecoverConfig {
 	if cfg.CheckpointEvery == 0 {
-		return 10
+		cfg.CheckpointEvery = 10
 	}
-	return cfg.CheckpointEvery
-}
-
-func (cfg *RecoverConfig) maxRestarts() int {
 	if cfg.MaxRestarts == 0 {
-		return 3
+		cfg.MaxRestarts = 3
 	}
-	return cfg.MaxRestarts
-}
-
-func (cfg *RecoverConfig) rehost() float64 {
 	if cfg.RehostSlowdown <= 0 {
-		return 2
+		cfg.RehostSlowdown = 2
 	}
-	return cfg.RehostSlowdown
-}
-
-func (cfg *RecoverConfig) restartSeconds() float64 {
 	if cfg.RestartSeconds <= 0 {
-		return 500e-6
+		cfg.RestartSeconds = 500e-6
 	}
-	return cfg.RestartSeconds
+	return cfg
 }
 
 // RecoverResult reports a fault-tolerant distributed CG solve.
@@ -118,23 +106,19 @@ type RecoverResult struct {
 	Clocks []float64
 }
 
-// checkpoint is one committed in-memory snapshot of the global CG
-// state: everything a relaunched attempt needs to replay the exact
-// floating-point trajectory from iteration iter onwards.
-type checkpoint struct {
-	iter      int
-	rr, bnorm float64
-	x, r, p   []float64
-	clock     float64
-}
+// checkpoint is one committed in-memory snapshot of the CG state, one
+// part per logical rank: everything a relaunched attempt needs to
+// replay the exact floating-point trajectory from the saved iteration
+// on. Re-hosting keeps every logical rank, so each restores its part.
+type checkpoint []*solver.CGState
 
-// ckptPart is one rank's contribution to a checkpoint.
-type ckptPart struct {
-	lo, hi  int
-	x, r, p []float64
+// cloneState deep-copies a CG state, so a checkpoint never shares the
+// vectors a running solve updates in place.
+func cloneState(s solver.CGState) *solver.CGState {
+	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	s.X, s.R, s.P = clone(s.X), clone(s.R), clone(s.P)
+	return &s
 }
-
-func cloneVec(v []float64) []float64 { return append([]float64(nil), v...) }
 
 // RecoverableCG solves A·x = b with CG under injected faults: wire
 // faults ride the message layer's reliable transport, scheduled rank
@@ -157,6 +141,7 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 	if x0 != nil && len(x0) != n {
 		return nil, nil, fmt.Errorf("distsolver: RecoverableCG |x0|=%d, global size %d", len(x0), n)
 	}
+	cfg = cfg.withDefaults()
 	in := cfg.Inst
 	reg := in.registry()
 	reg.Help("distsolver_checkpoints_total", "committed in-memory solver checkpoints")
@@ -173,7 +158,7 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 	xOut := make([]float64, n)
 
 	var mu sync.Mutex // guards ckpt and final across rank goroutines
-	var ckpt *checkpoint
+	var ckpt checkpoint
 	var final CGResult
 	resumeBase := 0.0 // virtual-clock floor of the next attempt
 	failAt := 0.0     // detection time of the previous attempt's failure
@@ -184,47 +169,35 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 			s = cfg.Schedule.SlowFactor(rank)
 		}
 		if dead[rank] {
-			return s * cfg.rehost()
+			return s * cfg.RehostSlowdown
 		}
 		for f, d := range dead {
 			if d && res.HostOf[f] == rank {
-				return s * cfg.rehost()
+				return s * cfg.RehostSlowdown
 			}
 		}
 		return s
 	}
 
-	attempt := 0
 	for {
 		start := ckpt // committed snapshot this attempt resumes from
-		base := resumeBase
-		rollFrom := failAt
-		att := attempt
 		body := func(c *mpi.Comm) error {
 			rank := c.Rank()
 			rp := problems[rank]
 			nloc := rp.LocalRows()
-			if att > 0 {
+			if res.Restarts > 0 {
 				// Virtual-clock continuity across attempts: the relaunch
 				// starts where the failed attempt's detection left off,
 				// plus the modelled restart overhead.
-				c.Advance(base)
-				if in != nil && in.Spans != nil {
-					in.Spans.Add(telemetry.Span{
-						Proc: rank, Lane: "recovery", Cat: "recovery", Name: "rollback",
-						Start: rollFrom, End: c.Clock(),
-						Args: map[string]string{"attempt": strconv.Itoa(att)},
-					})
-				}
+				c.Advance(resumeBase)
+				in.emit(rank, "recovery", "recovery", "rollback", failAt, c.Clock(),
+					map[string]string{"attempt": strconv.Itoa(res.Restarts)})
 			}
-			op := NewOperator(rp, c)
-			op.Inst = in
+			op, err := newSolveOperator(rp, c, in)
+			if err != nil {
+				return err
+			}
 			op.Slow = slowFor(rank)
-			if in != nil && in.Device != nil {
-				if err := op.UseDevice(in.Device, in.Workers); err != nil {
-					return err
-				}
-			}
 			if cfg.DeviceFaults != nil {
 				op.Faults = cfg.DeviceFaults(rank)
 			}
@@ -234,54 +207,14 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 				}
 			}()
 
-			x := make([]float64, nloc)
-			r := make([]float64, nloc)
-			pv := make([]float64, nloc)
-			ap := make([]float64, nloc)
-			var rr, bnorm float64
-			startIter := 0
-			if start != nil {
-				// Restore from the checkpoint: modelled cost of reading the
-				// three vectors back, then the exact saved state.
-				c.Advance(c.Fabric().TransferSeconds(int64(3 * 8 * nloc)))
-				copy(x, start.x[rp.RowLo:rp.RowHi])
-				copy(r, start.r[rp.RowLo:rp.RowHi])
-				copy(pv, start.p[rp.RowLo:rp.RowHi])
-				rr, bnorm, startIter = start.rr, start.bnorm, start.iter
-			} else {
-				if x0 != nil {
-					copy(x, x0[rp.RowLo:rp.RowHi])
-				}
-				bloc := b[rp.RowLo:rp.RowHi]
-				if err := op.Apply(r, x); err != nil {
-					return err
-				}
-				for i := range r {
-					r[i] = bloc[i] - r[i]
-				}
-				copy(pv, r)
-				var err error
-				if rr, err = Dot(c, r, r); err != nil {
-					return err
-				}
-				if bnorm, err = Norm2(c, bloc); err != nil {
-					return err
-				}
-				if bnorm == 0 {
-					bnorm = 1
-				}
-			}
-
+			var st *solver.CGState
 			commit := func(k int) error {
 				t0 := c.Clock()
 				// Modelled cost of shipping the three vectors to the
 				// in-memory checkpoint store, then a barrier so every rank
 				// commits the same snapshot at a synchronized clock.
 				c.Advance(c.Fabric().TransferSeconds(int64(3 * 8 * nloc)))
-				parts, err := c.AllgatherUntimed(ckptPart{
-					lo: rp.RowLo, hi: rp.RowHi,
-					x: cloneVec(x), r: cloneVec(r), p: cloneVec(pv),
-				})
+				parts, err := c.AllgatherUntimed(cloneState(*st))
 				if err != nil {
 					return err
 				}
@@ -289,15 +222,9 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 					return err
 				}
 				if rank == 0 {
-					nc := &checkpoint{
-						iter: k, rr: rr, bnorm: bnorm, clock: c.Clock(),
-						x: make([]float64, n), r: make([]float64, n), p: make([]float64, n),
-					}
-					for _, raw := range parts {
-						cp := raw.(ckptPart)
-						copy(nc.x[cp.lo:cp.hi], cp.x)
-						copy(nc.r[cp.lo:cp.hi], cp.r)
-						copy(nc.p[cp.lo:cp.hi], cp.p)
+					nc := make(checkpoint, len(parts))
+					for i, part := range parts {
+						nc[i] = part.(*solver.CGState)
 					}
 					mu.Lock()
 					ckpt = nc
@@ -306,31 +233,16 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 					reg.Counter("distsolver_checkpoints_total").Inc()
 					flight.Record(flight.Info, "solver.checkpoint", rank, c.Clock(), "committed in-memory solver checkpoint", float64(k))
 				}
-				if in != nil && in.Spans != nil {
-					in.Spans.Add(telemetry.Span{
-						Proc: rank, Lane: "recovery", Cat: "recovery", Name: "checkpoint",
-						Start: t0, End: c.Clock(),
-						Args: map[string]string{"iteration": strconv.Itoa(k)},
-					})
-				}
+				in.emit(rank, "recovery", "recovery", "checkpoint", t0, c.Clock(),
+					map[string]string{"iteration": strconv.Itoa(k)})
 				return nil
 			}
 
-			finish := func(iters int, rr float64) {
-				copy(xOut[rp.RowLo:rp.RowHi], x) // disjoint row blocks
-				if rank == 0 {
-					mu.Lock()
-					final = CGResult{Iterations: iters, Residual: math.Sqrt(rr)}
-					mu.Unlock()
-				}
-			}
-
-			every := cfg.every()
-			for k := startIter; k < cfg.MaxIter; k++ {
-				if math.Sqrt(rr) <= cfg.Tol*bnorm {
-					finish(k, rr)
-					return nil
-				}
+			// Before each iteration: commit a checkpoint on schedule (not
+			// at the iteration this attempt resumed from), then fire any
+			// crash scheduled for this rank and iteration.
+			startIter, every := 0, cfg.CheckpointEvery
+			h := in.hooks(c, rank, "cg", "CG iteration", func(k int) error {
 				if every > 0 && k > startIter && k%every == 0 {
 					if err := commit(k); err != nil {
 						return err
@@ -339,43 +251,38 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 				if cfg.Schedule != nil && cfg.Schedule.CrashNow(rank, k) {
 					return c.Crash()
 				}
-				t0 := c.Clock()
-				if err := op.Apply(ap, pv); err != nil {
+				return nil
+			})
+			lo, hi := rp.RowLo, rp.RowHi
+			if start != nil {
+				// Restore from the checkpoint: modelled cost of reading the
+				// three vectors back, then the exact saved state.
+				c.Advance(c.Fabric().TransferSeconds(int64(3 * 8 * nloc)))
+				st = cloneState(*start[rank])
+				startIter = st.Iter
+			} else {
+				x := make([]float64, nloc)
+				if x0 != nil {
+					copy(x, x0[lo:hi])
+				}
+				if st, err = solver.NewCGState(op, x, b[lo:hi], h); err != nil {
 					return err
 				}
-				pap, err := Dot(c, pv, ap)
-				if err != nil {
-					return err
-				}
-				if pap <= 0 {
-					return fmt.Errorf("distsolver: operator not positive definite (pᵀAp = %g)", pap)
-				}
-				alpha := rr / pap
-				for i := range x {
-					x[i] += alpha * pv[i]
-					r[i] -= alpha * ap[i]
-				}
-				rrNew, err := Dot(c, r, r)
-				if err != nil {
-					return err
-				}
-				beta := rrNew / rr
-				for i := range pv {
-					pv[i] = r[i] + beta*pv[i]
-				}
-				rr = rrNew
-				in.emit(rank, "solver", "CG iteration", t0, c.Clock(),
-					map[string]string{"iteration": strconv.Itoa(k + 1)})
 			}
-			finish(cfg.MaxIter, rr)
-			return fmt.Errorf("%w: residual %g after %d iterations",
-				ErrNotConverged, math.Sqrt(rr), cfg.MaxIter)
+			cg, err := st.Run(op, cfg.Tol, cfg.MaxIter, h)
+			if err != nil {
+				return err
+			}
+			copy(xOut[lo:hi], st.X) // disjoint row blocks
+			if rank == 0 {
+				mu.Lock()
+				final = CGResult{Iterations: cg.Iterations, Residual: cg.Residual}
+				mu.Unlock()
+			}
+			return nil
 		}
 
-		var opts mpi.Options
-		opts.Faults = cfg.Wire
-		opts.Retry = cfg.Retry
-		opts.HeartbeatSeconds = cfg.HeartbeatSeconds
+		opts := mpi.Options{Faults: cfg.Wire, Retry: cfg.Retry, HeartbeatSeconds: cfg.HeartbeatSeconds}
 		if in != nil {
 			opts.Metrics = in.Metrics
 			opts.Spans = in.Spans
@@ -416,17 +323,16 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 		default:
 			return res, nil, err
 		}
-		if res.Restarts >= cfg.maxRestarts() {
+		if res.Restarts >= cfg.MaxRestarts {
 			return res, nil, fmt.Errorf("distsolver: recovery gave up after %d restarts: %w", res.Restarts, err)
 		}
 		res.Restarts++
 		reg.Counter("distsolver_rollbacks_total").Inc()
 		failAt = maxClock(clocks)
 		flight.Record(flight.Warn, "solver.rollback", -1, failAt, "rolling back to last checkpoint after detected failure", float64(res.Restarts))
-		resumeBase = failAt + cfg.restartSeconds()
-		res.RecoverySeconds += cfg.restartSeconds()
-		reg.Counter("distsolver_recovery_seconds_total").Add(cfg.restartSeconds())
-		attempt++
+		resumeBase = failAt + cfg.RestartSeconds
+		res.RecoverySeconds += cfg.RestartSeconds
+		reg.Counter("distsolver_recovery_seconds_total").Add(cfg.RestartSeconds)
 	}
 }
 

@@ -17,7 +17,7 @@ type BiCGSTABResult struct {
 // right preconditioning — the other workhorse next to GMRES in CFD
 // codes like the paper's TAU, with constant memory instead of a
 // restart-length Krylov basis. x is updated in place.
-func BiCGSTAB(a Operator, x, b []float64, tol float64, maxIter int, pre Preconditioner, probes ...Probe) (BiCGSTABResult, error) {
+func BiCGSTAB(a Operator, x, b []float64, tol float64, maxIter int, pre Preconditioner) (BiCGSTABResult, error) {
 	n := a.Dim()
 	if len(x) != n || len(b) != n {
 		return BiCGSTABResult{}, fmt.Errorf("solver: BiCGSTAB size mismatch |x|=%d |b|=%d dim=%d", len(x), len(b), n)
@@ -85,7 +85,6 @@ func BiCGSTAB(a Operator, x, b []float64, tol float64, maxIter int, pre Precondi
 			res.Iterations = k + 1
 			res.Residual = ns
 			res.History = append(res.History, ns)
-			notify(probes, res.Iterations, ns)
 			return res, nil
 		}
 		if err := pre.ApplySolve(sh, s); err != nil {
@@ -111,7 +110,6 @@ func BiCGSTAB(a Operator, x, b []float64, tol float64, maxIter int, pre Precondi
 		res.Iterations = k + 1
 		res.Residual = Norm2(r)
 		res.History = append(res.History, res.Residual)
-		notify(probes, res.Iterations, res.Residual)
 		if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
 			return res, fmt.Errorf("solver: BiCGSTAB diverged at iteration %d", k)
 		}

@@ -68,7 +68,7 @@ type GMRESResult struct {
 // preconditioning, starting from the contents of x, until
 // ‖b − A·x‖₂ ≤ tol·‖b‖₂ or maxIter total inner iterations. A nil
 // preconditioner means identity.
-func GMRES(a Operator, x, b []float64, restart int, tol float64, maxIter int, pre Preconditioner, probes ...Probe) (GMRESResult, error) {
+func GMRES(a Operator, x, b []float64, restart int, tol float64, maxIter int, pre Preconditioner) (GMRESResult, error) {
 	n := a.Dim()
 	if len(x) != n || len(b) != n {
 		return GMRESResult{}, fmt.Errorf("solver: GMRES size mismatch |x|=%d |b|=%d dim=%d", len(x), len(b), n)
@@ -165,7 +165,6 @@ func GMRES(a Operator, x, b []float64, restart int, tol float64, maxIter int, pr
 			g[k+1] = -sn[k] * g[k]
 			g[k] = cs[k] * g[k]
 			res.History = append(res.History, math.Abs(g[k+1]))
-			notify(probes, res.Iterations, math.Abs(g[k+1]))
 			if math.Abs(g[k+1]) <= tol*bnorm {
 				k++
 				break

@@ -76,45 +76,85 @@ type CGResult struct {
 // the contents of x, until ‖r‖₂ ≤ tol·‖b‖₂ or maxIter iterations.
 // x is updated in place. Probes observe every completed iteration.
 func CG(a Operator, x, b []float64, tol float64, maxIter int, probes ...Probe) (CGResult, error) {
-	n := a.Dim()
-	if len(x) != n || len(b) != n {
-		return CGResult{}, fmt.Errorf("solver: CG size mismatch |x|=%d |b|=%d dim=%d", len(x), len(b), n)
-	}
 	// Re-label the calling goroutine for the duration of the solve
 	// (and beyond — sequential stage labeling, not scoped nesting;
 	// see internal/profiles).
 	profiles.SetPhase(profiles.PhaseSolver)
+	h := Hooks{After: fanOut(probes)}
+	s, err := NewCGState(a, x, b, h)
+	if err != nil {
+		return CGResult{}, err
+	}
+	return s.Run(a, tol, maxIter, h)
+}
+
+// CGState is the resumable state of a CG solve: the iterate, residual
+// and search direction (one rank's rows in a distributed solve), rᵀr,
+// ‖b‖₂ and the iterations completed. Run on a restored copy replays
+// the exact floating-point trajectory from Iter on.
+type CGState struct {
+	X, R, P   []float64
+	RR, BNorm float64
+	Iter      int
+}
+
+// NewCGState starts a solve of A·x = b from the contents of x, which
+// the state then updates in place: r = b − A·x and p = r.
+func NewCGState(a Operator, x, b []float64, h Hooks) (*CGState, error) {
+	n := a.Dim()
+	if len(x) != n || len(b) != n {
+		return nil, fmt.Errorf("solver: CG size mismatch |x|=%d |b|=%d dim=%d", len(x), len(b), n)
+	}
 	r := make([]float64, n)
 	if err := a.Apply(r, x); err != nil {
-		return CGResult{}, err
+		return nil, err
 	}
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	p := append([]float64(nil), r...)
-	ap := make([]float64, n)
-	rr := Dot(r, r)
-	bnorm := Norm2(b)
+	rr, err := h.sum(Dot(r, r))
+	if err != nil {
+		return nil, err
+	}
+	bb, err := h.sum(Dot(b, b))
+	if err != nil {
+		return nil, err
+	}
+	bnorm := math.Sqrt(bb)
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	res := CGResult{}
-	for k := 0; k < maxIter; k++ {
-		if math.Sqrt(rr) <= tol*bnorm {
-			res.Residual = math.Sqrt(rr)
-			return res, nil
+	return &CGState{X: x, R: r, P: append([]float64(nil), r...), RR: rr, BNorm: bnorm}, nil
+}
+
+// Run is the only CG loop: it iterates until ‖r‖₂ ≤ tol·‖b‖₂ or Iter
+// reaches maxIter. Serial, distributed and recoverable solves differ
+// only in their hooks.
+func (s *CGState) Run(a Operator, tol float64, maxIter int, h Hooks) (CGResult, error) {
+	x, r, p := s.X, s.R, s.P
+	ap := make([]float64, len(x))
+	res := CGResult{Iterations: s.Iter}
+	for s.Iter < maxIter {
+		if math.Sqrt(s.RR) <= tol*s.BNorm {
+			break
+		}
+		if err := h.before(s.Iter); err != nil {
+			return res, err
 		}
 		if err := a.Apply(ap, p); err != nil {
 			return res, err
 		}
-		pap := Dot(p, ap)
+		pap, err := h.sum(Dot(p, ap))
+		if err != nil {
+			return res, err
+		}
 		if pap <= 0 {
 			return res, fmt.Errorf("solver: CG operator not positive definite (pᵀAp = %g)", pap)
 		}
-		alpha := rr / pap
-		// One pass for x += α·p, r -= α·ap and rᵀr, with the exact
-		// per-element expressions and summation order of Axpy(α, p, x),
-		// Axpy(−α, ap, r) and Dot(r, r).
+		alpha := s.RR / pap
+		// One pass for x += α·p, r -= α·ap and the local part of rᵀr,
+		// with the exact per-element expressions and summation order of
+		// Axpy(α, p, x), Axpy(−α, ap, r) and Dot(r, r).
 		na := -alpha
 		rrNew := 0.0
 		for i := range x {
@@ -122,17 +162,21 @@ func CG(a Operator, x, b []float64, tol float64, maxIter int, probes ...Probe) (
 			r[i] += na * ap[i]
 			rrNew += r[i] * r[i]
 		}
-		beta := rrNew / rr
+		if rrNew, err = h.sum(rrNew); err != nil {
+			return res, err
+		}
+		beta := rrNew / s.RR
 		for i := range p {
 			p[i] = r[i] + beta*p[i]
 		}
-		rr = rrNew
-		res.Iterations++
-		res.History = append(res.History, math.Sqrt(rr))
-		notify(probes, res.Iterations, math.Sqrt(rr))
+		s.RR = rrNew
+		s.Iter++
+		res.Iterations = s.Iter
+		res.History = append(res.History, math.Sqrt(s.RR))
+		h.after(s.Iter, math.Sqrt(s.RR))
 	}
-	res.Residual = math.Sqrt(rr)
-	if res.Residual > tol*bnorm {
+	res.Residual = math.Sqrt(s.RR)
+	if res.Residual > tol*s.BNorm {
 		return res, fmt.Errorf("%w: CG residual %g after %d iterations", ErrNotConverged, res.Residual, maxIter)
 	}
 	return res, nil
@@ -150,41 +194,92 @@ type PowerResult struct {
 // observe every step with the eigenvalue change as the residual.
 func PowerIteration(a Operator, v0 []float64, tol float64, maxIter int, probes ...Probe) (PowerResult, error) {
 	profiles.SetPhase(profiles.PhaseSolver)
-	n := a.Dim()
-	v := make([]float64, n)
-	if v0 != nil {
-		if len(v0) != n {
-			return PowerResult{}, fmt.Errorf("solver: power iteration |v0|=%d dim=%d", len(v0), n)
-		}
-		copy(v, v0)
-	} else {
-		for i := range v {
-			v[i] = 1 + 0.001*float64(i%17)
-		}
+	v, err := PowerStart(v0, a.Dim(), 0)
+	if err != nil {
+		return PowerResult{}, err
 	}
-	Scale(1/Norm2(v), v)
-	av := make([]float64, n)
-	lambda := 0.0
-	for k := 0; k < maxIter; k++ {
-		if err := a.Apply(av, v); err != nil {
-			return PowerResult{}, err
+	res := PowerResult{Vector: v}
+	err = Power(a, &res, tol, maxIter, Hooks{After: fanOut(probes)})
+	return res, err
+}
+
+// PowerStart returns the start vector of a power iteration over the n
+// rows lo, lo+1, …: a copy of v0, or a deterministic default when v0
+// is nil.
+func PowerStart(v0 []float64, n, lo int) ([]float64, error) {
+	v := make([]float64, n)
+	if v0 == nil {
+		for i := range v {
+			v[i] = 1 + 0.001*float64((lo+i)%17)
 		}
-		next := Dot(v, av)
-		nv := Norm2(av)
+		return v, nil
+	}
+	if len(v0) != n {
+		return nil, fmt.Errorf("solver: power iteration |v0|=%d dim=%d", len(v0), n)
+	}
+	copy(v, v0)
+	return v, nil
+}
+
+// Power is the only power-iteration loop, serial and distributed. It
+// normalizes the start vector in res.Vector (other fields zero) as
+// v/‖v‖, then steps until the eigenvalue estimate settles to tol or
+// maxIter steps. res tracks the estimate and step count as it goes,
+// for hooks that close over it.
+func Power(a Operator, res *PowerResult, tol float64, maxIter int, h Hooks) error {
+	v := res.Vector
+	vv, err := h.sum(Dot(v, v))
+	if err != nil {
+		return err
+	}
+	norm := math.Sqrt(vv)
+	if err := checkStart("power iteration", norm); err != nil {
+		return err
+	}
+	for i := range v {
+		v[i] /= norm
+	}
+	av := make([]float64, len(v))
+	for res.Iterations < maxIter {
+		if err := h.before(res.Iterations); err != nil {
+			return err
+		}
+		if err := a.Apply(av, v); err != nil {
+			return err
+		}
+		next, err := h.sum(Dot(v, av))
+		if err != nil {
+			return err
+		}
+		nn, err := h.sum(Dot(av, av))
+		if err != nil {
+			return err
+		}
+		nv := math.Sqrt(nn)
 		if nv == 0 {
-			return PowerResult{}, fmt.Errorf("solver: power iteration hit the null space")
+			return fmt.Errorf("solver: power iteration hit the null space")
 		}
 		for i := range v {
 			v[i] = av[i] / nv
 		}
-		notify(probes, k+1, math.Abs(next-lambda))
-		if k > 0 && math.Abs(next-lambda) <= tol*math.Abs(next) {
-			return PowerResult{Eigenvalue: next, Vector: v, Iterations: k + 1}, nil
+		change := math.Abs(next - res.Eigenvalue)
+		res.Eigenvalue = next
+		res.Iterations++
+		h.after(res.Iterations, change)
+		if res.Iterations > 1 && change <= tol*math.Abs(next) {
+			return nil
 		}
-		lambda = next
 	}
-	return PowerResult{Eigenvalue: lambda, Vector: v, Iterations: maxIter},
-		fmt.Errorf("%w: power iteration after %d steps", ErrNotConverged, maxIter)
+	return fmt.Errorf("%w: power iteration after %d steps", ErrNotConverged, maxIter)
+}
+
+// checkStart rejects a start vector whose norm is 0 or not finite:
+// normalizing it would put NaN into every step.
+func checkStart(method string, norm float64) error {
+	if norm == 0 || math.IsInf(norm, 0) || math.IsNaN(norm) {
+		return fmt.Errorf("solver: %s start vector has norm %g", method, norm)
+	}
+	return nil
 }
 
 // LanczosResult reports a Lanczos run: the tridiagonal coefficients
@@ -219,7 +314,11 @@ func Lanczos(a Operator, k int, v0 []float64) (LanczosResult, error) {
 			v[i] = math.Sin(float64(i) + 1)
 		}
 	}
-	Scale(1/Norm2(v), v)
+	norm := Norm2(v)
+	if err := checkStart("Lanczos", norm); err != nil {
+		return LanczosResult{}, err
+	}
+	Scale(1/norm, v)
 
 	basis := make([][]float64, 0, k)
 	var alpha, beta []float64

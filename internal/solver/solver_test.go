@@ -239,6 +239,12 @@ func TestPowerIterationErrors(t *testing.T) {
 	if _, err := PowerIteration(diagOp{make([]float64, 4)}, []float64{1}, 1e-10, 5); err == nil {
 		t.Error("bad v0 size accepted")
 	}
+	// A zero start vector is rejected before the first apply.
+	applies := 0
+	counting := OperatorFunc{N: 2, F: func(y, x []float64) error { applies++; copy(y, x); return nil }}
+	if _, err := PowerIteration(counting, []float64{0, 0}, 1e-10, 5); err == nil || applies > 0 {
+		t.Errorf("zero v0: err %v after %d applies", err, applies)
+	}
 	// Null operator: hits the null space.
 	if _, err := PowerIteration(diagOp{make([]float64, 4)}, nil, 1e-10, 5); err == nil {
 		t.Error("null operator should error")
@@ -332,6 +338,11 @@ func TestLanczosValidation(t *testing.T) {
 	}
 	if _, err := Lanczos(diagOp{[]float64{1, 2}}, 2, []float64{1}); err == nil {
 		t.Error("bad v0 accepted")
+	}
+	applies := 0
+	counting := OperatorFunc{N: 2, F: func(y, x []float64) error { applies++; copy(y, x); return nil }}
+	if _, err := Lanczos(counting, 2, []float64{0, 0}); err == nil || applies > 0 {
+		t.Errorf("zero v0: err %v after %d applies", err, applies)
 	}
 	// k > n clamps.
 	res, err := Lanczos(diagOp{[]float64{3, 7}}, 10, nil)

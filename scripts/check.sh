@@ -8,9 +8,9 @@
 #     never builds;
 #   - race runs over the concurrency-heavy packages: virtual-time
 #     fabric, MPI-like layer, distributed spMVM, fault plans, fault-
-#     tolerant solver, telemetry, flight recorder, health, service, the
-#     GPU worker pool, the ingest-and-convert pipeline, host kernels
-#     and tuner;
+#     tolerant solver, the shared solver loops every rank runs,
+#     telemetry, flight recorder, health, service, the GPU worker
+#     pool, the ingest-and-convert pipeline, host kernels and tuner;
 #   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL and
 #     the Chrome-trace reader;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
@@ -67,7 +67,7 @@ echo "== go test -race (concurrent packages) =="
 go test -race ./internal/telemetry/... ./internal/simnet/... \
     ./internal/mpi/... ./internal/distmv/... \
     ./internal/faults/... ./internal/distsolver/... \
-    ./internal/flight/... ./internal/health/... \
+    ./internal/solver/... ./internal/flight/... ./internal/health/... \
     ./internal/service/...
 
 echo "== go test -race (gpu worker pool, Workers>1) =="
