@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pjds/internal/matrix"
 )
@@ -78,22 +79,16 @@ func NewBELLPACKWith[T matrix.Float](m *matrix.CSR[T], br, bc int, opt matrix.Co
 	maxBlocksW := opt.Arena.Int(workers)
 	opt.Run(blockRows, func(w, lo, hi int) {
 		for b := lo; b < hi; b++ {
-			seen := map[int32]bool{}
+			var list []int32
 			for i := b * br; i < (b+1)*br && i < n; i++ {
 				cols, _ := m.Row(i)
 				for _, c := range cols {
-					seen[c/int32(bc)] = true
+					list = append(list, c/int32(bc))
 				}
 			}
-			list := make([]int32, 0, len(seen))
-			for c := range seen {
-				list = append(list, c)
-			}
-			sortInt32s(list)
-			blockCols[b] = list
-			if len(list) > maxBlocksW[w] {
-				maxBlocksW[w] = len(list)
-			}
+			slices.Sort(list)
+			blockCols[b] = slices.Compact(list)
+			maxBlocksW[w] = max(maxBlocksW[w], len(blockCols[b]))
 		}
 	})
 	maxBlocks := 0
@@ -118,15 +113,13 @@ func NewBELLPACKWith[T matrix.Float](m *matrix.CSR[T], br, bc int, opt matrix.Co
 	opt.Run(blockRows, func(w, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			e.BlockLen[b] = int32(len(blockCols[b]))
-			slotOf := make(map[int32]int, len(blockCols[b]))
 			for j, c := range blockCols[b] {
-				slotOf[c] = j
 				e.BlockCol[j*blockRowsPad+b] = c
 			}
 			for i := b * br; i < (b+1)*br && i < n; i++ {
 				cols, vals := m.Row(i)
 				for k, c := range cols {
-					j := slotOf[c/int32(bc)]
+					j, _ := slices.BinarySearch(blockCols[b], c/int32(bc))
 					at := ((j*bc+int(c)%bc)*blockRowsPad+b)*br + (i - b*br)
 					e.Val[at] = vals[k]
 					filledW[w]++
@@ -153,18 +146,6 @@ func blockStorage[T matrix.Float](e *BELLPACK[T]) int64 {
 	return s
 }
 
-func sortInt32s(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
 // Name implements Format.
 func (e *BELLPACK[T]) Name() string { return fmt.Sprintf("BELLPACK(%dx%d)", e.BR, e.BC) }
 
@@ -187,27 +168,39 @@ func (e *BELLPACK[T]) FootprintBytes() int64 {
 	return e.StoredElems()*int64(SizeofElem[T]()) + int64(len(e.BlockCol))*4 + int64(len(e.BlockLen))*4
 }
 
-// MulVec implements Format: each scalar row walks its block row's
-// blocks (ELLPACK-R style, stopping at the true block count).
+// MulVec implements Format with the host rendering of the blocked
+// kernel.
 func (e *BELLPACK[T]) MulVec(y, x []T) error {
 	if len(x) != e.NCols || len(y) != e.N {
 		return fmt.Errorf("core: BELLPACK MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), e.N, e.NCols, matrix.ErrShape)
 	}
-	for i := 0; i < e.N; i++ {
+	e.MulRows(y, x, 0, e.N, false)
+	return nil
+}
+
+// MulRows computes rows [lo, hi) of y = A·x (y += A·x when add). Each
+// scalar row walks its block row's blocks ELLPACK-R style, stopping at
+// the true block count, and each block's columns up to the matrix's
+// right edge. The fill-in zeros of partial blocks add +0 for finite x,
+// so y is bit-identical to CRS then. The caller checks the shapes.
+func (e *BELLPACK[T]) MulRows(y, x []T, lo, hi int, add bool) {
+	// Column c of a block lies one block-row-padded stride after c−1.
+	stride := e.BlockRowsPad * e.BR
+	for i := lo; i < hi; i++ {
 		b := i / e.BR
-		r := i % e.BR
 		var sum T
 		for j := 0; j < int(e.BlockLen[b]); j++ {
 			cb := int(e.BlockCol[j*e.BlockRowsPad+b]) * e.BC
-			for c := 0; c < e.BC; c++ {
-				xc := cb + c
-				if xc >= e.NCols {
-					break
-				}
-				sum += e.Val[((j*e.BC+c)*e.BlockRowsPad+b)*e.BR+r] * x[xc]
+			at := j*e.BC*stride + i
+			for _, xc := range x[cb:min(cb+e.BC, e.NCols)] {
+				sum += e.Val[at] * xc
+				at += stride
 			}
 		}
-		y[i] = sum
+		if add {
+			y[i] += sum
+		} else {
+			y[i] = sum
+		}
 	}
-	return nil
 }

@@ -30,10 +30,38 @@ func TestBELLPACKMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range y {
-			if math.Abs(y[i]-ref[i]) > 1e-11 {
+			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
 				t.Fatalf("block %dx%d: y[%d] = %g, want %g", blk[0], blk[1], i, y[i], ref[i])
 			}
 		}
+	}
+}
+
+// TestBELLPACKFillInMeetsInfiniteX pins BELLPACK's one exception to
+// bit-identity with CRS: a fill-in zero times an infinite x is NaN
+// where CRS stores no element.
+func TestBELLPACKFillInMeetsInfiniteX(t *testing.T) {
+	coo := matrix.NewCOO[float64](2, 2)
+	coo.Add(0, 0, 2)
+	coo.Add(1, 1, 3)
+	m := coo.ToCSR()
+	e, err := NewBELLPACK(m, 2, 2) // one block, two fill-in zeros
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{1, math.Inf(1)}
+	y, ref := make([]float64, 2), make([]float64, 2)
+	if err := e.MulVec(y, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MulVec(ref, x); err != nil {
+		t.Fatal(err)
+	}
+	if ref[0] != 2 || !math.IsNaN(y[0]) {
+		t.Errorf("row 0: BELLPACK %g, CRS %g; want NaN and 2", y[0], ref[0])
+	}
+	if y[1] != ref[1] {
+		t.Errorf("row 1: BELLPACK %g, CRS %g", y[1], ref[1])
 	}
 }
 

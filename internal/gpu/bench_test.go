@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"testing"
+
+	"pjds/internal/model"
 )
 
 // The simulator's own throughput: how many non-zeros per second the
@@ -41,7 +43,7 @@ func BenchmarkSimulatorPJDS(b *testing.B) {
 }
 
 func BenchmarkCacheProbe(b *testing.B) {
-	c := newCache(DefaultL2(), 32)
+	c := configureCache(new(model.LRU), DefaultL2(), 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Probe(int64(i*37) & 0xfffff)

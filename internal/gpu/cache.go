@@ -33,18 +33,12 @@ func DefaultL2() *CacheConfig {
 	return &CacheConfig{Bytes: 768 << 10, LineBytes: 128, Assoc: 16, RHSFraction: 0.5}
 }
 
-// newCache builds the L2 model of a configuration: model's
+// configureCache sizes c as the L2 model of cfg — model's
 // set-associative LRU over RHSFraction of the capacity, tracking
 // residency at lineBytes granularity (the gather sector size, which
-// may be finer than the nominal L2 line). Returns nil for a nil config
-// (no cache: every probe misses).
-func newCache(cfg *CacheConfig, lineBytes int) *model.LRU {
-	return configureCache(new(model.LRU), cfg, lineBytes)
-}
-
-// configureCache sizes c for cfg as newCache does, reusing its tag
-// array when it is large enough, and empties it. It returns nil when
-// cfg models no cache, else c.
+// may be finer than the nominal L2 line) — reusing its tag array when
+// it is large enough, and empties it. It returns nil when cfg models
+// no cache (every probe misses), else c.
 func configureCache(c *model.LRU, cfg *CacheConfig, lineBytes int) *model.LRU {
 	if cfg == nil {
 		return nil

@@ -77,7 +77,13 @@ func RunCMRS[T matrix.Float](d *Device, c *core.CMRS[T], y, x []T, opt RunOption
 					for e := c.StripPtr[s]; e < c.StripPtr[s+1]; e++ {
 						rows[c.RowInStrip[e]] += c.Val[e] * x[c.ColIdx[e]]
 					}
-					storeResult(y, rows, base, c.N, accumulate)
+					for r, v := range rows {
+						if accumulate {
+							y[base+r] += v
+						} else {
+							y[base+r] = v
+						}
+					}
 				}
 			},
 		})

@@ -58,6 +58,17 @@ func ellrtCase[T matrix.Float](name string, m *matrix.CSR[T], threads int) compi
 	}}
 }
 
+func bellpackCase[T matrix.Float](name string, m *matrix.CSR[T], br, bc int) compileCase {
+	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
+		e, err := core.NewBELLPACK(m, br, bc)
+		if err != nil {
+			return err
+		}
+		_, err = gpu.RunBELLPACK(d, e, make([]T, e.N), make([]T, e.NCols), runOpt(pc))
+		return err
+	}}
+}
+
 func csrCase[T matrix.Float](name string, m *matrix.CSR[T], run func(*gpu.Device, *matrix.CSR[T], []T, []T, gpu.RunOptions) (*gpu.KernelStats, error)) compileCase {
 	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
 		_, err := run(d, m, make([]T, m.NRows), make([]T, m.NCols), runOpt(pc))
@@ -67,8 +78,9 @@ func csrCase[T matrix.Float](name string, m *matrix.CSR[T], run func(*gpu.Device
 
 // presetCases covers every SELL preset and the (C, σ) grid of core's
 // TestPresetsBitIdenticalToCSR, CMRS at several strip heights, ELLR-T
-// at every T that divides the warp, and both CSR kernels, which share
-// one matrix and so must compile two plans.
+// at every T that divides the warp, BELLPACK at three block shapes, and
+// both CSR kernels, which share one matrix and so must compile two
+// plans.
 func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	cv := matrix.ConvertOptions{}
 	sell := func(c, sigma int) func(*matrix.CSR[T]) (*core.SELL[T], error) {
@@ -103,6 +115,9 @@ func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	}
 	for _, threads := range []int{1, 2, 4, 8, 16, 32} {
 		cases = append(cases, ellrtCase(fmt.Sprintf("%s/ELLR-T(%d)", tag, threads), m, threads))
+	}
+	for _, blk := range [][2]int{{2, 2}, {5, 5}, {2, 4}} {
+		cases = append(cases, bellpackCase(fmt.Sprintf("%s/BELLPACK(%dx%d)", tag, blk[0], blk[1]), m, blk[0], blk[1]))
 	}
 	return append(cases,
 		csrCase(tag+"/CSR-scalar", m, gpu.RunCSRScalar[T]),

@@ -58,10 +58,35 @@ func (c *refCache) probe(addr int64) bool {
 	return false
 }
 
+// segCounter accumulates distinct aligned segments within one
+// warp-step for one stream. Lanes touch monotonically non-decreasing
+// addresses for the val/idx streams, and arbitrary ones for the RHS
+// gather; the counter handles both with a tiny linear set (a warp
+// touches at most warpSize distinct segments).
+type segCounter struct {
+	segs []int64
+}
+
+// add records the segment containing addr; segShift = log2(segment size).
+func (c *segCounter) add(addr int64, segShift uint) {
+	seg := addr >> segShift
+	for _, s := range c.segs {
+		if s == seg {
+			return
+		}
+	}
+	c.segs = append(c.segs, seg)
+}
+
+// reset clears the counter for the next warp-step.
+func (c *segCounter) reset() { c.segs = c.segs[:0] }
+
 // refCompile is the scan-based plan compiler the run-counting one
 // replaced, kept as the differential reference: every stream's
 // segments go through segCounter's linear set, and the RHS gather
-// through refCache. It returns the counter totals of one replay.
+// through refCache. Every address comes from refElem and every step
+// count from refLaneSteps, the planSource definitions, block shape
+// included. It returns the counter totals of one replay.
 func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 	es := core.SizeofElem[T]()
 	ws := d.WarpSize
@@ -70,9 +95,8 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 	secShift := log2(d.GatherSectorBytes)
 	secBytes := int64(d.GatherSectorBytes)
 	l2 := newRefCache(d.L2, d.GatherSectorBytes)
+	_, bc := src.blockShape()
 	var valSegs, idxSegs, rhsSegs, lhsSegs segCounter
-	base := make([]int64, ws)
-	stride := int64(src.chunk)
 	t := KernelStats{
 		Kernel: src.kernel, Rows: src.rows, Nnz: src.nnz,
 		UsefulFlops: 2 * src.nnz, ElemBytes: es,
@@ -82,7 +106,6 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 		maxLen := 0
 		for lane := 0; lane < lanes; lane++ {
 			maxLen = max(maxLen, refLaneSteps(src, wbase+lane))
-			base[lane] = src.base(wbase + lane)
 		}
 		t.Warps++
 		if maxLen > 0 {
@@ -103,18 +126,19 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 				if j >= refLaneSteps(src, i) {
 					continue
 				}
-				at := base[lane] + int64(j)*stride
-				c := src.col[at]
-				if src.colStart != nil {
-					at = int64(src.colStart[j]) + int64(i)
+				at, slot, c := refElem(src, i, j)
+				if c >= src.cols {
+					continue
 				}
 				t.ExecutedLaneSteps++
 				valSegs.add(addrVal+at*int64(es), segShift)
-				idxSegs.add(addrIdx+at*4, segShift)
+				idxSegs.add(addrIdx+slot*4, segShift)
 				rhsSegs.add(addrRHS+int64(c)*int64(es), secShift)
 			}
 			t.BytesVal += int64(len(valSegs.segs)) * segBytes
-			t.BytesIdx += int64(len(idxSegs.segs)) * segBytes
+			if j%bc == 0 {
+				t.BytesIdx += int64(len(idxSegs.segs)) * segBytes
+			}
 			for _, sec := range rhsSegs.segs {
 				t.RHSProbes++
 				if !l2.probe(sec << secShift) {
@@ -139,19 +163,37 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 }
 
 // refLaneSteps is the step count of lane l by the definition of
-// planSource.lens and group: ceil((lens[g] − t)/group) for lane t of
-// group g, 0 when the group's run ends before the lane.
+// planSource.lens, group and block: lane l is lane t of group g in
+// block-row units, which runs ceil((lens[g] − t)/group) entries of BC
+// steps each, none when the group's run ends before the lane.
 func refLaneSteps[T matrix.Float](src planSource[T], l int) int {
-	n := int(src.lens[l/src.group]) - l%src.group
+	br, bc := src.blockShape()
+	n := int(src.lens[l/br/src.group]) - l/br%src.group
 	if n <= 0 {
 		return 0
 	}
-	return (n + src.group - 1) / src.group
+	return (n + src.group - 1) / src.group * bc
+}
+
+// refElem returns the device addresses of lane l's step j in the value
+// and index arrays, and the column it gathers, by the definition of
+// planSource's chunk-major layout, block shape and jagged diagonals.
+func refElem[T matrix.Float](src planSource[T], l, j int) (at, slot int64, col int) {
+	br, bc := src.blockShape()
+	at = src.chunkStart[l/src.chunk] + int64(l%src.chunk)
+	slot = at - int64(l) + int64(l/br) + int64(j/bc*(src.chunk/br))
+	at += int64(j * src.chunk)
+	col = int(src.col[slot])*bc + j%bc
+	if src.colStart != nil {
+		at = int64(src.colStart[j]) + int64(l)
+		slot = at
+	}
+	return at, slot, col
 }
 
 // laneAddressesIncrease checks the property the run counting relies
-// on: in every warp step, the active lanes' storage addresses strictly
-// increase with the lane.
+// on: in every warp step, the active lanes' value addresses strictly
+// increase with the lane, and their index addresses never decrease.
 func laneAddressesIncrease[T matrix.Float](d *Device, src planSource[T]) error {
 	ws := d.WarpSize
 	for wbase := 0; wbase < src.nPad; wbase += ws {
@@ -161,21 +203,21 @@ func laneAddressesIncrease[T matrix.Float](d *Device, src planSource[T]) error {
 			maxLen = max(maxLen, refLaneSteps(src, wbase+lane))
 		}
 		for j := 0; j < maxLen; j++ {
-			last := int64(-1)
+			lastAt, lastSlot := int64(-1), int64(-1)
 			for lane := 0; lane < lanes; lane++ {
 				i := wbase + lane
 				if j >= refLaneSteps(src, i) {
 					continue
 				}
-				at := src.base(i) + int64(j)*int64(src.chunk)
-				if src.colStart != nil {
-					at = int64(src.colStart[j]) + int64(i)
+				at, slot, c := refElem(src, i, j)
+				if c >= src.cols {
+					continue
 				}
-				if at <= last {
-					return fmt.Errorf("%s: warp at row %d, step %d: lane %d address %d after %d",
-						src.kernel, wbase, j, lane, at, last)
+				if at <= lastAt || slot < lastSlot {
+					return fmt.Errorf("%s: warp at row %d, step %d: lane %d addresses (%d, %d) after (%d, %d)",
+						src.kernel, wbase, j, lane, at, slot, lastAt, lastSlot)
 				}
-				last = at
+				lastAt, lastSlot = at, slot
 			}
 		}
 	}

@@ -37,7 +37,8 @@ func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 }
 
 // RunCSRVector executes the one-warp-per-row CSR spMVM. Its model
-// charges no row-pointer load.
+// charges no row-pointer load, unlike CSR-scalar's; DESIGN.md records
+// why that should become one segment per warp.
 func RunCSRVector[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt RunOptions) (*KernelStats, error) {
 	return runCSR(d, m, y, x, opt, "CSR-vector", func(src *planSource[T]) {
 		// Warp i strides row i: lane t touches RowPtr[i] + t + j·ws.

@@ -7,6 +7,7 @@ import (
 
 	"pjds/internal/core"
 	"pjds/internal/matrix"
+	"pjds/internal/model"
 	"pjds/internal/telemetry"
 )
 
@@ -204,7 +205,7 @@ func TestOccupancyFactor(t *testing.T) {
 
 func TestCacheBasics(t *testing.T) {
 	cfg := &CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 1}
-	c := newCache(cfg, 128)
+	c := configureCache(new(model.LRU), cfg, 128)
 	if c.Probe(0) {
 		t.Error("cold miss expected")
 	}
@@ -224,7 +225,7 @@ func TestCacheBasics(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way, line 128, 4 lines → 2 sets. Lines 0, 2, 4 map to set 0.
-	c := newCache(&CacheConfig{Bytes: 4 * 128, LineBytes: 128, Assoc: 2, RHSFraction: 1}, 128)
+	c := configureCache(new(model.LRU), &CacheConfig{Bytes: 4 * 128, LineBytes: 128, Assoc: 2, RHSFraction: 1}, 128)
 	c.Probe(0 * 128)
 	c.Probe(2 * 128)
 	c.Probe(0 * 128) // touch line 0 → MRU
@@ -238,10 +239,10 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheNilAlwaysMisses(t *testing.T) {
-	if newCache(nil, 32) != nil {
+	if configureCache(new(model.LRU), nil, 32) != nil {
 		t.Error("nil config should give nil cache")
 	}
-	c := newCache(&CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 0}, 32)
+	c := configureCache(new(model.LRU), &CacheConfig{Bytes: 1 << 12, LineBytes: 128, Assoc: 2, RHSFraction: 0}, 32)
 	if c != nil {
 		t.Error("zero RHS fraction should disable the cache")
 	}

@@ -123,28 +123,3 @@ func lhsSegments(lo, hi, es int, segShift uint) int64 {
 	last := (addrLHS + int64(hi-1)*int64(es)) >> segShift
 	return last - first + 1
 }
-
-// lhsBytes counts the result-vector traffic for rows [lo, hi): one
-// store (and one load when accumulating) per touched segment.
-func lhsBytes(lo, hi, es int, segShift uint, segBytes int64, accumulate bool) int64 {
-	b := lhsSegments(lo, hi, es, segShift) * segBytes
-	if accumulate {
-		b *= 2
-	}
-	return b
-}
-
-// storeResult commits per-lane sums to y for rows below n.
-func storeResult[T matrix.Float](y, sum []T, wbase, n int, accumulate bool) {
-	for lane := 0; lane < len(sum); lane++ {
-		i := wbase + lane
-		if i >= n {
-			break
-		}
-		if accumulate {
-			y[i] += sum[lane]
-		} else {
-			y[i] = sum[lane]
-		}
-	}
-}

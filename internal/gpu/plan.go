@@ -38,9 +38,9 @@ func DefaultWorkers() int {
 // of the device's warp size, and every kernel that uses it stores its
 // elements chunk-major: step j of lane l touches storage position
 // chunkStart[l/chunk] + j*chunk + l%chunk. The SELL presets, CSR-scalar,
-// CSR-vector, ELLR-T and CMRS differ only in these fields; everything
-// else — coalescing analysis, L2 simulation, divergence accounting, the
-// worker pool and the telemetry — is shared.
+// CSR-vector, ELLR-T, CMRS and BELLPACK differ only in these fields;
+// everything else — coalescing analysis, L2 simulation, divergence
+// accounting, the worker pool and the telemetry — is shared.
 type planSource[T matrix.Float] struct {
 	kernel           string
 	rows, cols, nPad int
@@ -61,6 +61,16 @@ type planSource[T matrix.Float] struct {
 	// one row.
 	lens  []int32
 	group int
+	// block is the shape BR×BC of the dense blocks whose elements share
+	// one column index (BELLPACK, reference [2]); the zero value means
+	// 1×1, the shape of every other kernel. Lane l runs BC steps per
+	// entry of lens[(l/BR)/group] (group counted in blocks). Its step j
+	// reads the index slot base(l) − l + l/BR + (j/BC)·chunk/BR — its
+	// element position with the lane replaced by the block's — charged
+	// to the index stream only when j%BC == 0, and gathers column
+	// col[slot]·BC + j%BC. A lane whose column reaches cols (a partial
+	// block at the matrix's right edge) idles for that step.
+	block [2]int
 	// reduceSteps is the intra-warp reduction every warp adds to its
 	// SIMT steps when a group's lanes share one row.
 	reduceSteps int64
@@ -94,6 +104,12 @@ type planSource[T matrix.Float] struct {
 // base returns the storage offset of element (i, 0).
 func (src *planSource[T]) base(i int) int64 {
 	return src.chunkStart[i/src.chunk] + int64(i%src.chunk)
+}
+
+// blockShape returns the source's block rows and columns, 1×1 unless
+// set.
+func (src *planSource[T]) blockShape() (br, bc int) {
+	return max(src.block[0], 1), max(src.block[1], 1)
 }
 
 // Plan is the compiled execution schedule of one (matrix, format,
@@ -131,14 +147,20 @@ func (p *Plan[T]) Kernel() string { return p.src.kernel }
 func (p *Plan[T]) Warps() int { return p.total.Warps }
 
 // compileScratch is the reusable working state of one plan compile:
-// the L2 model, the per-step RHS sector set and the warp's lane base
-// offsets and step counts. Compiles borrow it from compileScratches, so
-// a warm compile allocates none of them.
+// the L2 model, the per-step RHS sector set and the warp's lanes.
+// Compiles borrow it from compileScratches, so a warm compile allocates
+// none of them.
 type compileScratch struct {
 	l2    model.LRU
 	rhs   sectorSet
-	base  []int64
-	steps []int32
+	lanes []laneState
+}
+
+// laneState is one lane of the warp being compiled: its element 0's
+// storage offset, its first index slot and its step count.
+type laneState struct {
+	base, slot int64
+	steps      int32
 }
 
 var compileScratches = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -197,9 +219,10 @@ func compilePlan[T matrix.Float](d *Device, src planSource[T]) *Plan[T] {
 // Every plan source stores a step's active lanes at increasing
 // addresses: within a chunk the lane is the address offset, a later
 // chunk starts after every element of an earlier one, and the jagged
-// diagonals of pJDS are contiguous in the row. The val and idx
-// segments of a step are then non-decreasing in the lane, so the
-// distinct ones are counted as runs.
+// diagonals of pJDS are contiguous in the row. The lanes of a block
+// share its index slot, so index addresses never decrease either. The
+// val and idx segments of a step are then non-decreasing in the lane,
+// so the distinct ones are counted as runs.
 func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileScratch) *Plan[T] {
 	es := int64(core.SizeofElem[T]())
 	ws := d.WarpSize
@@ -213,13 +236,19 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 	rhs := &sc.rhs
 	sec0 := int64(addrRHS) >> secShift
 	rhs.size(int((addrRHS+int64(max(src.cols, 1)-1)*es)>>secShift - sec0 + 1))
-	if cap(sc.base) < ws {
-		sc.base, sc.steps = make([]int64, ws), make([]int32, ws)
+	if cap(sc.lanes) < ws {
+		sc.lanes = make([]laneState, ws)
 	}
-	base, stepBuf := sc.base[:ws], sc.steps[:ws]
 	stride := int64(src.chunk)
-	// Lane t of a group runs (lens − t + group − 1) >> gShift steps,
-	// which is never negative because t < group.
+	br, bc := src.blockShape()
+	slotStride, bc64 := int64(src.chunk/br), int64(bc)
+	col, colStart := src.col, src.colStart
+	// Column col[slot]·BC + jc reaches cols from col[slot] =
+	// ceil((cols − jc)/BC) on: colQ while jc ≤ colRem, then colQ − 1.
+	colQ, colRem := int64((src.cols-1)/bc+1), int64((src.cols-1)%bc)
+	rhsStride := bc64 * es
+	// Lane t of a group runs (lens − t + group − 1) >> gShift entries of
+	// BC steps, which is never negative because t < group.
 	gShift := log2(src.group)
 	gMask := int32(src.group - 1)
 
@@ -239,15 +268,19 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 	}
 	t := &p.total
 	for wbase := 0; wbase < src.nPad; wbase += ws {
-		lanes := min(ws, src.nPad-wbase)
-		steps := stepBuf[:lanes]
+		lanes := sc.lanes[:min(ws, src.nPad-wbase)]
 		maxLen := int32(0)
-		for lane := range steps {
+		g, r := int32(wbase/br), wbase%br // lane l is row r of block lane g
+		for lane := range lanes {
 			l := wbase + lane
-			n := (src.lens[l>>gShift] - int32(l)&gMask + gMask) >> gShift
-			steps[lane] = n
-			maxLen = max(maxLen, n)
-			base[lane] = src.base(l)
+			ls := &lanes[lane]
+			ls.steps = ((src.lens[g>>gShift] - g&gMask + gMask) >> gShift) * int32(bc)
+			maxLen = max(maxLen, ls.steps)
+			ls.base = src.base(l)
+			ls.slot = ls.base - int64(l) + int64(g)
+			if r++; r == br {
+				g, r = g+1, 0
+			}
 		}
 		t.Warps++
 		if maxLen > 0 {
@@ -255,48 +288,70 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 		}
 		t.WarpSteps += int64(maxLen) + src.reduceSteps
 		if src.metaBytes != nil {
-			t.BytesMeta += src.metaBytes(wbase, lanes)
+			t.BytesMeta += src.metaBytes(wbase, len(lanes))
 		} else {
 			t.BytesMeta += src.metaSegs * segBytes
 		}
+		slotOff, jc := int64(0), int64(0) // (j/BC)·chunk/BR and j%BC
+		executed := int64(0)
 		for j := int32(0); j < maxLen; j++ {
 			var valSegs, idxSegs int64
 			lastVal, lastIdx := int64(-1), int64(-1)
 			rhs.next()
-			for lane, n := range steps {
-				if j >= n {
+			valOff := int64(j) * stride
+			// Column col[slot]·BC + jc lies in RHS sector
+			// (rhsOff + col[slot]·rhsStride) >> secShift, and reaches
+			// cols from col[slot] = colLimit on.
+			rhsOff, colLimit := addrRHS+jc*es, colQ
+			if jc > colRem {
+				colLimit--
+			}
+			for lane := range lanes {
+				ls := &lanes[lane]
+				if j >= ls.steps {
 					continue // lane idle: reserved but useless (light boxes of Fig. 2b)
 				}
-				at := base[lane] + int64(j)*stride
-				c := int64(src.col[at])
-				if src.colStart != nil {
-					at = int64(src.colStart[j]) + int64(wbase+lane)
+				k := ls.slot + slotOff
+				c := int64(col[k])
+				if c >= colLimit {
+					continue // past the right edge of a partial block
 				}
-				t.ExecutedLaneSteps++
+				at := ls.base + valOff
+				if colStart != nil {
+					at = int64(colStart[j]) + int64(wbase+lane)
+					k = at
+				}
+				executed++
 				if seg := (addrVal + at*es) >> segShift; seg != lastVal {
 					valSegs++
 					lastVal = seg
 				}
-				if seg := (addrIdx + at*4) >> segShift; seg != lastIdx {
+				if seg := (addrIdx + k*4) >> segShift; seg != lastIdx {
 					idxSegs++
 					lastIdx = seg
 				}
-				sec := (addrRHS + c*es) >> secShift
+				sec := (rhsOff + c*rhsStride) >> secShift
 				rhs.add(int(sec-sec0), sec)
 			}
 			t.BytesVal += valSegs * segBytes
-			t.BytesIdx += idxSegs * segBytes
+			if jc == 0 {
+				t.BytesIdx += idxSegs * segBytes
+			}
+			t.RHSProbes += int64(len(rhs.secs))
 			for _, sec := range rhs.secs {
-				t.RHSProbes++
 				if !l2.Probe(sec << secShift) {
 					t.RHSMisses++
 					t.BytesRHS += secBytes
 				}
 			}
+			if jc++; jc == bc64 {
+				slotOff, jc = slotOff+slotStride, 0
+			}
 		}
-		lhsLo, lhsHi := wbase, min(wbase+lanes, src.rows)
+		t.ExecutedLaneSteps += executed
+		lhsLo, lhsHi := wbase, min(wbase+len(lanes), src.rows)
 		if src.lhsRows != nil {
-			lhsLo, lhsHi = src.lhsRows(wbase, lanes)
+			lhsLo, lhsHi = src.lhsRows(wbase, len(lanes))
 		}
 		t.BytesLHS += lhsSegments(lhsLo, lhsHi, int(es), segShift) * segBytes
 	}

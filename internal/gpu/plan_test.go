@@ -48,7 +48,7 @@ func kernelCases(t *testing.T) (cases []kernelCase, x []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []kernelCase{
+	cases = []kernelCase{
 		{"ELLPACK", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
 			return RunSELL(d, ell, y, x, opt)
 		}},
@@ -73,7 +73,18 @@ func kernelCases(t *testing.T) (cases []kernelCase, x []float64) {
 		{"CMRS", n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
 			return RunCMRS(d, cmrs, y, x, opt)
 		}},
-	}, x
+	}
+	for _, blk := range [][2]int{{2, 2}, {5, 5}, {2, 4}} {
+		// n is no multiple of BC: the last block column is partial.
+		e, err := core.NewBELLPACK(m, blk[0], blk[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, kernelCase{e.Name(), n, func(d *Device, y, x []float64, opt RunOptions) (*KernelStats, error) {
+			return RunBELLPACK(d, e, y, x, opt)
+		}})
+	}
+	return cases, x
 }
 
 // TestWorkerDeterminism asserts the tentpole guarantee: parallel
@@ -277,16 +288,22 @@ func TestPlanCacheInvalidate(t *testing.T) {
 // TestPlanCacheCSRKernels: CSR-scalar and CSR-vector read the same
 // *matrix.CSR, so the plan key must carry the kernel — one matrix
 // compiles two plans, a second run of each hits its own, and
-// invalidating the matrix drops both.
+// invalidating the matrix drops both. A BELLPACK of the matrix is a
+// third plan, hit the same way.
 func TestPlanCacheCSRKernels(t *testing.T) {
 	m := bandedCSR(300, 2, 40, 19)
 	x := randVec(300, 20)
+	bell, err := core.NewBELLPACK(m, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pc := NewPlanCache(0)
 	opt := RunOptions{Plans: pc, Metrics: telemetry.NewRegistry()}
 	d := TeslaC2070()
 	runs := []func() (*KernelStats, error){
 		func() (*KernelStats, error) { return RunCSRScalar(d, m, make([]float64, 300), x, opt) },
 		func() (*KernelStats, error) { return RunCSRVector(d, m, make([]float64, 300), x, opt) },
+		func() (*KernelStats, error) { return RunBELLPACK(d, bell, make([]float64, 300), x, opt) },
 	}
 	first := make([]*KernelStats, len(runs))
 	for i, run := range runs {
@@ -296,11 +313,11 @@ func TestPlanCacheCSRKernels(t *testing.T) {
 		}
 		first[i] = st
 	}
-	if s := pc.Stats(); s.Compiles != 2 || s.Misses != 2 || s.Hits != 0 || s.Entries != 2 {
+	if s := pc.Stats(); s.Compiles != 3 || s.Misses != 3 || s.Hits != 0 || s.Entries != 3 {
 		t.Fatalf("after one run of each kernel: %+v", s)
 	}
-	if first[0].Kernel != "CSR-scalar" || first[1].Kernel != "CSR-vector" {
-		t.Fatalf("kernels %q, %q", first[0].Kernel, first[1].Kernel)
+	if first[0].Kernel != "CSR-scalar" || first[1].Kernel != "CSR-vector" || first[2].Kernel != "BELLPACK(5x5)" {
+		t.Fatalf("kernels %q, %q, %q", first[0].Kernel, first[1].Kernel, first[2].Kernel)
 	}
 	for i, run := range runs {
 		st, err := run()
@@ -311,11 +328,11 @@ func TestPlanCacheCSRKernels(t *testing.T) {
 			t.Errorf("%s replay stats differ:\n%+v\n%+v", st.Kernel, st, first[i])
 		}
 	}
-	if s := pc.Stats(); s.Compiles != 2 || s.Hits != 2 {
+	if s := pc.Stats(); s.Compiles != 3 || s.Hits != 3 {
 		t.Fatalf("after a second run of each kernel: %+v", s)
 	}
-	if n := pc.Invalidate(m); n != 2 || pc.Len() != 0 {
-		t.Fatalf("Invalidate removed %d, %d left; want 2, 0", n, pc.Len())
+	if n := pc.Invalidate(m); n != 2 || pc.Len() != 1 {
+		t.Fatalf("Invalidate removed %d, %d left; want 2, 1", n, pc.Len())
 	}
 }
 

@@ -123,29 +123,6 @@ func (s KernelStats) String() string {
 		s.Kernel, s.Device, s.GFlops, s.CodeBalance, s.Alpha, 100*s.L2HitRate, 100*s.LaneEfficiency, 1e3*s.KernelSeconds)
 }
 
-// segCounter accumulates distinct aligned segments within one
-// warp-step for one stream. Lanes touch monotonically non-decreasing
-// addresses for the val/idx streams, and arbitrary ones for the RHS
-// gather; the counter handles both with a tiny linear set (a warp
-// touches at most warpSize distinct segments).
-type segCounter struct {
-	segs []int64
-}
-
-// add records the segment containing addr; segShift = log2(segment size).
-func (c *segCounter) add(addr int64, segShift uint) {
-	seg := addr >> segShift
-	for _, s := range c.segs {
-		if s == seg {
-			return
-		}
-	}
-	c.segs = append(c.segs, seg)
-}
-
-// reset clears the counter for the next warp-step.
-func (c *segCounter) reset() { c.segs = c.segs[:0] }
-
 // log2 of a power-of-two integer.
 func log2(v int) uint {
 	n := uint(0)

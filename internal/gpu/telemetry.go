@@ -8,22 +8,6 @@ import (
 	"pjds/internal/telemetry"
 )
 
-// Publish exports the kernel statistics into reg (nil selects
-// telemetry.Default()). Every series carries kernel and device labels
-// plus the extras (internal/distmv adds rank and phase). Raw
-// transaction counts go to counters — they accumulate across runs and
-// are order-independent, hence deterministic even for concurrent rank
-// goroutines — while the derived model quantities of the paper
-// (code balance B_code of Eq. 1, the RHS reuse factor α, coalescing
-// and lane efficiency, GF/s) go to last-value gauges. Plan replays
-// publish the same series through handles resolved once per plan.
-func (s *KernelStats) Publish(reg *telemetry.Registry, extra ...telemetry.Label) {
-	if reg == nil {
-		reg = telemetry.Default()
-	}
-	newKernelSeries(reg, kernelLabels(s.Kernel, s.Device, extra)).publish(s)
-}
-
 // kernelLabels is the label set of a kernel's series: kernel, device,
 // then the caller's extras.
 func kernelLabels(kernel, device string, extra []telemetry.Label) []telemetry.Label {
@@ -33,9 +17,11 @@ func kernelLabels(kernel, device string, extra []telemetry.Label) []telemetry.La
 	}, extra...)
 }
 
-// kernelCounters are the counter families Publish writes and the
+// kernelCounters are the counter families every replay writes and the
 // statistic each adds per run; stream, when set, labels the series of
-// gpu_kernel_bytes_total.
+// gpu_kernel_bytes_total. Raw transaction counts go to counters: they
+// accumulate across runs and are order-independent, hence
+// deterministic even for concurrent rank goroutines.
 var kernelCounters = []struct {
 	name, stream, help string
 	val                func(*KernelStats) float64
@@ -58,7 +44,9 @@ var kernelCounters = []struct {
 	{"gpu_kernel_bytes_total", "meta", "device-memory traffic by stream", func(s *KernelStats) float64 { return float64(s.BytesMeta) }},
 }
 
-// kernelGauges are the last-value gauge families Publish writes.
+// kernelGauges are the last-value gauge families every replay writes:
+// the derived model quantities of the paper (code balance B_code of
+// Eq. 1, the RHS reuse factor α, coalescing and lane efficiency, GF/s).
 var kernelGauges = []struct {
 	name, help string
 	val        func(*KernelStats) float64
@@ -71,8 +59,8 @@ var kernelGauges = []struct {
 	{"gpu_kernel_gflops", "useful GF/s of the last run (as in Table I)", func(s *KernelStats) float64 { return s.GFlops }},
 }
 
-// kernelSeries holds the resolved handles of every series Publish
-// writes for one label set, in kernelCounters and kernelGauges order.
+// kernelSeries holds the resolved handles of every kernel series
+// for one label set, in kernelCounters and kernelGauges order.
 type kernelSeries struct {
 	counters []*telemetry.Counter
 	gauges   []*telemetry.Gauge

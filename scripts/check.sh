@@ -11,8 +11,8 @@
 #     tolerant solver, the shared solver loops every rank runs,
 #     telemetry, flight recorder, health, service, the GPU worker
 #     pool, the ingest-and-convert pipeline, host kernels and tuner;
-#   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL and
-#     the Chrome-trace reader;
+#   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL,
+#     the Chrome-trace reader and the profile.proto reader;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
 #     beat best-of-3 naive, and best-of-3 pJDS (SELL-32-N) must stay
 #     within 1.25x of best-of-3 SELL-8;
@@ -81,7 +81,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL and trace reader, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -90,6 +90,7 @@ go test -run '^$' -fuzz '^FuzzFaultsParse$' -fuzztime 10s ./internal/faults/
 # new multi-kilobyte trace while no input runs; 2s keeps the 10s
 # exploring.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./internal/telemetry/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profiles/
 
 echo "== host-kernel speed gate (best-of-3 blocked below best-of-3 naive) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
