@@ -140,27 +140,38 @@ func (c *CMRS[T]) FootprintBytes() int64 {
 	return int64(c.NnzV)*int64(SizeofElem[T]()+4+1) + int64(len(c.StripPtr))*8
 }
 
-// MulVec implements Format with the sequential reference walk: strip
-// by strip in element order, one accumulator per row. Elements of a
-// row are consecutive in CSR order, so each row's sum accumulates in
-// stored column order — bit-identical to the CRS reference.
+// MulVec implements Format: all strips through MulRows, y = A·x.
 func (c *CMRS[T]) MulVec(y, x []T) error {
 	if len(x) != c.NCols || len(y) != c.N {
 		return fmt.Errorf("core: CMRS MulVec |x|=%d |y|=%d on %dx%d: %w", len(x), len(y), c.N, c.NCols, matrix.ErrShape)
 	}
-	for i := range y[:c.N] {
-		y[i] = 0
-	}
-	for s := 0; s < c.NStrips; s++ {
+	c.MulRows(y, x, 0, c.NStrips, false)
+	return nil
+}
+
+// MulRows computes the rows of strips [slo, shi) of y = A·x (y += A·x
+// when add) — the one CMRS loop, behind MulVec, the host kernel and
+// the device replay. A row's elements are consecutive in its strip, so
+// each row sums its run from zero in element (stored column) order
+// into one scalar, and every row of the strip is written, empty rows
+// included: bit-identical to CRS, down to a −0 in y becoming +0 under
+// add. Shapes are the caller's to check.
+func (c *CMRS[T]) MulRows(y, x []T, slo, shi int, add bool) {
+	val, idx, ris := c.Val, c.ColIdx, c.RowInStrip
+	for s := slo; s < shi; s++ {
 		base := s * c.Height
-		for e := c.StripPtr[s]; e < c.StripPtr[s+1]; {
-			r := base + int(c.RowInStrip[e])
+		e, end := c.StripPtr[s], c.StripPtr[s+1]
+		for r := base; r < min(base+c.Height, c.N); r++ {
+			off := uint8(r - base)
 			var sum T
-			for ; e < c.StripPtr[s+1] && base+int(c.RowInStrip[e]) == r; e++ {
-				sum += c.Val[e] * x[c.ColIdx[e]]
+			for ; e < end && ris[e] == off; e++ {
+				sum += val[e] * x[idx[e]]
 			}
-			y[r] = sum
+			if add {
+				y[r] += sum
+			} else {
+				y[r] = sum
+			}
 		}
 	}
-	return nil
 }

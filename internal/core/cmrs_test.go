@@ -41,6 +41,55 @@ func TestCMRSBitIdenticalToCRS(t *testing.T) {
 	}
 }
 
+// TestCMRSMulRowsAccumulate: MulRows over a strip range writes every
+// row of those strips, empty ones included, so under add a −0 in y
+// becomes −0 + 0 = +0 exactly as under CRS; rows outside the range
+// stay untouched.
+func TestCMRSMulRowsAccumulate(t *testing.T) {
+	m := randomCSR(101, 70, 0.02, 5) // ~1.4 nnz per row: many empty rows
+	x := make([]float64, m.NCols)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	seed := func() []float64 {
+		y := make([]float64, m.NRows)
+		for i := range y {
+			y[i] = float64(i) - 50
+			if i%3 == 0 {
+				y[i] = math.Copysign(0, -1)
+			}
+		}
+		return y
+	}
+	for _, height := range []int{1, 16, 32} {
+		c, err := NewCMRS(m, height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slo, shi := 1, c.NStrips-1
+		lo, hi := slo*height, min(shi*height, m.NRows)
+		empty := 0
+		for i := lo; i < hi; i++ {
+			if m.RowPtr[i] == m.RowPtr[i+1] && i%3 == 0 {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatalf("height=%d: no empty row seeded with −0 in the range", height)
+		}
+		for _, add := range []bool{false, true} {
+			want, got := seed(), seed()
+			m.MulRows(want, x, lo, hi, add)
+			c.MulRows(got, x, slo, shi, add)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("height=%d add=%v: y[%d] = %v, CRS %v", height, add, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCMRSGeometry(t *testing.T) {
 	m := randomCSR(100, 80, 0.05, 21)
 	c, err := NewCMRS(m, 16)

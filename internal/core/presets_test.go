@@ -327,7 +327,7 @@ func checkAllPresets(t *testing.T) {
 	}
 }
 
-// checkHostSELL drives hostkernel.NewSELL (original basis) over the
+// checkHostSELL drives hostkernel.NewSELLFrom (original basis) over the
 // (C, σ) grid through MulVec and MulVecAdd at 1 and 2 workers.
 func checkHostSELL(t *testing.T, m *matrix.CSR[float64], x []float64) {
 	ref := make([]float64, m.NRows)
@@ -341,10 +341,11 @@ func checkHostSELL(t *testing.T, m *matrix.CSR[float64], x []float64) {
 	for _, g := range sellGrid() {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", g.name, workers), func(t *testing.T) {
-				k, err := hostkernel.NewSELL(m, hostkernel.Options{Workers: workers, C: g.c, Sigma: g.sigma})
+				s, err := core.NewSELL(m, g.c, g.sigma, matrix.ConvertOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
+				k := hostkernel.NewSELLFrom(s, hostkernel.Options{Workers: workers})
 				defer k.Close()
 				y := make([]float64, m.NRows)
 				if err := k.MulVec(y, x); err != nil {

@@ -16,10 +16,9 @@ import (
 // zero-padding traffic into one row-in-strip metadata byte per
 // element plus an in-warp scatter of at most Height partial sums.
 //
-// The numeric replay accumulates each row's sum in CSR element order
-// with a per-row accumulator, so results are bit-identical to the
-// naive CRS reference at any worker count (warps own disjoint strips,
-// strips own disjoint rows).
+// The numeric replay is core.CMRS.MulRows over each worker's strips,
+// so results are bit-identical to the naive CRS reference at any
+// worker count (warps own disjoint strips, strips own disjoint rows).
 func RunCMRS[T matrix.Float](d *Device, c *core.CMRS[T], y, x []T, opt RunOptions) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -67,25 +66,7 @@ func RunCMRS[T matrix.Float](d *Device, c *core.CMRS[T], y, x []T, opt RunOption
 				elems := c.StripPtr[wbase/ws+1] - c.StripPtr[wbase/ws]
 				return (1 + (elems+segBytes-1)/segBytes) * segBytes
 			},
-			mul: func(y, x []T, wlo, whi int, accumulate bool) {
-				// Warp s is strip s; acc holds its per-row sums.
-				acc := make([]T, c.Height)
-				for s := wlo; s < whi; s++ {
-					base := s * c.Height
-					rows := acc[:min(c.Height, c.N-base)]
-					clear(rows)
-					for e := c.StripPtr[s]; e < c.StripPtr[s+1]; e++ {
-						rows[c.RowInStrip[e]] += c.Val[e] * x[c.ColIdx[e]]
-					}
-					for r, v := range rows {
-						if accumulate {
-							y[base+r] += v
-						} else {
-							y[base+r] = v
-						}
-					}
-				}
-			},
+			mul: c.MulRows, // warp s is strip s
 		})
 	})
 	return p.run(d, y, x, opt, ps), nil

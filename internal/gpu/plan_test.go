@@ -461,6 +461,10 @@ func TestReplayZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := core.NewCMRS(m, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := TeslaC2070()
 	opt := RunOptions{
 		Workers:      1,
@@ -475,6 +479,7 @@ func TestReplayZeroAllocs(t *testing.T) {
 	}{
 		{"RunPJDS", func() error { _, err := RunPJDS(d, p, y, x, opt); return err }},
 		{"RunSELL", func() error { _, err := RunSELL(d, s, y, x, opt); return err }},
+		{"RunCMRS", func() error { _, err := RunCMRS(d, c, y, x, opt); return err }},
 	} {
 		if err := rc.run(); err != nil { // compile, resolve handles
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package hostkernel
 
 import (
+	"strconv"
 	"testing"
 
 	"pjds/internal/core"
@@ -83,46 +84,34 @@ func benchKernel(b *testing.B, m *matrix.CSR[float64], k Kernel) {
 }
 
 func BenchmarkHostNaive(b *testing.B) {
+	benchKind(b, KindNaive, Options{})
+}
+
+func BenchmarkHostCRS(b *testing.B) {
+	benchKind(b, KindBlocked, Options{})
+}
+
+// benchKind times a kernel of the given kind over benchMatrix.
+func benchKind(b *testing.B, kind Kind, opt Options) {
 	m := benchMatrix()
-	k := NewNaive(m, Options{Metrics: telemetry.NewRegistry()})
+	opt.Metrics = telemetry.NewRegistry()
+	k, err := New(kind, m, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer k.Close()
 	benchKernel(b, m, k)
 }
 
-func BenchmarkHostCRS(b *testing.B) {
-	m := benchMatrix()
-	for _, bc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"unroll4", Options{Unroll: 4}},
-		{"unroll8", Options{Unroll: 8}},
-		{"tiled", Options{Unroll: 4, TileCols: 4096}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			bc.opt.Metrics = telemetry.NewRegistry()
-			k := NewBlockedCRS(m, bc.opt)
-			defer k.Close()
-			benchKernel(b, m, k)
-		})
-	}
-}
-
 func BenchmarkHostSELL(b *testing.B) {
 	m := benchMatrix()
-	for _, bc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"c4", Options{C: 4}},
-		{"c8", Options{C: 8}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			bc.opt.Metrics = telemetry.NewRegistry()
-			k, err := NewSELL(m, bc.opt)
+	for _, c := range []int{4, 8} {
+		b.Run("c"+strconv.Itoa(c), func(b *testing.B) {
+			s, err := core.NewSELL(m, c, DefaultSigma, matrix.ConvertOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			k := NewSELLFrom(s, Options{Metrics: telemetry.NewRegistry()})
 			defer k.Close()
 			benchKernel(b, m, k)
 		})
@@ -160,16 +149,9 @@ func BenchmarkHostPJDS(b *testing.B) {
 // counts (speedup itself is unmeasurable on a 1-CPU container; the
 // point is that dispatch stays cheap and allocation-free).
 func BenchmarkHostCRSWorkers(b *testing.B) {
-	m := benchMatrix()
 	for _, w := range []int{1, 2, 4} {
-		b.Run(benchName(w), func(b *testing.B) {
-			k := NewBlockedCRS(m, Options{Workers: w, Metrics: telemetry.NewRegistry()})
-			defer k.Close()
-			benchKernel(b, m, k)
+		b.Run("workers"+strconv.Itoa(w), func(b *testing.B) {
+			benchKind(b, KindBlocked, Options{Workers: w})
 		})
 	}
-}
-
-func benchName(w int) string {
-	return "workers" + string(rune('0'+w))
 }

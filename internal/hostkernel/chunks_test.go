@@ -21,7 +21,10 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
-	k := NewBlockedCRS(m, Options{Workers: 12})
+	k, err := New(KindBlocked, m, Options{Workers: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer k.Close()
 	y := make([]float64, 5000)
 	if err := k.MulVec(y, x); err != nil {
@@ -121,9 +124,12 @@ func TestMulVecParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cores := range []int{1, 2, 4, 8, 12} {
-		k := NewBlockedCRS(m, Options{Workers: cores})
+		k, err := New(KindBlocked, m, Options{Workers: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
 		y := make([]float64, m.NRows)
-		err := k.MulVec(y, x)
+		err = k.MulVec(y, x)
 		k.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 )
 
@@ -25,29 +26,27 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
-// FuzzHostKernels drives the blocked and SELL kernels with
-// fuzzer-shaped matrices, geometry (worker count, unroll width, tile
-// width, chunk height, sorting window) and x (a nonzero hostile picks
-// entries that take NaN, infinite, zero, subnormal or overflowing
-// values) and demands bit-identity with the naive CRS reference — the
-// same cross-check discipline as the parallel-vs-sequential conversion
-// fuzz.
+// FuzzHostKernels drives the blocked, SELL and CMRS kernels with
+// fuzzer-shaped matrices, geometry (worker count; chunk height,
+// sorting window and strip height from the geometry byte), x (a
+// nonzero hostile picks entries that take NaN, infinite, zero,
+// subnormal or overflowing values) and a MulVecAdd y seeded from the
+// same hostile values, −0 included, and demands bit-identity with the
+// naive CRS reference — the same cross-check discipline as the
+// parallel-vs-sequential conversion fuzz. A kernel that skips an empty
+// row under MulVecAdd leaves a −0 where CRS writes −0 + 0 = +0.
 func FuzzHostKernels(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(2), uint8(0), uint8(16), uint8(0), []byte{0x11, 0x22, 0x33})
 	f.Add(uint8(1), uint8(1), uint8(7), uint8(1), uint8(0), uint8(0), []byte{})
 	f.Add(uint8(64), uint8(3), uint8(4), uint8(9), uint8(3), uint8(2), []byte{0xff, 0x00, 0xff, 0x7f})
 	f.Add(uint8(63), uint8(40), uint8(2), uint8(7), uint8(0), uint8(3), []byte{0x81, 0x22, 0x9a, 0x04, 0x11, 0xe7, 0x50, 0x33, 0x6c, 0x02})
-	f.Fuzz(func(t *testing.T, rows, cols, workers, geom, tile, hostile uint8, pattern []byte) {
+	f.Fuzz(func(t *testing.T, rows, cols, workers, geom, yseed, hostile uint8, pattern []byte) {
 		n := int(rows)%64 + 1
 		c := int(cols)%64 + 1
 		w := int(workers)%9 + 1
-		unroll := 4
-		if geom&1 != 0 {
-			unroll = 8
-		}
 		chunkH := fuzzChunkHeights[int(geom)%len(fuzzChunkHeights)]
-		sigma := int(geom)%48 + 1    // SELL σ
-		tileCols := int(tile)%32 - 1 // ≤ 0 leaves tiling off; small tiles split rows often
+		sigma := int(geom)%48 + 1     // SELL σ
+		height := int(geom>>2)%64 + 1 // CMRS strip height, up to one strip for all rows
 		coo := matrix.NewCOO[float64](n, c)
 		for k, b := range pattern {
 			if k >= 4*n {
@@ -69,27 +68,38 @@ func FuzzHostKernels(f *testing.F) {
 		if err := m.MulVec(ref, x); err != nil {
 			t.Fatal(err)
 		}
-		opt := Options{Workers: w, Unroll: unroll, TileCols: tileCols, C: chunkH, Sigma: sigma}
-		for _, kind := range []Kind{KindBlocked, KindSELL} {
-			k, err := New(kind, m, opt)
-			if err != nil {
-				t.Fatalf("%s construction failed on valid input: %v", kind, err)
-			}
+		seed := make([]float64, n)
+		for i := range seed {
+			seed[i] = hostileX[(i+int(yseed))%len(hostileX)]
+		}
+		want := append([]float64(nil), seed...)
+		if err := m.MulVecAdd(want, x); err != nil {
+			t.Fatal(err)
+		}
+		conv := matrix.ConvertOptions{Workers: w}
+		s, err := core.NewSELL(m, chunkH, sigma, conv)
+		if err != nil {
+			t.Fatalf("SELL construction failed on valid input: %v", err)
+		}
+		cm, err := core.NewCMRSWith(m, height, conv)
+		if err != nil {
+			t.Fatalf("CMRS construction failed on valid input: %v", err)
+		}
+		opt := Options{Workers: w}
+		blocked, err := New(KindBlocked, m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []Kernel{blocked, NewSELLFrom(s, opt), NewCMRSOver(cm, opt)} {
 			y := make([]float64, n)
 			if err := k.MulVec(y, x); err != nil {
 				t.Fatal(err)
 			}
 			for i := range y {
 				if !sameBits(y[i], ref[i]) {
-					t.Fatalf("%s (w=%d unroll=%d tile=%d C=%d σ=%d): y[%d] = %v, reference %v",
-						kind, w, unroll, tileCols, chunkH, sigma, i, y[i], ref[i])
+					t.Fatalf("%s (w=%d C=%d σ=%d height=%d): y[%d] = %v, reference %v",
+						k.Name(), w, chunkH, sigma, height, i, y[i], ref[i])
 				}
-			}
-			seed := append([]float64(nil), ref...)
-			want := make([]float64, n)
-			copy(want, seed)
-			if err := m.MulVecAdd(want, x); err != nil {
-				t.Fatal(err)
 			}
 			copy(y, seed)
 			if err := k.MulVecAdd(y, x); err != nil {
@@ -97,7 +107,8 @@ func FuzzHostKernels(f *testing.F) {
 			}
 			for i := range y {
 				if !sameBits(y[i], want[i]) {
-					t.Fatalf("%s add: y[%d] = %v, reference %v", kind, i, y[i], want[i])
+					t.Fatalf("%s add (w=%d C=%d σ=%d height=%d): y[%d] = %v (seed %v), reference %v",
+						k.Name(), w, chunkH, sigma, height, i, y[i], seed[i], want[i])
 				}
 			}
 			k.Close()

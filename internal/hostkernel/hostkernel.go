@@ -3,35 +3,36 @@
 // device operators, and the CPU ranks of the distributed engine all
 // route through it. The GPU numbers of the paper are
 // simulator-modeled, but these kernels burn real cycles, so they get
-// the same treatment a device kernel would: cache blocking, manual
-// unrolling, nnz-balanced static partitioning, and a zero-alloc
-// steady state.
+// the same treatment a device kernel would: register blocking,
+// nnz-balanced static partitioning, and a zero-alloc steady state.
 //
-// Four kernel kinds implement the Kernel interface:
+// Every kind runs on one driver: the kind supplies a non-zero prefix
+// over its work units (rows, slices or strips), which Chunks splits
+// into one contiguous range per worker of a persistent par.Pool, and a
+// body that computes the rows of one range. Four kinds implement the
+// Kernel interface:
 //
-//   - naive: the sequential CRS reference (exactly matrix.CSR.MulVec),
-//     kept for cross-checks;
-//   - blocked: CRS with rows split into nnz-balanced contiguous
-//     chunks (one per worker), a bounds-check-free two-row-lockstep
-//     inner loop (4 or 8 operand streams wide), and optional cache
-//     blocking that walks x in L2-sized column tiles;
-//   - sell: a SELL-C-σ kernel over core.SELL (Kreutzer et al.,
-//     arXiv:1307.6209): rows are sorted by length in windows of σ and
-//     chunked C at a time, the chunk height playing the role of the
-//     SIMD width, and each worker runs core's SELL.MulRows — the one
-//     SELL-C-σ kernel, also behind the device replay — over its
-//     chunks, 8 or 4 lanes in lockstep with their accumulators in
-//     registers;
-//   - cmrs: the compressed multi-row storage kernel (Koza et al.,
-//     arXiv:1203.2946): strips of consecutive rows share one
+//   - naive: the sequential CRS reference (matrix.CSR.MulRows on one
+//     worker), kept for cross-checks;
+//   - blocked: CRS with rows split into nnz-balanced chunks, each
+//     running a bounds-check-free two-row-lockstep inner loop;
+//   - sell: SELL-C-σ (Kreutzer et al., arXiv:1307.6209) at C = 4 and
+//     σ = DefaultSigma: rows are sorted by length in windows of σ and
+//     chunked C at a time, and each worker runs core's SELL.MulRows —
+//     the one SELL-C-σ loop, also behind the device replay — over its
+//     chunks;
+//   - cmrs: compressed multi-row storage (Koza et al., arXiv:1203.2946)
+//     at core.DefaultStripHeight: strips of consecutive rows share one
 //     padding-free CSR-ordered element stream with per-element
-//     row-in-strip routing, trading SELL's zero-padding for one
-//     metadata byte per non-zero.
+//     row-in-strip routing, and each worker runs core's CMRS.MulRows —
+//     the one CMRS loop, also behind the device replay — over its
+//     strips.
 //
-// NewPJDS runs the same SELL kernel over an existing pJDS matrix (the
-// SELL-br-N preset) in the permuted basis: it is the host path of the
-// solver's permuted operator and the ECC-downgrade path of the service,
-// metered as "pjds".
+// NewSELLFrom and NewCMRSOver run the same kernels over a layout of any
+// geometry (the tuner's sweep); NewPJDS runs the SELL kernel over an
+// existing pJDS matrix (the SELL-br-N preset) in the permuted basis:
+// it is the host path of the solver's permuted operator and the
+// ECC-downgrade path of the service, metered as "pjds".
 //
 // Every kernel is bit-identical to the naive reference at any worker
 // count: floating-point sums are accumulated per row in stored column
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
 )
@@ -69,14 +71,14 @@ type Kind string
 const (
 	// KindNaive is the sequential CRS reference kernel.
 	KindNaive Kind = "naive"
-	// KindBlocked is the cache-blocked, unrolled CRS kernel.
+	// KindBlocked is the parallel two-row-lockstep CRS kernel.
 	KindBlocked Kind = "blocked"
 	// KindSELL is the SELL-C-σ-style chunked kernel.
 	KindSELL Kind = "sell"
 	// KindCMRS is the compressed multi-row storage kernel (Koza et
 	// al., arXiv:1203.2946): strips of consecutive rows share one
 	// padding-free CSR-ordered element stream, with a per-element
-	// row-in-strip byte routing products to the right accumulator.
+	// row-in-strip byte naming each element's row.
 	KindCMRS Kind = "cmrs"
 )
 
@@ -86,7 +88,7 @@ func ParseKind(s string) (Kind, error) {
 	case KindNaive, KindBlocked, KindSELL, KindCMRS:
 		return Kind(s), nil
 	}
-	return "", fmt.Errorf("hostkernel: unknown kind %q (want naive, blocked, sell, or cmrs)", s)
+	return "", fmt.Errorf("hostkernel: unknown kind %q (want one of %v)", s, Kinds())
 }
 
 // Kinds lists all kernel kinds in deterministic report order.
@@ -114,41 +116,21 @@ func DefaultKind() Kind {
 	return KindBlocked
 }
 
-// DefaultTileCols is the recommended x-vector tile width of the
-// blocked kernel in elements: 1<<15 doubles = 256 KiB, half a typical
-// per-core L2, so a tile of x and the streaming row data coexist.
-// Tiling is opt-in (Options.TileCols > 0): the per-row cursor walk
-// costs ~2× on short-row matrices, so it only pays when x misses
-// cache badly — measure before enabling (see DESIGN.md).
-const DefaultTileCols = 1 << 15
-
-// DefaultSigma is the SELL sorting window σ when the caller does not
-// set one: local enough to keep the row permutation cache-friendly,
-// wide enough to remove most padding.
+// DefaultSigma is the sell kind's sorting window σ: local enough to
+// keep the row permutation cache-friendly, wide enough to remove most
+// padding.
 const DefaultSigma = 256
 
+// sellChunk is the sell kind's chunk height C.
+const sellChunk = 4
+
 // Options configure kernel construction. The zero value selects the
-// process-default worker count, 4-wide unrolling, the default tile
-// width and SELL geometry, and no telemetry.
+// process-default worker count and no telemetry.
 type Options struct {
 	// Workers is the number of row-partition workers; ≤ 0 selects
 	// par.Default(). Workers == 1 runs inline with no pool goroutines.
+	// The naive kind always runs on one.
 	Workers int
-	// Unroll is the inner-loop unroll width: 4 or 8 (0 = 4). For the
-	// SELL kernel it is also the default chunk height C.
-	Unroll int
-	// TileCols is the blocked kernel's x-tile width in elements; ≤ 0
-	// leaves column tiling off (the default — it only pays when x
-	// badly misses cache; DefaultTileCols is the recommended width
-	// when enabling it). Tiling is also disabled automatically when a
-	// row's columns are unsorted, because only ascending columns keep
-	// the tile-by-tile sum in stored-column order.
-	TileCols int
-	// C is the SELL chunk height (0 = Unroll). The CMRS kernel reuses
-	// it as the strip height (0 = core.DefaultStripHeight).
-	C int
-	// Sigma is the SELL sorting window σ (0 = DefaultSigma).
-	Sigma int
 	// Metrics, when non-nil, receives the host_kernel_* series
 	// (gflops/GB/s gauges and bytes/applies counters, labelled by
 	// kernel kind). Handles are resolved once at construction so the
@@ -156,28 +138,26 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// unroll resolves the unroll width.
-func (o Options) unroll() int {
-	switch o.Unroll {
-	case 0, 4:
-		return 4
-	case 8:
-		return 8
-	}
-	return 4
-}
-
 // New builds a kernel of the given kind over m.
 func New(kind Kind, m *matrix.CSR[float64], opt Options) (Kernel, error) {
+	conv := matrix.ConvertOptions{Workers: opt.Workers}
 	switch kind {
 	case KindNaive:
-		return NewNaive(m, opt), nil
+		return newNaive(m, opt), nil
 	case KindBlocked:
-		return NewBlockedCRS(m, opt), nil
+		return newBlocked(m, opt), nil
 	case KindSELL:
-		return NewSELL(m, opt)
+		s, err := core.NewSELL(m, sellChunk, DefaultSigma, conv)
+		if err != nil {
+			return nil, err
+		}
+		return NewSELLFrom(s, opt), nil
 	case KindCMRS:
-		return NewCMRSKernel(m, opt)
+		c, err := core.NewCMRSWith(m, core.DefaultStripHeight, conv)
+		if err != nil {
+			return nil, err
+		}
+		return NewCMRSOver(c, opt), nil
 	}
 	return nil, fmt.Errorf("hostkernel: unknown kind %q", kind)
 }

@@ -2,7 +2,9 @@ package hostkernel
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"pjds/internal/core"
 	"pjds/internal/matgen"
@@ -41,9 +43,8 @@ func testX(n int) []float64 {
 }
 
 // TestKernelsBitIdenticalToNaive is the core contract: every kernel
-// kind, at workers 1, 2, 4 and 8, with both unroll widths, both
-// MulVec and MulVecAdd, must reproduce the matrix.CSR reference
-// bit for bit.
+// kind, at workers 1, 2, 4 and 8, both MulVec and MulVecAdd, must
+// reproduce the matrix.CSR reference bit for bit.
 func TestKernelsBitIdenticalToNaive(t *testing.T) {
 	for name, m := range testMatrices(t) {
 		x := testX(m.NCols)
@@ -61,62 +62,52 @@ func TestKernelsBitIdenticalToNaive(t *testing.T) {
 		}
 		for _, kind := range Kinds() {
 			for _, workers := range []int{1, 2, 4, 8} {
-				for _, unroll := range []int{4, 8} {
-					opt := Options{Workers: workers, Unroll: unroll, TileCols: 100}
-					k, err := New(kind, m, opt)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", name, kind, err)
-					}
-					y := make([]float64, m.NRows)
-					if err := k.MulVec(y, x); err != nil {
-						t.Fatalf("%s/%s workers=%d: %v", name, kind, workers, err)
-					}
-					for i := range y {
-						if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-							t.Fatalf("%s/%s workers=%d unroll=%d: y[%d] = %v, reference %v",
-								name, kind, workers, unroll, i, y[i], ref[i])
-						}
-					}
-					copy(y, seed)
-					if err := k.MulVecAdd(y, x); err != nil {
-						t.Fatal(err)
-					}
-					for i := range y {
-						if math.Float64bits(y[i]) != math.Float64bits(refAdd[i]) {
-							t.Fatalf("%s/%s workers=%d unroll=%d: add y[%d] = %v, reference %v",
-								name, kind, workers, unroll, i, y[i], refAdd[i])
-						}
-					}
-					k.Close()
+				k, err := New(kind, m, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, kind, err)
 				}
+				y := make([]float64, m.NRows)
+				if err := k.MulVec(y, x); err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", name, kind, workers, err)
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("%s/%s workers=%d: y[%d] = %v, reference %v",
+							name, kind, workers, i, y[i], ref[i])
+					}
+				}
+				copy(y, seed)
+				if err := k.MulVecAdd(y, x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(refAdd[i]) {
+						t.Fatalf("%s/%s workers=%d: add y[%d] = %v, reference %v",
+							name, kind, workers, i, y[i], refAdd[i])
+					}
+				}
+				k.Close()
 			}
 		}
 	}
 }
 
-// TestBlockedTilingExercised forces a multi-tile run (tile width far
-// below NCols) and checks it against a single-tile run of the same
-// kernel kind.
-func TestBlockedTilingExercised(t *testing.T) {
-	m := matgen.Banded(600, 4, 40, 3000, 3)
-	x := testX(m.NCols)
-	ref := make([]float64, m.NRows)
-	if err := m.MulVec(ref, x); err != nil {
-		t.Fatal(err)
-	}
-	k := NewBlockedCRS(m, Options{Workers: 3, TileCols: 64})
-	defer k.Close()
-	if k.tile != 64 {
-		t.Fatalf("tile = %d, want 64 (NCols %d should enable tiling)", k.tile, m.NCols)
-	}
-	y := make([]float64, m.NRows)
-	if err := k.MulVec(y, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range y {
-		if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-			t.Fatalf("tiled y[%d] = %v, reference %v", i, y[i], ref[i])
+// TestDroppedKernelReleasesPool: a pooled kernel dropped without Close
+// has its worker goroutines stopped by its finalizer.
+func TestDroppedKernelReleasesPool(t *testing.T) {
+	m := matgen.Banded(2000, 3, 10, 100, 1)
+	before := runtime.NumGoroutine()
+	for _, kind := range Kinds() {
+		if _, err := New(kind, m, Options{Workers: 4}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after dropping the kernels, %d before", n, before)
 	}
 }
 
@@ -254,7 +245,10 @@ func TestChunksDegenerate(t *testing.T) {
 func TestMeterPublishes(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := matgen.Banded(200, 2, 10, 500, 9)
-	k := NewBlockedCRS(m, Options{Workers: 2, Metrics: reg})
+	k, err := New(KindBlocked, m, Options{Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer k.Close()
 	x := testX(m.NCols)
 	y := make([]float64, m.NRows)
@@ -287,10 +281,11 @@ func TestSELLGenericChunkHeight(t *testing.T) {
 	if err := m.MulVec(ref, x); err != nil {
 		t.Fatal(err)
 	}
-	k, err := NewSELL(m, Options{Workers: 3, C: 6, Sigma: 32})
+	s, err := core.NewSELL(m, 6, 32, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := NewSELLFrom(s, Options{Workers: 3})
 	defer k.Close()
 	y := make([]float64, m.NRows)
 	if err := k.MulVec(y, x); err != nil {
@@ -322,19 +317,17 @@ func TestOneShotMulVec(t *testing.T) {
 	}
 }
 
-// TestCMRSKernelOptions pins the strip-height plumbing: Options.C is
-// the CMRS strip height, invalid heights surface the format error, and
-// an uneven strip count stays bit-identical under parallel workers.
+// TestCMRSKernelOptions pins the layout plumbing: NewCMRSOver runs the
+// layout's own strip height, and an uneven strip count stays
+// bit-identical under parallel workers.
 func TestCMRSKernelOptions(t *testing.T) {
 	m := matgen.PowerLaw(141, 2, 40, 0.7, 31)
-	k, err := NewCMRSKernel(m, Options{Workers: 5, C: 4})
+	c, err := core.NewCMRSWith(m, 4, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := NewCMRSOver(c, Options{Workers: 5})
 	defer k.Close()
-	if k.Layout().Height != 4 {
-		t.Fatalf("Height = %d, want 4", k.Layout().Height)
-	}
 	x := testX(m.NCols)
 	ref := make([]float64, m.NRows)
 	if err := m.MulVec(ref, x); err != nil {
@@ -348,8 +341,5 @@ func TestCMRSKernelOptions(t *testing.T) {
 		if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
 			t.Fatalf("y[%d] = %v, reference %v", i, y[i], ref[i])
 		}
-	}
-	if _, err := NewCMRSKernel(m, Options{C: -3}); err == nil {
-		t.Fatal("negative strip height accepted")
 	}
 }

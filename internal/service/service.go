@@ -133,12 +133,12 @@ type matrixEntry struct {
 	op    *solver.PermutedPJDS
 	tuned *tuner.Entry // nil unless Config.TuningDB tuned this matrix
 	kmu   sync.Mutex
-	ks    []*hostkernel.SELL
+	ks    []hostkernel.Kernel
 }
 
 // kernel takes a host kernel from the freelist, building one when the
 // list is empty (bounded in practice by MaxInFlight).
-func (e *matrixEntry) kernel() *hostkernel.SELL {
+func (e *matrixEntry) kernel() hostkernel.Kernel {
 	e.kmu.Lock()
 	if n := len(e.ks); n > 0 {
 		k := e.ks[n-1]
@@ -150,7 +150,7 @@ func (e *matrixEntry) kernel() *hostkernel.SELL {
 	return hostkernel.NewPJDS(e.op.P, hostkernel.Options{})
 }
 
-func (e *matrixEntry) releaseKernel(k *hostkernel.SELL) {
+func (e *matrixEntry) releaseKernel(k hostkernel.Kernel) {
 	e.kmu.Lock()
 	e.ks = append(e.ks, k)
 	e.kmu.Unlock()
@@ -436,7 +436,7 @@ type applyOp struct {
 	s   *Server
 	e   *matrixEntry
 	d   *device
-	k   *hostkernel.SELL
+	k   hostkernel.Kernel
 }
 
 // Dim implements solver.Operator.

@@ -14,15 +14,16 @@ import (
 // pure Listing-2 kernel with no per-iteration gather/scatter. Enter
 // and Leave convert vectors between the bases exactly once per solve,
 // the usage §II-A prescribes for Krylov methods. Applications run on
-// the unrolled hostkernel pJDS kernel (bit-identical to
-// MulVecPermuted), so the host path of a solve — including the ECC
-// downgrade path of DevicePJDS — gets the fast zero-alloc loop.
+// the hostkernel pJDS kernel (core's SELL.MulRows over nnz-balanced
+// slice ranges, bit-identical to MulVecPermuted), so the host path of
+// a solve — including the ECC downgrade path of DevicePJDS — gets the
+// fast zero-alloc loop.
 type PermutedPJDS struct {
 	P *core.PJDS[float64]
 	// Perm is the symmetric permutation applied (new → old).
 	Perm matrix.Perm
 	// K is the host execution kernel behind Apply.
-	K *hostkernel.SELL
+	K hostkernel.Kernel
 }
 
 // NewPermutedPJDS builds the operator for a square matrix. The pJDS

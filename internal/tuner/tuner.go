@@ -150,18 +150,17 @@ func kernelFor(c Cell, m *matrix.CSR[float64], sc *sweepScratch, opt hostkernel.
 	case "crs":
 		return hostkernel.New(hostkernel.KindBlocked, m, opt)
 	case "pjds", "sell":
-		opt.C, opt.Sigma = c.sellGeometry(m.NRows)
+		chunk, sigma := c.sellGeometry(m.NRows)
 		sc.arena.Reset()
-		if err := sc.layout.Reset(m, opt.C, opt.Sigma, matrix.ConvertOptions{Workers: opt.Workers, Arena: &sc.arena}); err != nil {
+		if err := sc.layout.Reset(m, chunk, sigma, matrix.ConvertOptions{Workers: opt.Workers, Arena: &sc.arena}); err != nil {
 			return nil, err
 		}
 		return hostkernel.NewSELLFrom(&sc.layout, opt), nil
 	case "cmrs":
-		opt.C = c.Height
-		if err := sc.cmrs.Reset(m, opt.C, matrix.ConvertOptions{Workers: opt.Workers}); err != nil {
+		if err := sc.cmrs.Reset(m, c.Height, matrix.ConvertOptions{Workers: opt.Workers}); err != nil {
 			return nil, err
 		}
-		return hostkernel.NewCMRSOver(&sc.cmrs, opt)
+		return hostkernel.NewCMRSOver(&sc.cmrs, opt), nil
 	}
 	return nil, fmt.Errorf("tuner: unknown cell format %q", c.Format)
 }

@@ -107,7 +107,7 @@ awk '
     }
     END {
         naive = best["BenchmarkHostNaive"]
-        blocked = best["BenchmarkHostCRS/unroll4"]
+        blocked = best["BenchmarkHostCRS"]
         if (naive == "" || blocked == "" || blocked >= naive) {
             printf "blocked %s ns/nnz not below naive %s ns/nnz\n", blocked, naive > "/dev/stderr"
             exit 1
@@ -252,6 +252,9 @@ echo "== live endpoint smoke (scaling -metrics-addr, spmvtop) =="
 # A held scaling run must serve every observability endpoint with a
 # non-empty 200 body, and spmvtop must render a live frame against it.
 go build -o "$TMP/bin/" ./cmd/scaling ./cmd/spmvtop
+# Create the output file first: the poll below reads it under set -e,
+# possibly before the backgrounded scaling has opened it.
+: >"$TMP/scaling.out"
 "$TMP/bin/scaling" -matrix DLR1 -scale 0.02 -nodes 2 -iters 1 \
     -metrics-addr 127.0.0.1:0 -flight -hold 60s >"$TMP/scaling.out" 2>&1 &
 SCALING_PID=$!
