@@ -79,7 +79,7 @@ func run(args []string, out io.Writer) error {
 		metricsOut = fs.String("metrics-out", "", "after the run, dump telemetry here (Prometheus text; .json selects the JSON snapshot)")
 		metricsAdr = fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /dashboard, /debug/vars and /debug/pprof on this address during the run")
 		workers    = fs.Int("workers", 0, "host goroutines per simulated kernel and format conversion (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
-		hostKernel = fs.String("host-kernel", string(hostkernel.KindBlocked), "CPU kernel for host-side spMVM paths, one of "+fmt.Sprint(hostkernel.Kinds())+"; results are identical for any value")
+		hostKernel = fs.String("host-kernel", string(hostkernel.DefaultKind()), "CPU kernel for host-side spMVM paths, one of "+fmt.Sprint(hostkernel.Kinds())+"; results are identical for any value")
 		flightOn   = fs.Bool("flight", false, "enable the always-on flight recorder (/spans on -metrics-addr)")
 		flightDump = fs.String("flight-dump", "", "write a post-incident trace here when a severe event fires (implies -flight)")
 		hold       = fs.Duration("hold", 0, "keep the -metrics-addr endpoint serving this long after the run (live dashboards)")

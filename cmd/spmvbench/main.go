@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 		outlook    = fs.Bool("outlook", false, "run the §IV outlook format comparison (pJDS vs sliced ELLPACK/ELLR-T/BELLPACK/CSR)")
 		matrixArg  = fs.String("matrix", "sAMG", "matrix for -fig2/-ablations: DLR1, DLR2, HMEp, sAMG, UHBR")
 		hostBench  = fs.Bool("hostbench", false, "benchmark the CPU host kernels on the Table I matrices (wall-clock on this machine)")
-		hostKernel = fs.String("host-kernel", string(hostkernel.KindBlocked), "host kernel for -hostbench and the process default, one of "+fmt.Sprint(hostkernel.Kinds()))
+		hostKernel = fs.String("host-kernel", string(hostkernel.DefaultKind()), "host kernel for -hostbench and the process default, one of "+fmt.Sprint(hostkernel.Kinds()))
 		hostIters  = fs.Int("host-iters", 5, "timed applications per matrix for -hostbench")
 		formatArg  = fs.String("format", "", "run the format-selection benchmark: auto (tuner-selected via the tuning DB) or a fixed format (crs, pjds, sell, cmrs)")
 		tuningDB   = fs.String("tuning-db", "", "tuning DB path for -format auto (default "+tuner.DefaultPath+")")

@@ -387,7 +387,7 @@ func (s *iterState) taskMode(n int, record bool) ([]Event, error) {
 }
 
 // VerifyAgainstSerial compares a distributed result with the serial
-// reference (computed by the default host kernel, which is
+// reference (computed by the one-shot blocked CRS host kernel, which is
 // bit-identical to naive CRS), returning the maximum relative error.
 func VerifyAgainstSerial(a *matrix.CSR[float64], x, y []float64) (float64, error) {
 	ref := make([]float64, a.NRows)

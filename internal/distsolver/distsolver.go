@@ -151,7 +151,8 @@ type Operator struct {
 
 	// Host kernels for the split application, built lazily on the first
 	// host-path Apply (pure host runs and the ECC downgrade path) from
-	// the process-default hostkernel kind. Workers is pinned to 1:
+	// the process-default hostkernel kind, SELL-8-σ unless a CLI's
+	// -host-kernel flag chose another. Workers is pinned to 1:
 	// ranks are already process-parallel, so intra-rank worker pools
 	// would only oversubscribe the node.
 	hostLocal    hostkernel.Kernel
@@ -237,9 +238,10 @@ func (op *Operator) deviceMul(y, x, halo []float64) error {
 	return nil
 }
 
-// hostMul runs the split application on the blocked hostkernel CRS
-// kernels (y = A_loc·x, then y += A_nl·halo, bit-identical to the
-// naive split), charging the bytes/bandwidth timing model.
+// hostMul runs the split application on the process-default hostkernel
+// kind, SELL-8-σ unless a -host-kernel flag chose another (y = A_loc·x,
+// then y += A_nl·halo, bit-identical to the naive split), charging the
+// CRS bytes/bandwidth timing model whatever the kind.
 func (op *Operator) hostMul(y, x, halo []float64) error {
 	if op.hostLocal == nil {
 		opt := hostkernel.Options{Workers: 1}

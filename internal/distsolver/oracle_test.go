@@ -8,6 +8,7 @@ import (
 
 	"pjds/internal/distmv"
 	"pjds/internal/gpu"
+	"pjds/internal/hostkernel"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
 	"pjds/internal/mpi"
@@ -93,30 +94,33 @@ func distPower(t *testing.T, m *matrix.CSR[float64], p int) ([]float64, PowerRes
 // TestDistributedResultsPinned pins the bits of the 5-rank distributed
 // CG (host and device operator) and power iteration to the values the
 // per-method loops of distsolver produced before both moved onto the
-// shared loops of internal/solver.
+// shared loops of internal/solver. The host operator runs once per
+// hostkernel kind, each the process default in turn, so the split
+// local/non-local product (the non-local block accumulating into y,
+// through the row permutation for sell) holds the same pins on all.
 func TestDistributedResultsPinned(t *testing.T) {
 	m, b := cgSystem(t)
-	for _, tc := range []struct {
-		name   string
-		dev    *gpu.Device
-		digest string
-		iters  int
-		resid  uint64
-	}{
-		{"host", nil, "278c13d3cea634cd", 101, 0x3dff0e13cb1d86dc},
-		{"device", gpu.TeslaC2050(), "278c13d3cea634cd", 101, 0x3dff0e13cb1d86dc},
-	} {
-		x, res := distCG(t, m, b, 5, tc.dev)
-		if got := bitsDigest(x); got != tc.digest {
-			t.Errorf("%s CG: x digest %s, pinned %s", tc.name, got, tc.digest)
+	const digest, iters, resid = "278c13d3cea634cd", 101, uint64(0x3dff0e13cb1d86dc)
+	cg := func(t *testing.T, kind hostkernel.Kind, dev *gpu.Device) {
+		if err := hostkernel.SetDefaultKind(kind); err != nil {
+			t.Fatal(err)
 		}
-		if res.Iterations != tc.iters {
-			t.Errorf("%s CG: %d iterations, pinned %d", tc.name, res.Iterations, tc.iters)
+		x, res := distCG(t, m, b, 5, dev)
+		if got := bitsDigest(x); got != digest {
+			t.Errorf("CG: x digest %s, pinned %s", got, digest)
 		}
-		if got := math.Float64bits(res.Residual); got != tc.resid {
-			t.Errorf("%s CG: residual bits %#x, pinned %#x", tc.name, got, tc.resid)
+		if res.Iterations != iters {
+			t.Errorf("CG: %d iterations, pinned %d", res.Iterations, iters)
+		}
+		if got := math.Float64bits(res.Residual); got != resid {
+			t.Errorf("CG: residual bits %#x, pinned %#x", got, resid)
 		}
 	}
+	defer func(k hostkernel.Kind) { _ = hostkernel.SetDefaultKind(k) }(hostkernel.DefaultKind()) // a valid kind: cannot fail
+	for _, k := range hostkernel.Kinds() {
+		t.Run("host-"+string(k), func(t *testing.T) { cg(t, k, nil) })
+	}
+	t.Run("device", func(t *testing.T) { cg(t, hostkernel.KindSELL, gpu.TeslaC2050()) })
 
 	v, pr := distPower(t, powerSystem(), 5)
 	if got, pin := bitsDigest(v), "f1d8fe439583ee0d"; got != pin {

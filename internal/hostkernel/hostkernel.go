@@ -16,11 +16,13 @@
 //     worker), kept for cross-checks;
 //   - blocked: CRS with rows split into nnz-balanced chunks, each
 //     running a bounds-check-free two-row-lockstep inner loop;
-//   - sell: SELL-C-σ (Kreutzer et al., arXiv:1307.6209) at C = 4 and
-//     σ = DefaultSigma: rows are sorted by length in windows of σ and
-//     chunked C at a time, and each worker runs core's SELL.MulRows —
-//     the one SELL-C-σ loop, also behind the device replay — over its
-//     chunks;
+//   - sell, the default: SELL-C-σ (Kreutzer et al., arXiv:1307.6209) at
+//     C = 8 and σ = DefaultSigma: rows are sorted by length in windows
+//     of σ and chunked C at a time, and each worker runs core's
+//     SELL.MulRows — the one SELL-C-σ loop, also behind the device
+//     replay — over its chunks. C = 8 is the AVX-512 width in doubles,
+//     so every chunk runs core's eight-lane group kernel where the CPU
+//     has one;
 //   - cmrs: compressed multi-row storage (Koza et al., arXiv:1203.2946)
 //     at core.DefaultStripHeight: strips of consecutive rows share one
 //     padding-free CSR-ordered element stream with per-element
@@ -95,11 +97,11 @@ func ParseKind(s string) (Kind, error) {
 func Kinds() []Kind { return []Kind{KindNaive, KindBlocked, KindSELL, KindCMRS} }
 
 // defaultKind holds the process-wide kernel selection (the CLIs'
-// -host-kernel flag). Empty means KindBlocked.
+// -host-kernel flag). Empty means KindSELL.
 var defaultKind atomic.Value
 
 // SetDefaultKind selects the kernel kind used by callers that do not
-// choose one themselves (the solver host path, distmv verification).
+// choose one themselves (the distributed operator's host path).
 func SetDefaultKind(k Kind) error {
 	if _, err := ParseKind(string(k)); err != nil {
 		return err
@@ -113,7 +115,7 @@ func DefaultKind() Kind {
 	if k, ok := defaultKind.Load().(Kind); ok {
 		return k
 	}
-	return KindBlocked
+	return KindSELL
 }
 
 // DefaultSigma is the sell kind's sorting window σ: local enough to
@@ -121,8 +123,9 @@ func DefaultKind() Kind {
 // padding.
 const DefaultSigma = 256
 
-// sellChunk is the sell kind's chunk height C.
-const sellChunk = 4
+// sellChunk is the sell kind's chunk height C: a multiple of 8, so
+// core.SELL.MulRows runs every chunk on its AVX-512 group kernel.
+const sellChunk = 8
 
 // Options configure kernel construction. The zero value selects the
 // process-default worker count and no telemetry.
@@ -162,11 +165,12 @@ func New(kind Kind, m *matrix.CSR[float64], opt Options) (Kernel, error) {
 	return nil, fmt.Errorf("hostkernel: unknown kind %q", kind)
 }
 
-// MulVec is the one-shot convenience: build the default-kind kernel,
-// apply it once, release it. Callers applying the operator repeatedly
-// should hold a Kernel instead.
+// MulVec is the one-shot convenience: build the blocked CRS kernel,
+// apply it once, release it. It builds no layout, since a single
+// product cannot pay back a sort and a fill. Callers applying the
+// operator repeatedly should hold a Kernel instead.
 func MulVec(m *matrix.CSR[float64], y, x []float64) error {
-	k, err := New(DefaultKind(), m, Options{})
+	k, err := New(KindBlocked, m, Options{})
 	if err != nil {
 		return err
 	}

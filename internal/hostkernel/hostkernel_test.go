@@ -177,8 +177,8 @@ func TestParseKindAndDefault(t *testing.T) {
 	if k, err := ParseKind("sell"); err != nil || k != KindSELL {
 		t.Fatalf("ParseKind(sell) = %v, %v", k, err)
 	}
-	if got := DefaultKind(); got != KindBlocked {
-		t.Fatalf("DefaultKind() = %v, want blocked", got)
+	if got := DefaultKind(); got != KindSELL {
+		t.Fatalf("DefaultKind() = %v, want sell", got)
 	}
 	if err := SetDefaultKind(KindNaive); err != nil {
 		t.Fatal(err)
@@ -189,8 +189,23 @@ func TestParseKindAndDefault(t *testing.T) {
 	if err := SetDefaultKind("bogus"); err == nil {
 		t.Fatal("SetDefaultKind accepted an unknown kind")
 	}
-	if err := SetDefaultKind(KindBlocked); err != nil {
+	if err := SetDefaultKind(KindSELL); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSELLKindRunsGroupKernel pins the sell kind's geometry to C = 8:
+// core.SELL.MulRows runs its AVX-512 group kernel only for C a multiple
+// of 8, and the default host kernel is only fast with it.
+func TestSELLKindRunsGroupKernel(t *testing.T) {
+	m := matgen.Banded(600, 3, 12, 40, 5)
+	k, err := New(KindSELL, m, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	if got := k.(*kernel).format; got != "SELL-8-256" {
+		t.Fatalf("New(sell) runs %s, want SELL-8-256", got)
 	}
 }
 

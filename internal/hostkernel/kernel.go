@@ -17,8 +17,10 @@ import (
 // kind's body over every worker's range on a persistent par.Pool.
 // Units own disjoint rows, so results do not depend on the worker count.
 type kernel struct {
-	name       string
-	rows, cols int
+	// name is the metered kind; format is the layout it runs
+	// ("crs", "SELL-8-256", ...), the label of its profile samples.
+	name, format string
+	rows, cols   int
 	// permuted kernels (pJDS) compute in the stored basis and accept
 	// len(y) ≥ rows; the others need len(y) == rows.
 	permuted bool
@@ -53,14 +55,14 @@ func newKernel(name, format string, rows, cols, nnz int, prefix []int, workers i
 	workers = max(1, min(par.Resolve(workers), len(prefix)-1))
 	j := &job{bounds: Chunks(prefix, workers), body: body}
 	k := &kernel{
-		name: name, rows: rows, cols: cols,
+		name: name, format: format, rows: rows, cols: cols,
 		pool:  par.NewPool(workers),
 		mt:    newMeter(reg, name, int64(nnz), rows, cols),
 		job:   j,
 		runFn: j.run,
 	}
 	if workers > 1 {
-		k.pool.Label(profiles.Ctx(profiles.PhaseHost, "kernel", name, "format", format))
+		k.pool.Label(profiles.Ctx(profiles.PhaseHost, "kernel", name, "format", k.format))
 		runtime.SetFinalizer(k, (*kernel).Close)
 	}
 	return k

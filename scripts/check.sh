@@ -14,8 +14,9 @@
 #   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL,
 #     the Chrome-trace reader and the profile.proto reader;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
-#     beat best-of-3 naive, and best-of-3 pJDS (SELL-32-N) must stay
-#     within 1.25x of best-of-3 SELL-8;
+#     beat best-of-3 naive, best-of-3 SELL-8 (the default kind) must
+#     beat best-of-3 blocked CRS, and best-of-3 pJDS (SELL-32-N) must
+#     stay within 1.25x of best-of-3 SELL-8;
 #   - smokes: host-kernel byte-diff (every -hostbench digest identical),
 #     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
 #     winner surfaced by matinfo -recommend and perfreport -tune,
@@ -92,10 +93,11 @@ go test -run '^$' -fuzz '^FuzzFaultsParse$' -fuzztime 10s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./internal/telemetry/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profiles/
 
-echo "== host-kernel speed gate (best-of-3 blocked below best-of-3 naive) =="
+echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
-# noise on a small shared host.
-go test -run '^$' -bench '^(BenchmarkHostNaive|BenchmarkHostCRS)$' \
+# noise on a small shared host. SELL-8 is the default host kind, so it
+# must beat the blocked CRS kernel it replaced.
+go test -run '^$' -bench '^(BenchmarkHostNaive|BenchmarkHostCRS|BenchmarkHostSELL)$' \
     -benchtime 300x -count 3 ./internal/hostkernel/ >"$TMP/hostbench.out"
 awk '
     $1 ~ /^Benchmark/ {
@@ -113,6 +115,12 @@ awk '
             exit 1
         }
         printf "blocked %.3f ns/nnz < naive %.3f ns/nnz\n", blocked, naive
+        c8 = best["BenchmarkHostSELL/c8"]
+        if (c8 == "" || c8 >= blocked) {
+            printf "SELL-8 %s ns/nnz not below blocked %s ns/nnz\n", c8, blocked > "/dev/stderr"
+            exit 1
+        }
+        printf "SELL-8 %.3f ns/nnz < blocked %.3f ns/nnz\n", c8, blocked
     }' "$TMP/hostbench.out" || {
     cat "$TMP/hostbench.out" >&2
     exit 1
