@@ -452,6 +452,11 @@ func (s *SELL[T]) MulVec(y, x []T) error {
 	return nil
 }
 
+// GroupKernel reports whether MulRows runs its eight-lane groups
+// through the AVX-512 assembly kernel. The CPU and OS fix it at
+// start-up; it is false off amd64.
+func GroupKernel() bool { return useGroupKernel }
+
 // MulRows is the one numeric SELL-C-σ kernel behind MulVec, the device
 // replay and the host kernels: it computes stored rows [lo, hi),
 // 0 ≤ lo ≤ hi ≤ N, writing stored row i's sum to y[perm[i]] (y[i] when

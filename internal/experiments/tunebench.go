@@ -96,18 +96,12 @@ func RunTuneBench(format string, names []string, scale float64, iters, workers i
 		row.ModelBytesPerNnz = cell.ModelBytesPerNnz
 
 		x := testVector(m.NCols)
-		auto, y, err := measureCell(cell, m, workers, iters, x)
+		ns, y, err := measureCells([2]tuner.Cell{cell, {Format: "pjds"}}, m, workers, iters, x)
 		if err != nil {
 			return nil, err
 		}
-		row.AutoNsPerNnz = auto
+		row.AutoNsPerNnz, row.PJDSNsPerNnz = ns[0], ns[1]
 		row.Digest = digestVector(y)
-
-		pjds, _, err := measureCell(tuner.Cell{Format: "pjds"}, m, workers, iters, x)
-		if err != nil {
-			return nil, err
-		}
-		row.PJDSNsPerNnz = pjds
 
 		// The bit-identity gate: every contender runs in the original
 		// basis, so the pick must reproduce naive CSR exactly.
@@ -129,33 +123,44 @@ func RunTuneBench(format string, names []string, scale float64, iters, workers i
 	return res, renderTuneBench(w, res)
 }
 
-// measureCell times one grid cell's host kernel: one warmup, then
-// best-of-iters. It returns the per-nnz time and the result vector.
-func measureCell(c tuner.Cell, m *matrix.CSR[float64], workers, iters int, x []float64) (float64, []float64, error) {
-	k, err := tuner.KernelFor(c, m, workers, nil)
-	if err != nil {
-		return 0, nil, err
+// measureCells times the host kernels of two grid cells on one
+// matrix: both are built and warmed up first, then each of iters
+// rounds times one application of each, so load from a shared host
+// lands on both sides rather than on whichever ran second. It returns
+// each cell's best-of-iters time per nnz and the first cell's result.
+func measureCells(cells [2]tuner.Cell, m *matrix.CSR[float64], workers, iters int, x []float64) ([2]float64, []float64, error) {
+	var ns [2]float64
+	var ks [2]hostkernel.Kernel
+	var ys [2][]float64
+	for i, c := range cells {
+		k, err := tuner.KernelFor(c, m, workers, nil)
+		if err != nil {
+			return ns, nil, err
+		}
+		defer k.Close()
+		ks[i], ys[i] = k, make([]float64, m.NRows)
+		if err := k.MulVec(ys[i], x); err != nil {
+			return ns, nil, err
+		}
 	}
-	defer k.Close()
-	y := make([]float64, m.NRows)
-	if err := k.MulVec(y, x); err != nil {
-		return 0, nil, err
-	}
-	best := 0.0
+	var best [2]float64
 	for it := 0; it < iters; it++ {
-		t0 := time.Now()
-		if err := k.MulVec(y, x); err != nil {
-			return 0, nil, err
-		}
-		if sec := time.Since(t0).Seconds(); best == 0 || sec < best {
-			best = sec
+		for i, k := range ks {
+			t0 := time.Now()
+			if err := k.MulVec(ys[i], x); err != nil {
+				return ns, nil, err
+			}
+			if sec := time.Since(t0).Seconds(); best[i] == 0 || sec < best[i] {
+				best[i] = sec
+			}
 		}
 	}
-	nnz := m.Nnz()
-	if nnz == 0 {
-		return 0, y, nil
+	if nnz := m.Nnz(); nnz > 0 {
+		for i := range ns {
+			ns[i] = best[i] * 1e9 / float64(nnz)
+		}
 	}
-	return best * 1e9 / float64(nnz), y, nil
+	return ns, ys[0], nil
 }
 
 // renderTuneBench prints the selection table plus the digest-gate

@@ -97,7 +97,7 @@ func ParseKind(s string) (Kind, error) {
 func Kinds() []Kind { return []Kind{KindNaive, KindBlocked, KindSELL, KindCMRS} }
 
 // defaultKind holds the process-wide kernel selection (the CLIs'
-// -host-kernel flag). Empty means KindSELL.
+// -host-kernel flag). Empty means the host's default (DefaultKind).
 var defaultKind atomic.Value
 
 // SetDefaultKind selects the kernel kind used by callers that do not
@@ -110,12 +110,17 @@ func SetDefaultKind(k Kind) error {
 	return nil
 }
 
-// DefaultKind returns the process-wide kernel selection.
+// DefaultKind returns the process-wide kernel selection. Unset, it is
+// KindSELL where core runs SELL-8's groups on the AVX-512 kernel, else
+// KindBlocked: the Go SELL-8 loop loses to blocked CRS on short rows.
 func DefaultKind() Kind {
 	if k, ok := defaultKind.Load().(Kind); ok {
 		return k
 	}
-	return KindSELL
+	if core.GroupKernel() {
+		return KindSELL
+	}
+	return KindBlocked
 }
 
 // DefaultSigma is the sell kind's sorting window σ: local enough to

@@ -177,8 +177,12 @@ func TestParseKindAndDefault(t *testing.T) {
 	if k, err := ParseKind("sell"); err != nil || k != KindSELL {
 		t.Fatalf("ParseKind(sell) = %v, %v", k, err)
 	}
-	if got := DefaultKind(); got != KindSELL {
-		t.Fatalf("DefaultKind() = %v, want sell", got)
+	want := KindBlocked
+	if core.GroupKernel() {
+		want = KindSELL
+	}
+	if got := DefaultKind(); got != want {
+		t.Fatalf("DefaultKind() = %v, want %v (AVX-512 group kernel %v)", got, want, core.GroupKernel())
 	}
 	if err := SetDefaultKind(KindNaive); err != nil {
 		t.Fatal(err)
@@ -189,7 +193,7 @@ func TestParseKindAndDefault(t *testing.T) {
 	if err := SetDefaultKind("bogus"); err == nil {
 		t.Fatal("SetDefaultKind accepted an unknown kind")
 	}
-	if err := SetDefaultKind(KindSELL); err != nil {
+	if err := SetDefaultKind(want); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -235,14 +235,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// inputVector resolves the explicit-or-seeded input of a request.
-func inputVector(explicit []float64, seed uint64, n int) []float64 {
-	if explicit != nil {
-		return explicit
-	}
-	return SeedVector(n, seed)
-}
-
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	var req SpMVRequest
 	if !decodeBody(w, r, &req) {
@@ -259,7 +251,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := s.SpMV(a.ctx, e, inputVector(req.X, req.Seed, e.info.Rows), req.WantY)
+	res, err := s.SpMV(a.ctx, e, req)
 	if err != nil {
 		s.writeErr(w, a, "spmv", err)
 		return
@@ -284,7 +276,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := s.Solve(a.ctx, e, inputVector(req.B, req.Seed, e.info.Rows), req.Tol, req.MaxIter)
+	res, err := s.Solve(a.ctx, e, req)
 	if err != nil {
 		if res.Checkpointed {
 			// Cancelled cooperatively (deadline or drain): hand the
@@ -415,6 +407,12 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // both sides generating bit-identical vectors from (n, seed).
 func SeedVector(n int, seed uint64) []float64 {
 	x := make([]float64, n)
+	seedFill(x, seed)
+	return x
+}
+
+// seedFill overwrites x with SeedVector(len(x), seed).
+func seedFill(x []float64, seed uint64) {
 	for i := range x {
 		z := seed + uint64(i+1)*0x9e3779b97f4a7c15
 		z ^= z >> 30
@@ -422,7 +420,8 @@ func SeedVector(n int, seed uint64) []float64 {
 		z ^= z >> 27
 		z *= 0x94d049bb133111eb
 		z ^= z >> 31
-		x[i] = 0.5 + float64(z>>11)/float64(1<<53)
+		// z>>11 < 2⁵³ converts exactly either way; the signed
+		// conversion is one instruction, the unsigned one a branch.
+		x[i] = 0.5 + float64(int64(z>>11))/(1<<53)
 	}
-	return x
 }

@@ -29,12 +29,9 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,14 +123,37 @@ type MatrixInfo struct {
 }
 
 // matrixEntry is one stored matrix: the pJDS-permuted operator shared
-// by every tenant, plus a freelist of pJDS host kernels (a kernel
-// carries per-call state, so concurrent requests must not share one).
+// by every tenant, a freelist of pJDS host kernels (a kernel carries
+// per-call state, so concurrent requests must not share one) and a
+// pool of request vectors. The vectors sit in a sync.Pool, not a
+// retained freelist, so a matrix no request touches gives them back at
+// the next GCs instead of keeping its busiest moment's vectors alive.
 type matrixEntry struct {
 	info  MatrixInfo
 	op    *solver.PermutedPJDS
 	tuned *tuner.Entry // nil unless Config.TuningDB tuned this matrix
 	kmu   sync.Mutex
 	ks    []hostkernel.Kernel
+	vecs  sync.Pool // *reqVectors
+}
+
+// reqVectors are one request's n-length vectors: the input in the
+// original basis (a seeded request fills it in place), the input in
+// the permuted basis, the permuted result and the result in the
+// original basis. They hold whatever the previous request left.
+type reqVectors struct {
+	in, inp, outp, out []float64
+}
+
+// vectors takes a request's vectors from the pool, allocating one
+// block of 4·n floats when it is empty; return them with e.vecs.Put.
+func (e *matrixEntry) vectors() *reqVectors {
+	if v, ok := e.vecs.Get().(*reqVectors); ok {
+		return v
+	}
+	n := e.info.Rows
+	b := make([]float64, 4*n)
+	return &reqVectors{in: b[:n:n], inp: b[n : 2*n : 2*n], outp: b[2*n : 3*n : 3*n], out: b[3*n:]}
 }
 
 // kernel takes a host kernel from the freelist, building one when the
@@ -516,25 +536,37 @@ type SpMVResult struct {
 	Y      []float64 `json:"y,omitempty"`
 }
 
-// SpMV computes y = A·x for a stored matrix. x must have the matrix
-// dimension; the caller owns the admission slot already.
-func (s *Server) SpMV(ctx context.Context, e *matrixEntry, x []float64, wantY bool) (SpMVResult, error) {
+// SpMV computes y = A·x for a stored matrix, x being req.X or, when
+// that is nil, SeedVector(n, req.Seed). The caller owns the admission
+// slot already. Every vector but a want_y result comes from the
+// matrix's pool.
+func (s *Server) SpMV(ctx context.Context, e *matrixEntry, req SpMVRequest) (SpMVResult, error) {
 	n := e.info.Rows
-	if len(x) != n {
+	x := req.X
+	if x != nil && len(x) != n {
 		return SpMVResult{}, fmt.Errorf("service: |x|=%d on %dx%d matrix", len(x), n, n)
+	}
+	v := e.vectors()
+	defer e.vecs.Put(v)
+	if x == nil {
+		x = v.in
+		seedFill(x, req.Seed)
 	}
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	xp := e.op.Enter(make([]float64, n), x)
-	yp := make([]float64, n)
+	xp := e.op.Enter(v.inp, x)
 	t0 := time.Now()
-	if err := op.Apply(yp, xp); err != nil {
+	if err := op.Apply(v.outp, xp); err != nil {
 		return SpMVResult{}, err
 	}
 	s.recordTuningLag(e, time.Since(t0))
-	y := e.op.Leave(make([]float64, n), yp)
+	y := v.out
+	if req.WantY {
+		y = make([]float64, n) // the response keeps it
+	}
+	e.op.Leave(y, v.outp)
 	res := SpMVResult{Digest: DigestVector(y), Tier: op.tierName()}
-	if wantY {
+	if req.WantY {
 		res.Y = y
 	}
 	return res, nil
@@ -553,27 +585,39 @@ type SolveResult struct {
 	Checkpointed bool    `json:"checkpointed,omitempty"`
 }
 
-// Solve runs CG on a stored matrix. On cooperative cancellation
+// Solve runs CG from x = 0 on a stored matrix, b being req.B or, when
+// that is nil, SeedVector(n, req.Seed); a tolerance or iteration
+// budget ≤ 0 selects 1e-10 or 10·n. On cooperative cancellation
 // (deadline, client gone, drain) it returns the checkpointed state of
-// the current iterate instead of an error: the work done is not
-// discarded, matching the recoverable-solver semantics of PR 4.
-func (s *Server) Solve(ctx context.Context, e *matrixEntry, b []float64, tol float64, maxIter int) (SolveResult, error) {
+// the current iterate instead of an error, so the work done is not
+// discarded. b, x and their permuted copies come from the matrix's
+// vector pool.
+func (s *Server) Solve(ctx context.Context, e *matrixEntry, req SolveRequest) (SolveResult, error) {
 	n := e.info.Rows
-	if len(b) != n {
+	b := req.B
+	if b != nil && len(b) != n {
 		return SolveResult{}, fmt.Errorf("service: |b|=%d on %dx%d matrix", len(b), n, n)
 	}
+	tol, maxIter := req.Tol, req.MaxIter
 	if tol <= 0 {
 		tol = 1e-10
 	}
 	if maxIter <= 0 {
 		maxIter = 10 * n
 	}
+	v := e.vectors()
+	defer e.vecs.Put(v)
+	if b == nil {
+		b = v.in
+		seedFill(b, req.Seed)
+	}
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	bp := e.op.Enter(make([]float64, n), b)
-	xp := make([]float64, n)
+	bp := e.op.Enter(v.inp, b)
+	xp := v.outp
+	clear(xp)
 	cg, err := solver.CG(op, xp, bp, tol, maxIter)
-	x := e.op.Leave(make([]float64, n), xp)
+	x := e.op.Leave(v.out, xp)
 	res := SolveResult{
 		Digest:     DigestVector(x),
 		Tier:       op.tierName(),
@@ -686,41 +730,3 @@ func (s *Server) Quantiles() (p50, p99 float64) { return s.lat.quantiles() }
 
 // Served returns the number of successful requests.
 func (s *Server) Served() int64 { return s.served.Load() }
-
-// DigestVector hashes the float64 bit patterns of y (little-endian),
-// so two vectors digest equal exactly when they are bit-identical —
-// the same contract as the hostbench digest lines.
-func DigestVector(y []float64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range y {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		_, _ = h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// contentFingerprint derives the dedup identity of a matrix from its
-// full content (dimensions, structure, values), not its name: two
-// tenants uploading the same matrix under different names share one
-// entry.
-func contentFingerprint(m *matrix.CSR[float64]) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
-	}
-	put(uint64(m.NRows))
-	put(uint64(m.NCols))
-	for _, p := range m.RowPtr {
-		put(uint64(p))
-	}
-	for _, c := range m.ColIdx {
-		put(uint64(c))
-	}
-	for _, v := range m.Val {
-		put(math.Float64bits(v))
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -620,5 +623,121 @@ func TestDeviceApplyAllocs(t *testing.T) {
 	}
 	if allocs > 1 {
 		t.Errorf("%v allocs per warm device apply, want ≤ 1 (the returned stats)", allocs)
+	}
+}
+
+// allocServer stores a ~10⁴-row SPD stencil in a one-device server.
+func allocServer(t *testing.T) (*Server, *matrixEntry, *matrix.CSR[float64]) {
+	t.Helper()
+	m := matgen.Stencil2D(100, 100)
+	var buf bytes.Buffer
+	if err := matrix.WriteMatrixMarket(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Registry: telemetry.NewRegistry(), Devices: 1})
+	t.Cleanup(s.Close)
+	info, err := s.AddMatrix("allocs", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, e, m
+}
+
+// bytesPerCall is the mean TotalAlloc growth over runs warm calls of f.
+func bytesPerCall(t *testing.T, runs int, f func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSpMVVectorAllocs: a warm seeded SpMV takes x, xp, yp and y from
+// the matrix's pool, so it allocates far less than one n-vector.
+func TestSpMVVectorAllocs(t *testing.T) {
+	s, e, m := allocServer(t)
+	req := SpMVRequest{Matrix: e.info.ID, Seed: 3}
+	per := bytesPerCall(t, 100, func() {
+		if _, err := s.SpMV(context.Background(), e, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 8 * float64(m.NRows); per >= limit {
+		t.Errorf("warm seeded SpMV allocates %.0f B per call, want < 8·n = %.0f", per, limit)
+	}
+}
+
+// TestSolveVectorAllocs: a warm seeded Solve allocates less than one
+// n-vector beyond the CG loop it runs (whose r, p and A·p stay its
+// own), because b, x and their permuted copies come from the pool.
+func TestSolveVectorAllocs(t *testing.T) {
+	s, e, m := allocServer(t)
+	n := m.NRows
+	const iters = 20 // far from converged: every call runs all of them
+	req := SolveRequest{Matrix: e.info.ID, Seed: 3, MaxIter: iters}
+	solve := bytesPerCall(t, 100, func() {
+		res, err := s.Solve(context.Background(), e, req)
+		if err != nil || res.Iterations != iters {
+			t.Fatalf("solve: %+v, %v", res, err)
+		}
+	})
+	bp := e.op.Enter(make([]float64, n), SeedVector(n, 3))
+	xp := make([]float64, n)
+	cg := bytesPerCall(t, 100, func() {
+		op := s.newApplyOp(context.Background(), e)
+		defer op.close()
+		clear(xp)
+		if _, err := solver.CG(op, xp, bp, 1e-10, iters); !errors.Is(err, solver.ErrNotConverged) {
+			t.Fatalf("bare CG: %v", err)
+		}
+	})
+	if extra, limit := solve-cg, 8*float64(n); extra >= limit {
+		t.Errorf("warm seeded Solve allocates %.0f B per call beyond its CG loop (%.0f B), want < 8·n = %.0f", extra, cg, limit)
+	}
+}
+
+// TestSpMVWantY: a want_y response carries its own y, bit-identical to
+// the naive product and digested as sent. The entries are small
+// integers, so every summation order gives the same bits.
+func TestSpMVWantY(t *testing.T) {
+	s, e, m := allocServer(t)
+	x := make([]float64, m.NCols)
+	for i := range x {
+		x[i] = float64(i%7 - 3)
+	}
+	want := make([]float64, m.NRows)
+	if err := m.MulVec(want, x); err != nil {
+		t.Fatal(err)
+	}
+	var first []float64
+	for i := 0; i < 2; i++ {
+		res, err := s.SpMV(context.Background(), e, SpMVRequest{Matrix: e.info.ID, X: x, WantY: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range want {
+			if math.Float64bits(res.Y[r]) != math.Float64bits(want[r]) {
+				t.Fatalf("call %d: y[%d] = %v, naive %v", i, r, res.Y[r], want[r])
+			}
+		}
+		if res.Digest != DigestVector(want) {
+			t.Fatalf("call %d: digest %s, want %s", i, res.Digest, DigestVector(want))
+		}
+		if first == nil {
+			first = res.Y
+		} else if &first[0] == &res.Y[0] {
+			t.Fatal("two want_y responses share one y")
+		}
 	}
 }

@@ -12,11 +12,13 @@
 #     telemetry, flight recorder, health, service, the GPU worker
 #     pool, the ingest-and-convert pipeline, host kernels and tuner;
 #   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL,
-#     the Chrome-trace reader and the profile.proto reader;
+#     the Chrome-trace reader, the profile.proto reader and service
+#     matrix uploads;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
-#     beat best-of-3 naive, best-of-3 SELL-8 (the default kind) must
-#     beat best-of-3 blocked CRS, and best-of-3 pJDS (SELL-32-N) must
-#     stay within 1.25x of best-of-3 SELL-8;
+#     beat best-of-3 naive, best-of-3 SELL-8 (the default kind where
+#     core.GroupKernel() is true) must beat best-of-3 blocked CRS, and
+#     best-of-3 pJDS (SELL-32-N) must stay within 1.25x of best-of-3
+#     SELL-8;
 #   - smokes: host-kernel byte-diff (every -hostbench digest identical),
 #     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
 #     winner surfaced by matinfo -recommend and perfreport -tune,
@@ -82,7 +84,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -92,11 +94,13 @@ go test -run '^$' -fuzz '^FuzzFaultsParse$' -fuzztime 10s ./internal/faults/
 # exploring.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./internal/telemetry/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profiles/
+go test -run '^$' -fuzz '^FuzzAddMatrix$' -fuzztime 10s ./internal/service/
 
 echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
-# noise on a small shared host. SELL-8 is the default host kind, so it
-# must beat the blocked CRS kernel it replaced.
+# noise on a small shared host. SELL-8 is the default host kind where
+# core.GroupKernel() is true, so it must beat the blocked CRS kernel it
+# replaced.
 go test -run '^$' -bench '^(BenchmarkHostNaive|BenchmarkHostCRS|BenchmarkHostSELL)$' \
     -benchtime 300x -count 3 ./internal/hostkernel/ >"$TMP/hostbench.out"
 awk '
@@ -175,10 +179,10 @@ echo "== format tuning smoke (tune -> recommend -> run, digest + cache gates) ==
 # The auto-tuner sweeps the (C, σ) grid once, every tuned pick must be
 # bit-identical to the naive CSR reference (the MATCH digest lines) and
 # no more than 1.25x slower than the pJDS preset (best of 5 timed runs
-# on each side, so one descheduled run cannot fail it), matinfo
-# -recommend and perfreport -tune must surface the persisted winner,
-# and a second bench run must answer every matrix from the DB without
-# re-sweeping.
+# on each side, the two sides alternating run by run, so host load
+# lands on both sides alike), matinfo -recommend and perfreport -tune
+# must surface the persisted winner, and a second bench run must answer
+# every matrix from the DB without re-sweeping.
 go run ./cmd/spmvbench -format auto -scale 0.02 -host-iters 5 \
     -tuning-db "$TMP/tuning.jsonl" -tune-json "$TMP/tune1.json" >"$TMP/tune1.out"
 grep '^digest ' "$TMP/tune1.out" | grep -v ' MATCH ' && {
