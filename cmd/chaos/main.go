@@ -38,7 +38,6 @@ import (
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
-	"pjds/internal/runledger"
 	"pjds/internal/simnet"
 	"pjds/internal/telemetry"
 )
@@ -142,7 +141,6 @@ func run(args []string, out io.Writer) error {
 		outFile   = fs.String("o", "", "write the report to this file instead of stdout")
 		flightOn  = fs.Bool("flight", false, "enable the ring-buffer flight recorder during the suite")
 		flightOut = fs.String("flight-dump", "", "write a post-incident trace here when the first severe event (rank failure, ECC hit) fires; implies -flight")
-		ledgerArg = fs.String("ledger", "", "append this suite's record to a JSONL run ledger ('default' = "+runledger.DefaultPath+")")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -216,44 +214,7 @@ func run(args []string, out io.Writer) error {
 	} else {
 		printReport(w, rep)
 	}
-	if *ledgerArg != "" {
-		path := *ledgerArg
-		if path == "default" {
-			path = runledger.DefaultPath
-		}
-		if err := runledger.Append(path, ledgerEntry(cfg, rep)); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "ledger: appended suite to %s\n", path)
-	}
 	return verdict(rep)
-}
-
-// ledgerEntry condenses a suite report into one run-ledger record:
-// summed fault/recovery counts plus the worst solve and recovery
-// latencies, the scalars the cross-run trend report watches.
-func ledgerEntry(cfg config, rep *report) runledger.Entry {
-	metrics := map[string]float64{
-		"chaos_scenarios": float64(len(rep.Scenarios)),
-	}
-	for _, s := range rep.Scenarios {
-		metrics["chaos_retries_total"] += s.Retries
-		metrics["chaos_faults_injected_total"] += s.FaultsInjected
-		metrics["chaos_crashes_total"] += s.Crashes
-		metrics["chaos_ecc_errors_total"] += s.EccErrors
-		metrics["chaos_restarts_total"] += float64(s.Restarts)
-		if s.SolveSeconds > metrics["chaos_worst_solve_seconds"] {
-			metrics["chaos_worst_solve_seconds"] = s.SolveSeconds
-		}
-		if s.RecoveryLatencySeconds > metrics["chaos_worst_recovery_latency_seconds"] {
-			metrics["chaos_worst_recovery_latency_seconds"] = s.RecoveryLatencySeconds
-		}
-	}
-	return runledger.Entry{
-		Tool:    "chaos",
-		Ranks:   cfg.ranks,
-		Metrics: metrics,
-	}
 }
 
 // verdict turns correctness failures into a non-zero exit.

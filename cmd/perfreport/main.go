@@ -45,13 +45,6 @@
 //	    model vs measured ranks, and the implied effective bandwidth
 //	    (where the two rank columns disagree, the model is missing a
 //	    machine effect).
-//
-//	perfreport -trend -ledger .spmv/ledger.jsonl [-gate]
-//	    cross-run trend analysis: line up the run ledger's entries
-//	    (chronological order) and classify every metric's latest value
-//	    against its historical best — direction-aware and
-//	    tolerance-banded like the diff gate, but flagging only
-//	    *sustained* regressions. -gate exits non-zero on them.
 package main
 
 import (
@@ -77,7 +70,6 @@ import (
 	"pjds/internal/matrix"
 	"pjds/internal/model"
 	"pjds/internal/profiles"
-	"pjds/internal/runledger"
 	"pjds/internal/telemetry"
 	"pjds/internal/tuner"
 )
@@ -111,12 +103,6 @@ func run(args []string, out io.Writer) error {
 		checkAttr = fs.Float64("check-attributed", 0, "with -profile: fail unless at least this fraction of samples carries a known phase label")
 		tuneMode  = fs.Bool("tune", false, "report the tuning DB: measured vs Eq. 1-modeled cost per (C, σ) grid cell, per sweep")
 		tuningDB  = fs.String("tuning-db", "", "tuning DB for -tune (default "+tuner.DefaultPath+")")
-		trendMode = fs.Bool("trend", false, "cross-run trend analysis over the -ledger entries (chronological)")
-		ledger    = fs.String("ledger", "", "run ledger JSONL for -trend (e.g. .spmv/ledger.jsonl)")
-		trendTol  = fs.Float64("trend-tol", 0.05, "relative tolerance band around each metric's historical best")
-		sustainN  = fs.Int("sustain", 2, "trailing runs that must all sit beyond tolerance before a trend gates")
-		gate      = fs.Bool("gate", false, "with -trend: exit non-zero on sustained regressions")
-		trendFull = fs.Bool("trend-full", false, "with -trend: list ok and single-source rows too")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON instead of text")
 		outFile   = fs.String("o", "", "write the report to this file instead of stdout")
 	)
@@ -138,10 +124,6 @@ func run(args []string, out io.Writer) error {
 
 	if *tuneMode {
 		return runTuneReport(w, *tuningDB, *matrixArg, fs, *jsonOut)
-	}
-	if *trendMode {
-		opt := runledger.TrendOptions{Tolerance: *trendTol, Sustain: *sustainN}
-		return runTrend(w, *ledger, opt, *gate, *trendFull, *jsonOut)
 	}
 	if *profileIn != "" {
 		return runProfileReport(w, *profileIn, *traceIn, *checkAttr, *jsonOut)
@@ -638,49 +620,4 @@ func orSamples(t string) string {
 		return "profile"
 	}
 	return t
-}
-
-// runTrend lines up the run ledger's entries (chronological order)
-// and reports every metric's trajectory against its historical best;
-// with -gate, sustained regressions exit non-zero.
-func runTrend(w io.Writer, ledgerPath string, opt runledger.TrendOptions, gate, full, jsonOut bool) error {
-	if ledgerPath == "" {
-		return fmt.Errorf("usage: perfreport -trend -ledger PATH")
-	}
-	sources, err := runledger.ReadSources(ledgerPath)
-	if err != nil {
-		return err
-	}
-	if len(sources) == 0 {
-		return fmt.Errorf("perfreport -trend: ledger %s has no entries", ledgerPath)
-	}
-	rows := runledger.Trend(sources, opt)
-	if jsonOut {
-		names := make([]string, len(sources))
-		for i, s := range sources {
-			names[i] = s.Name
-		}
-		doc := map[string]any{
-			"schema":  "pjds-trend/v1",
-			"sources": names,
-			"rows":    rows,
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			return err
-		}
-	} else {
-		runledger.WriteTrendReport(w, sources, rows, full)
-	}
-	if gate {
-		if regs := runledger.Regressions(rows); len(regs) > 0 {
-			names := make([]string, len(regs))
-			for i, r := range regs {
-				names[i] = r.Metric
-			}
-			return fmt.Errorf("%d sustained regression(s): %s", len(regs), strings.Join(names, ", "))
-		}
-	}
-	return nil
 }

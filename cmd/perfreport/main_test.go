@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pjds/internal/runledger"
 	"pjds/internal/tuner"
 )
 
@@ -91,7 +90,6 @@ func TestBadFlags(t *testing.T) {
 		{"stray"},
 		{"diff", "only-one.json"},
 		{"diff", "-tol-metric", "nonsense", "a.json", "b.json"},
-		{"-trend"}, // no sources at all
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
@@ -224,90 +222,6 @@ func TestProfileUnknownPhase(t *testing.T) {
 	err := run([]string{"-profile", path}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "warmup") {
 		t.Fatalf("unknown phase accepted: %v", err)
-	}
-}
-
-// writeLedger appends one spmvbench entry per gflops value to a fresh
-// run ledger, oldest first.
-func writeLedger(t *testing.T, gflops ...float64) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	for _, v := range gflops {
-		if err := runledger.Append(path, runledger.Entry{
-			Tool:    "spmvbench",
-			Metrics: map[string]float64{"gflops": v},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return path
-}
-
-// TestTrendGate: a sustained drop gates, a steady series does not, and
-// the JSON shape carries the verdicts.
-func TestTrendGate(t *testing.T) {
-	dropped := writeLedger(t, 10, 5, 5)
-
-	var buf bytes.Buffer
-	if err := run([]string{"-trend", "-ledger", dropped}, &buf); err != nil {
-		t.Fatalf("ungated trend errored: %v", err)
-	}
-	if !strings.Contains(buf.String(), "regression") {
-		t.Errorf("sustained drop not reported:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	err := run([]string{"-trend", "-gate", "-ledger", dropped}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "gflops") {
-		t.Fatalf("gate = %v, want sustained regression on gflops", err)
-	}
-
-	// One bad run between two good ones is watch, not a gate failure.
-	buf.Reset()
-	if err := run([]string{"-trend", "-gate", "-ledger", writeLedger(t, 10, 5, 10)}, &buf); err != nil {
-		t.Fatalf("recovered series gated: %v\n%s", err, buf.String())
-	}
-
-	buf.Reset()
-	if err := run([]string{"-trend", "-json", "-ledger", dropped}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string   `json:"schema"`
-		Sources []string `json:"sources"`
-		Rows    []struct {
-			Metric  string `json:"metric"`
-			Verdict string `json:"verdict"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("-json output: %v\n%s", err, buf.String())
-	}
-	if doc.Schema != "pjds-trend/v1" || len(doc.Sources) != 3 {
-		t.Fatalf("trend doc = %+v", doc)
-	}
-	if len(doc.Rows) != 1 || doc.Rows[0].Metric != "gflops" || doc.Rows[0].Verdict != "regression" {
-		t.Fatalf("rows = %+v", doc.Rows)
-	}
-}
-
-// TestTrendLedger: -trend names each source after its ledger entry,
-// rejects positional artifacts, and refuses an empty ledger.
-func TestTrendLedger(t *testing.T) {
-	ledger := writeLedger(t, 10, 4, 4)
-	var buf bytes.Buffer
-	if err := run([]string{"-trend", "-ledger", ledger}, &buf); err != nil {
-		t.Fatalf("ungated ledger trend errored: %v", err)
-	}
-	if !strings.Contains(buf.String(), "spmvbench") {
-		t.Errorf("ledger entries missing from source list:\n%s", buf.String())
-	}
-	if err := run([]string{"-trend", "-ledger", ledger, "a.json"}, &buf); err == nil {
-		t.Error("positional artifact accepted by -trend")
-	}
-	empty := filepath.Join(t.TempDir(), "missing.jsonl")
-	if err := run([]string{"-trend", "-ledger", empty}, &buf); err == nil {
-		t.Error("-trend over an empty ledger accepted")
 	}
 }
 

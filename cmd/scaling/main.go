@@ -45,7 +45,6 @@ import (
 	"pjds/internal/mpi"
 	"pjds/internal/par"
 	"pjds/internal/profiles"
-	"pjds/internal/runledger"
 	"pjds/internal/simnet"
 	"pjds/internal/telemetry"
 )
@@ -85,7 +84,6 @@ func run(args []string, out io.Writer) error {
 		hold       = fs.Duration("hold", 0, "keep the -metrics-addr endpoint serving this long after the run (live dashboards)")
 		cpuProfile = fs.String("cpuprofile", "", "write a phase-labeled CPU profile to this file (perfreport -profile, go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file after the run (after a final GC)")
-		ledgerArg  = fs.String("ledger", "", "append this run's record to a JSONL run ledger ('default' = "+runledger.DefaultPath+")")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,23 +126,11 @@ func run(args []string, out io.Writer) error {
 			flight.Disable()
 		}()
 	}
-	ledgerPath := *ledgerArg
-	if ledgerPath == "default" {
-		ledgerPath = runledger.DefaultPath
-	}
 	if *metricsAdr != "" {
 		eng := health.New(telemetry.Default(), health.Options{})
 		eng.RegisterHTTP()
 		eng.Start(health.Options{})
 		defer eng.Stop()
-		// /trends.json: cross-run history for the dashboard, read
-		// from the ledger this (or any earlier) run appends to.
-		trendLedger := ledgerPath
-		if trendLedger == "" {
-			trendLedger = runledger.DefaultPath
-		}
-		telemetry.RegisterHandler("/trends.json",
-			runledger.TrendHandler(trendLedger, runledger.TrendOptions{}))
 		srv, err := telemetry.Serve(*metricsAdr, telemetry.Default())
 		if err != nil {
 			return err
@@ -215,20 +201,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "wrote metrics to %s\n", *metricsOut)
-	}
-	if ledgerPath != "" {
-		if err := runledger.Append(ledgerPath, runledger.Entry{
-			Tool:    "scaling",
-			Matrix:  *matrixArg,
-			Format:  format.String(),
-			Kernel:  string(kind),
-			Workers: *workers,
-			Scale:   *scale,
-			Metrics: runledger.MetricsFromRegistry(telemetry.Default()),
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "ledger: appended run to %s\n", ledgerPath)
 	}
 	return nil
 }

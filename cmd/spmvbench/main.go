@@ -42,7 +42,6 @@ import (
 	"pjds/internal/model"
 	"pjds/internal/par"
 	"pjds/internal/profiles"
-	"pjds/internal/runledger"
 	"pjds/internal/telemetry"
 	"pjds/internal/textplot"
 	"pjds/internal/tuner"
@@ -82,7 +81,6 @@ func run(args []string, out io.Writer) error {
 		flightDump = fs.String("flight-dump", "", "write a post-incident trace here when a severe event fires (implies -flight)")
 		cpuProfile = fs.String("cpuprofile", "", "write a phase-labeled CPU profile to this file (perfreport -profile, go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file after the run (after a final GC)")
-		ledgerArg  = fs.String("ledger", "", "append this run's record to a JSONL run ledger ('default' = "+runledger.DefaultPath+")")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -219,26 +217,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "wrote metrics to %s\n", *metricsOut)
-	}
-	if *ledgerArg != "" {
-		path := *ledgerArg
-		if path == "default" {
-			path = runledger.DefaultPath
-		}
-		entry := runledger.Entry{
-			Tool:    "spmvbench",
-			Kernel:  string(kind),
-			Workers: *workers,
-			Scale:   *scale,
-			Metrics: runledger.MetricsFromRegistry(telemetry.Default()),
-		}
-		if *fig2 || *ablations {
-			entry.Matrix = *matrixArg
-		}
-		if err := runledger.Append(path, entry); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "ledger: appended run to %s\n", path)
 	}
 	return nil
 }

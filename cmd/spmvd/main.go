@@ -37,7 +37,6 @@ import (
 	"pjds/internal/flight"
 	"pjds/internal/gpu"
 	"pjds/internal/health"
-	"pjds/internal/runledger"
 	"pjds/internal/service"
 	"pjds/internal/telemetry"
 	"pjds/internal/tuner"
@@ -64,7 +63,6 @@ type options struct {
 	seed       uint64
 	flightOn   bool
 	flightDump string
-	ledgerArg  string
 	tuningDB   string
 
 	swarm   bool
@@ -93,7 +91,6 @@ func run(args []string, out io.Writer) error {
 	fs.Uint64Var(&o.seed, "seed", 42, "seed for the fault plan and the swarm's request schedule")
 	fs.BoolVar(&o.flightOn, "flight", false, "enable the always-on flight recorder (/spans)")
 	fs.StringVar(&o.flightDump, "flight-dump", "", "write a post-incident trace here on severe events (implies -flight)")
-	fs.StringVar(&o.ledgerArg, "ledger", "", "append the run's record to a JSONL run ledger ('default' = "+runledger.DefaultPath+")")
 	fs.StringVar(&o.tuningDB, "tuning-db", "", "tune each uploaded matrix once and persist winners at this JSONL path ('default' = "+tuner.DefaultPath+"; empty disables tuning)")
 	fs.BoolVar(&o.swarm, "swarm", false, "run the in-process chaos swarm instead of serving")
 	fs.IntVar(&o.clients, "swarm-clients", 24, "concurrent swarm clients")
@@ -166,17 +163,6 @@ func serve(o options, cfg service.Config, out io.Writer) error {
 	defer svc.Close()
 	svc.RegisterHTTP()
 
-	ledgerPath := o.ledgerArg
-	if ledgerPath == "default" {
-		ledgerPath = runledger.DefaultPath
-	}
-	trendLedger := ledgerPath
-	if trendLedger == "" {
-		trendLedger = runledger.DefaultPath
-	}
-	telemetry.RegisterHandler("/trends.json",
-		runledger.TrendHandler(trendLedger, runledger.TrendOptions{}))
-
 	srv, err := telemetry.Serve(o.addr, telemetry.Default())
 	if err != nil {
 		return err
@@ -193,16 +179,5 @@ func serve(o options, cfg service.Config, out io.Writer) error {
 	st := svc.StatusNow()
 	fmt.Fprintf(out, "spmvd: drained in %.3fs (graceful=%v, checkpointed=%d, served=%d)\n",
 		rep.WaitedSeconds, rep.Graceful, rep.Checkpointed, st.Served)
-
-	if ledgerPath != "" {
-		if err := runledger.Append(ledgerPath, runledger.Entry{
-			Tool:    "spmvd",
-			Format:  "pjds",
-			Metrics: runledger.MetricsFromRegistry(telemetry.Default()),
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "ledger: appended run to %s\n", ledgerPath)
-	}
 	return nil
 }

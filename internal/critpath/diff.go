@@ -85,31 +85,6 @@ func Diff(oldDoc, newDoc []byte, opt DiffOptions) ([]Finding, error) {
 	return out, nil
 }
 
-// Flatten decodes a JSON document and collects its numeric leaves
-// under dotted/indexed paths like "entries[3].gflops" (bools become
-// 0/1). It is the shared vocabulary between the pairwise diff gate
-// and the cross-run trend analysis in internal/runledger.
-func Flatten(doc []byte) (map[string]float64, error) {
-	var v any
-	if err := json.Unmarshal(doc, &v); err != nil {
-		return nil, fmt.Errorf("critpath: flatten: %w", err)
-	}
-	out := map[string]float64{}
-	flatten("", v, out)
-	return out, nil
-}
-
-// Direction reports the diff gate's direction heuristic for a metric
-// path: +1 higher-is-better, -1 lower-is-better, 0 unknown. The leaf
-// path component is what gets classified.
-func Direction(path string) int {
-	leaf := path
-	if i := strings.LastIndexAny(path, ".]"); i >= 0 && i+1 < len(path) {
-		leaf = path[i+1:]
-	}
-	return direction(leaf)
-}
-
 // flatten walks a decoded JSON value, collecting numeric leaves under
 // dotted/indexed paths like "entries[3].gflops".
 func flatten(path string, v any, out map[string]float64) {

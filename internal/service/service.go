@@ -18,7 +18,7 @@
 //     order, so a downgrade never changes a single result bit;
 //   - graceful drain: stop admitting (503 + Retry-After), let
 //     in-flight work finish inside a grace window, checkpoint and
-//     cancel what remains, then flush telemetry/flight/ledger state.
+//     cancel what remains, then flush telemetry/flight state.
 //
 // Every quantity the policies act on maps back to the paper: the
 // device pool's aggregate Eq. 1 bandwidth bounds useful concurrency
@@ -697,7 +697,7 @@ func (s *Server) busy() bool {
 // grace for in-flight requests, then cancel the stragglers (they
 // checkpoint cooperatively) and wait for them to unwind. After Drain
 // returns no request is running and the caller can flush
-// ledger/flight artifacts and exit 0.
+// flight-recorder artifacts and exit 0.
 func (s *Server) Drain(grace time.Duration) DrainReport {
 	t0 := time.Now()
 	rep := DrainReport{InFlightAtStart: s.adm.inFlight() + s.adm.queueDepth()}

@@ -55,8 +55,6 @@ const dashboardHead = `<!DOCTYPE html>
 <div id="solver" class="muted">no solver gauges yet</div>
 <h2>event feed <span class="muted">(flight recorder)</span></h2>
 <div id="events" class="muted">flight recorder not enabled</div>
-<h2>cross-run trends <span class="muted">(run ledger)</span></h2>
-<div id="trends" class="muted">trend endpoint not enabled</div>
 <h2>all metrics</h2>
 <div id="metrics"></div>
 `
@@ -213,29 +211,6 @@ function renderEvents(doc) {
   document.getElementById("events").outerHTML = '<div id="events">' + html + "</div>";
 }
 
-function renderTrends(doc) {
-  const rows = doc.rows || [];
-  const cls = { regression: "fail", watch: "warn", improved: "pass", ok: "pass" };
-  const counts = {};
-  for (const r of rows) counts[r.verdict] = (counts[r.verdict] || 0) + 1;
-  let html = '<div class="muted">' + (doc.sources || []).length + " sources · " +
-    rows.length + " metrics (" + (counts.regression || 0) + " regression, " +
-    (counts.watch || 0) + " watch, " + (counts.improved || 0) + " improved)</div>";
-  const shown = rows.filter(r => r.verdict !== "single" && r.verdict !== "ok");
-  if (shown.length) {
-    html += "<table><tr><th>verdict</th><th>metric</th><th>best</th><th>last</th><th>&Delta; vs best</th></tr>";
-    for (const r of shown.slice(0, 30)) {
-      html += '<tr><td class="' + (cls[r.verdict] || "muted") + '">' + esc(r.verdict) +
-        '</td><td style="text-align:left">' + esc(r.metric) + "</td><td>" + fmt(r.best) +
-        "</td><td>" + fmt(r.last) + "</td><td>" + fmt(100 * r.rel_vs_best) + "%</td></tr>";
-    }
-    html += "</table>";
-  } else if (rows.length) {
-    html += '<div class="pass">all tracked metrics within tolerance of their historical best</div>';
-  }
-  document.getElementById("trends").outerHTML = '<div id="trends">' + html + "</div>";
-}
-
 async function poll() {
   try {
     const r = await fetch("/metrics.json", { cache: "no-store" });
@@ -253,9 +228,6 @@ async function poll() {
   }
   if (EXTRA_ENDPOINTS.includes("/spans")) {
     try { renderEvents(await (await fetch("/spans", { cache: "no-store" })).json()); } catch (e) {}
-  }
-  if (EXTRA_ENDPOINTS.includes("/trends.json")) {
-    try { renderTrends(await (await fetch("/trends.json", { cache: "no-store" })).json()); } catch (e) {}
   }
 }
 poll();

@@ -11,10 +11,10 @@ import (
 // TestDashboardShape pins the dashboard page's structure: every
 // section the in-page script renders into must exist, and the
 // registered extra endpoints must be injected so the script knows
-// which optional feeds (/healthz, /spans, /trends.json) to poll.
+// which optional feeds (/healthz, /spans, /tenants.json) to poll.
 func TestDashboardShape(t *testing.T) {
-	RegisterHandler("/trends.json", http.NotFoundHandler())
-	defer RegisterHandler("/trends.json", nil)
+	RegisterHandler("/tenants.json", http.NotFoundHandler())
+	defer RegisterHandler("/tenants.json", nil)
 
 	rec := httptest.NewRecorder()
 	DashboardHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dashboard", nil))
@@ -31,12 +31,12 @@ func TestDashboardShape(t *testing.T) {
 		`id="ranks"`,
 		`id="solver"`,
 		`id="events"`,
-		`id="trends"`,
+		`id="tenants"`,
 		`id="metrics"`,
 		"const EXTRA_ENDPOINTS",
-		`"/trends.json"`,
+		`"/tenants.json"`,
 		`fetch("/metrics.json"`,
-		`fetch("/trends.json"`,
+		`fetch("/tenants.json"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/dashboard missing %q", want)
@@ -112,25 +112,24 @@ func TestMetricsJSONGoldenShape(t *testing.T) {
 	}
 }
 
-// TestServeMuxIncludesTrends: a route registered before Serve shows
-// up on the mux, so /trends.json from cmd/scaling reaches the page.
-func TestServeMuxIncludesTrends(t *testing.T) {
-	RegisterHandler("/trends.json", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+// TestServeMuxIncludesRegisteredRoutes: a route registered before
+// Serve shows up on the mux, so /tenants.json from internal/service
+// reaches the page.
+func TestServeMuxIncludesRegisteredRoutes(t *testing.T) {
+	RegisterHandler("/tenants.json", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"ledger":"x","sources":[],"rows":[]}`))
+		_, _ = w.Write([]byte(`[]`))
 	}))
-	defer RegisterHandler("/trends.json", nil)
+	defer RegisterHandler("/tenants.json", nil)
 
 	mux := serveMux(NewRegistry())
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/trends.json", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/tenants.json", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/trends.json status %d", rec.Code)
+		t.Fatalf("/tenants.json status %d", rec.Code)
 	}
-	var doc struct {
-		Rows []any `json:"rows"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("/trends.json not JSON: %v", err)
+	var rows []any
+	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+		t.Fatalf("/tenants.json not JSON: %v", err)
 	}
 }

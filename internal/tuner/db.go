@@ -1,10 +1,10 @@
 // Package tuner selects the fastest storage format and geometry for a
 // matrix by sweeping a (C, σ) grid — plus the CRS, pJDS and CMRS
 // contenders — with real timed host-kernel replays, pruning hopeless
-// grid cells with the Eq. 1 traffic model first. Winners persist in a
-// runledger-style JSONL database keyed by matrix fingerprint and
-// device, so a matrix is tuned once and every later upload or
-// benchmark run reuses the stored pick.
+// grid cells with the Eq. 1 traffic model first. Winners persist in an
+// append-only JSONL database keyed by matrix fingerprint and device,
+// so a matrix is tuned once and every later upload or benchmark run
+// reuses the stored pick.
 //
 // The package is also the advisor that operationalizes the paper's
 // format and offload guidance without measuring: given a matrix's
@@ -25,12 +25,14 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"time"
 
 	"pjds/internal/matrix"
-	"pjds/internal/runledger"
 )
 
 // Schema identifies the tuning-DB line format. Readers skip lines
@@ -84,20 +86,64 @@ func (c Cell) key() string {
 // Entry is one persisted sweep: the matrix/device key, the full grid
 // with model and measurement per cell, and the winner.
 type Entry struct {
-	Schema      string         `json:"schema"`
-	Time        string         `json:"time"` // RFC3339
-	GitRev      string         `json:"git_rev"`
-	Host        runledger.Host `json:"host"`
-	Matrix      string         `json:"matrix,omitempty"`
-	Fingerprint string         `json:"fingerprint"`
-	Device      string         `json:"device"`
-	Rows        int            `json:"rows"`
-	Cols        int            `json:"cols"`
-	Nnz         int            `json:"nnz"`
-	Workers     int            `json:"workers"`
-	Winner      Cell           `json:"winner"`
-	Cells       []Cell         `json:"cells"`
+	Schema      string `json:"schema"`
+	Time        string `json:"time"` // RFC3339
+	GitRev      string `json:"git_rev"`
+	Host        Host   `json:"host"`
+	Matrix      string `json:"matrix,omitempty"`
+	Fingerprint string `json:"fingerprint"`
+	Device      string `json:"device"`
+	Rows        int    `json:"rows"`
+	Cols        int    `json:"cols"`
+	Nnz         int    `json:"nnz"`
+	Workers     int    `json:"workers"`
+	Winner      Cell   `json:"winner"`
+	Cells       []Cell `json:"cells"`
 }
+
+// Host describes the machine a sweep ran on.
+type Host struct {
+	OS        string `json:"os"`
+	Arch      string `json:"arch"`
+	CPUs      int    `json:"cpus"`
+	Hostname  string `json:"hostname,omitempty"`
+	GoVersion string `json:"go_version"`
+}
+
+// HostInfo samples the current machine.
+func HostInfo() Host {
+	h := Host{
+		OS:        runtime.GOOS,
+		Arch:      runtime.GOARCH,
+		CPUs:      runtime.NumCPU(),
+		GoVersion: runtime.Version(),
+	}
+	if name, err := os.Hostname(); err == nil {
+		h.Hostname = name
+	}
+	return h
+}
+
+// GitRev returns the abbreviated HEAD revision (with a "-dirty"
+// suffix when the tree has modifications), or "unknown" outside a
+// git checkout. The two git commands run once per process, at the
+// first call: later calls return that first answer, so a long-lived
+// process records the checkout it started in, not a later commit or
+// edit.
+var GitRev = sync.OnceValue(func() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	if rev == "" {
+		return "unknown"
+	}
+	if status, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(strings.TrimSpace(string(status))) > 0 {
+		rev += "-dirty"
+	}
+	return rev
+})
 
 // Fingerprint hashes the matrix structure — dimensions plus the full
 // row-length profile — so two matrices with the same shape but
@@ -133,10 +179,10 @@ func Append(path string, e Entry) error {
 		e.Time = time.Now().UTC().Format(time.RFC3339)
 	}
 	if e.GitRev == "" {
-		e.GitRev = runledger.GitRev()
+		e.GitRev = GitRev()
 	}
-	if e.Host == (runledger.Host{}) {
-		e.Host = runledger.HostInfo()
+	if e.Host == (Host{}) {
+		e.Host = HostInfo()
 	}
 	line, err := json.Marshal(e)
 	if err != nil {

@@ -7,8 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pjds/internal/gpu"
 	"pjds/internal/matgen"
@@ -181,6 +186,99 @@ func writeRaw(t testing.TB, path string, b []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAppendLineShape pins the keys of the line Append writes to the
+// checked-in FuzzTuningDB/one-entry line: encoding/json ignores an
+// unknown key on read, so a renamed tag would silently drop a field
+// from every DB written before the rename. Append fills the
+// bookkeeping fields from GitRev and HostInfo.
+func TestAppendLineShape(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzTuningDB", "one-entry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(seed), "\n")[1], "[]byte("), ")")
+	line, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTop, wantHost := lineKeys(t, []byte(line))
+	if HostInfo().Hostname != "" {
+		wantHost = append(wantHost, "hostname")
+	}
+
+	path := filepath.Join(t.TempDir(), "tuning.jsonl")
+	for _, matrixName := range []string{"", "m"} {
+		if err := Append(path, Entry{Matrix: matrixName, Fingerprint: "f1", Device: "devA"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("%d lines, want 2", len(lines))
+	}
+	for i, want := range [][]string{wantTop, append(slices.Clone(wantTop), "matrix")} {
+		top, host := lineKeys(t, lines[i])
+		if !sameKeys(top, want) {
+			t.Errorf("line %d keys %v, want %v", i, top, want)
+		}
+		if !sameKeys(host, wantHost) {
+			t.Errorf("line %d host keys %v, want %v", i, host, wantHost)
+		}
+	}
+
+	entries, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := Lookup(entries, "f1", "devA")
+	if !ok {
+		t.Fatal("appended entry not read back")
+	}
+	if e.GitRev == "" || e.GitRev != GitRev() {
+		t.Errorf("git_rev %q, want GitRev() = %q", e.GitRev, GitRev())
+	}
+	if e.Host != HostInfo() || e.Host.OS != runtime.GOOS || e.Host.Arch != runtime.GOARCH ||
+		e.Host.CPUs != runtime.NumCPU() || e.Host.GoVersion != runtime.Version() {
+		t.Errorf("host %+v, want HostInfo() = %+v", e.Host, HostInfo())
+	}
+	if _, err := time.Parse(time.RFC3339, e.Time); err != nil {
+		t.Errorf("time %q: %v", e.Time, err)
+	}
+}
+
+// lineKeys returns the top-level keys of a DB line and the keys of its
+// host object.
+func lineKeys(t *testing.T, line []byte) (top, host []string) {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(line, &doc); err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	var h map[string]json.RawMessage
+	if err := json.Unmarshal(doc["host"], &h); err != nil {
+		t.Fatalf("host of %s: %v", line, err)
+	}
+	for k := range doc {
+		top = append(top, k)
+	}
+	for k := range h {
+		host = append(host, k)
+	}
+	return top, host
+}
+
+// sameKeys reports whether a and b hold the same keys in any order.
+func sameKeys(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 // FuzzTuningDB: reading a DB's tail in two steps, split at an arbitrary

@@ -12,8 +12,8 @@
 #     telemetry, flight recorder, health, service, the GPU worker
 #     pool, the ingest-and-convert pipeline, host kernels and tuner;
 #   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL,
-#     the Chrome-trace reader, the profile.proto reader and service
-#     matrix uploads;
+#     the Chrome-trace reader, the profile.proto reader, service
+#     matrix uploads and the binary matrix reader;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
 #     beat best-of-3 naive, best-of-3 SELL-8 (the default kind where
 #     core.GroupKernel() is true) must beat best-of-3 blocked CRS, and
@@ -30,10 +30,8 @@
 #     endpoints of a held scaling run plus spmvtop, the spmvd chaos
 #     swarm, and the spmvd lifecycle (upload, ECC downgrade with
 #     bit-identical digests, SIGTERM drain to exit 0);
-#   - a perfreport self-diff (two identical runs, zero regressions),
-#     the labeled-profile gate (>= 90% of CPU samples attributed), and
-#     the cross-run trend gate over the two ledger entries this script
-#     appends.
+#   - a perfreport self-diff (two identical runs, zero regressions)
+#     and the labeled-profile gate (>= 90% of CPU samples attributed).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -84,7 +82,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, binary matrix reader, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -95,6 +93,7 @@ go test -run '^$' -fuzz '^FuzzFaultsParse$' -fuzztime 10s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./internal/telemetry/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profiles/
 go test -run '^$' -fuzz '^FuzzAddMatrix$' -fuzztime 10s ./internal/service/
+go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 10s ./internal/matrix/
 
 echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
@@ -284,7 +283,7 @@ if [ -z "$ADDR" ]; then
     kill "$SCALING_PID" 2>/dev/null || true
     exit 1
 fi
-for p in /metrics /metrics.json /healthz /spans /health /dashboard /trends.json; do
+for p in /metrics /metrics.json /healthz /spans /health /dashboard; do
     CODE=$(curl -s -o "$TMP/body" -w '%{http_code}' "http://$ADDR$p")
     if [ "$CODE" != 200 ] || ! [ -s "$TMP/body" ]; then
         echo "GET $p returned HTTP $CODE ($(wc -c <"$TMP/body") bytes), want non-empty 200" >&2
@@ -404,20 +403,11 @@ echo "== labeled-profile smoke (spmvbench -cpuprofile, perfreport -profile) =="
 # A short host benchmark run under the CPU profiler must come back
 # with >= 90% of its samples attributed to known phase labels — a hot
 # path losing its pprof label shows up here before it muddies any real
-# profile. The run also appends to a fresh ledger (twice, so the trend
-# smoke below has a sustained tail to look at).
+# profile.
 go run ./cmd/spmvbench -hostbench -host-kernel blocked -host-iters 2 \
     -scale 0.05 -cpuprofile "$TMP/cpu.pprof" -memprofile "$TMP/mem.pprof" \
-    -ledger "$TMP/ledger.jsonl" >/dev/null
-go run ./cmd/spmvbench -hostbench -host-kernel blocked -host-iters 2 \
-    -scale 0.05 -ledger "$TMP/ledger.jsonl" >/dev/null
+    >/dev/null
 go run ./cmd/perfreport -profile "$TMP/cpu.pprof" -check-attributed 0.90
 go run ./cmd/perfreport -profile "$TMP/mem.pprof" >/dev/null
-
-echo "== cross-run trend gate (perfreport -trend over the fresh ledger) =="
-# The two ledger entries appended above come from one command, so every
-# metric is compared like with like; they must pass the
-# sustained-regression gate.
-go run ./cmd/perfreport -trend -gate -ledger "$TMP/ledger.jsonl"
 
 echo "all checks passed"
