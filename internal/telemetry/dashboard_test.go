@@ -133,3 +133,42 @@ func TestServeMuxIncludesRegisteredRoutes(t *testing.T) {
 		t.Fatalf("/tenants.json not JSON: %v", err)
 	}
 }
+
+// TestRegisterHandlerNilRemovesRoute: registering a nil handler takes
+// the route off later muxes and off the dashboard's endpoint list.
+func TestRegisterHandlerNilRemovesRoute(t *testing.T) {
+	RegisterHandler("/probe.json", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}))
+	RegisterHandler("/probe.json", nil)
+	rec := httptest.NewRecorder()
+	serveMux(NewRegistry()).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/probe.json", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("removed route status %d, want 404", rec.Code)
+	}
+	for _, p := range registeredPatterns() {
+		if p == "/probe.json" {
+			t.Fatal("removed route still listed")
+		}
+	}
+}
+
+// TestRegisteredRouteCannotShadowCoreRoute: a handler registered at a
+// core route's pattern is ignored, so the registry and the dashboard
+// keep answering there.
+func TestRegisteredRouteCannotShadowCoreRoute(t *testing.T) {
+	for _, pattern := range []string{"/metrics", "/metrics.json", "/dashboard", "/debug/vars"} {
+		t.Run(pattern, func(t *testing.T) {
+			RegisterHandler(pattern, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				_, _ = w.Write([]byte("shadow"))
+			}))
+			// Not deferred: were serveMux to mount the handler, the
+			// mux's duplicate-pattern panic would leave extraMu held.
+			mux := serveMux(NewRegistry())
+			RegisterHandler(pattern, nil)
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, pattern, nil))
+			if rec.Code != http.StatusOK || rec.Body.String() == "shadow" {
+				t.Fatalf("%s answered %d %q, want the core handler", pattern, rec.Code, rec.Body.String())
+			}
+		})
+	}
+}

@@ -281,6 +281,132 @@ func sameKeys(a, b []string) bool {
 	return slices.Equal(a, b)
 }
 
+// TestReadTolerant: Read keeps only this schema's well-formed lines —
+// blank, foreign-schema and non-JSON lines are skipped, and a last line
+// without its newline still counts when it is complete.
+func TestReadTolerant(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tuning.jsonl")
+	lines := []string{
+		`not json at all`,
+		``,
+		`{"schema":"other/v9","fingerprint":"f9"}`,
+		`{"schema":"` + Schema + `","fingerprint":"keep","device":"devA"}`,
+		`{"schema":"` + Schema + `","fingerprint":"last","device":"devA"}`,
+	}
+	writeRaw(t, path, []byte(strings.Join(lines, "\n")))
+	entries, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []string
+	for _, e := range entries {
+		fps = append(fps, e.Fingerprint)
+	}
+	if !slices.Equal(fps, []string{"keep", "last"}) {
+		t.Fatalf("read fingerprints %v, want [keep last]", fps)
+	}
+}
+
+// TestReadTruncatedTrailingLine: a crash mid-Append leaves a partial
+// JSON object with no newline at the tail. Read returns every complete
+// entry and no error, so a half-written last line never hides the
+// sweeps before it; a garbage tail is equally harmless.
+func TestReadTruncatedTrailingLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tuning.jsonl")
+	for _, fp := range []string{"f1", "f2"} {
+		if err := Append(path, Entry{Fingerprint: fp, Device: "devA"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.TrimRight(whole, "\n")
+	cut = cut[:len(cut)-len(cut)/4]
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := Read(path)
+	if err != nil {
+		t.Fatalf("Read on a truncated DB: %v", err)
+	}
+	if len(entries) != 1 || entries[0].Fingerprint != "f1" {
+		t.Fatalf("entries %+v, want just the first complete entry", entries)
+	}
+
+	garbage := append(slices.Clone(whole), "\x00\xff{\"schema\":\x7f garbled"...)
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err = Read(path)
+	if err != nil {
+		t.Fatalf("Read on a garbage tail: %v", err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("%d entries survive a garbage tail, want 2", len(entries))
+	}
+}
+
+// TestFingerprintStable: the fingerprint is a 16-hex-digit hash of the
+// dimensions and the row-length profile, so values and the columns
+// inside a row do not change it, and any change of profile does.
+func TestFingerprintStable(t *testing.T) {
+	csr := func(rows, cols int, rowPtr []int, colIdx []int32) *matrix.CSR[float64] {
+		t.Helper()
+		m, err := matrix.NewCSR(rows, cols, rowPtr, colIdx, make([]float64, len(colIdx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	base := matgen.Banded(200, 3, 9, 20, 1)
+	fp := Fingerprint(base)
+	if len(fp) != 16 || strings.Trim(fp, "0123456789abcdef") != "" {
+		t.Fatalf("fingerprint %q is not 16 hex digits", fp)
+	}
+	rescaled := base.Clone()
+	for i := range rescaled.Val {
+		rescaled.Val[i] *= -3
+	}
+	// Rows 2,1,0 and 1,1,1 hold three entries each in a 3×3 matrix.
+	skewed := csr(3, 3, []int{0, 2, 3, 3}, []int32{0, 1, 1})
+	even := csr(3, 3, []int{0, 1, 2, 3}, []int32{0, 1, 2})
+	moved := csr(3, 3, []int{0, 1, 2, 3}, []int32{2, 0, 1})
+	wider := csr(3, 4, []int{0, 1, 2, 3}, []int32{0, 1, 2})
+	for _, c := range []struct {
+		name string
+		a, b *matrix.CSR[float64]
+		same bool
+	}{
+		{"same matrix twice", base, base, true},
+		{"values rescaled", base, rescaled, true},
+		{"columns moved within rows", even, moved, true},
+		{"row lengths differ at equal nnz", even, skewed, false},
+		{"column count differs", even, wider, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := Fingerprint(c.a) == Fingerprint(c.b); got != c.same {
+				t.Errorf("fingerprints equal = %v, want %v", got, c.same)
+			}
+		})
+	}
+}
+
+// TestGitRevOncePerProcess: GitRev answers with the checkout the
+// process first asked about, even after the working directory moves
+// out of it.
+func TestGitRevOncePerProcess(t *testing.T) {
+	want := GitRev()
+	if want != "unknown" && strings.Trim(strings.TrimSuffix(want, "-dirty"), "0123456789abcdef") != "" {
+		t.Fatalf("GitRev() = %q, want an abbreviated hex revision or \"unknown\"", want)
+	}
+	t.Chdir(t.TempDir())
+	if got := GitRev(); got != want {
+		t.Fatalf("GitRev() after chdir = %q, want the first answer %q", got, want)
+	}
+}
+
 // FuzzTuningDB: reading a DB's tail in two steps, split at an arbitrary
 // byte, answers every lookup as one Read of its complete lines does,
 // and a completed last line is then picked up. The seed corpus is in
