@@ -111,6 +111,31 @@ func TestDroppedKernelReleasesPool(t *testing.T) {
 	}
 }
 
+// TestClosedKernelFreedByOneCollection: Close disarms the finalizer,
+// so a closed kernel and the matrix it reads are freed by the first
+// collection after they become unreachable. An armed finalizer would
+// keep both until a collection after it has run.
+func TestClosedKernelFreedByOneCollection(t *testing.T) {
+	for _, kind := range Kinds() {
+		freed := make(chan struct{})
+		func() {
+			m := matgen.Banded(2000, 3, 10, 100, 1)
+			runtime.SetFinalizer(&m.Val[0], func(*float64) { close(freed) })
+			k, err := New(kind, m, Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.Close()
+		}()
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: the matrix of a closed kernel outlived a collection", kind)
+		}
+	}
+}
+
 // TestPJDSKernelMatchesMulVecPermuted checks the pJDS host kernel
 // against core's Listing-2 reference in the permuted basis.
 func TestPJDSKernelMatchesMulVecPermuted(t *testing.T) {

@@ -96,6 +96,12 @@ func (k *kernel) apply(y, x []float64, add bool) error {
 	return nil
 }
 
-// Close implements Kernel: releases the worker pool. It is idempotent,
-// so the finalizer may call it again after an explicit Close.
-func (k *kernel) Close() { k.pool.Close() }
+// Close implements Kernel: it releases the worker pool and disarms
+// the finalizer, which is there for kernels dropped without Close. An
+// armed finalizer would keep a closed kernel, and the format its body
+// reads, alive past the collection that finds it unreachable, until a
+// collection after the finalizer has run. Close is idempotent.
+func (k *kernel) Close() {
+	k.pool.Close()
+	runtime.SetFinalizer(k, nil)
+}

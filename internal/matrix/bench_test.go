@@ -3,6 +3,8 @@ package matrix
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -73,26 +75,56 @@ func BenchmarkCOOToCSRWorkers(b *testing.B) {
 	})
 }
 
-// BenchmarkReadMatrixMarket measures the chunked text ingest (parse +
-// CSR assembly) across worker counts on a pre-serialized matrix.
-func BenchmarkReadMatrixMarket(b *testing.B) {
-	m := randomCSR(2000, 2000, 0.01, 3)
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, m); err != nil {
-		b.Fatal(err)
-	}
-	doc := buf.Bytes()
-	b.SetBytes(int64(len(doc)))
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opt := ConvertOptions{Workers: w, ForceParallel: true}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ReadMatrixMarketOpt[float64](bytes.NewReader(doc), opt); err != nil {
-					b.Fatal(err)
-				}
+// mmBenchBody returns a MatrixMarket body shaped like a service upload:
+// 8000 rows of about 12 entries each in a band, values spelled %.17g.
+// The sorted body lists entries by row and column, as WriteMatrixMarket
+// does; the shuffled one repeats every 20th entry and shuffles all
+// lines, so it takes the counting-pass assembly and sums duplicates.
+func mmBenchBody(shuffled bool) (doc []byte, entries int) {
+	const rows = 8000
+	rng := rand.New(rand.NewSource(3))
+	var lines []string
+	for i := 0; i < rows; i++ {
+		for j := max(0, i-40); j < min(rows, i+40); j++ {
+			if rng.Intn(80) < 12 {
+				lines = append(lines, fmt.Sprintf("%d %d %.17g\n", i+1, j+1, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(7)-3))))
 			}
-		})
+		}
+	}
+	if shuffled {
+		for k := 0; k < len(lines); k += 20 {
+			lines = append(lines, lines[k])
+		}
+		rng.Shuffle(len(lines), func(a, b int) { lines[a], lines[b] = lines[b], lines[a] })
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", rows, rows, len(lines))
+	for _, l := range lines {
+		b.WriteString(l)
+	}
+	return b.Bytes(), len(lines)
+}
+
+// BenchmarkReadMatrixMarket measures the chunked text ingest (parse +
+// CSR assembly) across worker counts, on a row-sorted body (copy-only
+// assembly) and a shuffled body with duplicates (counting-pass
+// assembly), reporting ns per entry next to MB/s.
+func BenchmarkReadMatrixMarket(b *testing.B) {
+	for _, shape := range []string{"sorted", "shuffled"} {
+		doc, entries := mmBenchBody(shape == "shuffled")
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape, w), func(b *testing.B) {
+				opt := ConvertOptions{Workers: w, ForceParallel: true}
+				b.SetBytes(int64(len(doc)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := ReadMatrixMarketOpt[float64](bytes.NewReader(doc), opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+			})
+		}
 	}
 }
 

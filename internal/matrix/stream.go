@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,14 +17,25 @@ import (
 // This file implements the chunked, parallel MatrixMarket reader: the
 // stream is cut into blocks of whole lines, a worker pool parses each
 // block into flat (row, col, val) triples, and the ordered per-chunk
-// triples feed the counting-pass CSR assembly of convert.go. Ingest
-// of multi-million-entry files is dominated by number parsing, which
+// triples become the CSR. Ingest is dominated by number parsing, which
 // this parallelizes while keeping the result bit-identical to a
 // sequential parse: chunks are merged strictly in stream order.
+//
+// A line of the plain shape writers emit ("i j value" in ASCII digits)
+// is parsed in one pass, its value by the decimal fast path of
+// mmvalue.go; any other line, and any value the fast path declines,
+// goes through the general per-line parser, which alone decides what
+// is accepted and every error. A general stream whose first nnz
+// entries strictly increase in (row, col) — what WriteMatrixMarket
+// writes — is already in CSR order and is copied into place; every
+// other stream goes through the counting-pass assembly of convert.go.
 
-// mmChunkBytes is the target parser block size. A variable so the
-// tests can force multi-chunk parsing of small fixtures.
-var mmChunkBytes = 1 << 20
+// mmChunkBytes is the target parser block size: small enough that a
+// 2 MB upload gives both workers of a 2-CPU host several blocks, large
+// enough that handing a block to a worker costs nothing next to
+// parsing it. A variable so the tests can force multi-chunk parsing of
+// small fixtures.
+var mmChunkBytes = 256 << 10
 
 // ReadStats reports what the chunked reader saw; cmd/matinfo streams
 // these instead of materializing a COO copy of the file.
@@ -50,6 +63,9 @@ type mmTriples[T Float] struct {
 	row, col []int32
 	val      []T
 	err      error
+	// sorted is the length of the prefix whose entries strictly
+	// increase in (row, col).
+	sorted int
 }
 
 // ReadMatrixMarketOpt parses a MatrixMarket coordinate stream into
@@ -97,6 +113,11 @@ func ReadMatrixMarketOpt[T Float](r io.Reader, opt ConvertOptions) (*CSR[T], Rea
 		return nil, st, fmt.Errorf("matrix: MatrixMarket stream truncated: %d of %d entries", seen, hdr.nnz)
 	}
 
+	if hdr.symmetry == "general" && mmRowSorted(chunks, hdr.nnz) {
+		m := copyCSR(hdr.rows, hdr.cols, hdr.nnz, chunks, opt)
+		st.Entries = int64(m.Nnz())
+		return m, st, nil
+	}
 	sym := hdr.symmetry == "symmetric"
 	limit := hdr.nnz
 	src := func(yield func(int, int32, T)) {
@@ -122,6 +143,85 @@ func ReadMatrixMarketOpt[T Float](r io.Reader, opt ConvertOptions) (*CSR[T], Rea
 	m := assembleCSR(hdr.rows, hdr.cols, hdr.nnz, src, opt)
 	st.Entries = int64(m.Nnz())
 	return m, st, nil
+}
+
+// mmKey orders entries by (row, col).
+func mmKey(row, col int32) int64 { return int64(row)<<32 | int64(col) }
+
+// mmRowSorted reports whether the stream's first nnz entries strictly
+// increase in (row, col): they are then already in CSR order, with no
+// duplicates to sum.
+func mmRowSorted[T Float](chunks []*mmTriples[T], nnz int) bool {
+	left, last := nnz, int64(-1)
+	for _, c := range chunks {
+		n := min(len(c.row), left)
+		if n == 0 {
+			continue
+		}
+		if c.sorted < n || mmKey(c.row[0], c.col[0]) <= last {
+			return false
+		}
+		last = mmKey(c.row[n-1], c.col[n-1])
+		left -= n
+	}
+	return true
+}
+
+// copyCSR assembles the CSR of a row-sorted stream (mmRowSorted): its
+// first nnz entries are ColIdx and Val in order, so workers copy them
+// out of the chunks, and each entry that starts a row sets RowPtr for
+// that row and any empty rows before it. The result is what
+// assembleCSR builds from the same stream, without its scatter and
+// per-row sorts.
+func copyCSR[T Float](rows, cols, nnz int, chunks []*mmTriples[T], opt ConvertOptions) *CSR[T] {
+	done := opt.Phase("csr-copy")
+	defer done()
+	// ends[c] is the stream position after chunk c.
+	ends := make([]int, len(chunks))
+	pos := 0
+	for c, ch := range chunks {
+		pos += len(ch.row)
+		ends[c] = pos
+	}
+	rowPtr := make([]int, rows+1)
+	colIdx := make([]int32, nnz)
+	val := make([]T, nnz)
+	// locate returns the chunk holding stream position p and p's index
+	// in it.
+	locate := func(p int) (int, int) {
+		c := sort.SearchInts(ends, p+1)
+		return c, p - (ends[c] - len(chunks[c].row))
+	}
+	opt.Run(nnz, func(_, lo, hi int) {
+		// Rows up to the previous entry's belong to earlier positions.
+		prev := int32(-1)
+		if lo > 0 {
+			c, k := locate(lo - 1)
+			prev = chunks[c].row[k]
+		}
+		for c, k := locate(lo); lo < hi; c, k = c+1, 0 {
+			ch := chunks[c]
+			n := min(len(ch.row)-k, hi-lo)
+			copy(colIdx[lo:lo+n], ch.col[k:k+n])
+			copy(val[lo:lo+n], ch.val[k:k+n])
+			for e, r := range ch.row[k : k+n] {
+				for q := prev + 1; q <= r; q++ {
+					rowPtr[q] = lo + e
+				}
+				prev = r
+			}
+			lo += n
+		}
+	})
+	last := -1
+	if nnz > 0 {
+		c, k := locate(nnz - 1)
+		last = int(chunks[c].row[k])
+	}
+	for q := last + 1; q <= rows; q++ {
+		rowPtr[q] = nnz
+	}
+	return &CSR[T]{NRows: rows, NCols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
 // readMMHeader parses the banner, comments, and size line.
@@ -206,6 +306,25 @@ func readMMLine(br *bufio.Reader) (string, error) {
 // parses them on a worker pool, returning the chunks in stream order.
 func parseMMChunks[T Float](br *bufio.Reader, hdr mmHeader, opt ConvertOptions) ([]*mmTriples[T], error) {
 	workers := opt.EffectiveWorkers()
+	blocks := mmBlockReader{r: br}
+	if workers <= 1 {
+		var chunks []*mmTriples[T]
+		var buf []byte
+		for {
+			block, err := blocks.next(buf)
+			if err != nil && err != io.EOF {
+				return nil, err
+			}
+			if len(block) > 0 {
+				chunks = append(chunks, parseMMChunk[T](block, hdr))
+			}
+			if err == io.EOF {
+				return chunks, nil
+			}
+			buf = block
+		}
+	}
+
 	type job struct {
 		idx  int
 		data []byte
@@ -214,81 +333,85 @@ func parseMMChunks[T Float](br *bufio.Reader, hdr mmHeader, opt ConvertOptions) 
 		chunks []*mmTriples[T]
 		mu     sync.Mutex
 		wg     sync.WaitGroup
-		jobs   chan job
 	)
-	put := func(idx int, t *mmTriples[T]) {
-		mu.Lock()
-		for len(chunks) <= idx {
-			chunks = append(chunks, nil)
-		}
-		chunks[idx] = t
-		mu.Unlock()
+	// Block buffers circulate between the reader and the workers: at
+	// most one being parsed per worker, one queued per worker, and one
+	// being filled, so a long stream reuses 2·workers+1 buffers.
+	jobs := make(chan job, workers)
+	free := make(chan []byte, 2*workers+1)
+	for i := 0; i < cap(free); i++ {
+		free <- nil
 	}
-	if workers > 1 {
-		jobs = make(chan job, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					put(j.idx, parseMMChunk[T](j.data, hdr))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				t := parseMMChunk[T](j.data, hdr)
+				free <- j.data
+				mu.Lock()
+				for len(chunks) <= j.idx {
+					chunks = append(chunks, nil)
 				}
-			}()
-		}
+				chunks[j.idx] = t
+				mu.Unlock()
+			}
+		}()
 	}
 
-	idx := 0
-	for {
-		block, err := readMMBlock(br)
+	var err error
+	for idx := 0; ; {
+		var block []byte
+		block, err = blocks.next(<-free)
 		if err != nil && err != io.EOF {
-			if workers > 1 {
-				close(jobs)
-				wg.Wait()
-			}
-			return nil, err
+			break
 		}
 		if len(block) > 0 {
-			if workers > 1 {
-				jobs <- job{idx, block}
-			} else {
-				put(idx, parseMMChunk[T](block, hdr))
-			}
+			jobs <- job{idx, block}
 			idx++
 		}
 		if err == io.EOF {
+			err = nil
 			break
 		}
 	}
-	if workers > 1 {
-		close(jobs)
-		wg.Wait()
+	close(jobs)
+	wg.Wait()
+	if err != nil {
+		return nil, err
 	}
 	return chunks, nil
 }
 
-// readMMBlock reads about mmChunkBytes bytes extended to a whole-line
-// boundary. It returns io.EOF (possibly alongside a final block) when
-// the stream ends.
-func readMMBlock(br *bufio.Reader) ([]byte, error) {
-	buf := make([]byte, mmChunkBytes)
-	n, err := io.ReadFull(br, buf)
-	block := buf[:n]
-	switch err {
-	case nil:
-		// Extend to the end of the current line.
-		rest, err2 := br.ReadBytes('\n')
-		block = append(block, rest...)
-		if err2 == io.EOF {
-			return block, io.EOF
+// mmBlockReader cuts a stream into blocks of whole lines.
+type mmBlockReader struct {
+	r     io.Reader
+	carry []byte // the partial line after the previous block's last newline
+}
+
+// next fills buf's storage with the carried partial line plus about
+// mmChunkBytes more bytes and returns the block up to its last
+// newline, carrying the rest to the next call. A line longer than the
+// block grows it. The last block, returned with io.EOF, ends where the
+// stream does, with or without a newline.
+func (b *mmBlockReader) next(buf []byte) ([]byte, error) {
+	buf = append(buf[:0], b.carry...)
+	for {
+		buf = slices.Grow(buf, mmChunkBytes)
+		n, err := io.ReadFull(b.r, buf[len(buf):len(buf)+mmChunkBytes])
+		buf = buf[:len(buf)+n]
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			b.carry = b.carry[:0]
+			return buf, io.EOF
+		default:
+			return buf, err
 		}
-		if err2 != nil {
-			return block, err2
+		if k := bytes.LastIndexByte(buf, '\n'); k >= 0 {
+			b.carry = append(b.carry[:0], buf[k+1:]...)
+			return buf[:k+1], nil
 		}
-		return block, nil
-	case io.ErrUnexpectedEOF, io.EOF:
-		return block, io.EOF
-	default:
-		return block, err
 	}
 }
 
@@ -303,57 +426,154 @@ func parseMMChunk[T Float](data []byte, hdr mmHeader) *mmTriples[T] {
 		col: make([]int32, 0, lines),
 		val: make([]T, 0, lines),
 	}
+	t.err = t.parse(data, hdr)
+	t.sorted = len(t.row)
+	for k := 1; k < len(t.row); k++ {
+		if mmKey(t.row[k], t.col[k]) <= mmKey(t.row[k-1], t.col[k-1]) {
+			t.sorted = k
+			break
+		}
+	}
+	return t
+}
+
+// parse appends the entries of data's lines to t. A line of the plain
+// shape mmFastLine reads is parsed in one pass; every other line goes
+// through parseMMLine, which defines what is accepted and every error.
+func (t *mmTriples[T]) parse(data []byte, hdr mmHeader) error {
 	pattern := hdr.field == "pattern"
 	for len(data) > 0 {
+		if i, j, v, n, ok := mmFastLine(data, pattern); ok && i >= 1 && i <= hdr.rows && j >= 1 && j <= hdr.cols {
+			t.row = append(t.row, int32(i-1))
+			t.col = append(t.col, int32(j-1))
+			t.val = append(t.val, T(v))
+			data = data[n:]
+			continue
+		}
 		var line []byte
 		if k := bytes.IndexByte(data, '\n'); k >= 0 {
 			line, data = data[:k], data[k+1:]
 		} else {
 			line, data = data, nil
 		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 || line[0] == '%' {
+		i, j, v, skip, err := parseMMLine(line, hdr)
+		if err != nil {
+			return err
+		}
+		if skip {
 			continue
-		}
-		f0, rest := mmToken(line)
-		f1, rest := mmToken(rest)
-		i, ok0 := mmAtoi(f0)
-		j, ok1 := mmAtoi(f1)
-		if !ok0 {
-			t.err = fmt.Errorf("matrix: bad row index %q", string(f0))
-			return t
-		}
-		if !ok1 {
-			if len(f1) == 0 {
-				t.err = fmt.Errorf("matrix: short MatrixMarket entry %q", string(line))
-			} else {
-				t.err = fmt.Errorf("matrix: bad column index %q", string(f1))
-			}
-			return t
-		}
-		v := 1.0
-		if !pattern {
-			f2, _ := mmToken(rest)
-			if len(f2) == 0 {
-				t.err = fmt.Errorf("matrix: short MatrixMarket entry %q", string(line))
-				return t
-			}
-			var err error
-			v, err = strconv.ParseFloat(string(f2), 64)
-			if err != nil {
-				t.err = fmt.Errorf("matrix: bad value %q: %v", string(f2), err)
-				return t
-			}
-		}
-		if i < 1 || i > hdr.rows || j < 1 || j > hdr.cols {
-			t.err = fmt.Errorf("matrix: entry (%d,%d) outside %dx%d", i, j, hdr.rows, hdr.cols)
-			return t
 		}
 		t.row = append(t.row, int32(i-1))
 		t.col = append(t.col, int32(j-1))
 		t.val = append(t.val, T(v))
 	}
-	return t
+	return nil
+}
+
+// mmFastLine parses the entry line at the start of data when it has
+// the plain shape writers emit: row and column as unsigned decimal
+// integers of at most 10 digits and, unless pattern, a value
+// parseMMValue converts, separated by spaces or tabs and followed by
+// nothing but spaces, tabs or '\r' up to the newline or the end of
+// data. It returns the indices as written, the value and the length of
+// the line with its newline; ok is false for any other line. Every
+// line it accepts, parseMMLine parses to the same entry.
+func mmFastLine(data []byte, pattern bool) (i, j int, v float64, n int, ok bool) {
+	i, p := mmIndex(data, 0)
+	if p == 0 {
+		return
+	}
+	q := mmBlanks(data, p)
+	if q == p {
+		return
+	}
+	if j, p = mmIndex(data, q); p == q {
+		return
+	}
+	v = 1
+	if !pattern {
+		if q = mmBlanks(data, p); q == p {
+			return
+		}
+		var m int
+		if v, m, ok = parseMMValue(data[q:]); !ok {
+			return
+		}
+		p = q + m
+	}
+	for p < len(data) && (data[p] == ' ' || data[p] == '\t' || data[p] == '\r') {
+		p++
+	}
+	switch {
+	case p == len(data):
+		return i, j, v, p, true
+	case data[p] == '\n':
+		return i, j, v, p + 1, true
+	}
+	return 0, 0, 0, 0, false
+}
+
+// mmIndex reads the decimal digits at data[p:] and returns their value
+// and the position after them. It reads none (returning p) when there
+// are none or more than 10, which keeps the value below mmAtoi's limit.
+func mmIndex(data []byte, p int) (int, int) {
+	x, k := 0, p
+	for k < len(data) && data[k]-'0' <= 9 {
+		x = x*10 + int(data[k]-'0')
+		k++
+	}
+	if k-p > 10 {
+		return 0, p
+	}
+	return x, k
+}
+
+// mmBlanks returns the position after the spaces and tabs at data[p:].
+func mmBlanks(data []byte, p int) int {
+	for p < len(data) && (data[p] == ' ' || data[p] == '\t') {
+		p++
+	}
+	return p
+}
+
+// parseMMLine is the general per-line parser: it trims the line, skips
+// blank and comment lines (skip), and otherwise reads the row, the
+// column and, unless the field is pattern, the value with
+// strconv.ParseFloat, ignoring any further tokens. It returns the first
+// problem as err, including indices outside the header dimensions.
+func parseMMLine(line []byte, hdr mmHeader) (i, j int, v float64, skip bool, err error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '%' {
+		return 0, 0, 0, true, nil
+	}
+	f0, rest := mmToken(line)
+	f1, rest := mmToken(rest)
+	i, ok0 := mmAtoi(f0)
+	j, ok1 := mmAtoi(f1)
+	if !ok0 {
+		return 0, 0, 0, false, fmt.Errorf("matrix: bad row index %q", string(f0))
+	}
+	if !ok1 {
+		if len(f1) == 0 {
+			return 0, 0, 0, false, fmt.Errorf("matrix: short MatrixMarket entry %q", string(line))
+		}
+		return 0, 0, 0, false, fmt.Errorf("matrix: bad column index %q", string(f1))
+	}
+	v = 1.0
+	if hdr.field != "pattern" {
+		f2, _ := mmToken(rest)
+		if len(f2) == 0 {
+			return 0, 0, 0, false, fmt.Errorf("matrix: short MatrixMarket entry %q", string(line))
+		}
+		v, err = strconv.ParseFloat(string(f2), 64)
+		if err != nil {
+			return 0, 0, 0, false, fmt.Errorf("matrix: bad value %q: %v", string(f2), err)
+		}
+	}
+	if i < 1 || i > hdr.rows || j < 1 || j > hdr.cols {
+		return 0, 0, 0, false, fmt.Errorf("matrix: entry (%d,%d) outside %dx%d", i, j, hdr.rows, hdr.cols)
+	}
+	return i, j, v, false, nil
 }
 
 // mmToken splits the next whitespace-delimited token off line.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDashboardShape pins the dashboard page's structure: every
@@ -151,24 +152,70 @@ func TestRegisterHandlerNilRemovesRoute(t *testing.T) {
 	}
 }
 
+// shadowHandler is a registered route that must never answer at a
+// core route's pattern.
+type shadowHandler struct{}
+
+func (shadowHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	_, _ = w.Write([]byte("shadow"))
+}
+
 // TestRegisteredRouteCannotShadowCoreRoute: a handler registered at a
-// core route's pattern is ignored, so the registry and the dashboard
-// keep answering there.
+// core route's pattern is ignored, so the registry, the dashboard,
+// expvar and pprof keep answering there, and Serve starts.
 func TestRegisteredRouteCannotShadowCoreRoute(t *testing.T) {
-	for _, pattern := range []string{"/metrics", "/metrics.json", "/dashboard", "/debug/vars"} {
+	for _, pattern := range []string{
+		"/metrics", "/metrics.json", "/dashboard", "/debug/vars",
+		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile", "/debug/pprof/symbol", "/debug/pprof/trace",
+	} {
 		t.Run(pattern, func(t *testing.T) {
-			RegisterHandler(pattern, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				_, _ = w.Write([]byte("shadow"))
-			}))
+			RegisterHandler(pattern, shadowHandler{})
 			// Not deferred: were serveMux to mount the handler, the
 			// mux's duplicate-pattern panic would leave extraMu held.
 			mux := serveMux(NewRegistry())
+			srv, err := Serve("127.0.0.1:0", NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = srv.Close()
 			RegisterHandler(pattern, nil)
+			req := httptest.NewRequest(http.MethodGet, pattern, nil)
+			if h, _ := mux.Handler(req); h == (shadowHandler{}) {
+				t.Fatalf("%s routed to the registered handler", pattern)
+			}
+			if strings.HasPrefix(pattern, "/debug/pprof/") {
+				return // serving would run a CPU profile or trace
+			}
 			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, pattern, nil))
+			mux.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK || rec.Body.String() == "shadow" {
 				t.Fatalf("%s answered %d %q, want the core handler", pattern, rec.Code, rec.Body.String())
 			}
 		})
+	}
+}
+
+// TestServeMuxPanicReleasesLock: a registered pattern the mux refuses
+// makes serveMux panic, and RegisterHandler still returns afterwards.
+func TestServeMuxPanicReleasesLock(t *testing.T) {
+	const bad = "/{"
+	RegisterHandler(bad, shadowHandler{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("serveMux accepted the malformed pattern %q", bad)
+			}
+		}()
+		serveMux(NewRegistry())
+	}()
+	done := make(chan struct{})
+	go func() {
+		RegisterHandler(bad, nil)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RegisterHandler blocked after serveMux panicked")
 	}
 }

@@ -62,29 +62,35 @@ func registeredPatterns() []string {
 }
 
 // serveMux builds the full introspection mux used by Serve: the
-// registry endpoints, the live dashboard, any registered extra
-// handlers, plus expvar and pprof.
+// registry endpoints, the live dashboard, expvar and pprof (the core
+// routes), plus any registered extra handlers. A registered handler at
+// a core route's pattern is skipped.
 func serveMux(r *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
 	h := r.Handler()
-	mux.Handle("/metrics", h)
-	mux.Handle("/metrics.json", h)
-	mux.Handle("/dashboard", DashboardHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	extraMu.Lock()
-	for pattern, eh := range extraHandlers {
-		switch pattern {
-		case "/metrics", "/metrics.json", "/dashboard", "/debug/vars":
-			continue
-		}
-		mux.Handle(pattern, eh)
+	core := map[string]http.Handler{
+		"/metrics":             h,
+		"/metrics.json":        h,
+		"/dashboard":           DashboardHandler(),
+		"/debug/vars":          expvar.Handler(),
+		"/debug/pprof/":        http.HandlerFunc(pprof.Index),
+		"/debug/pprof/cmdline": http.HandlerFunc(pprof.Cmdline),
+		"/debug/pprof/profile": http.HandlerFunc(pprof.Profile),
+		"/debug/pprof/symbol":  http.HandlerFunc(pprof.Symbol),
+		"/debug/pprof/trace":   http.HandlerFunc(pprof.Trace),
 	}
-	extraMu.Unlock()
+	mux := http.NewServeMux()
+	for pattern, ch := range core {
+		mux.Handle(pattern, ch)
+	}
+	// Deferred: mux.Handle panics on a malformed or conflicting
+	// pattern, and the lock must not outlive that.
+	extraMu.Lock()
+	defer extraMu.Unlock()
+	for pattern, eh := range extraHandlers {
+		if core[pattern] == nil {
+			mux.Handle(pattern, eh)
+		}
+	}
 	return mux
 }
 

@@ -13,7 +13,8 @@
 #     pool, the ingest-and-convert pipeline, host kernels and tuner;
 #   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL,
 #     the Chrome-trace reader, the profile.proto reader, service
-#     matrix uploads and the binary matrix reader;
+#     matrix uploads, the binary matrix reader and the MatrixMarket
+#     reader's decimal fast path against strconv.ParseFloat;
 #   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
 #     beat best-of-3 naive, best-of-3 SELL-8 (the default kind where
 #     core.GroupKernel() is true) must beat best-of-3 blocked CRS, and
@@ -82,7 +83,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, binary matrix reader, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, binary matrix reader, MatrixMarket value fast path, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -94,6 +95,7 @@ go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./i
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profiles/
 go test -run '^$' -fuzz '^FuzzAddMatrix$' -fuzztime 10s ./internal/service/
 go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 10s ./internal/matrix/
+go test -run '^$' -fuzz '^FuzzParseMMValue$' -fuzztime 10s ./internal/matrix/
 
 echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
