@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,9 +320,16 @@ func (s *Server) tenantFor(name string) *tenant {
 // two tenants uploading the same matrix share one pJDS layout and one
 // compiled kernel plan (the cross-tenant plan cache of ROADMAP #2).
 // Only square matrices are accepted — the permuted-basis operator and
-// the CG solver require them.
+// the CG solver require them, and a body longer than MaxUploadBytes is
+// rejected rather than parsed up to the limit.
 func (s *Server) AddMatrix(name string, r io.Reader) (MatrixInfo, error) {
-	csr, _, err := matrix.ReadMatrixMarketOpt[float64](io.LimitReader(r, s.cfg.MaxUploadBytes), matrix.ConvertOptions{})
+	// One byte past the limit tells a body that ends at the limit from
+	// one that goes on.
+	lr := &io.LimitedReader{R: r, N: min(s.cfg.MaxUploadBytes, math.MaxInt64-1) + 1}
+	csr, _, err := matrix.ReadMatrixMarketOpt[float64](lr, matrix.ConvertOptions{})
+	if lr.N == 0 {
+		return MatrixInfo{}, fmt.Errorf("service: upload %q: body exceeds the %d-byte upload limit", name, s.cfg.MaxUploadBytes)
+	}
 	if err != nil {
 		return MatrixInfo{}, fmt.Errorf("service: upload %q: %w", name, err)
 	}

@@ -741,3 +741,32 @@ func TestSpMVWantY(t *testing.T) {
 		}
 	}
 }
+
+// TestUploadLimit: a body exactly MaxUploadBytes long is accepted, and
+// one 6 bytes longer is rejected with an error naming the limit rather
+// than parsed as if it ended there (its last value cut short).
+func TestUploadLimit(t *testing.T) {
+	m := matgen.Stencil2D(4, 4)
+	var buf bytes.Buffer
+	if err := matrix.WriteMatrixMarket(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+
+	s := New(Config{Devices: 1, Registry: telemetry.NewRegistry(), MaxUploadBytes: int64(len(body))})
+	defer s.Close()
+	if _, err := s.AddMatrix("at-limit", bytes.NewReader(body)); err != nil {
+		t.Fatalf("body of exactly MaxUploadBytes: %v", err)
+	}
+
+	limit := int64(len(body) - 6)
+	over := New(Config{Devices: 1, Registry: telemetry.NewRegistry(), MaxUploadBytes: limit})
+	defer over.Close()
+	info, err := over.AddMatrix("over-limit", bytes.NewReader(body))
+	if err == nil {
+		t.Fatalf("body 6 bytes over the limit accepted as %+v", info)
+	}
+	if want := fmt.Sprintf("%d-byte upload limit", limit); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the limit (%q)", err, want)
+	}
+}

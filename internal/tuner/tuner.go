@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -225,14 +226,87 @@ func modelPass(cells []Cell, st matrix.Stats, lens []int, dev *gpu.Device) []int
 	return stored
 }
 
+// dominanceSlack is how much more traffic than a dominated cell its
+// dominating cell may model. 1% is well inside the run-to-run spread
+// of one cell's timed replays (10% and more on a shared host), so a
+// cell within it has no model advantage a measurement could confirm.
+const dominanceSlack = 1.01
+
+// prune marks the cells of an n-row matrix's grid that the
+// measurement pass skips and returns how many it marked. The model
+// pass must have scored them. Two rules apply, and the pJDS reference
+// cell is never pruned:
+//
+//   - the band: a cell modeling more than factor × the grid's best
+//     bytes/nnz;
+//   - dominance: a cell B for which a cell A inside the band models at
+//     most dominanceSlack × B's bytes/nnz and is no worse on an axis
+//     the model does not price (see dominates).
+//
+// groupKernel says whether the SELL kernel runs its eight-lane groups
+// on the AVX-512 group kernel (core.GroupKernel()).
+func prune(cells []Cell, n int, factor float64, groupKernel bool) int {
+	best := math.Inf(1)
+	for _, c := range cells {
+		best = min(best, c.ModelBytesPerNnz)
+	}
+	inBand := make([]bool, len(cells))
+	for i, c := range cells {
+		inBand[i] = c.Format == "pjds" || c.ModelBytesPerNnz <= best*factor
+	}
+	pruned := 0
+	for i, b := range cells {
+		drop := !inBand[i]
+		for j, a := range cells {
+			drop = drop || inBand[j] && a.ModelBytesPerNnz <= dominanceSlack*b.ModelBytesPerNnz &&
+				dominates(a, b, n, groupKernel)
+		}
+		cells[i].Pruned = drop
+		if drop {
+			pruned++
+		}
+	}
+	return pruned
+}
+
+// dominates reports whether cell a is at least as fast as cell b on
+// every axis the Eq. 1 model does not price, so that a model no worse
+// than b's leaves b nothing to win. b is then a SELL or CMRS cell,
+// never pJDS:
+//
+//   - a is a SELL or pJDS cell (pJDS as SELL-32-n) with b's chunk
+//     height and a smaller sorting window, or pJDS itself against its
+//     SELL-32-n duplicate. A larger window that cuts no padding only
+//     permutes rows further from their neighbours' x entries
+//     (arXiv:1307.6209 picks σ as small as the padding allows).
+//   - groupKernel is set, a runs the eight-lane group kernel (a chunk
+//     height that is a multiple of 8) and b runs a lane-by-lane Go
+//     loop (SELL with C = 4, or CMRS).
+func dominates(a, b Cell, n int, groupKernel bool) bool {
+	if a.Format != "sell" && a.Format != "pjds" {
+		return false
+	}
+	ac, as := a.sellGeometry(n)
+	if b.Format == "sell" && b.C == ac && (as < b.Sigma || a.Format == "pjds" && as == b.Sigma) {
+		return true
+	}
+	return groupKernel && ac%8 == 0 && (b.Format == "cmrs" || b.Format == "sell" && b.C%8 != 0)
+}
+
 // Tune sweeps the grid for m and returns the completed entry (not yet
 // persisted — TuneOrLookup handles the DB round trip). Every cell
-// first gets its model score; cells beyond the pruning band are
-// skipped, survivors are measured with warmup + best-of-iters timed
-// replays of the real host kernels. The SELL and pJDS survivors share
-// one layout, sized once for the largest of them and rebuilt in place
-// for each; the CMRS survivors share another.
+// first gets its model score; cells beyond the pruning band or
+// dominated by a cell inside it (see prune) are skipped, survivors are
+// measured with warmup + best-of-iters timed replays of the real host
+// kernels. The SELL and pJDS survivors share one layout, sized once
+// for the largest of them and rebuilt in place for each; the CMRS
+// survivors share another.
 func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
+	return tune(m, name, Fingerprint(m), cfg)
+}
+
+// tune is Tune for a matrix whose Fingerprint is fp.
+func tune(m *matrix.CSR[float64], name, fp string, cfg Config) (*Entry, error) {
 	dev := cfg.device()
 	now := cfg.now()
 	reg := cfg.metrics()
@@ -258,23 +332,13 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 	}
 	cells = append([]Cell(nil), cells...)
 
-	// Model pass: score every cell, then prune beyond the band.
+	// Model pass: score every cell, then prune.
 	tModel := now()
 	stored := modelPass(cells, matrix.ComputeStats(m), lens, dev)
-	best := 0.0
-	for i := range cells {
-		if i == 0 || cells[i].ModelBytesPerNnz < best {
-			best = cells[i].ModelBytesPerNnz
-		}
-	}
-	band := best * cfg.pruneFactor()
-	pruned := 0
+	pruned := prune(cells, m.NRows, cfg.pruneFactor(), core.GroupKernel())
 	var slots int64
 	for i := range cells {
-		if cells[i].Format != "pjds" && cells[i].ModelBytesPerNnz > band {
-			cells[i].Pruned = true
-			pruned++
-		} else {
+		if !cells[i].Pruned {
 			slots = max(slots, stored[i])
 		}
 	}
@@ -334,7 +398,7 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 
 	return &Entry{
 		Matrix:      name,
-		Fingerprint: Fingerprint(m),
+		Fingerprint: fp,
 		Device:      dev.Name,
 		Rows:        m.NRows,
 		Cols:        m.NCols,
@@ -359,7 +423,8 @@ func TuneOrLookup(m *matrix.CSR[float64], name, path string, cfg Config) (*Entry
 	reg := cfg.metrics()
 	reg.Help("tuner_cache_hits_total", "tuning requests answered from the persisted DB")
 	reg.Help("tuner_cache_misses_total", "tuning requests that required a sweep")
-	e, ok, err := indexFor(path).lookup(path, Fingerprint(m), cfg.device().Name)
+	fp := Fingerprint(m)
+	e, ok, err := indexFor(path).lookup(path, fp, cfg.device().Name)
 	if err != nil {
 		return nil, false, err
 	}
@@ -369,7 +434,7 @@ func TuneOrLookup(m *matrix.CSR[float64], name, path string, cfg Config) (*Entry
 		return &e, true, nil
 	}
 	reg.Counter("tuner_cache_misses_total").Inc()
-	tuned, err := Tune(m, name, cfg)
+	tuned, err := tune(m, name, fp, cfg)
 	if err != nil {
 		return nil, false, err
 	}

@@ -319,9 +319,31 @@ func estimateBetaRef(lens []int, c, sigma int) float64 {
 	return float64(stored)/float64(nnz) - 1
 }
 
+// dominatedRef is the dominance rule stated per cell: some cell of
+// grid inside the 1.5× band of best models at most 1.01× b's traffic
+// and is a SELL or pJDS cell with b's C and a smaller σ (pJDS, as
+// SELL-32-n, also against SELL-32-n itself), or, with the group
+// kernel, has C a multiple of 8 while b is SELL-4 or CMRS.
+func dominatedRef(grid []Cell, b Cell, best float64, group bool) bool {
+	for _, a := range grid {
+		if a.Format != "sell" && a.Format != "pjds" ||
+			a.Format == "sell" && a.ModelBytesPerNnz > best*1.5 ||
+			a.ModelBytesPerNnz > 1.01*b.ModelBytesPerNnz {
+			continue
+		}
+		if b.Format == "sell" && a.C == b.C && (a.Sigma < b.Sigma || a.Format == "pjds" && a.Sigma == b.Sigma) {
+			return true
+		}
+		if group && a.C%8 == 0 && (b.Format == "cmrs" || b.Format == "sell" && b.C%8 != 0) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestModelPassMatchesPerCellEstimate pins the model pass bit for bit:
 // over Grid, every cell of a sweep has the β, model bytes and pruning
-// verdict the per-cell estimate gives.
+// verdict (the band, then dominatedRef) the per-cell estimate gives.
 func TestModelPassMatchesPerCellEstimate(t *testing.T) {
 	dev := gpu.TeslaC2070()
 	zoo := zoo(t)
@@ -360,7 +382,7 @@ func TestModelPassMatchesPerCellEstimate(t *testing.T) {
 		}
 		for i, c := range e.Cells {
 			w := want[i]
-			w.Pruned = w.Format != "pjds" && w.ModelBytesPerNnz > best*1.5
+			w.Pruned = w.Format != "pjds" && (w.ModelBytesPerNnz > best*1.5 || dominatedRef(want, w, best, core.GroupKernel()))
 			c.MeasuredNsPerNnz = 0
 			if c != w || math.Float64bits(c.Beta) != math.Float64bits(w.Beta) ||
 				math.Float64bits(c.ModelBytesPerNnz) != math.Float64bits(w.ModelBytesPerNnz) {
@@ -368,4 +390,158 @@ func TestModelPassMatchesPerCellEstimate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// prunedGrid is the default grid for m after the model pass and prune
+// at the default band, with the group kernel on or off.
+func prunedGrid(m *matrix.CSR[float64], groupKernel bool) []Cell {
+	dev := gpu.TeslaC2070()
+	lens := make([]int, m.NRows)
+	for i := range lens {
+		lens[i] = m.RowLen(i)
+	}
+	cells := Grid(m.NRows, dev)
+	modelPass(cells, matrix.ComputeStats(m), lens, dev)
+	prune(cells, m.NRows, 1.5, groupKernel)
+	return cells
+}
+
+// skewed is TestRankFormatsPrefersCMRSOnIrreducibleSkew's matrix: one
+// 1000-entry row among 32 single-entry rows, so no sort removes the
+// padding.
+func skewed() *matrix.CSR[float64] {
+	coo := matrix.NewCOO[float64](33, 1200)
+	for j := 0; j < 1000; j++ {
+		coo.Add(0, j, 1)
+	}
+	for i := 1; i < 33; i++ {
+		coo.Add(i, i, 1)
+	}
+	return coo.ToCSR()
+}
+
+// TestDominancePrune: the measurement pass skips a cell that a cell
+// inside the band matches within 1.01× of its model and beats on an
+// axis the model does not price — a smaller σ at the same C, pJDS
+// against its SELL-32-n duplicate, and, with the group kernel, C ∈
+// {8, 16, 32} against C = 4 and CMRS — and measures everything else.
+func TestDominancePrune(t *testing.T) {
+	zoo := zoo(t)
+	zoo["skewed"] = skewed()
+
+	t.Run("fem", func(t *testing.T) {
+		m := zoo["fem"]
+		for _, c := range prunedGrid(m, true) {
+			if !c.Pruned && (c.Format == "cmrs" || c.Format == "sell" && c.C == 4) {
+				t.Errorf("group kernel: %s measured", c.Label())
+			}
+		}
+		sell4 := false
+		for _, c := range prunedGrid(m, false) {
+			if c.Format == "cmrs" && c.Pruned {
+				t.Errorf("no group kernel: %s pruned", c.Label())
+			}
+			sell4 = sell4 || c.Format == "sell" && c.C == 4 && !c.Pruned
+		}
+		if !sell4 {
+			t.Error("no group kernel: every SELL-4 cell pruned")
+		}
+	})
+
+	t.Run("pjds-duplicate", func(t *testing.T) {
+		for name, m := range zoo {
+			for _, group := range []bool{true, false} {
+				for _, c := range prunedGrid(m, group) {
+					if c.Format == "pjds" && c.Pruned {
+						t.Errorf("%s group=%v: pJDS pruned", name, group)
+					}
+					if c.Format == "sell" && c.C == 32 && c.Sigma == m.NRows && !c.Pruned {
+						t.Errorf("%s group=%v: %s measured beside pJDS", name, group, c.Label())
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("larger-sigma", func(t *testing.T) {
+		// Without the group kernel only the σ rule prunes inside the
+		// band, so a SELL cell falls exactly when a smaller σ (or pJDS)
+		// at its C models within 1.01×.
+		var dropped, kept int
+		for name, m := range zoo {
+			cells := prunedGrid(m, false)
+			best := math.Inf(1)
+			for _, c := range cells {
+				best = min(best, c.ModelBytesPerNnz)
+			}
+			inBand := func(c Cell) bool { return c.Format == "pjds" || c.ModelBytesPerNnz <= 1.5*best }
+			for _, b := range cells {
+				if b.Format != "sell" || !inBand(b) {
+					continue
+				}
+				matched := false
+				for _, a := range cells {
+					smaller := a.Format == "sell" && a.C == b.C && a.Sigma < b.Sigma ||
+						a.Format == "pjds" && b.C == 32 && m.NRows <= b.Sigma
+					matched = matched || smaller && inBand(a) && a.ModelBytesPerNnz <= 1.01*b.ModelBytesPerNnz
+				}
+				if b.Pruned != matched {
+					t.Errorf("%s: %s (%.3f B/nnz) pruned=%v, a smaller σ within 1.01×: %v",
+						name, b.Label(), b.ModelBytesPerNnz, b.Pruned, matched)
+				}
+				if b.Sigma > 1 && b.Pruned {
+					dropped++
+				} else if b.Sigma > 1 {
+					kept++
+				}
+			}
+		}
+		if dropped == 0 || kept == 0 {
+			t.Errorf("σ > 1 cells: %d pruned, %d measured; the zoo should show both", dropped, kept)
+		}
+	})
+
+	t.Run("band-edge", func(t *testing.T) {
+		// SELL-8-1 sits just outside the 1.5× band and within 1.01× of
+		// SELL-8-256, which is inside it: a cell outside the band
+		// dominates nothing, so SELL-8-256 is measured.
+		cells := []Cell{
+			{Format: "pjds", C: 32, Sigma: 1000, ModelBytesPerNnz: 10},
+			{Format: "sell", C: 8, Sigma: 1, ModelBytesPerNnz: 15.05},
+			{Format: "sell", C: 8, Sigma: 256, ModelBytesPerNnz: 15},
+		}
+		if got := prune(cells, 1000, 1.5, true); got != 1 || !cells[1].Pruned || cells[2].Pruned {
+			t.Errorf("pruned %d: %+v, want only SELL-8-1", got, cells)
+		}
+	})
+
+	t.Run("irreducible-skew", func(t *testing.T) {
+		for _, group := range []bool{true, false} {
+			for _, c := range prunedGrid(zoo["skewed"], group) {
+				if c.Format == "cmrs" && c.Pruned {
+					t.Errorf("group=%v: %s pruned where only CMRS saves traffic", group, c.Label())
+				}
+			}
+		}
+	})
+
+	t.Run("ingest-bodies", func(t *testing.T) {
+		for _, name := range []string{"sAMG", "DLR1", "HMEp"} {
+			tm, err := matgen.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scale := range []float64{0.003, 0.005} {
+				measured := 0
+				for _, c := range prunedGrid(tm.Generate(scale, 42), true) {
+					if !c.Pruned {
+						measured++
+					}
+				}
+				if measured > 8 {
+					t.Errorf("%s@%g: %d cells measured, want ≤ 8", name, scale, measured)
+				}
+			}
+		}
+	})
 }

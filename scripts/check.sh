@@ -191,17 +191,30 @@ grep '^digest ' "$TMP/tune1.out" | grep -v ' MATCH ' && {
     cat "$TMP/tune1.out" >&2
     exit 1
 }
+# Each matrix prints its auto/pJDS ratio beside how many cells of its
+# sweep's grid were measured (read from the tuning DB), so a failing
+# run shows the grid the pick came from.
 awk '
+    FILENAME == ARGV[1] {
+        if (match($0, /"matrix":"[^"]*"/)) {
+            name = substr($0, RSTART + 10, RLENGTH - 11)
+            cells = substr($0, index($0, "\"cells\":["))
+            grid[name] = gsub(/"format":/, "", cells)
+            measured[name] = gsub(/"measured_ns_per_nnz":/, "", cells)
+        }
+        next
+    }
     /"matrix":/ { m = $2; gsub(/[",]/, "", m) }
     /"auto_ns_per_nnz":/ { auto = $2 + 0 }
     /"pjds_ns_per_nnz":/ {
         n++
+        printf "%s: auto/pJDS %.2f, %d of %d grid cells measured\n", m, ($2 + 0 > 0 ? auto / ($2 + 0) : 0), measured[m], grid[m]
         if (auto <= 0 || $2 + 0 <= 0 || auto > 1.25 * $2) {
             printf "%s: auto pick %g ns/nnz vs pJDS %g, want within 1.25x\n", m, auto, $2 + 0 > "/dev/stderr"
             bad = 1
         }
     }
-    END { exit bad || n == 0 }' "$TMP/tune1.json" || {
+    END { exit bad || n == 0 }' "$TMP/tuning.jsonl" "$TMP/tune1.json" || {
     cat "$TMP/tune1.json" >&2
     exit 1
 }
