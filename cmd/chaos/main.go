@@ -159,7 +159,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *flightOn || *flightOut != "" {
-		// The dump is one-shot (MaxDumps 1), so the repro pass cannot
+		// The dump is one-shot (one per SetDump), so the repro pass cannot
 		// rewrite the incident trace of the first suite run — and the
 		// report artifact itself stays byte-identical either way.
 		rec := flight.Enable(0, 0)

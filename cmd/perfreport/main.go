@@ -66,7 +66,6 @@ import (
 	"pjds/internal/distmv"
 	"pjds/internal/experiments"
 	"pjds/internal/gpu"
-	"pjds/internal/hostkernel"
 	"pjds/internal/matrix"
 	"pjds/internal/model"
 	"pjds/internal/profiles"
@@ -338,25 +337,6 @@ func runHostReport(w io.Writer, matrixName string, scale float64, iters int, jso
 		BandwidthGBs float64 `json:"bandwidthGBs"`
 		Digest       string  `json:"digest"`
 	}
-	var entries []hostEntry
-	var ref *experiments.HostBenchRow
-	for _, kind := range hostkernel.Kinds() {
-		res, err := experiments.RunHostBench(kind, []string{matrixName}, scale, iters, 0, io.Discard)
-		if err != nil {
-			return err
-		}
-		r := res.Rows[0]
-		if ref == nil {
-			ref = &r
-		}
-		entries = append(entries, hostEntry{
-			Kernel:       r.Kernel,
-			NsPerNnz:     r.NsPerNnz,
-			GFlops:       r.GFlops,
-			BandwidthGBs: r.GBs,
-			Digest:       r.Digest,
-		})
-	}
 	m, err := experiments.Matrix(matrixName, scale)
 	if err != nil {
 		return err
@@ -367,7 +347,20 @@ func runHostReport(w io.Writer, matrixName string, scale float64, iters int, jso
 	if err != nil {
 		return err
 	}
-	experiments.DropCached(matrixName, scale)
+	res, err := experiments.RunHostBench([]string{matrixName}, scale, iters, 0, io.Discard)
+	if err != nil {
+		return err
+	}
+	var entries []hostEntry
+	for _, r := range res.Rows {
+		entries = append(entries, hostEntry{
+			Kernel:       r.Kernel,
+			NsPerNnz:     r.NsPerNnz,
+			GFlops:       r.GFlops,
+			BandwidthGBs: r.GBs,
+			Digest:       r.Digest,
+		})
+	}
 
 	if jsonOut {
 		doc := map[string]any{
@@ -386,7 +379,7 @@ func runHostReport(w io.Writer, matrixName string, scale float64, iters int, jso
 		return enc.Encode(doc)
 	}
 
-	fmt.Fprintf(w, "host kernels: %s scale %g, %d iters (wall-clock on this machine)\n\n", matrixName, scale, iters)
+	fmt.Fprintf(w, "host kernels: %s scale %g, best of %d interleaved rounds (wall-clock on this machine)\n\n", matrixName, scale, iters)
 	fmt.Fprintf(w, "%-10s %10s %10s %14s\n", "kernel", "ns/nnz", "GFLOP/s", "GB/s (Eq.1)")
 	for _, e := range entries {
 		fmt.Fprintf(w, "%-10s %10.2f %10.2f %14.2f\n", e.Kernel, e.NsPerNnz, e.GFlops, e.BandwidthGBs)

@@ -17,7 +17,7 @@
 //	spmvbench -papercheck [-scale 0.1]   # non-zero exit when a claim fails
 //	spmvbench -outlook [-scale 0.1]
 //	spmvbench -ablations [-matrix sAMG] [-scale 0.05]
-//	spmvbench -hostbench [-host-kernel blocked] [-host-iters 5] [-scale 0.1]
+//	spmvbench -hostbench [-host-iters 5] [-scale 0.1]   # every host kernel kind, interleaved
 //	spmvbench -format auto [-tuning-db .spmv/tuning.jsonl] [-tune-json out.json]
 //
 // Observability: -json writes the Table I measurements as a
@@ -67,9 +67,9 @@ func run(args []string, out io.Writer) error {
 		ablations  = fs.Bool("ablations", false, "run the DESIGN.md format/model ablations")
 		outlook    = fs.Bool("outlook", false, "run the §IV outlook format comparison (pJDS vs sliced ELLPACK/ELLR-T/BELLPACK/CSR)")
 		matrixArg  = fs.String("matrix", "sAMG", "matrix for -fig2/-ablations: DLR1, DLR2, HMEp, sAMG, UHBR")
-		hostBench  = fs.Bool("hostbench", false, "benchmark the CPU host kernels on the Table I matrices (wall-clock on this machine)")
-		hostKernel = fs.String("host-kernel", string(hostkernel.DefaultKind()), "host kernel for -hostbench and the process default, one of "+fmt.Sprint(hostkernel.Kinds()))
-		hostIters  = fs.Int("host-iters", 5, "timed applications per matrix for -hostbench")
+		hostBench  = fs.Bool("hostbench", false, "benchmark every CPU host kernel kind on the Table I matrices, interleaved, best of -host-iters rounds (wall-clock on this machine)")
+		hostKernel = fs.String("host-kernel", string(hostkernel.DefaultKind()), "process-default host kernel, one of "+fmt.Sprint(hostkernel.Kinds()))
+		hostIters  = fs.Int("host-iters", 5, "timed rounds per matrix for -hostbench and -format (the best apply counts)")
 		formatArg  = fs.String("format", "", "run the format-selection benchmark: auto (tuner-selected via the tuning DB) or a fixed format (crs, pjds, sell, cmrs)")
 		tuningDB   = fs.String("tuning-db", "", "tuning DB path for -format auto (default "+tuner.DefaultPath+")")
 		tuneJSON   = fs.String("tune-json", "", "write the -format measurements as machine-readable JSON (pjds-tune/v1) to this file")
@@ -172,7 +172,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *hostBench {
-		if _, err := experiments.RunHostBench(kind, nil, *scale, *hostIters, *workers, out); err != nil {
+		if _, err := experiments.RunHostBench(nil, *scale, *hostIters, *workers, out); err != nil {
 			return err
 		}
 	}

@@ -35,8 +35,6 @@ type RecoverConfig struct {
 	// vectors every that many iterations (0 selects 10, negative
 	// disables checkpointing — every rollback restarts from scratch).
 	CheckpointEvery int
-	// MaxRestarts bounds rollback-restart attempts (0 selects 3).
-	MaxRestarts int
 	// Schedule (optional) injects iteration-indexed rank crashes and
 	// per-rank slowdowns.
 	Schedule FaultSchedule
@@ -49,34 +47,30 @@ type RecoverConfig struct {
 	Wire             simnet.Injector
 	Retry            mpi.RetryPolicy
 	HeartbeatSeconds float64
-	// RehostSlowdown is the compute-slowdown multiplier applied to a
-	// logical rank re-hosted on a surviving node after its own node
-	// crashed — and to the rank whose node takes it in, since the two
-	// now share one device. 0 selects 2. Timing-only: keeping all P
-	// logical ranks alive preserves the partition and the reduction
-	// order, which is what makes recovered solves bit-identical.
-	RehostSlowdown float64
-	// RestartSeconds is the modelled rollback overhead charged between
-	// a detected failure and the relaunched attempt (0 selects 500µs).
-	RestartSeconds float64
 	// Inst carries telemetry (metrics, spans, optional device routing)
 	// exactly as for CG.
 	Inst *Instrument
 }
 
+const (
+	// maxRestarts bounds rollback-restart attempts.
+	maxRestarts = 3
+	// rehostSlowdown is the compute-slowdown multiplier applied to a
+	// logical rank re-hosted on a surviving node after its own node
+	// crashed — and to the rank whose node takes it in, since the two
+	// now share one device. Timing-only: keeping all P logical ranks
+	// alive preserves the partition and the reduction order, which is
+	// what makes recovered solves bit-identical.
+	rehostSlowdown = 2
+	// restartSeconds is the modelled rollback overhead charged between
+	// a detected failure and the relaunched attempt.
+	restartSeconds = 500e-6
+)
+
 // withDefaults fills the unset fields with their documented defaults.
 func (cfg RecoverConfig) withDefaults() RecoverConfig {
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 10
-	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 3
-	}
-	if cfg.RehostSlowdown <= 0 {
-		cfg.RehostSlowdown = 2
-	}
-	if cfg.RestartSeconds <= 0 {
-		cfg.RestartSeconds = 500e-6
 	}
 	return cfg
 }
@@ -169,11 +163,11 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 			s = cfg.Schedule.SlowFactor(rank)
 		}
 		if dead[rank] {
-			return s * cfg.RehostSlowdown
+			return s * rehostSlowdown
 		}
 		for f, d := range dead {
 			if d && res.HostOf[f] == rank {
-				return s * cfg.RehostSlowdown
+				return s * rehostSlowdown
 			}
 		}
 		return s
@@ -323,16 +317,16 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 		default:
 			return res, nil, err
 		}
-		if res.Restarts >= cfg.MaxRestarts {
+		if res.Restarts >= maxRestarts {
 			return res, nil, fmt.Errorf("distsolver: recovery gave up after %d restarts: %w", res.Restarts, err)
 		}
 		res.Restarts++
 		reg.Counter("distsolver_rollbacks_total").Inc()
 		failAt = maxClock(clocks)
 		flight.Record(flight.Warn, "solver.rollback", -1, failAt, "rolling back to last checkpoint after detected failure", float64(res.Restarts))
-		resumeBase = failAt + cfg.RestartSeconds
-		res.RecoverySeconds += cfg.RestartSeconds
-		reg.Counter("distsolver_recovery_seconds_total").Add(cfg.RestartSeconds)
+		resumeBase = failAt + restartSeconds
+		res.RecoverySeconds += restartSeconds
+		reg.Counter("distsolver_recovery_seconds_total").Add(restartSeconds)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"pjds/internal/distmv"
 	"pjds/internal/gpu"
+	"pjds/internal/hostkernel"
 	"pjds/internal/matgen"
 )
 
@@ -574,6 +575,38 @@ func TestAblationELLRT(t *testing.T) {
 	for _, p := range pts[:4] {
 		if pj.Extra >= p.Extra {
 			t.Errorf("pJDS stored/nnz %.2f not below %s %.2f", pj.Extra, p.Setting, p.Extra)
+		}
+	}
+}
+
+// TestRunHostBenchDigestsAgree: the host benchmark measures every kind
+// on every matrix, one row per (matrix, kind) with a positive best
+// apply, and every kind of a matrix reproduces the same result bits.
+func TestRunHostBenchDigestsAgree(t *testing.T) {
+	names := []string{"sAMG", "HMEp"}
+	var out bytes.Buffer
+	res, err := RunHostBench(names, 0.003, 2, 1, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := hostkernel.Kinds()
+	if len(res.Rows) != len(names)*len(kinds) {
+		t.Fatalf("%d rows, want %d matrices × %d kinds", len(res.Rows), len(names), len(kinds))
+	}
+	digests := map[string]string{}
+	for i, r := range res.Rows {
+		if want := names[i/len(kinds)]; r.Matrix != want || r.Kernel != string(kinds[i%len(kinds)]) {
+			t.Fatalf("row %d is (%s, %s), want (%s, %s)", i, r.Matrix, r.Kernel, want, kinds[i%len(kinds)])
+		}
+		if r.Best <= 0 || r.Spread < 0 {
+			t.Errorf("%s %s: best %v, spread %v", r.Matrix, r.Kernel, r.Best, r.Spread)
+		}
+		if d, ok := digests[r.Matrix]; ok && d != r.Digest {
+			t.Errorf("%s: %s digest %s differs from %s", r.Matrix, r.Kernel, r.Digest, d)
+		}
+		digests[r.Matrix] = r.Digest
+		if line := "digest " + r.Matrix + " " + r.Kernel + " " + r.Digest + "\n"; !strings.Contains(out.String(), line) {
+			t.Errorf("output lacks %q", line)
 		}
 	}
 }

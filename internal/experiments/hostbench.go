@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"pjds/internal/hostkernel"
@@ -15,8 +16,8 @@ import (
 	"pjds/internal/textplot"
 )
 
-// HostBenchRow is one matrix's measurement of the host-kernel
-// benchmark: wall-clock performance of the selected hostkernel on the
+// HostBenchRow is one (matrix, kind) measurement of the host-kernel
+// benchmark: wall-clock performance of one hostkernel kind on the
 // machine running the experiment, next to the Eq. 1 effective
 // bandwidth it implies and the Westmere model baseline for context.
 type HostBenchRow struct {
@@ -25,13 +26,14 @@ type HostBenchRow struct {
 	Nnz     int64
 	Kernel  string
 	Workers int
-	Iters   int
 
-	// Seconds is the total kernel time of all iterations; NsPerNnz,
-	// GFlops and GBs are derived per application. GBs charges the
-	// minimal DP data traffic of Eq. 1 (12 B/nnz + 24 B/row + 8 B/col),
-	// so it is the effective memory bandwidth at ideal α.
-	Seconds  float64
+	// Best is the fastest timed apply and Spread the slowest minus the
+	// fastest (hostkernel.Measure); NsPerNnz, GFlops and GBs derive
+	// from Best. GBs charges the minimal DP data traffic of Eq. 1
+	// (12 B/nnz + 24 B/row + 8 B/col), so it is the effective memory
+	// bandwidth at ideal α.
+	Best     time.Duration
+	Spread   time.Duration
 	NsPerNnz float64
 	GFlops   float64
 	GBs      float64
@@ -42,90 +44,90 @@ type HostBenchRow struct {
 
 	// Digest is the SHA-256 of the result vector's float64 bits. Two
 	// kernels are byte-identical iff their digests match, which is what
-	// scripts/check.sh diffs between -host-kernel=blocked and =naive.
+	// scripts/check.sh compares across the kinds of each matrix.
 	Digest string
 }
 
 // HostBenchResult is the complete host-kernel benchmark.
 type HostBenchResult struct {
 	Scale  float64
-	Kernel string
+	Rounds int
+	CPUs   int
 	Rows   []HostBenchRow
 }
 
-// RunHostBench measures the selected host kernel on the named paper
-// matrices (nil = Table I set) at the given scale. Each matrix is
-// applied iters times (minimum 1) after one warm-up application; the
-// per-application numbers are averages. Results go to w (may be nil).
-func RunHostBench(kind hostkernel.Kind, names []string, scale float64, iters, workers int, w io.Writer) (*HostBenchResult, error) {
+// RunHostBench measures every hostkernel kind on the named paper
+// matrices (nil = Table I set) at the given scale. For each matrix it
+// builds one kernel per kind and times them together through
+// hostkernel.Measure over rounds rounds (minimum 1), so the kinds of a
+// matrix share whatever load the host carries. Results go to w (may be
+// nil).
+func RunHostBench(names []string, scale float64, rounds, workers int, w io.Writer) (*HostBenchResult, error) {
 	if w == nil {
 		w = io.Discard
 	}
 	if len(names) == 0 {
 		names = Table1Matrices()
 	}
-	if iters < 1 {
-		iters = 1
-	}
-	res := &HostBenchResult{Scale: scale, Kernel: string(kind)}
+	res := &HostBenchResult{Scale: scale, Rounds: max(rounds, 1), CPUs: runtime.NumCPU()}
 	for _, name := range names {
-		// Stage labels on the coordinating goroutine: generation and
-		// format conversion are phase=convert, the measured
-		// applications phase=host. Pool workers carry their own
-		// phase=host labels from construction.
-		profiles.SetPhase(profiles.PhaseConvert)
-		m, err := Matrix(name, scale)
-		if err != nil {
+		if err := res.measure(name, workers); err != nil {
 			return nil, err
 		}
-		k, err := hostkernel.New(kind, m, hostkernel.Options{
-			Workers: workers,
-			Metrics: telemetry.Default(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		profiles.SetPhase(profiles.PhaseHost, "kernel", string(kind))
-		x := testVector(m.NCols)
-		y := make([]float64, m.NRows)
-		if err := k.MulVec(y, x); err != nil { // warm up, surface errors
-			k.Close()
-			return nil, err
-		}
-		t0 := time.Now()
-		for it := 0; it < iters; it++ {
-			if err := k.MulVec(y, x); err != nil {
-				k.Close()
-				return nil, err
-			}
-		}
-		sec := time.Since(t0).Seconds()
-		k.Close()
-
-		nnz := int64(m.Nnz())
-		row := HostBenchRow{
-			Matrix:  name,
-			N:       m.NRows,
-			Nnz:     nnz,
-			Kernel:  string(kind),
-			Workers: workers,
-			Iters:   iters,
-			Seconds: sec,
-			Digest:  digestVector(y),
-		}
-		if perApp := sec / float64(iters); perApp > 0 && nnz > 0 {
-			row.NsPerNnz = perApp * 1e9 / float64(nnz)
-			row.GFlops = 2 * float64(nnz) / perApp / 1e9
-			minBytes := 12*nnz + 24*int64(m.NRows) + 8*int64(m.NCols)
-			row.GBs = float64(minBytes) / perApp / 1e9
-		}
-		if st, err := model.WestmereEP().EstimateCRS(m); err == nil {
-			row.ModelGFlops = st.GFlops
-		}
-		res.Rows = append(res.Rows, row)
 		DropCached(name, scale)
 	}
 	return res, renderHostBench(w, res)
+}
+
+// measure appends one row per kind on the named matrix.
+func (res *HostBenchResult) measure(name string, workers int) error {
+	// Stage labels on the coordinating goroutine: generation and
+	// format conversion are phase=convert, the measured applications
+	// phase=host. Pool workers carry their own phase=host labels from
+	// construction.
+	profiles.SetPhase(profiles.PhaseConvert)
+	m, err := Matrix(name, res.Scale)
+	if err != nil {
+		return err
+	}
+	var ks []hostkernel.Kernel
+	defer func() {
+		for _, k := range ks {
+			k.Close()
+		}
+	}()
+	var ys [][]float64
+	for _, kind := range hostkernel.Kinds() {
+		k, err := hostkernel.New(kind, m, hostkernel.Options{Workers: workers, Metrics: telemetry.Default()})
+		if err != nil {
+			return err
+		}
+		ks = append(ks, k)
+		ys = append(ys, make([]float64, m.NRows))
+	}
+	profiles.SetPhase(profiles.PhaseHost)
+	ts, err := hostkernel.Measure(ks, ys, testVector(m.NCols), res.Rounds)
+	if err != nil {
+		return err
+	}
+
+	nnz := int64(m.Nnz())
+	minBytes := 12*nnz + 24*int64(m.NRows) + 8*int64(m.NCols)
+	row := HostBenchRow{Matrix: name, N: m.NRows, Nnz: nnz, Workers: workers}
+	if st, err := model.WestmereEP().EstimateCRS(m); err == nil {
+		row.ModelGFlops = st.GFlops
+	}
+	for i, k := range ks {
+		r := row
+		r.Kernel, r.Best, r.Spread, r.Digest = k.Name(), ts[i].Best, ts[i].Spread, digestVector(ys[i])
+		if sec := ts[i].Best.Seconds(); sec > 0 && nnz > 0 {
+			r.NsPerNnz = sec * 1e9 / float64(nnz)
+			r.GFlops = 2 * float64(nnz) / sec / 1e9
+			r.GBs = float64(minBytes) / sec / 1e9
+		}
+		res.Rows = append(res.Rows, r)
+	}
+	return nil
 }
 
 // digestVector hashes the float64 bit patterns of y (little-endian),
@@ -142,16 +144,19 @@ func digestVector(y []float64) string {
 }
 
 // renderHostBench prints the benchmark as a table plus one digest line
-// per matrix (the digest lines are what the byte-diff smoke compares).
+// per (matrix, kind) (the digest lines are what the byte-diff smoke
+// compares).
 func renderHostBench(w io.Writer, res *HostBenchResult) error {
-	fmt.Fprintf(w, "\nHost kernel benchmark (kernel %s, scale %g, this machine)\n", res.Kernel, res.Scale)
-	rows := [][]string{{"matrix", "N", "nnz", "ns/nnz", "GF/s", "GB/s (Eq.1)", "Westmere model GF/s"}}
+	fmt.Fprintf(w, "\nHost kernel benchmark (every kind interleaved, best of %d rounds, scale %g, %d CPUs, this machine)\n", res.Rounds, res.Scale, res.CPUs)
+	rows := [][]string{{"matrix", "kernel", "N", "nnz", "ns/nnz", "spread ns/nnz", "GF/s", "GB/s (Eq.1)", "Westmere model GF/s"}}
 	for _, r := range res.Rows {
 		rows = append(rows, []string{
 			r.Matrix,
+			r.Kernel,
 			fmt.Sprint(r.N),
 			fmt.Sprint(r.Nnz),
 			fmt.Sprintf("%.2f", r.NsPerNnz),
+			fmt.Sprintf("%.2f", float64(r.Spread)/float64(max(r.Nnz, 1))),
 			fmt.Sprintf("%.2f", r.GFlops),
 			fmt.Sprintf("%.2f", r.GBs),
 			fmt.Sprintf("%.2f", r.ModelGFlops),
@@ -161,7 +166,7 @@ func renderHostBench(w io.Writer, res *HostBenchResult) error {
 		return err
 	}
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "digest %s %s\n", r.Matrix, r.Digest)
+		fmt.Fprintf(w, "digest %s %s %s\n", r.Matrix, r.Kernel, r.Digest)
 	}
 	return nil
 }

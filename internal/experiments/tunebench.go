@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"pjds/internal/gpu"
 	"pjds/internal/hostkernel"
@@ -24,7 +23,7 @@ type TuneBenchRow struct {
 	Winner   string `json:"winner"`
 	CacheHit bool   `json:"cache_hit"`
 
-	// AutoNsPerNnz is the selected kernel's best-of-iters time;
+	// AutoNsPerNnz is the selected kernel's best-of-rounds time;
 	// PJDSNsPerNnz is the pJDS preset measured the same way in the
 	// same process — the hard gate compares the two.
 	AutoNsPerNnz float64 `json:"auto_ns_per_nnz"`
@@ -123,41 +122,28 @@ func RunTuneBench(format string, names []string, scale float64, iters, workers i
 	return res, renderTuneBench(w, res)
 }
 
-// measureCells times the host kernels of two grid cells on one
-// matrix: both are built and warmed up first, then each of iters
-// rounds times one application of each, so load from a shared host
-// lands on both sides rather than on whichever ran second. It returns
-// each cell's best-of-iters time per nnz and the first cell's result.
+// measureCells times the host kernels of two grid cells on one matrix
+// together through hostkernel.Measure over iters rounds. It returns
+// each cell's best time per nnz and the first cell's result.
 func measureCells(cells [2]tuner.Cell, m *matrix.CSR[float64], workers, iters int, x []float64) ([2]float64, []float64, error) {
 	var ns [2]float64
 	var ks [2]hostkernel.Kernel
-	var ys [2][]float64
+	ys := [][]float64{make([]float64, m.NRows), make([]float64, m.NRows)}
 	for i, c := range cells {
 		k, err := tuner.KernelFor(c, m, workers, nil)
 		if err != nil {
 			return ns, nil, err
 		}
 		defer k.Close()
-		ks[i], ys[i] = k, make([]float64, m.NRows)
-		if err := k.MulVec(ys[i], x); err != nil {
-			return ns, nil, err
-		}
+		ks[i] = k
 	}
-	var best [2]float64
-	for it := 0; it < iters; it++ {
-		for i, k := range ks {
-			t0 := time.Now()
-			if err := k.MulVec(ys[i], x); err != nil {
-				return ns, nil, err
-			}
-			if sec := time.Since(t0).Seconds(); best[i] == 0 || sec < best[i] {
-				best[i] = sec
-			}
-		}
+	ts, err := hostkernel.Measure(ks[:], ys, x, iters)
+	if err != nil {
+		return ns, nil, err
 	}
 	if nnz := m.Nnz(); nnz > 0 {
-		for i := range ns {
-			ns[i] = best[i] * 1e9 / float64(nnz)
+		for i, t := range ts {
+			ns[i] = float64(t.Best.Nanoseconds()) / float64(nnz)
 		}
 	}
 	return ns, ys[0], nil

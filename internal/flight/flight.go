@@ -97,15 +97,14 @@ type spanSlot struct {
 
 // DumpConfig parameterizes triggered dumps.
 type DumpConfig struct {
-	// Path is the trace file written on trigger. With MaxDumps > 1,
-	// later dumps get a numeric suffix before the extension.
+	// Path is the trace file written on trigger. Each SetDump allows
+	// one triggered dump; dumps after a recorder's first get a numeric
+	// suffix before the extension.
 	Path string
 	// MinSeverity arms the automatic trigger: recording an event at or
 	// above it fires a dump. Use ArmedOff to dump only on explicit
 	// Trigger calls.
 	MinSeverity Severity
-	// MaxDumps bounds how many dumps one run may write (0 selects 1).
-	MaxDumps int
 }
 
 // ArmedOff disables the automatic severity trigger.
@@ -238,16 +237,13 @@ func (r *Recorder) Spans() []telemetry.Span {
 	return out
 }
 
-// SetDump configures triggered dumps and arms the severity trigger.
+// SetDump configures triggered dumps, arms the severity trigger and
+// allows one triggered dump.
 func (r *Recorder) SetDump(cfg DumpConfig) {
 	r.dumpMu.Lock()
 	r.dump = cfg
 	r.dumpMu.Unlock()
-	max := cfg.MaxDumps
-	if max <= 0 {
-		max = 1
-	}
-	r.dumpsLeft.Store(int32(max))
+	r.dumpsLeft.Store(1)
 	if cfg.Path == "" || cfg.MinSeverity == ArmedOff {
 		r.armed.Store(0)
 	} else {

@@ -107,7 +107,7 @@ type admitted struct {
 // the response.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, kind string) (admitted, bool) {
 	t := s.tenantFor(tenantName(r))
-	now := s.cfg.Now()
+	now := time.Now()
 	if s.draining.Load() {
 		s.reject(w, t, kind, "draining", http.StatusServiceUnavailable, 5*time.Second)
 		return admitted{}, false
@@ -341,7 +341,7 @@ func (s *Server) StatusNow() Status {
 	return Status{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Draining:       s.draining.Load(),
-		Tier:           s.lad.tier(s.cfg.Now()).String(),
+		Tier:           s.lad.tier(time.Now()).String(),
 		Devices:        len(s.devices),
 		DevicesHealthy: int(s.healthy.Load()),
 		InFlight:       s.adm.inFlight(),

@@ -96,8 +96,6 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Health, when set, drives the reject rung of the ladder.
 	Health *health.Engine
-	// Now is the service clock (nil = time.Now; tests inject one).
-	Now func() time.Time
 }
 
 // MatrixInfo describes one stored matrix.
@@ -244,9 +242,6 @@ func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default()
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
@@ -254,7 +249,7 @@ func New(cfg Config) *Server {
 		adm:      newAdmission(cfg.MaxInFlight, cfg.QueueDepth),
 		matrices: map[string]*matrixEntry{},
 		tenants:  map[string]*tenant{},
-		start:    cfg.Now(),
+		start:    time.Now(),
 		lat:      newLatRing(),
 	}
 	s.baseCtx, s.cancelAll = context.WithCancel(context.Background())
@@ -308,7 +303,7 @@ func (s *Server) tenantFor(name string) *tenant {
 	}
 	t = &tenant{
 		name:   name,
-		bucket: newTokenBucket(s.cfg.TenantRate, s.cfg.TenantBurst, s.cfg.Now()),
+		bucket: newTokenBucket(s.cfg.TenantRate, s.cfg.TenantBurst, time.Now()),
 		lat:    newLatRing(),
 	}
 	s.tenants[name] = t
@@ -366,7 +361,6 @@ func (s *Server) AddMatrix(name string, r io.Reader) (MatrixInfo, error) {
 			Device:  s.cfg.Device,
 			Workers: 1,
 			Metrics: s.reg,
-			Now:     s.cfg.Now,
 		})
 		if terr != nil {
 			op.Close()
@@ -531,7 +525,7 @@ func (o *applyOp) close() {
 // tier.
 func (s *Server) newApplyOp(ctx context.Context, e *matrixEntry) *applyOp {
 	op := &applyOp{ctx: ctx, s: s, e: e, k: e.kernel()}
-	if s.lad.tier(s.cfg.Now()) == TierDevice {
+	if s.lad.tier(time.Now()) == TierDevice {
 		op.d = s.acquireDevice()
 	}
 	return op
@@ -567,7 +561,9 @@ func (s *Server) SpMV(ctx context.Context, e *matrixEntry, req SpMVRequest) (SpM
 	if err := op.Apply(v.outp, xp); err != nil {
 		return SpMVResult{}, err
 	}
-	s.recordTuningLag(e, time.Since(t0))
+	if op.d == nil {
+		s.recordTuningLag(e, time.Since(t0))
+	}
 	y := v.out
 	if req.WantY {
 		y = make([]float64, n) // the response keeps it
@@ -665,7 +661,10 @@ func (s *Server) Solve(ctx context.Context, e *matrixEntry, req SolveRequest) (S
 // ns/nnz, as the per-matrix gauge service_tuning_lag_ratio. The
 // health engine warns past 1.2× (signal "tuning_lag"), catching both
 // stale DB entries and slowdowns the tuner never saw (contention,
-// ApplyDelay, host fallback). No-op when the matrix was not tuned.
+// ApplyDelay). SpMV calls it only for requests that ended on the host
+// rung: the tuner's figure is a host measurement, and a device
+// request's wall-clock is simulation cost (replay, plan compile).
+// No-op when the matrix was not tuned.
 func (s *Server) recordTuningLag(e *matrixEntry, elapsed time.Duration) {
 	if e.tuned == nil || e.tuned.Winner.MeasuredNsPerNnz <= 0 || e.info.Nnz <= 0 {
 		return

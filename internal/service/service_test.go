@@ -505,9 +505,7 @@ func TestRejectsNonSquareUpload(t *testing.T) {
 // TestTuneOnUpload: with Config.TuningDB set, the first upload of a
 // matrix sweeps the (C, σ) grid and persists the winner; re-uploads
 // (same tenant or dedup-shared), and a fresh server against the same
-// DB, answer from the cache without re-sweeping. Serving the matrix
-// publishes the per-matrix service_tuning_lag_ratio gauge that feeds
-// the health engine's tuning_lag signal.
+// DB, answer from the cache without re-sweeping.
 func TestTuneOnUpload(t *testing.T) {
 	db := filepath.Join(t.TempDir(), "tuning.jsonl")
 	reg := telemetry.NewRegistry()
@@ -535,19 +533,6 @@ func TestTuneOnUpload(t *testing.T) {
 		t.Fatalf("dedup upload did not reuse the sweep: %+v", shared)
 	}
 
-	// Serving publishes the lag gauge under the matrix name.
-	var res SpMVResult
-	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 7}, &res)
-	var lag float64
-	for _, mt := range reg.Snapshot() {
-		if mt.Name == "service_tuning_lag_ratio" && mt.Labels["matrix"] == "a" {
-			lag = mt.Value
-		}
-	}
-	if lag <= 0 {
-		t.Fatal("SpMV did not publish service_tuning_lag_ratio")
-	}
-
 	// A fresh server (simulated restart) against the same DB answers
 	// from the persisted entry: cache hit, identical winner, and its
 	// registry never counts a sweep.
@@ -564,6 +549,54 @@ func TestTuneOnUpload(t *testing.T) {
 	}
 	_ = s
 	_ = s2
+}
+
+// TestTuningLagHostRungOnly: the lag gauge divides a request's
+// wall-clock by the tuner's host measurement, so a request served on a
+// healthy device (a simulated replay, plan compile included) publishes
+// no lag series and the health engine's tuning_lag stays Pass, while a
+// request an ECC trip moved to the host rung publishes one under the
+// matrix name.
+func TestTuningLagHostRungOnly(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "tuning.jsonl")
+	reg := telemetry.NewRegistry()
+	eng := health.New(reg, health.Options{Window: 5})
+	_, body := testMatrixBody(t)
+	_, ts := newTestServer(t, Config{
+		Devices: 1, TuningDB: db, Registry: reg,
+		DeviceFaults: func(int) gpu.ECCInjector { return &eccAt{at: 1} },
+	})
+	info := upload(t, ts, "a", body)
+	lag := func() (float64, bool) {
+		for _, mt := range reg.Snapshot() {
+			if mt.Name == "service_tuning_lag_ratio" && mt.Labels["matrix"] == "a" {
+				return mt.Value, true
+			}
+		}
+		return 0, false
+	}
+
+	var res SpMVResult
+	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 7}, &res)
+	if res.Tier != "device" {
+		t.Fatalf("first request ran on the %s tier, want device", res.Tier)
+	}
+	if v, ok := lag(); ok {
+		t.Fatalf("device request published service_tuning_lag_ratio %g", v)
+	}
+	for _, sig := range eng.Tick(1).Signals {
+		if sig.Name == "tuning_lag" && sig.Status != health.Pass {
+			t.Fatalf("tuning_lag %v after one device request: %s", sig.Status, sig.Cause)
+		}
+	}
+
+	post(t, ts, "/v1/spmv", nil, SpMVRequest{Matrix: info.ID, Seed: 7}, &res)
+	if res.Tier != "host" {
+		t.Fatalf("request after the ECC trip ran on the %s tier, want host", res.Tier)
+	}
+	if v, ok := lag(); !ok || v <= 0 {
+		t.Fatalf("host-rung request published lag %g (present %v), want > 0", v, ok)
+	}
 }
 
 // TestTuningDisabledWithoutDB: the zero Config never tunes — no tuned

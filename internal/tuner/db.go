@@ -58,7 +58,7 @@ type Cell struct {
 	// ModelBytesPerNnz is the Eq. 1-style traffic prediction used for
 	// pruning and for the measured-vs-model report.
 	ModelBytesPerNnz float64 `json:"model_bytes_per_nnz"`
-	// MeasuredNsPerNnz is the best-of-iters replay time; 0 when pruned.
+	// MeasuredNsPerNnz is the best of 3 timed replays; 0 when pruned.
 	MeasuredNsPerNnz float64 `json:"measured_ns_per_nnz,omitempty"`
 	// Pruned marks cells the model rejected before measurement.
 	Pruned bool `json:"pruned,omitempty"`

@@ -19,9 +19,7 @@ import (
 const SpanLane = "tune"
 
 // Config parameterizes a sweep. The zero value tunes for the Fermi
-// C2070 with the process-default worker count, one warmup and three
-// timed replays per survivor, a 1.5× model pruning band, and the
-// default DB path.
+// C2070 with the process-default worker count.
 type Config struct {
 	// Device keys the tuning entry and bounds the grid (CMRS strips
 	// must fit a warp); nil selects gpu.TeslaC2070().
@@ -30,52 +28,21 @@ type Config struct {
 	// (0 = process default). Recorded in the entry: timings are only
 	// comparable at the same width.
 	Workers int
-	// Warmup and Iters are the per-candidate replay counts (0 = 1
-	// warmup, 3 timed iterations; the best iteration counts).
-	Warmup, Iters int
-	// PruneFactor drops grid cells whose modeled traffic exceeds
-	// PruneFactor × the grid's best model before any measurement
-	// (0 = 1.5). The pJDS reference cell is never pruned — the
-	// measured-vs-reference gate needs it.
-	PruneFactor float64
-	// Grid overrides the default candidate grid when non-nil.
-	Grid []Cell
 	// Metrics receives the tuner_* counters; nil publishes to
 	// telemetry.Default().
 	Metrics *telemetry.Registry
 	// Spans, when non-nil, receives one span per sweep stage on the
 	// "tune" lane (offsets from the sweep start).
 	Spans *telemetry.SpanLog
-	// Now overrides the clock (tests); nil = time.Now.
-	Now func() time.Time
 }
+
+// pruneFactor is the model band of a sweep: a grid cell whose modeled
+// traffic exceeds pruneFactor × the grid's best model is dropped before
+// any measurement. The pJDS reference cell is never pruned — the
+// measured-vs-reference gate needs it.
+const pruneFactor = 1.5
 
 func (c Config) device() *gpu.Device { return deviceOr(c.Device) }
-
-func (c Config) now() func() time.Time {
-	if c.Now == nil {
-		return time.Now
-	}
-	return c.Now
-}
-
-func (c Config) iters() (warmup, timed int) {
-	warmup, timed = c.Warmup, c.Iters
-	if warmup <= 0 {
-		warmup = 1
-	}
-	if timed <= 0 {
-		timed = 3
-	}
-	return
-}
-
-func (c Config) pruneFactor() float64 {
-	if c.PruneFactor <= 0 {
-		return 1.5
-	}
-	return c.PruneFactor
-}
 
 func (c Config) metrics() *telemetry.Registry {
 	if c.Metrics == nil {
@@ -297,10 +264,10 @@ func dominates(a, b Cell, n int, groupKernel bool) bool {
 // persisted — TuneOrLookup handles the DB round trip). Every cell
 // first gets its model score; cells beyond the pruning band or
 // dominated by a cell inside it (see prune) are skipped, survivors are
-// measured with warmup + best-of-iters timed replays of the real host
-// kernels. The SELL and pJDS survivors share one layout, sized once
-// for the largest of them and rebuilt in place for each; the CMRS
-// survivors share another.
+// measured one at a time through hostkernel.Measure: one untimed
+// apply, then the best of 3 timed ones. The SELL and pJDS survivors
+// share one layout, sized once for the largest of them and rebuilt in
+// place for each; the CMRS survivors share another.
 func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 	return tune(m, name, Fingerprint(m), cfg)
 }
@@ -308,16 +275,15 @@ func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
 // tune is Tune for a matrix whose Fingerprint is fp.
 func tune(m *matrix.CSR[float64], name, fp string, cfg Config) (*Entry, error) {
 	dev := cfg.device()
-	now := cfg.now()
 	reg := cfg.metrics()
-	t0 := now()
+	t0 := time.Now()
 	span := func(stage string, start time.Time) {
 		if cfg.Spans == nil {
 			return
 		}
 		cfg.Spans.Add(telemetry.Span{
 			Lane: SpanLane, Cat: SpanLane, Name: stage,
-			Start: start.Sub(t0).Seconds(), End: now().Sub(t0).Seconds(),
+			Start: start.Sub(t0).Seconds(), End: time.Since(t0).Seconds(),
 		})
 	}
 
@@ -326,16 +292,12 @@ func tune(m *matrix.CSR[float64], name, fp string, cfg Config) (*Entry, error) {
 		lens[i] = m.RowLen(i)
 	}
 
-	cells := cfg.Grid
-	if cells == nil {
-		cells = Grid(m.NRows, dev)
-	}
-	cells = append([]Cell(nil), cells...)
+	cells := Grid(m.NRows, dev)
 
 	// Model pass: score every cell, then prune.
-	tModel := now()
+	tModel := time.Now()
 	stored := modelPass(cells, matrix.ComputeStats(m), lens, dev)
-	pruned := prune(cells, m.NRows, cfg.pruneFactor(), core.GroupKernel())
+	pruned := prune(cells, m.NRows, pruneFactor, core.GroupKernel())
 	var slots int64
 	for i := range cells {
 		if !cells[i].Pruned {
@@ -347,40 +309,32 @@ func tune(m *matrix.CSR[float64], name, fp string, cfg Config) (*Entry, error) {
 	reg.Help("tuner_candidates_pruned_total", "grid cells rejected by the Eq. 1 model before measurement")
 	reg.Counter("tuner_candidates_pruned_total").Add(float64(pruned))
 
-	// Measurement pass: real timed replays of the surviving kernels.
-	warmup, iters := cfg.iters()
+	// Measurement pass: one cell at a time, one untimed apply then the
+	// best of 3 timed ones.
 	nnz := m.Nnz()
 	x := make([]float64, m.NCols)
 	for i := range x {
 		x[i] = 1 + float64(i%7)*0.125
 	}
-	y := make([]float64, m.NRows)
+	ys := [][]float64{make([]float64, m.NRows)}
 	sc := &sweepScratch{layout: core.SELL[float64]{Val: make([]float64, 0, slots), ColIdx: make([]int32, 0, slots)}}
 	winner := -1
 	for i := range cells {
 		if cells[i].Pruned {
 			continue
 		}
-		tc := now()
+		tc := time.Now()
 		k, err := kernelFor(cells[i], m, sc, hostkernel.Options{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
-		bestSec := 0.0
-		for it := 0; it < warmup+iters; it++ {
-			ts := now()
-			if err := k.MulVec(y, x); err != nil {
-				k.Close()
-				return nil, err
-			}
-			sec := now().Sub(ts).Seconds()
-			if it >= warmup && (bestSec == 0 || sec < bestSec) {
-				bestSec = sec
-			}
-		}
+		ts, err := hostkernel.Measure([]hostkernel.Kernel{k}, ys, x, 3)
 		k.Close()
+		if err != nil {
+			return nil, err
+		}
 		if nnz > 0 {
-			cells[i].MeasuredNsPerNnz = bestSec * 1e9 / float64(nnz)
+			cells[i].MeasuredNsPerNnz = float64(ts[0].Best.Nanoseconds()) / float64(nnz)
 		}
 		if winner < 0 || cells[i].MeasuredNsPerNnz < cells[winner].MeasuredNsPerNnz {
 			winner = i

@@ -226,24 +226,28 @@ func TestGridShape(t *testing.T) {
 }
 
 // TestModelPruningMonotone: with a tight band, strictly worse-model
-// cells get pruned; the winner's model score is finite and positive.
+// cells get pruned; the cells left to measure have finite, positive
+// model scores.
 func TestModelPruningMonotone(t *testing.T) {
 	m := matgen.PowerLaw(400, 2, 60, 0.8, 17)
-	e, err := Tune(m, "pl", Config{Workers: 1, PruneFactor: 1.01, Metrics: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
+	dev := gpu.TeslaC2070()
+	lens := make([]int, m.NRows)
+	for i := range lens {
+		lens[i] = m.RowLen(i)
 	}
-	pruned := 0
-	for _, c := range e.Cells {
-		if c.Pruned {
-			pruned++
-		}
-	}
+	cells := Grid(m.NRows, dev)
+	modelPass(cells, matrix.ComputeStats(m), lens, dev)
+	pruned := prune(cells, m.NRows, 1.01, core.GroupKernel())
 	if pruned == 0 {
 		t.Error("a 1.01× band pruned nothing on a skewed matrix")
 	}
-	if math.IsNaN(e.Winner.ModelBytesPerNnz) || e.Winner.ModelBytesPerNnz <= 0 {
-		t.Errorf("winner model score %g", e.Winner.ModelBytesPerNnz)
+	if pruned == len(cells) {
+		t.Fatal("a 1.01× band pruned every cell")
+	}
+	for _, c := range cells {
+		if !c.Pruned && (math.IsNaN(c.ModelBytesPerNnz) || c.ModelBytesPerNnz <= 0) {
+			t.Errorf("%s: model score %g", c.Label(), c.ModelBytesPerNnz)
+		}
 	}
 }
 

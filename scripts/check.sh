@@ -20,7 +20,8 @@
 #     core.GroupKernel() is true) must beat best-of-3 blocked CRS, and
 #     best-of-3 pJDS (SELL-32-N) must stay within 1.25x of best-of-3
 #     SELL-8;
-#   - smokes: host-kernel byte-diff (every -hostbench digest identical),
+#   - smokes: host-kernel byte-diff (one -hostbench run; on each matrix
+#     every kind's digest identical),
 #     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
 #     winner surfaced by matinfo -recommend and perfreport -tune,
 #     second run answered from the tuning-DB cache), conversion
@@ -161,20 +162,35 @@ awk '
     exit 1
 }
 
-echo "== host-kernel byte-diff smoke (blocked and sell vs naive) =="
-# Every host kernel must produce byte-identical results: the digest
-# lines of spmvbench -hostbench hash the float64 bit patterns of y.
-go run ./cmd/spmvbench -hostbench -host-kernel naive -host-iters 1 \
-    -scale 0.02 | grep '^digest ' >"$TMP/host-naive"
-go run ./cmd/spmvbench -hostbench -host-kernel blocked -host-iters 1 \
-    -scale 0.02 | grep '^digest ' >"$TMP/host-blocked"
-go run ./cmd/spmvbench -hostbench -host-kernel sell -host-iters 1 \
-    -scale 0.02 | grep '^digest ' >"$TMP/host-sell"
-go run ./cmd/spmvbench -hostbench -host-kernel cmrs -host-iters 1 \
-    -scale 0.02 | grep '^digest ' >"$TMP/host-cmrs"
-cmp "$TMP/host-naive" "$TMP/host-blocked"
-cmp "$TMP/host-naive" "$TMP/host-sell"
-cmp "$TMP/host-naive" "$TMP/host-cmrs"
+echo "== host-kernel byte-diff smoke (every kind agrees on each matrix) =="
+# Every host kernel must produce byte-identical results. spmvbench
+# -hostbench measures every kind on each matrix, and its lines
+# "digest MATRIX KIND HASH" hash the float64 bit patterns of y.
+go run ./cmd/spmvbench -hostbench -host-iters 1 -scale 0.02 >"$TMP/host-digests.out"
+awk '
+    $1 == "digest" {
+        kinds[$2]++
+        if (!($2 in ref)) {
+            ref[$2] = $4
+            refkind[$2] = $3
+        } else if ($4 != ref[$2]) {
+            printf "%s: %s digest %s differs from %s digest %s\n", $2, $3, $4, refkind[$2], ref[$2] > "/dev/stderr"
+            bad = 1
+        }
+    }
+    END {
+        for (m in kinds) {
+            n++
+            if (kinds[m] < 2) {
+                printf "%s: only %d kind measured\n", m, kinds[m] > "/dev/stderr"
+                bad = 1
+            }
+        }
+        exit bad || n == 0
+    }' "$TMP/host-digests.out" || {
+    cat "$TMP/host-digests.out" >&2
+    exit 1
+}
 
 echo "== format tuning smoke (tune -> recommend -> run, digest + cache gates) =="
 # The auto-tuner sweeps the (C, σ) grid once, every tuned pick must be
