@@ -14,11 +14,12 @@
 //	                      deadlines; exits non-zero on any wrong digest
 //
 // With -tuning-db PATH the service runs the (C, σ) auto-tuner once
-// per uploaded matrix structure (internal/tuner), serves it with the
-// winning format, persists winners in the JSONL tuning DB, and
-// publishes service_tuning_lag_ratio for host-rung requests so the
-// health engine can flag matrices running slower than their tuned
-// prediction.
+// per uploaded matrix structure (internal/tuner), stores the winning
+// format and reports it in the upload response, persists winners in
+// the JSONL tuning DB, and publishes service_tuning_lag_ratio for
+// host-rung requests so the health engine can flag matrices running
+// slower than their tuned prediction. Requests are still served in
+// pJDS whatever the tuner picked.
 //
 // The service shares one port with the whole observability surface:
 // /metrics, /dashboard, /healthz, /spans, /tenants.json and the /v1

@@ -457,6 +457,12 @@ func (s *SELL[T]) MulVec(y, x []T) error {
 // start-up; it is false off amd64.
 func GroupKernel() bool { return useGroupKernel }
 
+// AVX512DQ reports whether the CPU runs AVX-512F and AVX-512DQ
+// instructions on ZMM registers with the OS saving their state, for
+// packages with AVX-512 kernels of their own. It comes from the same
+// start-up probe as GroupKernel and is false off amd64.
+func AVX512DQ() bool { return avx512DQ }
+
 // MulRows is the one numeric SELL-C-σ kernel behind MulVec, the device
 // replay and the host kernels: it computes stored rows [lo, hi),
 // 0 ≤ lo ≤ hi ≤ N, writing stored row i's sum to y[perm[i]] (y[i] when

@@ -10,12 +10,13 @@ import (
 // useGroupKernel selects the AVX-512 group kernel for the eight-lane
 // groups of MulRows. It is fixed at start-up by the CPU and OS; only
 // the package's tests switch it off, to run the Go loop on the same
-// host.
-var useGroupKernel = cpuHasAVX512()
+// host. avx512DQ, fixed by the same probe, backs AVX512DQ.
+var useGroupKernel, avx512DQ = cpuHasAVX512()
 
-// cpuHasAVX512 reports AVX-512F and AVX-512VL with the OS saving the
-// opmask and ZMM registers.
-func cpuHasAVX512() bool
+// cpuHasAVX512 reports AVX-512F with AVX-512VL (fvl) and AVX-512F
+// with AVX-512DQ (dq), each only when the OS saves the opmask and ZMM
+// registers.
+func cpuHasAVX512() (fvl, dq bool)
 
 // groups8F64 and groups8F32 are the assembly group kernels (see
 // sell_amd64.s): they compute stored rows [lo, hi) of chunks starting

@@ -386,12 +386,14 @@ bail:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX512() bool
+// func cpuHasAVX512() (fvl, dq bool)
 //
-// AVX-512F and AVX-512VL in CPUID leaf 7, and the OS saving the
-// opmask and ZMM state (XCR0 bits 1, 2, 5, 6, 7) through XSAVE.
-TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// AVX-512F with AVX-512VL (fvl) and with AVX-512DQ (dq) in CPUID leaf
+// 7, each only when the OS saves the opmask and ZMM state (XCR0 bits
+// 1, 2, 5, 6, 7) through XSAVE.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-2
+	MOVB $0, fvl+0(FP)
+	MOVB $0, dq+1(FP)
 	XORL CX, CX
 	MOVL $0, AX
 	CPUID
@@ -402,19 +404,20 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	CPUID
 	BTL  $27, CX // OSXSAVE
 	JCC  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $16, BX // AVX512F
-	JCC  no
-	BTL  $31, BX // AVX512VL
-	JCC  no
 	XORL CX, CX
 	XGETBV
 	ANDL $0xe6, AX
 	CMPL AX, $0xe6
 	JNE  no
-	MOVB $1, ret+0(FP)
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX // AVX512F
+	JCC  no
+	BTL  $17, BX // AVX512DQ
+	SETCS dq+1(FP)
+	BTL  $31, BX // AVX512VL
+	SETCS fvl+0(FP)
 
 no:
 	RET

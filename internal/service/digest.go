@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"unsafe"
 
@@ -17,6 +18,30 @@ import (
 func DigestVector(y []float64) string {
 	h := newXXH64()
 	writeWords(&h, floatWords(y))
+	return fmt.Sprintf("%016x", h.sum())
+}
+
+// digestGather returns DigestVector(y) for y[i] = yp[inv[i]] without
+// building y: inv inverts a permutation p (inv[p[j]] = j), so y is
+// Scatter(yp, p), the original-basis copy of a permuted-basis result.
+// It runs writeWords' four lanes on the gathered words directly; the
+// loads do not depend on the multiply chains, so they overlap them and
+// the digest costs about what DigestVector does.
+func digestGather(yp []float64, inv []int32) string {
+	h := newXXH64()
+	h.n = uint64(len(inv))
+	v0, v1, v2, v3 := h.v[0], h.v[1], h.v[2], h.v[3]
+	for ; len(inv) >= 4; inv = inv[4:] {
+		v0 = xxhRound(v0, math.Float64bits(yp[inv[0]]))
+		v1 = xxhRound(v1, math.Float64bits(yp[inv[1]]))
+		v2 = xxhRound(v2, math.Float64bits(yp[inv[2]]))
+		v3 = xxhRound(v3, math.Float64bits(yp[inv[3]]))
+	}
+	h.v = [4]uint64{v0, v1, v2, v3}
+	for _, j := range inv {
+		h.tail[h.nt] = math.Float64bits(yp[j])
+		h.nt++
+	}
 	return fmt.Sprintf("%016x", h.sum())
 }
 

@@ -400,28 +400,3 @@ func (s *Server) TenantsNow() []TenantStatus {
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.TenantsNow())
 }
-
-// SeedVector generates the deterministic request vector shared by
-// server and swarm: splitmix64 per element, mapped into [0.5, 1.5) so
-// entries are well away from zero. The swarm's digest gate relies on
-// both sides generating bit-identical vectors from (n, seed).
-func SeedVector(n int, seed uint64) []float64 {
-	x := make([]float64, n)
-	seedFill(x, seed)
-	return x
-}
-
-// seedFill overwrites x with SeedVector(len(x), seed).
-func seedFill(x []float64, seed uint64) {
-	for i := range x {
-		z := seed + uint64(i+1)*0x9e3779b97f4a7c15
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-		// z>>11 < 2⁵³ converts exactly either way; the signed
-		// conversion is one instruction, the unsigned one a branch.
-		x[i] = 0.5 + float64(int64(z>>11))/(1<<53)
-	}
-}

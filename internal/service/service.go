@@ -122,37 +122,49 @@ type MatrixInfo struct {
 }
 
 // matrixEntry is one stored matrix: the pJDS-permuted operator shared
-// by every tenant, a freelist of pJDS host kernels (a kernel carries
-// per-call state, so concurrent requests must not share one) and a
-// pool of request vectors. The vectors sit in a sync.Pool, not a
-// retained freelist, so a matrix no request touches gives them back at
-// the next GCs instead of keeping its busiest moment's vectors alive.
+// by every tenant, the inverse of its permutation, a freelist of pJDS
+// host kernels (a kernel carries per-call state, so concurrent
+// requests must not share one) and a pool of request vectors. The
+// vectors sit in a sync.Pool, not a retained freelist, so a matrix no
+// request touches gives them back at the next GCs instead of keeping
+// its busiest moment's vectors alive.
 type matrixEntry struct {
 	info  MatrixInfo
 	op    *solver.PermutedPJDS
+	inv   []int32      // op.Perm inverted: original row i is permuted row inv[i]
 	tuned *tuner.Entry // nil unless Config.TuningDB tuned this matrix
 	kmu   sync.Mutex
 	ks    []hostkernel.Kernel
 	vecs  sync.Pool // *reqVectors
 }
 
-// reqVectors are one request's n-length vectors: the input in the
-// original basis (a seeded request fills it in place), the input in
-// the permuted basis, the permuted result and the result in the
-// original basis. They hold whatever the previous request left.
+// reqVectors are one request's n-length vectors, both in the permuted
+// basis: the input (a seeded request fills it in place) and the
+// result. They hold whatever the previous request left.
 type reqVectors struct {
-	in, inp, outp, out []float64
+	in, out []float64
 }
 
 // vectors takes a request's vectors from the pool, allocating one
-// block of 4·n floats when it is empty; return them with e.vecs.Put.
+// block of 2·n floats when it is empty; return them with e.vecs.Put.
 func (e *matrixEntry) vectors() *reqVectors {
 	if v, ok := e.vecs.Get().(*reqVectors); ok {
 		return v
 	}
 	n := e.info.Rows
-	b := make([]float64, 4*n)
-	return &reqVectors{in: b[:n:n], inp: b[n : 2*n : 2*n], outp: b[2*n : 3*n : 3*n], out: b[3*n:]}
+	b := make([]float64, 2*n)
+	return &reqVectors{in: b[:n:n], out: b[n:]}
+}
+
+// enter writes the permuted-basis request vector into v.in and returns
+// it: x gathered through the permutation, or, when x is nil, the
+// seeded vector filled straight into that basis.
+func (e *matrixEntry) enter(v *reqVectors, x []float64, seed uint64) []float64 {
+	if x == nil {
+		seedFill(v.in, seed, e.op.Perm)
+		return v.in
+	}
+	return e.op.Enter(v.in, x)
 }
 
 // kernel takes a host kernel from the freelist, building one when the
@@ -352,6 +364,10 @@ func (s *Server) AddMatrix(name string, r io.Reader) (MatrixInfo, error) {
 	e := &matrixEntry{
 		info: MatrixInfo{ID: id, Name: name, Rows: csr.NRows, Cols: csr.NCols, Nnz: int64(len(csr.Val))},
 		op:   op,
+		inv:  make([]int32, len(op.Perm)),
+	}
+	for j, i := range op.Perm {
+		e.inv[i] = int32(j) // rows fit int32, as column indices do
 	}
 	if s.cfg.TuningDB != "" {
 		// Tune once per content fingerprint: re-uploads of the same
@@ -540,38 +556,33 @@ type SpMVResult struct {
 
 // SpMV computes y = A·x for a stored matrix, x being req.X or, when
 // that is nil, SeedVector(n, req.Seed). The caller owns the admission
-// slot already. Every vector but a want_y result comes from the
-// matrix's pool.
+// slot already. The product runs in the pJDS-permuted basis on the
+// matrix's two pooled vectors: a seeded x is filled straight into that
+// basis, and y is digested through the inverse permutation, so only a
+// want_y result is ever built in the original basis.
 func (s *Server) SpMV(ctx context.Context, e *matrixEntry, req SpMVRequest) (SpMVResult, error) {
 	n := e.info.Rows
-	x := req.X
-	if x != nil && len(x) != n {
-		return SpMVResult{}, fmt.Errorf("service: |x|=%d on %dx%d matrix", len(x), n, n)
+	if req.X != nil && len(req.X) != n {
+		return SpMVResult{}, fmt.Errorf("service: |x|=%d on %dx%d matrix", len(req.X), n, n)
 	}
 	v := e.vectors()
 	defer e.vecs.Put(v)
-	if x == nil {
-		x = v.in
-		seedFill(x, req.Seed)
-	}
+	xp := e.enter(v, req.X, req.Seed)
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	xp := e.op.Enter(v.inp, x)
 	t0 := time.Now()
-	if err := op.Apply(v.outp, xp); err != nil {
+	if err := op.Apply(v.out, xp); err != nil {
 		return SpMVResult{}, err
 	}
 	if op.d == nil {
 		s.recordTuningLag(e, time.Since(t0))
 	}
-	y := v.out
+	res := SpMVResult{Tier: op.tierName()}
 	if req.WantY {
-		y = make([]float64, n) // the response keeps it
-	}
-	e.op.Leave(y, v.outp)
-	res := SpMVResult{Digest: DigestVector(y), Tier: op.tierName()}
-	if req.WantY {
-		res.Y = y
+		res.Y = e.op.Leave(make([]float64, n), v.out) // the response keeps it
+		res.Digest = DigestVector(res.Y)
+	} else {
+		res.Digest = digestGather(v.out, e.inv)
 	}
 	return res, nil
 }
@@ -594,8 +605,9 @@ type SolveResult struct {
 // budget ≤ 0 selects 1e-10 or 10·n. On cooperative cancellation
 // (deadline, client gone, drain) it returns the checkpointed state of
 // the current iterate instead of an error, so the work done is not
-// discarded. b, x and their permuted copies come from the matrix's
-// vector pool.
+// discarded. The solve runs in the pJDS-permuted basis on the
+// matrix's two pooled vectors, b and x: a seeded b is filled straight
+// into that basis and x is digested through the inverse permutation.
 func (s *Server) Solve(ctx context.Context, e *matrixEntry, req SolveRequest) (SolveResult, error) {
 	n := e.info.Rows
 	b := req.B
@@ -611,19 +623,14 @@ func (s *Server) Solve(ctx context.Context, e *matrixEntry, req SolveRequest) (S
 	}
 	v := e.vectors()
 	defer e.vecs.Put(v)
-	if b == nil {
-		b = v.in
-		seedFill(b, req.Seed)
-	}
+	bp := e.enter(v, b, req.Seed)
 	op := s.newApplyOp(ctx, e)
 	defer op.close()
-	bp := e.op.Enter(v.inp, b)
-	xp := v.outp
+	xp := v.out
 	clear(xp)
 	cg, err := solver.CG(op, xp, bp, tol, maxIter)
-	x := e.op.Leave(v.out, xp)
 	res := SolveResult{
-		Digest:     DigestVector(x),
+		Digest:     digestGather(xp, e.inv),
 		Tier:       op.tierName(),
 		Iterations: cg.Iterations,
 		Residual:   cg.Residual,

@@ -131,8 +131,10 @@ func NewCGState(a Operator, x, b []float64, h Hooks) (*CGState, error) {
 // reaches maxIter. Serial, distributed and recoverable solves differ
 // only in their hooks.
 func (s *CGState) Run(a Operator, tol float64, maxIter int, h Hooks) (CGResult, error) {
-	x, r, p := s.X, s.R, s.P
-	ap := make([]float64, len(x))
+	x := s.X
+	// Resliced to len(x), so the compiler drops the bounds checks of
+	// the update loops below.
+	r, p, ap := s.R[:len(x)], s.P[:len(x)], make([]float64, len(x))
 	res := CGResult{Iterations: s.Iter}
 	for s.Iter < maxIter {
 		if math.Sqrt(s.RR) <= tol*s.BNorm {
