@@ -205,7 +205,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runBreakdown prints the per-phase costs of one iteration per mode.
+// runBreakdown prints the per-phase costs of rank 0's iteration per
+// mode, in Fig. 4 order.
 func runBreakdown(out io.Writer, name string, scale float64, nodes int, format distmv.FormatKind, gpusPerNode int) error {
 	m, err := experiments.Matrix(name, scale)
 	if err != nil {
@@ -216,15 +217,17 @@ func runBreakdown(out io.Writer, name string, scale float64, nodes int, format d
 		x[i] = 1
 	}
 	for _, mode := range distmv.Modes() {
+		spans := telemetry.NewSpanLog()
 		res, err := distmv.RunSpMVM(m, x, nodes, mode, distmv.Config{
-			Iterations: 1, Format: format, GPUsPerNode: gpusPerNode,
+			Iterations: 1, Format: format, GPUsPerNode: gpusPerNode, Spans: spans,
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\n%s on %d nodes (%.3g s/iter, %.2f GF/s):\n", mode, nodes, res.PerIterSeconds, res.GFlops)
-		for phase, sec := range res.Breakdown() {
-			fmt.Fprintf(out, "  %-18s %8.1f us (%.0f%%)\n", phase, 1e6*sec, 100*sec/res.PerIterSeconds)
+		for _, s := range distmv.Fig4Spans(spans) {
+			sec := s.End - s.Start
+			fmt.Fprintf(out, "  %-18s %8.1f us (%.0f%%)\n", s.Name, 1e6*sec, 100*sec/res.PerIterSeconds)
 		}
 	}
 	return nil

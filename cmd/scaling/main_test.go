@@ -30,12 +30,19 @@ func TestRunTimelineAndBreakdown(t *testing.T) {
 	if !strings.Contains(buf.String(), "Fig. 4") {
 		t.Error("timeline output missing")
 	}
-	buf.Reset()
-	if err := run([]string{"-breakdown", "-matrix", "dlr1", "-scale", "0.01", "-timelinenodes", "2"}, &buf); err != nil {
-		t.Fatal(err)
+	// The breakdown lists each mode's phases in Fig. 4 order, so two
+	// runs print the same bytes.
+	var bd [2]bytes.Buffer
+	for i := range bd {
+		if err := run([]string{"-breakdown", "-matrix", "dlr1", "-scale", "0.01", "-timelinenodes", "2"}, &bd[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.Contains(buf.String(), "local spMVM") {
+	if !strings.Contains(bd[0].String(), "local spMVM") {
 		t.Error("breakdown output missing")
+	}
+	if !bytes.Equal(bd[0].Bytes(), bd[1].Bytes()) {
+		t.Errorf("breakdown differs between runs:\n%s\n---\n%s", bd[0].Bytes(), bd[1].Bytes())
 	}
 }
 

@@ -31,8 +31,13 @@ func main() {
 	fmt.Printf("%-26s %10s %12s\n", "communication scheme", "GF/s", "s/iteration")
 	fmt.Println(strings.Repeat("-", 50))
 	var best *pjds.ClusterResult
+	spans := new(pjds.ClusterSpans) // records the task-mode run
 	for _, mode := range []pjds.Mode{pjds.VectorMode, pjds.NaiveOverlap, pjds.TaskMode} {
-		res, err := pjds.RunCluster(m, x, nodes, mode, pjds.ClusterConfig{Iterations: 3})
+		cfg := pjds.ClusterConfig{Iterations: 3}
+		if mode == pjds.TaskMode {
+			cfg.Spans = spans
+		}
+		res, err := pjds.RunCluster(m, x, nodes, mode, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +50,7 @@ func main() {
 
 	// The Fig. 4 timeline of rank 0's first task-mode iteration.
 	fmt.Printf("\ntask-mode timeline, rank 0 (μs):\n")
-	for _, e := range best.Timeline {
+	for _, e := range pjds.Fig4Timeline(spans) {
 		bar := strings.Repeat("=", 1+int(40*(e.End-e.Start)/best.PerIterSeconds))
 		fmt.Fprintf(os.Stdout, "%-5s %-18s %8.1f..%-8.1f %s\n",
 			e.Lane, e.Name, 1e6*e.Start, 1e6*e.End, bar)

@@ -27,13 +27,6 @@ type Format[T matrix.Float] interface {
 	MulVec(y, x []T) error
 }
 
-// RowPermuted is implemented by formats that reorder rows (JDS, pJDS,
-// sorted sliced ELLPACK); solvers use it to move in and out of the
-// permuted basis exactly once per solve.
-type RowPermuted interface {
-	RowPerm() matrix.Perm
-}
-
 // DataReduction returns the fractional reduction of stored value slots
 // of format b relative to format a: 1 − stored(b)/stored(a). Table I's
 // first row is DataReduction(ELLPACK, pJDS).

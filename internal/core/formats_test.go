@@ -234,7 +234,7 @@ func TestSlicedELLGeometry(t *testing.T) {
 	if g.Name() != "sliced-ELL-sorted" {
 		t.Errorf("name = %q", g.Name())
 	}
-	if !g.RowPerm().Valid() {
+	if !g.Perm.Valid() {
 		t.Error("invalid permutation")
 	}
 }

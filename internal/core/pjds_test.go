@@ -342,7 +342,7 @@ func TestRowPermAndFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.RowPerm().Valid() {
+	if !p.Perm.Valid() {
 		t.Error("invalid row permutation")
 	}
 	// DP footprint: stored*(8+4) + colStart + rowLen + perm.

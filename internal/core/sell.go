@@ -423,9 +423,6 @@ func (s *SELL[T]) ColStart() []int32 {
 	return cs
 }
 
-// RowPerm returns the sorting permutation (new → old).
-func (s *SELL[T]) RowPerm() matrix.Perm { return s.Perm }
-
 // MulVecPermuted computes yp = Ap·xp with stored-row output: xp is the
 // column-space vector and yp receives the results of the sorted rows.
 func (s *SELL[T]) MulVecPermuted(yp, xp []T) error {

@@ -2,6 +2,7 @@ package distmv
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"pjds/internal/matrix"
 	"pjds/internal/model"
 	"pjds/internal/simnet"
+	"pjds/internal/telemetry"
 )
 
 func testMatrix(t *testing.T) *matrix.CSR[float64] {
@@ -253,20 +255,19 @@ func TestRunPJDSFormat(t *testing.T) {
 func TestTimelineShape(t *testing.T) {
 	m := commHeavyMatrix()
 	x := testVec(m.NCols)
-	res, err := RunSpMVM(m, x, 4, TaskMode, Config{Iterations: 1})
-	if err != nil {
+	spans := telemetry.NewSpanLog()
+	if _, err := RunSpMVM(m, x, 4, TaskMode, Config{Iterations: 2, Spans: spans}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline recorded")
-	}
-	names := map[string]bool{}
+	// Rank 0's first iteration only, in Fig. 4 order: the host lane,
+	// then the gpu lane, each in time order.
+	var lanes []string
 	var commEnd, localStart, localEnd, nonLocalStart float64
-	for _, e := range res.Timeline {
+	for _, e := range Fig4Spans(spans) {
 		if e.End < e.Start {
 			t.Errorf("event %q ends before it starts", e.Name)
 		}
-		names[e.Lane+"/"+e.Name] = true
+		lanes = append(lanes, e.Lane+"/"+e.Name)
 		switch e.Name {
 		case "MPI_Waitall":
 			commEnd = e.End
@@ -276,14 +277,26 @@ func TestTimelineShape(t *testing.T) {
 			nonLocalStart = e.Start
 		}
 	}
-	for _, want := range []string{
+	want := []string{
 		"host/local gather", "host/MPI_Isend/Irecv", "host/MPI_Waitall",
 		"gpu/upload RHS", "gpu/local spMVM", "gpu/upload halo",
 		"gpu/non-local spMVM", "gpu/download LHS",
-	} {
-		if !names[want] {
-			t.Errorf("timeline missing %q (have %v)", want, names)
-		}
+	}
+	if !slices.Equal(lanes, want) {
+		t.Errorf("timeline %q, want %q", lanes, want)
+	}
+	// On one rank there is no halo: the host phases take no time and
+	// share one start, and still keep Fig. 4 order.
+	single := telemetry.NewSpanLog()
+	if _, err := RunSpMVM(m, x, 1, TaskMode, Config{Iterations: 1, Spans: single}); err != nil {
+		t.Fatal(err)
+	}
+	lanes = lanes[:0]
+	for _, e := range Fig4Spans(single) {
+		lanes = append(lanes, e.Lane+"/"+e.Name)
+	}
+	if !slices.Equal(lanes, want) {
+		t.Errorf("one-rank timeline %q, want %q", lanes, want)
 	}
 	// Fig. 4: the communication window and the local kernel overlap;
 	// the non-local kernel starts only after both are done.
@@ -298,11 +311,15 @@ func TestTimelineShape(t *testing.T) {
 func TestResultBreakdown(t *testing.T) {
 	m := commHeavyMatrix()
 	x := testVec(m.NCols)
-	res, err := RunSpMVM(m, x, 4, NaiveOverlap, Config{Iterations: 1})
+	spans := telemetry.NewSpanLog()
+	res, err := RunSpMVM(m, x, 4, NaiveOverlap, Config{Iterations: 1, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := res.Breakdown()
+	bd := map[string]float64{}
+	for _, e := range Fig4Spans(spans) {
+		bd[e.Name] += e.End - e.Start
+	}
 	for _, phase := range []string{"local spMVM", "non-local spMVM", "MPI_Waitall", "upload RHS", "download LHS"} {
 		if bd[phase] <= 0 {
 			t.Errorf("phase %q missing from breakdown: %v", phase, bd)

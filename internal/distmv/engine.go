@@ -90,7 +90,7 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 
 		it := &iterState{
 			c: c, rp: rp, prof: prof, cfg: cfg, x: xExt[:nloc], want: xExt[nloc:],
-			mode: mode, spans: cfg.Spans,
+			mode: mode,
 		}
 
 		if err := c.Barrier(); err != nil {
@@ -99,23 +99,18 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 		start := c.Clock()
 		for n := 0; n < cfg.Iterations; n++ {
 			it.iter = n
-			recordEvents := c.Rank() == 0 && n == 0
-			var events []Event
 			switch mode {
 			case VectorMode:
-				events, err = it.vectorMode(n, recordEvents)
+				err = it.vectorMode(n)
 			case NaiveOverlap:
-				events, err = it.naiveOverlap(n, recordEvents)
+				err = it.naiveOverlap(n)
 			case TaskMode:
-				events, err = it.taskMode(n, recordEvents)
+				err = it.taskMode(n)
 			default:
 				err = fmt.Errorf("distmv: unknown mode %d", mode)
 			}
 			if err != nil {
 				return err
-			}
-			if recordEvents {
-				res.Timeline = events
 			}
 		}
 		end, err := c.AllreduceMax(c.Clock())
@@ -175,10 +170,8 @@ type iterState struct {
 	x    []float64 // this rank's local x values
 	want []float64 // expected halo values, for verification
 	mode Mode
-	// spans (nil = off) collects every rank's phase spans; iter is the
-	// current timed iteration, stamped into each span's args.
-	spans *telemetry.SpanLog
-	iter  int
+	// iter is the current timed iteration, stamped into each span's args.
+	iter int
 }
 
 // laneCat maps a timeline lane to its trace category: the host lane
@@ -190,19 +183,19 @@ func laneCat(lane string) string {
 	return "comm"
 }
 
-// emit records e into the run's span log (when attached) with the
-// rank, category, and iteration context the Fig. 4 Event type omits.
-func (s *iterState) emit(e Event) {
-	if s.spans == nil {
+// emit records one phase interval into the run's span log (nil = off)
+// with the rank, category, and iteration context.
+func (s *iterState) emit(lane, name string, start, end float64) {
+	if s.cfg.Spans == nil {
 		return
 	}
-	s.spans.Add(telemetry.Span{
+	s.cfg.Spans.Add(telemetry.Span{
 		Proc:  s.c.Rank(),
-		Lane:  e.Lane,
-		Cat:   laneCat(e.Lane),
-		Name:  e.Name,
-		Start: e.Start,
-		End:   e.End,
+		Lane:  lane,
+		Cat:   laneCat(lane),
+		Name:  name,
+		Start: start,
+		End:   end,
 		Args: map[string]string{
 			"iteration": strconv.Itoa(s.iter),
 			"mode":      s.mode.Slug(),
@@ -264,126 +257,100 @@ func (s *iterState) absorbHalo(recvs []*mpi.Request) error {
 	return nil
 }
 
-// span runs f, logs the covered virtual duration as a telemetry span,
-// and returns it as a named Fig. 4 event.
-func (s *iterState) span(lane, name string, f func()) Event {
-	e := Event{Lane: lane, Name: name, Start: s.c.Clock()}
+// span runs f and logs the virtual interval it covered as a phase span.
+func (s *iterState) span(lane, name string, f func()) {
+	start := s.c.Clock()
 	f()
-	e.End = s.c.Clock()
-	s.emit(e)
-	return e
+	s.emit(lane, name, start, s.c.Clock())
 }
 
 // vectorMode: gather → exchange → upload full RHS → single-step
 // kernel → download. Everything serialized (§III-A, first bullet).
-func (s *iterState) vectorMode(n int, record bool) ([]Event, error) {
+func (s *iterState) vectorMode(n int) error {
 	c, link := s.c, s.cfg.Link
-	var ev []Event
-	add := func(e Event) {
-		if record {
-			ev = append(ev, e)
-		}
-	}
-	add(s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) }))
+	s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) })
 	var recvs, sends []*mpi.Request
-	add(s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) }))
+	s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) })
 	var err error
-	add(s.span("host", "MPI_Waitall", func() {
+	s.span("host", "MPI_Waitall", func() {
 		if err = c.Waitall(append(append([]*mpi.Request{}, sends...), recvs...)); err == nil {
 			err = s.absorbHalo(recvs)
 		}
-	}))
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nloc := s.rp.LocalRows()
-	add(s.span("gpu", "upload RHS", func() {
+	s.span("gpu", "upload RHS", func() {
 		c.Advance(link.TransferSeconds(int64(8 * (nloc + s.rp.HaloSize()))))
-	}))
-	add(s.span("gpu", "spMVM", func() { c.Advance(s.prof.Merged.KernelSeconds) }))
-	add(s.span("gpu", "download LHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) }))
-	return ev, nil
+	})
+	s.span("gpu", "spMVM", func() { c.Advance(s.prof.Merged.KernelSeconds) })
+	s.span("gpu", "download LHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) })
+	return nil
 }
 
 // naiveOverlap: nonblocking MPI posted around the local kernel
 // (§III-A, second bullet). Whether any overlap actually happens is
 // decided by Fabric.AsyncProgress.
-func (s *iterState) naiveOverlap(n int, record bool) ([]Event, error) {
+func (s *iterState) naiveOverlap(n int) error {
 	c, link := s.c, s.cfg.Link
-	var ev []Event
-	add := func(e Event) {
-		if record {
-			ev = append(ev, e)
-		}
-	}
-	add(s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) }))
+	s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) })
 	var recvs, sends []*mpi.Request
-	add(s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) }))
+	s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) })
 	nloc := s.rp.LocalRows()
-	add(s.span("gpu", "upload RHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) }))
-	add(s.span("gpu", "local spMVM", func() { c.Advance(s.prof.Local.KernelSeconds) }))
+	s.span("gpu", "upload RHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) })
+	s.span("gpu", "local spMVM", func() { c.Advance(s.prof.Local.KernelSeconds) })
 	var err error
-	add(s.span("host", "MPI_Waitall", func() {
+	s.span("host", "MPI_Waitall", func() {
 		if err = c.Waitall(append(append([]*mpi.Request{}, sends...), recvs...)); err == nil {
 			err = s.absorbHalo(recvs)
 		}
-	}))
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	add(s.span("gpu", "upload halo", func() { c.Advance(link.TransferSeconds(int64(8 * s.rp.HaloSize()))) }))
-	add(s.span("gpu", "non-local spMVM", func() { c.Advance(s.prof.NonLocal.KernelSeconds) }))
-	add(s.span("gpu", "download LHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) }))
-	return ev, nil
+	s.span("gpu", "upload halo", func() { c.Advance(link.TransferSeconds(int64(8 * s.rp.HaloSize()))) })
+	s.span("gpu", "non-local spMVM", func() { c.Advance(s.prof.NonLocal.KernelSeconds) })
+	s.span("gpu", "download LHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) })
+	return nil
 }
 
 // taskMode: thread 0 drives MPI while the GPU computes the local part
 // (Fig. 4); the two timelines join before the non-local part.
-func (s *iterState) taskMode(n int, record bool) ([]Event, error) {
+func (s *iterState) taskMode(n int) error {
 	c, link := s.c, s.cfg.Link
-	var ev []Event
-	add := func(e Event) {
-		if record {
-			ev = append(ev, e)
-		}
-	}
 	t0 := c.Clock()
 
 	// Communication thread: gather, post, and immediately drive the
 	// transfers to completion (this is what the dedicated thread is
 	// for — reliably asynchronous communication).
-	add(s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) }))
+	s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) })
 	var recvs, sends []*mpi.Request
-	add(s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) }))
+	s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) })
 	var err error
-	add(s.span("host", "MPI_Waitall", func() {
+	s.span("host", "MPI_Waitall", func() {
 		if err = c.Waitall(append(append([]*mpi.Request{}, sends...), recvs...)); err == nil {
 			err = s.absorbHalo(recvs)
 		}
-	}))
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// GPU thread, concurrent from t0: upload local RHS, local kernel.
 	nloc := s.rp.LocalRows()
 	up := link.TransferSeconds(int64(8 * nloc))
 	gpuDone := t0 + up + s.prof.Local.KernelSeconds
-	upEv := Event{Lane: "gpu", Name: "upload RHS", Start: t0, End: t0 + up}
-	locEv := Event{Lane: "gpu", Name: "local spMVM", Start: t0 + up, End: gpuDone}
-	s.emit(upEv)
-	s.emit(locEv)
-	if record {
-		ev = append(ev, upEv, locEv)
-	}
+	s.emit("gpu", "upload RHS", t0, t0+up)
+	s.emit("gpu", "local spMVM", t0+up, gpuDone)
 	// Join: the non-local part needs both the halo and the GPU.
 	if gpuDone > c.Clock() {
 		c.SetClock(gpuDone)
 	}
-	add(s.span("gpu", "upload halo", func() { c.Advance(link.TransferSeconds(int64(8 * s.rp.HaloSize()))) }))
-	add(s.span("gpu", "non-local spMVM", func() { c.Advance(s.prof.NonLocal.KernelSeconds) }))
-	add(s.span("gpu", "download LHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) }))
-	return ev, nil
+	s.span("gpu", "upload halo", func() { c.Advance(link.TransferSeconds(int64(8 * s.rp.HaloSize()))) })
+	s.span("gpu", "non-local spMVM", func() { c.Advance(s.prof.NonLocal.KernelSeconds) })
+	s.span("gpu", "download LHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) })
+	return nil
 }
 
 // VerifyAgainstSerial compares a distributed result with the serial

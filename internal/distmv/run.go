@@ -2,6 +2,8 @@ package distmv
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
@@ -95,10 +97,11 @@ type Config struct {
 	// wire traffic, halo structure, and run-level performance. Nil
 	// selects telemetry.Default().
 	Telemetry *telemetry.Registry
-	// Spans, when non-nil, receives the per-rank, per-lane phase
-	// spans of every timed iteration on every rank — the generalized
-	// form of Result.Timeline (which keeps only rank 0's first
-	// iteration) consumed by the telemetry.WriteTrace exporter.
+	// Spans, when non-nil, receives the phase spans of every timed
+	// iteration on every rank (host and gpu lanes) plus the mpi lane's
+	// message-passing spans: the input of the telemetry.WriteTrace
+	// exporter, and of Fig4Spans for the Fig. 4 timeline. Nil records
+	// nothing.
 	Spans *telemetry.SpanLog
 	// Faults injects wire-level faults (drops, delays, duplicates,
 	// link degradation) into the halo exchanges; nil runs healthy.
@@ -132,23 +135,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one block of the Fig. 4 timeline, recorded on rank 0's
-// first iteration.
-type Event struct {
-	Lane  string // "host" (thread 0) or "gpu"
-	Name  string
-	Start float64
-	End   float64
+// fig4Phases lists the Fig. 4 phases in the order each lane runs them.
+// It orders phases that start at the same instant, as the zero-length
+// exchange and halo phases of a rank without halo do.
+var fig4Phases = []string{
+	"local gather", "MPI_Isend/Irecv", "MPI_Waitall",
+	"upload RHS", "spMVM", "local spMVM", "upload halo", "non-local spMVM", "download LHS",
 }
 
-// Breakdown sums the recorded first-iteration phase durations of rank
-// 0 by event name, in seconds. In task mode the host and GPU lanes
-// overlap, so the parts may sum to more than the iteration wallclock.
-func (r *Result) Breakdown() map[string]float64 {
-	out := map[string]float64{}
-	for _, e := range r.Timeline {
-		out[e.Name] += e.End - e.Start
+// Fig4Spans selects the Fig. 4 timeline from a run recorded into log:
+// rank 0's first-iteration spans on the host and gpu lanes, the host
+// lane first, then each lane by start time.
+func Fig4Spans(log *telemetry.SpanLog) []telemetry.Span {
+	var out []telemetry.Span
+	for _, s := range log.Spans() {
+		if s.Proc == 0 && (s.Lane == "host" || s.Lane == "gpu") && s.Args["iteration"] == "0" {
+			out = append(out, s)
+		}
 	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		switch {
+		case a.Lane != b.Lane:
+			return a.Lane == "host"
+		case a.Start != b.Start:
+			return a.Start < b.Start
+		}
+		return slices.Index(fig4Phases, a.Name) < slices.Index(fig4Phases, b.Name)
+	})
 	return out
 }
 
@@ -179,8 +193,6 @@ type Result struct {
 	GFlops float64
 	// Y is the assembled global result vector, for verification.
 	Y []float64
-	// Ranks reports the per-rank structure; Timeline holds rank 0's
-	// first-iteration event trace (Fig. 4).
-	Ranks    []RankReport
-	Timeline []Event
+	// Ranks reports the per-rank structure.
+	Ranks []RankReport
 }

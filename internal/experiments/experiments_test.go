@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -349,17 +350,23 @@ func TestRunWeakScaling(t *testing.T) {
 	}
 }
 
+// TestRunFig4Timeline pins the Fig. 4 Gantt byte for byte: the spans
+// distmv.Fig4Spans selects, their order and their virtual times.
 func TestRunFig4Timeline(t *testing.T) {
 	var buf bytes.Buffer
 	events, err := RunFig4Timeline("DLR1", tinyScale, 4, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) < 6 {
-		t.Fatalf("only %d events", len(events))
+	if len(events) != 8 {
+		t.Fatalf("%d events, want 8", len(events))
 	}
-	if !strings.Contains(buf.String(), "Fig. 4") {
-		t.Error("gantt label missing")
+	want, err := os.ReadFile(filepath.Join("testdata", "fig4_dlr1_p4.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Fig. 4 timeline drifted from testdata/fig4_dlr1_p4.golden:\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 

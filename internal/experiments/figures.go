@@ -230,9 +230,9 @@ func RunFig5(cfg Fig5Config, w io.Writer) ([]ScalingPoint, error) {
 	return points, err
 }
 
-// RunFig4Timeline produces the Fig. 4 event timeline: one task-mode
-// iteration on rank 0.
-func RunFig4Timeline(name string, scale float64, p int, w io.Writer) ([]distmv.Event, error) {
+// RunFig4Timeline produces the Fig. 4 timeline: one task-mode
+// iteration on rank 0, as selected by distmv.Fig4Spans.
+func RunFig4Timeline(name string, scale float64, p int, w io.Writer) ([]telemetry.Span, error) {
 	if w == nil {
 		w = io.Discard
 	}
@@ -241,16 +241,13 @@ func RunFig4Timeline(name string, scale float64, p int, w io.Writer) ([]distmv.E
 		return nil, err
 	}
 	x := testVector(m.NCols)
-	res, err := distmv.RunSpMVM(m, x, p, distmv.TaskMode, distmv.Config{Iterations: 1})
-	if err != nil {
+	recorded := telemetry.NewSpanLog()
+	if _, err := distmv.RunSpMVM(m, x, p, distmv.TaskMode, distmv.Config{Iterations: 1, Spans: recorded}); err != nil {
 		return nil, err
 	}
-	spans := make([]textplot.Span, len(res.Timeline))
-	for i, e := range res.Timeline {
-		spans[i] = textplot.Span{Lane: e.Lane, Name: e.Name, Start: e.Start, End: e.End}
-	}
+	spans := distmv.Fig4Spans(recorded)
 	err = textplot.Gantt(w, fmt.Sprintf("Fig. 4 — task-mode timeline, %s on %d nodes, rank 0", name, p), 64, spans)
-	return res.Timeline, err
+	return spans, err
 }
 
 // Sec2BReport carries the §II-B performance-model numbers.

@@ -20,7 +20,7 @@ type ECCInjector interface {
 // kernel launch. Real GPGPU runtimes poison the context after one of
 // these — the paper's §II motivation for ECC-capable Fermi boards —
 // so callers must treat the device as lost and fall back to a host
-// path (see solver.DevicePJDS).
+// path (see the service's device-then-host operator, applyOp).
 type ECCError struct {
 	Kernel string
 }

@@ -158,46 +158,6 @@ func Tridiagonal(n int) *matrix.CSR[float64] {
 	return b.finish()
 }
 
-// RMAT generates a scale-free graph adjacency matrix by recursive
-// quadrant subdivision (Chakrabarti et al.), the standard stand-in for
-// social/web graphs: power-law degrees and no locality whatsoever —
-// the hardest case for every ELLPACK descendant and a stress test for
-// pJDS's sorting. Self-loops are added on the diagonal so iterative
-// methods stay well-defined.
-func RMAT(scaleExp int, edgeFactor int, seed int64) *matrix.CSR[float64] {
-	if scaleExp < 1 {
-		scaleExp = 1
-	}
-	if edgeFactor < 1 {
-		edgeFactor = 8
-	}
-	n := 1 << scaleExp
-	rng := rand.New(rand.NewSource(seed ^ 0x524d4154))
-	const a, b, c = 0.57, 0.19, 0.19 // standard Graph500 parameters
-	coo := matrix.NewCOO[float64](n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, float64(edgeFactor)) // dominant diagonal
-	}
-	for e := 0; e < n*edgeFactor; e++ {
-		row, col := 0, 0
-		for bit := n >> 1; bit > 0; bit >>= 1 {
-			u := rng.Float64()
-			switch {
-			case u < a:
-			case u < a+b:
-				col |= bit
-			case u < a+b+c:
-				row |= bit
-			default:
-				row |= bit
-				col |= bit
-			}
-		}
-		coo.Add(row, col, symValue(rng))
-	}
-	return coo.ToCSR()
-}
-
 // Stencil2D generates the 5-point Laplacian on a nx×ny grid — the
 // constant-row-length case where ELLPACK and pJDS coincide, and a
 // classic CG/solver test operator (symmetric positive definite).

@@ -282,32 +282,6 @@ func TestTridiagonal(t *testing.T) {
 	}
 }
 
-func TestRMAT(t *testing.T) {
-	m := RMAT(12, 8, 1)
-	st := matrix.ComputeStats(m)
-	if st.Rows != 4096 {
-		t.Fatalf("N = %d", st.Rows)
-	}
-	// Power-law: the maximum degree dwarfs the median.
-	med := matrix.RowLenQuantile(m, 0.5)
-	if st.MaxRowLen < 5*med {
-		t.Errorf("max %d vs median %d: not heavy-tailed", st.MaxRowLen, med)
-	}
-	// Diagonal present everywhere (self-loops added).
-	for i := 0; i < st.Rows; i += 97 {
-		if m.At(i, i) == 0 {
-			t.Fatalf("missing diagonal at %d", i)
-		}
-	}
-	// Deterministic; degenerate parameters fall back.
-	if !m.Equal(RMAT(12, 8, 1), 0) {
-		t.Error("not deterministic")
-	}
-	if RMAT(0, 0, 2).NRows != 2 {
-		t.Error("fallback parameters")
-	}
-}
-
 func TestStencil2D(t *testing.T) {
 	m := Stencil2D(10, 8)
 	if m.NRows != 80 {

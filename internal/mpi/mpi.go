@@ -89,14 +89,6 @@ func Run(n int, fabric *simnet.Fabric, body func(*Comm) error) ([]float64, error
 	return RunWithOptions(n, fabric, Options{}, body)
 }
 
-// RunWithTopology is Run for clusters with several ranks (GPUs) per
-// physical node: consecutive groups of ranksPerNode ranks exchange
-// messages over the intra fabric (nil selects simnet.SharedMemory when
-// ranksPerNode > 1).
-func RunWithTopology(n int, fabric *simnet.Fabric, ranksPerNode int, intra *simnet.Fabric, body func(*Comm) error) ([]float64, error) {
-	return RunWithOptions(n, fabric, Options{RanksPerNode: ranksPerNode, Intra: intra}, body)
-}
-
 // Options parameterize a simulated run beyond the interconnect model.
 type Options struct {
 	// RanksPerNode places that many consecutive ranks on one physical

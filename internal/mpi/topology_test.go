@@ -14,7 +14,7 @@ func TestIntraNodeFaster(t *testing.T) {
 	inter := simnet.QDRInfiniBand()
 
 	var sameNode, crossNode float64
-	_, err := RunWithTopology(4, inter, 2, intra, func(c *Comm) error {
+	_, err := RunWithOptions(4, inter, Options{RanksPerNode: 2, Intra: intra}, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
 			c.Send(1, 0, nil, bytes)
@@ -63,7 +63,7 @@ func TestTopologyDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clocks2, err := RunWithTopology(2, fabric(), 1, nil, func(c *Comm) error {
+	clocks2, err := RunWithOptions(2, fabric(), Options{RanksPerNode: 1}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 0, nil, 1000)
 		} else {
@@ -81,11 +81,11 @@ func TestTopologyDefaultsAndValidation(t *testing.T) {
 	}
 	// Invalid intra fabric is rejected.
 	bad := &simnet.Fabric{BytesPerSecond: 0}
-	if _, err := RunWithTopology(2, fabric(), 2, bad, func(c *Comm) error { return nil }); err == nil {
+	if _, err := RunWithOptions(2, fabric(), Options{RanksPerNode: 2, Intra: bad}, func(c *Comm) error { return nil }); err == nil {
 		t.Error("invalid intra fabric accepted")
 	}
 	// nil intra defaults to shared memory without error.
-	if _, err := RunWithTopology(2, fabric(), 2, nil, func(c *Comm) error { return nil }); err != nil {
+	if _, err := RunWithOptions(2, fabric(), Options{RanksPerNode: 2}, func(c *Comm) error { return nil }); err != nil {
 		t.Errorf("default intra fabric: %v", err)
 	}
 }

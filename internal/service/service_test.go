@@ -219,6 +219,40 @@ func TestECCDowngradeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestECCDegradationBitExact: a device that takes an uncorrectable ECC
+// error on its fourth launch, mid-solve, hands the rest of the solve to
+// the host rung, and the CG trajectory does not move: the iteration
+// count and the solution digest equal a fault-free server's.
+func TestECCDegradationBitExact(t *testing.T) {
+	_, body := testMatrixBody(t)
+	solve := func(cfg Config) (SolveResult, Status) {
+		s, ts := newTestServer(t, cfg)
+		info := upload(t, ts, "m", body)
+		var res SolveResult
+		resp := post(t, ts, "/v1/solve", nil, SolveRequest{Matrix: info.ID, Seed: 5, Tol: 1e-11}, &res)
+		if resp.StatusCode != http.StatusOK || !res.Converged {
+			t.Fatalf("solve: HTTP %d, %+v", resp.StatusCode, res)
+		}
+		return res, s.StatusNow()
+	}
+	want, _ := solve(Config{Devices: 1})
+	got, st := solve(Config{Devices: 1, DeviceFaults: func(int) gpu.ECCInjector { return &eccAt{at: 3} }})
+	if want.Tier != "device" || got.Tier != "host" {
+		t.Fatalf("tiers: fault-free %s, faulted %s; want device, host", want.Tier, got.Tier)
+	}
+	// Launches 0–2 ran on the device; the ECC launch and every later
+	// application (one per iteration plus the initial residual) on the host.
+	if wantFallbacks := int64(got.Iterations + 1 - 3); st.HostFallbacks != wantFallbacks {
+		t.Fatalf("host fallbacks %d, want %d: the ECC did not land mid-solve", st.HostFallbacks, wantFallbacks)
+	}
+	if got.Iterations != want.Iterations {
+		t.Errorf("degraded CG took %d iterations, fault-free %d", got.Iterations, want.Iterations)
+	}
+	if got.Digest != want.Digest {
+		t.Errorf("degraded solve digest %s != fault-free %s", got.Digest, want.Digest)
+	}
+}
+
 func TestQuotaShedsWith429(t *testing.T) {
 	_, body := testMatrixBody(t)
 	_, ts := newTestServer(t, Config{Devices: 1, TenantRate: 0.001, TenantBurst: 1})
@@ -696,8 +730,9 @@ func bytesPerCall(t *testing.T, runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestSpMVVectorAllocs: a warm seeded SpMV takes x, xp, yp and y from
-// the matrix's pool, so it allocates far less than one n-vector.
+// TestSpMVVectorAllocs: a warm seeded SpMV holds two permuted-basis
+// vectors, xp and yp, both from the matrix's pool, so it allocates far
+// less than one n-vector.
 func TestSpMVVectorAllocs(t *testing.T) {
 	s, e, m := allocServer(t)
 	req := SpMVRequest{Matrix: e.info.ID, Seed: 3}
@@ -713,7 +748,8 @@ func TestSpMVVectorAllocs(t *testing.T) {
 
 // TestSolveVectorAllocs: a warm seeded Solve allocates less than one
 // n-vector beyond the CG loop it runs (whose r, p and A·p stay its
-// own), because b, x and their permuted copies come from the pool.
+// own), because its two permuted-basis vectors, b and x, come from the
+// pool.
 func TestSolveVectorAllocs(t *testing.T) {
 	s, e, m := allocServer(t)
 	n := m.NRows

@@ -15,9 +15,8 @@ import (
 // and Leave convert vectors between the bases exactly once per solve,
 // the usage §II-A prescribes for Krylov methods. Applications run on
 // the hostkernel pJDS kernel (core's SELL.MulRows over nnz-balanced
-// slice ranges, bit-identical to MulVecPermuted), so the host path of
-// a solve — including the ECC downgrade path of DevicePJDS — gets the
-// fast zero-alloc loop.
+// slice ranges, bit-identical to MulVecPermuted), the fast zero-alloc
+// loop the service's host rung also runs after an ECC downgrade.
 type PermutedPJDS struct {
 	P *core.PJDS[float64]
 	// Perm is the symmetric permutation applied (new → old).

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"pjds/internal/telemetry"
 )
 
 // Series is one named curve.
@@ -130,9 +132,9 @@ func Table(w io.Writer, rows [][]string) error {
 	return nil
 }
 
-// Gantt renders labelled [start, end) spans grouped by lane — the
-// Fig. 4 timeline.
-func Gantt(w io.Writer, title string, width int, spans []Span) error {
+// Gantt renders one labelled [start, end) bar per span, in the given
+// order — the Fig. 4 timeline.
+func Gantt(w io.Writer, title string, width int, spans []telemetry.Span) error {
 	if width < 30 {
 		width = 30
 	}
@@ -161,12 +163,4 @@ func Gantt(w io.Writer, title string, width int, spans []Span) error {
 		}
 	}
 	return nil
-}
-
-// Span is one Gantt bar.
-type Span struct {
-	Lane  string
-	Name  string
-	Start float64
-	End   float64
 }

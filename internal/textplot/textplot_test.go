@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"pjds/internal/telemetry"
 )
 
 func TestPlotBasics(t *testing.T) {
@@ -68,7 +70,7 @@ func TestTable(t *testing.T) {
 
 func TestGantt(t *testing.T) {
 	var buf bytes.Buffer
-	err := Gantt(&buf, "iteration timeline", 50, []Span{
+	err := Gantt(&buf, "iteration timeline", 50, []telemetry.Span{
 		{Lane: "host", Name: "MPI_Waitall", Start: 0, End: 0.4},
 		{Lane: "gpu", Name: "local spMVM", Start: 0, End: 0.7},
 		{Lane: "gpu", Name: "non-local spMVM", Start: 0.7, End: 0.8},
@@ -84,7 +86,7 @@ func TestGantt(t *testing.T) {
 	}
 	// Zero-length spans still render a mark.
 	buf.Reset()
-	if err := Gantt(&buf, "z", 10, []Span{{Lane: "a", Name: "instant", Start: 0, End: 0}}); err != nil {
+	if err := Gantt(&buf, "z", 10, []telemetry.Span{{Lane: "a", Name: "instant", Start: 0, End: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "=") {

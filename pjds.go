@@ -32,6 +32,7 @@ import (
 	"pjds/internal/mpi"
 	"pjds/internal/simnet"
 	"pjds/internal/solver"
+	"pjds/internal/telemetry"
 	"pjds/internal/tuner"
 )
 
@@ -238,6 +239,9 @@ type (
 	ClusterConfig = distmv.Config
 	// ClusterResult is the outcome of a distributed spMVM benchmark.
 	ClusterResult = distmv.Result
+	// ClusterSpans records a run's per-rank phase spans when set as
+	// ClusterConfig.Spans; its zero value is ready to use.
+	ClusterSpans = telemetry.SpanLog
 	// Mode is a §III-A communication scheme.
 	Mode = distmv.Mode
 )
@@ -253,6 +257,10 @@ const (
 func RunCluster(a *CSR, x []float64, p int, mode Mode, cfg ClusterConfig) (*ClusterResult, error) {
 	return distmv.RunSpMVM(a, x, p, mode, cfg)
 }
+
+// Fig4Timeline returns the Fig. 4 timeline of a run recorded into
+// spans: rank 0's first-iteration host and GPU phases, host lane first.
+func Fig4Timeline(spans *ClusterSpans) []telemetry.Span { return distmv.Fig4Spans(spans) }
 
 // Distributed solvers (each rank runs inside a cluster body; see
 // internal/distsolver and examples/distpower).
