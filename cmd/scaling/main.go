@@ -39,7 +39,6 @@ import (
 	"pjds/internal/distsolver"
 	"pjds/internal/experiments"
 	"pjds/internal/flight"
-	"pjds/internal/gpu"
 	"pjds/internal/health"
 	"pjds/internal/hostkernel"
 	"pjds/internal/mpi"
@@ -88,7 +87,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	gpu.SetDefaultWorkers(*workers)
 	par.SetDefault(*workers)
 	kind, err := hostkernel.ParseKind(*hostKernel)
 	if err != nil {

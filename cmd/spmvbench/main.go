@@ -85,7 +85,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	gpu.SetDefaultWorkers(*workers)
 	par.SetDefault(*workers)
 	kind, err := hostkernel.ParseKind(*hostKernel)
 	if err != nil {

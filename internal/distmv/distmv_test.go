@@ -426,7 +426,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Device == nil || c.Link == nil || c.Fabric == nil {
 		t.Fatal("defaults missing")
 	}
-	if c.Iterations <= 0 || c.HostGatherBW <= 0 {
+	if c.Iterations <= 0 {
 		t.Fatal("scalar defaults missing")
 	}
 	// Scaling runs default to the Dirac node's C2050.

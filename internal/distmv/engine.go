@@ -37,7 +37,7 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 	if pt.Ranks() != p {
 		return nil, fmt.Errorf("distmv: partitioner produced %d blocks for %d ranks", pt.Ranks(), p)
 	}
-	problems, err := DistributeOpt(a, pt, matrix.ConvertOptions{Workers: cfg.Workers})
+	problems, err := Distribute(a, pt)
 	if err != nil {
 		return nil, err
 	}
@@ -65,8 +65,7 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 	reg.Help("distmv_rank_send_elems", "RHS elements sent to other ranks per iteration")
 	reg.Help("distmv_rank_neighbors", "ranks this rank exchanges halos with")
 	opts := mpi.Options{
-		RanksPerNode: ranksPerNode, Intra: cfg.IntraNodeFabric, Metrics: reg, Spans: cfg.Spans,
-		Faults: cfg.Faults, Retry: cfg.Retry, HeartbeatSeconds: cfg.HeartbeatSeconds,
+		RanksPerNode: ranksPerNode, Metrics: reg, Spans: cfg.Spans, Faults: cfg.Faults,
 	}
 	_, err = mpi.RunWithOptions(p, cfg.Fabric, opts, func(c *mpi.Comm) error {
 		rp := problems[c.Rank()]
@@ -78,7 +77,7 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 		for s, col := range rp.HaloCols {
 			xExt[nloc+s] = x[col]
 		}
-		prof, err := rp.Profile(cfg.Device, cfg.Format, xExt, reg, cfg.Workers)
+		prof, err := rp.Profile(cfg.Device, cfg.Format, xExt, reg)
 		if err != nil {
 			return err
 		}
@@ -89,8 +88,8 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 		reg.Gauge("distmv_rank_neighbors", rl).Set(float64(rp.Neighbors()))
 
 		it := &iterState{
-			c: c, rp: rp, prof: prof, cfg: cfg, x: xExt[:nloc], want: xExt[nloc:],
-			mode: mode,
+			c: c, rp: rp, halo: rp.Halo(c), prof: prof, cfg: cfg,
+			x: xExt[:nloc], want: xExt[nloc:], mode: mode,
 		}
 
 		if err := c.Barrier(); err != nil {
@@ -101,11 +100,11 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 			it.iter = n
 			switch mode {
 			case VectorMode:
-				err = it.vectorMode(n)
+				err = it.vectorMode()
 			case NaiveOverlap:
-				err = it.naiveOverlap(n)
+				err = it.naiveOverlap()
 			case TaskMode:
-				err = it.taskMode(n)
+				err = it.taskMode()
 			default:
 				err = fmt.Errorf("distmv: unknown mode %d", mode)
 			}
@@ -165,6 +164,7 @@ func RunSpMVM(a *matrix.CSR[float64], x []float64, p int, mode Mode, cfg Config)
 type iterState struct {
 	c    *mpi.Comm
 	rp   *RankProblem
+	halo *Halo
 	prof *RankProfile
 	cfg  Config
 	x    []float64 // this rank's local x values
@@ -204,59 +204,6 @@ func (s *iterState) emit(lane, name string, start, end float64) {
 	})
 }
 
-// gatherSeconds models the "local gather" of Fig. 4: packing the
-// outgoing x elements into contiguous send buffers on the host.
-func (s *iterState) gatherSeconds() float64 {
-	return float64(8*s.rp.SendElems()) / s.cfg.HostGatherBW
-}
-
-// postExchange posts all receives and sends for iteration n and
-// returns the requests (receives first). Payloads are freshly gathered
-// x values — the real data of the distributed multiplication.
-func (s *iterState) postExchange(n int) ([]*mpi.Request, []*mpi.Request) {
-	var recvs, sends []*mpi.Request
-	for o := 0; o < s.rp.P; o++ {
-		if _, ok := s.rp.RecvCount[o]; ok {
-			recvs = append(recvs, s.c.Irecv(o, n))
-		}
-	}
-	for d := 0; d < s.rp.P; d++ {
-		idx, ok := s.rp.SendIdx[d]
-		if !ok {
-			continue
-		}
-		buf := make([]float64, len(idx))
-		for k, i := range idx {
-			buf[k] = s.x[i]
-		}
-		sends = append(sends, s.c.Isend(d, n, buf, int64(8*len(buf))))
-	}
-	return recvs, sends
-}
-
-// absorbHalo verifies the received payloads against the expected halo
-// values.
-func (s *iterState) absorbHalo(recvs []*mpi.Request) error {
-	for _, r := range recvs {
-		m := r.Message
-		vals, ok := m.Payload.([]float64)
-		if !ok {
-			return fmt.Errorf("distmv: rank %d got %T from %d", s.c.Rank(), m.Payload, m.Src)
-		}
-		off, ok := s.rp.HaloOffset[m.Src]
-		if !ok {
-			return fmt.Errorf("distmv: rank %d: unexpected sender %d", s.c.Rank(), m.Src)
-		}
-		for k, v := range vals {
-			if s.want[off+k] != v {
-				return fmt.Errorf("distmv: rank %d: halo value %d from %d is %g, want %g",
-					s.c.Rank(), off+k, m.Src, v, s.want[off+k])
-			}
-		}
-	}
-	return nil
-}
-
 // span runs f and logs the virtual interval it covered as a phase span.
 func (s *iterState) span(lane, name string, f func()) {
 	start := s.c.Clock()
@@ -264,20 +211,40 @@ func (s *iterState) span(lane, name string, f func()) {
 	s.emit(lane, name, start, s.c.Clock())
 }
 
+// post runs the local gather and posts the halo exchange, as the
+// first two host phases of Fig. 4.
+func (s *iterState) post() error {
+	s.span("host", "local gather", s.halo.Gather)
+	var err error
+	s.span("host", "MPI_Isend/Irecv", func() { err = s.halo.Post(s.x) })
+	return err
+}
+
+// wait completes the halo exchange as the MPI_Waitall phase and checks
+// the filled halo against the replicated x.
+func (s *iterState) wait() error {
+	var halo []float64
+	var err error
+	s.span("host", "MPI_Waitall", func() { halo, err = s.halo.Wait() })
+	if err != nil {
+		return err
+	}
+	for k, v := range halo {
+		if v != s.want[k] {
+			return fmt.Errorf("distmv: rank %d: halo value %d is %g, want %g", s.c.Rank(), k, v, s.want[k])
+		}
+	}
+	return nil
+}
+
 // vectorMode: gather → exchange → upload full RHS → single-step
 // kernel → download. Everything serialized (§III-A, first bullet).
-func (s *iterState) vectorMode(n int) error {
+func (s *iterState) vectorMode() error {
 	c, link := s.c, s.cfg.Link
-	s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) })
-	var recvs, sends []*mpi.Request
-	s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) })
-	var err error
-	s.span("host", "MPI_Waitall", func() {
-		if err = c.Waitall(append(append([]*mpi.Request{}, sends...), recvs...)); err == nil {
-			err = s.absorbHalo(recvs)
-		}
-	})
-	if err != nil {
+	if err := s.post(); err != nil {
+		return err
+	}
+	if err := s.wait(); err != nil {
 		return err
 	}
 	nloc := s.rp.LocalRows()
@@ -292,21 +259,15 @@ func (s *iterState) vectorMode(n int) error {
 // naiveOverlap: nonblocking MPI posted around the local kernel
 // (§III-A, second bullet). Whether any overlap actually happens is
 // decided by Fabric.AsyncProgress.
-func (s *iterState) naiveOverlap(n int) error {
+func (s *iterState) naiveOverlap() error {
 	c, link := s.c, s.cfg.Link
-	s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) })
-	var recvs, sends []*mpi.Request
-	s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) })
+	if err := s.post(); err != nil {
+		return err
+	}
 	nloc := s.rp.LocalRows()
 	s.span("gpu", "upload RHS", func() { c.Advance(link.TransferSeconds(int64(8 * nloc))) })
 	s.span("gpu", "local spMVM", func() { c.Advance(s.prof.Local.KernelSeconds) })
-	var err error
-	s.span("host", "MPI_Waitall", func() {
-		if err = c.Waitall(append(append([]*mpi.Request{}, sends...), recvs...)); err == nil {
-			err = s.absorbHalo(recvs)
-		}
-	})
-	if err != nil {
+	if err := s.wait(); err != nil {
 		return err
 	}
 	s.span("gpu", "upload halo", func() { c.Advance(link.TransferSeconds(int64(8 * s.rp.HaloSize()))) })
@@ -317,23 +278,17 @@ func (s *iterState) naiveOverlap(n int) error {
 
 // taskMode: thread 0 drives MPI while the GPU computes the local part
 // (Fig. 4); the two timelines join before the non-local part.
-func (s *iterState) taskMode(n int) error {
+func (s *iterState) taskMode() error {
 	c, link := s.c, s.cfg.Link
 	t0 := c.Clock()
 
 	// Communication thread: gather, post, and immediately drive the
 	// transfers to completion (this is what the dedicated thread is
 	// for — reliably asynchronous communication).
-	s.span("host", "local gather", func() { c.Advance(s.gatherSeconds()) })
-	var recvs, sends []*mpi.Request
-	s.span("host", "MPI_Isend/Irecv", func() { recvs, sends = s.postExchange(n) })
-	var err error
-	s.span("host", "MPI_Waitall", func() {
-		if err = c.Waitall(append(append([]*mpi.Request{}, sends...), recvs...)); err == nil {
-			err = s.absorbHalo(recvs)
-		}
-	})
-	if err != nil {
+	if err := s.post(); err != nil {
+		return err
+	}
+	if err := s.wait(); err != nil {
 		return err
 	}
 

@@ -7,6 +7,9 @@
 // transfers, and one or two kernel launches, choreographed in one of
 // the three communication schemes of §III-A: vector mode, naive
 // overlap, and task mode (dedicated communication thread, Fig. 4).
+// Halo is the one halo-exchange engine: the three schemes place their
+// kernels around its steps, and internal/distsolver's operator runs it
+// once per application.
 package distmv
 
 import (

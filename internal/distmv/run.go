@@ -8,7 +8,6 @@ import (
 	"pjds/internal/gpu"
 	"pjds/internal/matrix"
 	"pjds/internal/model"
-	"pjds/internal/mpi"
 	"pjds/internal/simnet"
 	"pjds/internal/telemetry"
 )
@@ -72,23 +71,14 @@ type Config struct {
 	Format FormatKind
 	// Iterations is the number of timed spMVM repetitions.
 	Iterations int
-	// Workers is the number of host goroutines executing each
-	// simulated kernel's warps (gpu.RunOptions.Workers); 0 selects the
-	// gpu package default. Any value yields bit-identical results.
-	Workers int
-	// HostGatherBW models the host-side gather of send buffers
-	// ("local gather" in Fig. 4); 0 selects 8 GB/s.
-	HostGatherBW float64
 	// SkipFitCheck disables the device-memory admission check (the
 	// constraint that keeps Fig. 5b's UHBR off fewer than 5 nodes).
 	SkipFitCheck bool
 	// GPUsPerNode places that many consecutive ranks on one physical
-	// node, exchanging halos over IntraNodeFabric (nil selects the
-	// shared-memory default) instead of the interconnect. 0 or 1
-	// reproduces the paper's one-GPU-per-node Dirac cluster.
+	// node, exchanging halos over shared memory (simnet.SharedMemory)
+	// instead of the interconnect. 0 or 1 reproduces the paper's
+	// one-GPU-per-node Dirac cluster.
 	GPUsPerNode int
-	// IntraNodeFabric overrides the intra-node transfer model.
-	IntraNodeFabric *simnet.Fabric
 	// Partitioner overrides the row-block partitioning strategy
 	// (nil = PartitionByNnz, the load-balanced choice of [4]).
 	Partitioner func(*matrix.CSR[float64], int) (Partition, error)
@@ -105,12 +95,8 @@ type Config struct {
 	Spans *telemetry.SpanLog
 	// Faults injects wire-level faults (drops, delays, duplicates,
 	// link degradation) into the halo exchanges; nil runs healthy.
+	// Dropped messages are retransmitted under mpi.DefaultRetry.
 	Faults simnet.Injector
-	// Retry is the reliable-transport policy applied to dropped halo
-	// messages (zero value = mpi.DefaultRetry).
-	Retry mpi.RetryPolicy
-	// HeartbeatSeconds tunes the failure detector (0 = mpi default).
-	HeartbeatSeconds float64
 }
 
 func (c Config) withDefaults() Config {
@@ -128,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Iterations <= 0 {
 		c.Iterations = 3
-	}
-	if c.HostGatherBW <= 0 {
-		c.HostGatherBW = 8e9
 	}
 	return c
 }

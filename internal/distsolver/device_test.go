@@ -28,7 +28,7 @@ func TestDeviceOperatorMatchesHost(t *testing.T) {
 	dev, clocks := runDistributed(t, m, 4, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {
 		op := NewOperator(rp, c)
 		op.Inst = &Instrument{Metrics: telemetry.NewRegistry()}
-		if err := op.UseDevice(gpu.TeslaC2050(), 2); err != nil {
+		if err := op.UseDevice(gpu.TeslaC2050()); err != nil {
 			return err
 		}
 		return op.Apply(out, x[rp.RowLo:rp.RowHi])
@@ -64,7 +64,7 @@ func TestDeviceCGMatchesHost(t *testing.T) {
 		iters := make([]int, 4)
 		got, _ := runDistributed(t, m, 4, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {
 			x := make([]float64, rp.LocalRows())
-			inst := &Instrument{Metrics: telemetry.NewRegistry(), Device: dev, Workers: 2}
+			inst := &Instrument{Metrics: telemetry.NewRegistry(), Device: dev}
 			res, err := CG(c, rp, x, b[rp.RowLo:rp.RowHi], 1e-11, 5000, inst)
 			if err != nil {
 				return err

@@ -1,15 +1,15 @@
 // Package distsolver turns the distributed spMVM of internal/distmv
 // into reusable iterative solvers — the "application of our results to
 // a production-grade eigensolver" of the paper's outlook. Each rank
-// owns a contiguous row block; a Halo engine exchanges the remote RHS
-// elements every iteration (the iterate changes, unlike the fixed-x
-// benchmark loop), reductions run over the virtual-time collectives,
-// and results are bit-comparable to the serial solvers.
+// owns a contiguous row block; distmv's halo engine, the same one the
+// Fig. 5 benchmark loop runs, exchanges the remote RHS elements every
+// iteration (the iterate changes, unlike the fixed-x benchmark loop),
+// reductions run over the virtual-time collectives, and results are
+// bit-comparable to the serial solvers.
 package distsolver
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 
 	"pjds/internal/core"
@@ -22,89 +22,9 @@ import (
 	"pjds/internal/telemetry"
 )
 
-// Halo is one rank's reusable halo-exchange engine. Exchange sends the
-// locally-owned x elements its neighbours need and fills the halo
-// buffer with theirs, charging the rank's virtual clock for gather,
-// injection and arrival times.
-type Halo struct {
-	rp   *distmv.RankProblem
-	c    *mpi.Comm
-	buf  []float64
-	tick int
-	// GatherBW models the host-side pack of send buffers (B/s).
-	GatherBW float64
-}
-
-// NewHalo builds the engine for one rank.
-func NewHalo(rp *distmv.RankProblem, c *mpi.Comm) *Halo {
-	return &Halo{
-		rp:       rp,
-		c:        c,
-		buf:      make([]float64, rp.HaloSize()),
-		GatherBW: 8e9,
-	}
-}
-
-// Exchange distributes x (this rank's owned elements) and returns the
-// filled halo buffer, valid until the next call.
-func (h *Halo) Exchange(x []float64) ([]float64, error) {
-	rp, c := h.rp, h.c
-	if len(x) != rp.LocalRows() {
-		return nil, fmt.Errorf("distsolver: rank %d Exchange |x|=%d, own %d rows", rp.Rank, len(x), rp.LocalRows())
-	}
-	tag := h.tick
-	h.tick++
-	c.Advance(float64(8*rp.SendElems()) / h.GatherBW)
-	var recvs, all []*mpi.Request
-	for o := 0; o < rp.P; o++ {
-		if _, ok := rp.RecvCount[o]; ok {
-			r := c.Irecv(o, tag)
-			recvs = append(recvs, r)
-			all = append(all, r)
-		}
-	}
-	for d := 0; d < rp.P; d++ {
-		idx, ok := rp.SendIdx[d]
-		if !ok {
-			continue
-		}
-		buf := make([]float64, len(idx))
-		for k, i := range idx {
-			buf[k] = x[i]
-		}
-		all = append(all, c.Isend(d, tag, buf, int64(8*len(buf))))
-	}
-	if err := c.Waitall(all); err != nil {
-		return nil, err
-	}
-	for _, r := range recvs {
-		vals, ok := r.Message.Payload.([]float64)
-		if !ok {
-			return nil, fmt.Errorf("distsolver: rank %d got %T from %d", rp.Rank, r.Message.Payload, r.Message.Src)
-		}
-		// Verify the received element count against the partition's
-		// expected halo size before copying: a short (or oversized)
-		// message would otherwise silently corrupt neighbouring halo
-		// segments.
-		if want := rp.RecvCount[r.Message.Src]; len(vals) != want {
-			return nil, &HaloSizeError{Rank: rp.Rank, Src: r.Message.Src, GotElems: len(vals), WantElems: want}
-		}
-		copy(h.buf[rp.HaloOffset[r.Message.Src]:], vals)
-	}
-	return h.buf, nil
-}
-
-// HaloSizeError reports a halo message whose element count does not
-// match the partition's expected size for that link.
-type HaloSizeError struct {
-	Rank, Src           int
-	GotElems, WantElems int
-}
-
-func (e *HaloSizeError) Error() string {
-	return fmt.Sprintf("distsolver: rank %d halo from %d carries %d elements, partition expects %d",
-		e.Rank, e.Src, e.GotElems, e.WantElems)
-}
+// hostKernelBW is the modelled memory bandwidth (B/s) of the host
+// spMVM kernels, which advances the rank clock per host application.
+const hostKernelBW = 20e9
 
 // Operator applies the distributed matrix: y = A_loc·x + A_nl·halo(x),
 // with one halo exchange per application. Kernel time is charged to
@@ -114,12 +34,8 @@ func (e *HaloSizeError) Error() string {
 // benchmark loop).
 type Operator struct {
 	RP   *distmv.RankProblem
-	Halo *Halo
+	halo *distmv.Halo
 	c    *mpi.Comm
-	// KernelBW is the modelled spMVM memory bandwidth (B/s) used to
-	// advance the virtual clock per application; 0 disables timing.
-	// Ignored once UseDevice is called.
-	KernelBW float64
 	// Inst (optional) records each application's halo exchange and
 	// spMVM as spans on the rank's solver lane.
 	Inst    *Instrument
@@ -147,7 +63,6 @@ type Operator struct {
 	dev         *gpu.Device
 	devLocal    *core.SELL[float64]
 	devNonLocal *core.SELL[float64]
-	devWorkers  int
 
 	// Host kernels for the split application, built lazily on the first
 	// host-path Apply (pure host runs and the ECC downgrade path) from
@@ -165,12 +80,11 @@ type Operator struct {
 // and the rank clock advances by the simulated kernel times. The
 // numeric result is bit-identical to the host path — both sum each row
 // in stored column order.
-func (op *Operator) UseDevice(dev *gpu.Device, workers int) error {
+func (op *Operator) UseDevice(dev *gpu.Device) error {
 	if err := dev.Validate(); err != nil {
 		return err
 	}
 	op.dev = dev
-	op.devWorkers = workers
 	op.devLocal = core.NewELLPACKR(op.RP.Local, matrix.ConvertOptions{})
 	op.devNonLocal = core.NewELLPACKR(op.RP.NonLocal, matrix.ConvertOptions{})
 	return nil
@@ -208,7 +122,6 @@ func (op *Operator) deviceMul(y, x, halo []float64) error {
 	opt := func(phase string, acc bool) gpu.RunOptions {
 		return gpu.RunOptions{
 			Accumulate: acc,
-			Workers:    op.devWorkers,
 			Metrics:    reg,
 			Faults:     op.Faults,
 			MetricLabels: []telemetry.Label{
@@ -263,16 +176,14 @@ func (op *Operator) hostMul(y, x, halo []float64) error {
 	if err := op.hostNonLocal.MulVecAdd(y, halo); err != nil {
 		return err
 	}
-	if op.KernelBW > 0 {
-		bytes := float64(12 * (op.RP.Local.Nnz() + op.RP.NonLocal.Nnz()))
-		op.c.Advance(op.slow() * bytes / op.KernelBW)
-	}
+	bytes := float64(12 * (op.RP.Local.Nnz() + op.RP.NonLocal.Nnz()))
+	op.c.Advance(op.slow() * bytes / hostKernelBW)
 	return nil
 }
 
 // NewOperator builds the distributed operator for one rank.
 func NewOperator(rp *distmv.RankProblem, c *mpi.Comm) *Operator {
-	return &Operator{RP: rp, Halo: NewHalo(rp, c), c: c, KernelBW: 20e9}
+	return &Operator{RP: rp, halo: rp.Halo(c), c: c}
 }
 
 // newSolveOperator builds a solve's operator for one rank, instrumented
@@ -281,7 +192,7 @@ func newSolveOperator(rp *distmv.RankProblem, c *mpi.Comm, in *Instrument) (*Ope
 	op := NewOperator(rp, c)
 	op.Inst = in
 	if in != nil && in.Device != nil {
-		if err := op.UseDevice(in.Device, in.Workers); err != nil {
+		if err := op.UseDevice(in.Device); err != nil {
 			return nil, err
 		}
 	}
@@ -297,7 +208,7 @@ func (op *Operator) Apply(y, x []float64) error {
 	op.applies++
 	var halo []float64
 	err := op.Inst.spanned(op.c, op.RP.Rank, "comm", "halo exchange", n, func() (err error) {
-		halo, err = op.Halo.Exchange(x)
+		halo, err = op.halo.Exchange(x)
 		return err
 	}, "send_bytes", strconv.Itoa(8*op.RP.SendElems()),
 		"recv_bytes", strconv.Itoa(8*op.RP.HaloSize()))

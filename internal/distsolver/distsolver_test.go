@@ -200,22 +200,6 @@ func TestDistributedPowerIteration(t *testing.T) {
 	})
 }
 
-func TestHaloExchangeValidation(t *testing.T) {
-	m := matgen.Banded(200, 3, 7, 20, 2)
-	runDistributed(t, m, 2, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {
-		h := NewHalo(rp, c)
-		if _, err := h.Exchange(make([]float64, 3)); err == nil {
-			t.Errorf("rank %d: wrong x size accepted", c.Rank())
-		}
-		// Matching correct exchange so the partner's sends complete.
-		x := make([]float64, rp.LocalRows())
-		if _, err := h.Exchange(x); err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-		}
-		return nil
-	})
-}
-
 func TestPowerIterationValidation(t *testing.T) {
 	m := matgen.Stencil2D(8, 8)
 	runDistributed(t, m, 2, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {

@@ -24,9 +24,6 @@ type Instrument struct {
 	// clock. Results stay bit-identical to the host path (the device
 	// kernel sums each row in CSR order).
 	Device *gpu.Device
-	// Workers is passed through to the simulated kernels
-	// (gpu.RunOptions.Workers); 0 selects the gpu package default.
-	Workers int
 }
 
 // registry resolves the target registry (Default when unset).

@@ -65,7 +65,7 @@ func distCG(t *testing.T, m *matrix.CSR[float64], b []float64, p int, dev *gpu.D
 	t.Helper()
 	var res CGResult
 	x, _ := runDistributed(t, m, p, func(c *mpi.Comm, rp *distmv.RankProblem, out []float64) error {
-		inst := &Instrument{Metrics: telemetry.NewRegistry(), Device: dev, Workers: 2}
+		inst := &Instrument{Metrics: telemetry.NewRegistry(), Device: dev}
 		r, err := CG(c, rp, out, b[rp.RowLo:rp.RowHi], 1e-11, 5000, inst)
 		if c.Rank() == 0 {
 			res = r

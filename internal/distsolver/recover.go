@@ -41,12 +41,11 @@ type RecoverConfig struct {
 	// DeviceFaults (optional) supplies the per-rank ECC injector wired
 	// into the operator's device kernels.
 	DeviceFaults func(rank int) gpu.ECCInjector
-	// Wire, Retry and HeartbeatSeconds are passed to the message layer:
-	// wire-level fault injection, the reliable-transport retry policy,
-	// and the failure-detector period.
-	Wire             simnet.Injector
-	Retry            mpi.RetryPolicy
-	HeartbeatSeconds float64
+	// Wire injects wire-level faults into the message layer, whose
+	// reliable transport retransmits dropped messages under
+	// mpi.DefaultRetry and detects dead ranks after
+	// mpi.DefaultHeartbeatSeconds.
+	Wire simnet.Injector
 	// Inst carries telemetry (metrics, spans, optional device routing)
 	// exactly as for CG.
 	Inst *Instrument
@@ -276,7 +275,7 @@ func RecoverableCG(fabric *simnet.Fabric, problems []*distmv.RankProblem, b, x0 
 			return nil
 		}
 
-		opts := mpi.Options{Faults: cfg.Wire, Retry: cfg.Retry, HeartbeatSeconds: cfg.HeartbeatSeconds}
+		opts := mpi.Options{Faults: cfg.Wire}
 		if in != nil {
 			opts.Metrics = in.Metrics
 			opts.Spans = in.Spans

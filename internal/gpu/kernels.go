@@ -16,8 +16,9 @@ type RunOptions struct {
 	// spMVM of §III-A.
 	Accumulate bool
 	// Workers is the number of host goroutines executing warps
-	// concurrently; 0 selects the package default (SetDefaultWorkers,
-	// falling back to GOMAXPROCS), 1 forces sequential execution.
+	// concurrently; 0 selects the process default (par.Default, set
+	// from the CLIs' -workers flags, else GOMAXPROCS), 1 forces
+	// sequential execution.
 	// Results, stats and telemetry are bit-identical for any value:
 	// warps write disjoint result rows and every simulated counter is
 	// precompiled into the plan.

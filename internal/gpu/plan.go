@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -10,28 +9,10 @@ import (
 	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/model"
+	"pjds/internal/par"
 	"pjds/internal/profiles"
 	"pjds/internal/telemetry"
 )
-
-// defaultWorkers holds the package-wide worker-count default applied
-// when RunOptions.Workers is 0. A stored value ≤ 0 selects
-// runtime.GOMAXPROCS(0). The CLIs set it from their -workers flag so
-// the experiment drivers need no per-call plumbing.
-var defaultWorkers atomic.Int32
-
-// SetDefaultWorkers sets the package default for RunOptions.Workers=0
-// callers: n ≤ 0 restores the GOMAXPROCS default, 1 forces sequential
-// execution everywhere, n > 1 enables n-way warp parallelism.
-func SetDefaultWorkers(n int) { defaultWorkers.Store(int32(n)) }
-
-// DefaultWorkers returns the effective package default worker count.
-func DefaultWorkers() int {
-	if n := int(defaultWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // planSource describes one storage format's warp-level access pattern
 // to the shared plan compiler and replay loop. nPad lanes run in warps
@@ -370,10 +351,7 @@ func (p *Plan[T]) run(d *Device, y, x []T, opt RunOptions, ps *planSeries) *Kern
 		st.BytesLHS *= 2 // the result vector is read as well as written
 	}
 	warps := p.total.Warps
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+	workers := par.Resolve(opt.Workers)
 	if workers <= 1 || warps <= 1 {
 		p.src.mul(y, x, 0, warps, opt.Accumulate)
 	} else {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -410,20 +409,6 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 	if s.Misses != 1 || s.Hits != goroutines-1 {
 		t.Errorf("hits/misses = %d/%d, want %d/1", s.Hits, s.Misses, goroutines-1)
-	}
-}
-
-// TestSetDefaultWorkers covers the package-level default used by the
-// CLI -workers flags.
-func TestSetDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if got := DefaultWorkers(); got != 3 {
-		t.Errorf("DefaultWorkers = %d, want 3", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("DefaultWorkers = %d, want GOMAXPROCS", got)
 	}
 }
 

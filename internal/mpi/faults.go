@@ -15,7 +15,9 @@ const DefaultHeartbeatSeconds = 200e-6
 // receiver's virtual clock, with exponential backoff between attempts.
 // The whole-zero value selects DefaultRetry; any other value is used
 // as written (so a test can ask for a zero timeout explicitly by
-// setting MaxRetries alone).
+// setting MaxRetries alone). Distributed runs (distmv, distsolver)
+// always get DefaultRetry; Options.Retry lets this package's tests
+// substitute another policy.
 type RetryPolicy struct {
 	// MaxRetries is the number of retransmissions tolerated before the
 	// receive fails with a RetriesExhaustedError.
@@ -28,19 +30,6 @@ type RetryPolicy struct {
 	BackoffFactor float64
 	// MaxBackoffSeconds caps one backoff step (0 = uncapped).
 	MaxBackoffSeconds float64
-	// JitterFrac spreads every backoff step by up to ±JitterFrac of its
-	// value, deterministically from (JitterSeed, rank, attempt) — see
-	// ForRank. With many ranks backing off from the same lost
-	// broadcast, identical schedules re-collide on every retry (a
-	// synchronized retry storm); decorrelating them per rank breaks the
-	// lockstep. Zero (the default) disables jitter, keeping every
-	// existing schedule and artifact bit-identical. Values are clamped
-	// to [0, 1).
-	JitterFrac float64
-	// JitterSeed seeds the per-rank jitter stream (only read when
-	// JitterFrac > 0); the same seed always reproduces the same
-	// schedule.
-	JitterSeed uint64
 }
 
 // DefaultRetry is the policy used when Options.Retry is the zero value.
@@ -81,54 +70,19 @@ func (p RetryPolicy) totalBackoff(n int) float64 {
 	return total
 }
 
-// normalized resolves the whole-zero policy to DefaultRetry. Jitter
-// fields alone don't define a schedule, so a jitter-only policy keeps
-// the default schedule with the jitter carried over rather than
-// silently dropped.
+// normalized resolves the whole-zero policy to DefaultRetry.
 func (p RetryPolicy) normalized() RetryPolicy {
-	if !p.isZero() {
-		return p
+	if p.isZero() {
+		return DefaultRetry
 	}
-	jf, js := p.JitterFrac, p.JitterSeed
-	p = DefaultRetry
-	p.JitterFrac, p.JitterSeed = jf, js
 	return p
-}
-
-// RankRetry is one rank's view of a RetryPolicy: the same budget and
-// caps, with each backoff step jittered deterministically from
-// (JitterSeed, rank, attempt). Jitter applies after the
-// MaxBackoffSeconds cap, so a step stays within ±JitterFrac of its
-// capped value and two ranks parked at the cap still decorrelate.
-type RankRetry struct {
-	RetryPolicy
-	rank int
-}
-
-// ForRank returns the policy as seen by one rank. With JitterFrac
-// zero it is the policy unchanged.
-func (p RetryPolicy) ForRank(rank int) RankRetry { return RankRetry{RetryPolicy: p, rank: rank} }
-
-// BackoffSeconds returns the jittered deadline for lost attempt i.
-func (p RankRetry) BackoffSeconds(i int) float64 {
-	return Jitter(p.RetryPolicy.BackoffSeconds(i), p.JitterFrac, p.JitterSeed, uint64(p.rank), uint64(i))
-}
-
-// totalBackoff sums the jittered deadlines for n lost attempts.
-func (p RankRetry) totalBackoff(n int) float64 {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += p.BackoffSeconds(i)
-	}
-	return total
 }
 
 // Jitter spreads d by a deterministic factor in [1−frac, 1+frac),
 // derived from the splitmix64 mix of (seed, stream, step) — no wall
 // clock, no shared RNG, so a schedule replays exactly. frac outside
 // [0, 1) is clamped; non-positive d and zero frac pass through
-// unchanged. spmvtop's reconnect loop shares this with the retry
-// policy.
+// unchanged. spmvtop's reconnect loop spreads its waits with it.
 func Jitter(d, frac float64, seed, stream, step uint64) float64 {
 	if frac <= 0 || d <= 0 {
 		return d

@@ -90,6 +90,9 @@ func Run(n int, fabric *simnet.Fabric, body func(*Comm) error) ([]float64, error
 }
 
 // Options parameterize a simulated run beyond the interconnect model.
+// Intra, Retry and HeartbeatSeconds let this package's tests substitute
+// models; the distributed runs of distmv and distsolver leave them
+// zero.
 type Options struct {
 	// RanksPerNode places that many consecutive ranks on one physical
 	// node (0 or 1 = one rank per node).
@@ -538,10 +541,7 @@ func (r *Request) Wait() error {
 		// timeout+backoff per lost attempt, starting from when both the
 		// receiver was waiting and the original copy would have
 		// arrived.
-		// The per-rank policy view: with jitter enabled, this rank's
-		// backoff schedule is decorrelated from every other rank's, so
-		// a shared drop burst can't re-synchronize the retries.
-		pol := c.world.retry.ForRank(c.rank)
+		pol := c.world.retry
 		lost := m.DropAttempts
 		if lost > pol.MaxRetries {
 			charged := pol.totalBackoff(pol.MaxRetries)

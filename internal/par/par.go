@@ -1,6 +1,7 @@
 // Package par is the shared worker-pool substrate of the ingest and
 // conversion pipeline: a process-wide default worker count (set from
-// the CLIs' -workers flags) and a deterministic block-parallel loop.
+// the CLIs' -workers flags, and also read by the GPU simulator's warp
+// replay) and a deterministic block-parallel loop.
 //
 // Parallelism here must never change results. For splits an index
 // range into one contiguous block per worker, so every output element
@@ -19,7 +20,7 @@ import (
 var defaultWorkers atomic.Int64
 
 // SetDefault sets the process-wide default worker count used when a
-// ConvertOptions leaves Workers at 0. n ≤ 0 restores the GOMAXPROCS
+// ConvertOptions or a gpu.RunOptions leaves Workers at 0. n ≤ 0 restores the GOMAXPROCS
 // default, 1 forces sequential conversion everywhere.
 func SetDefault(n int) {
 	if n < 0 {

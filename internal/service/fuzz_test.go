@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +61,54 @@ func FuzzAddMatrix(f *testing.F) {
 		}
 		if !again.Shared || again.ID != info.ID {
 			t.Fatalf("%q: second upload %+v, want Shared with ID %s", body, again, info.ID)
+		}
+	})
+}
+
+// FuzzRequestHeaders: no X-Deadline-Ms, X-Tenant or ?name= value
+// panics the API. The name arrives as the raw query, so hostile
+// escapes reach the query parser. An upload of a valid body succeeds
+// whatever its name; an X-Deadline-Ms that is not a positive duration
+// a time.Duration holds gets 400, and the request under any other
+// deadline is served or times out.
+// Each input gets a fresh server. The seed corpus is in
+// testdata/fuzz/FuzzRequestHeaders.
+func FuzzRequestHeaders(f *testing.F) {
+	const body = "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 4\n2 2 4\n3 3 4\n1 3 -1\n"
+	f.Fuzz(func(t *testing.T, deadline, tenant, name string) {
+		s := New(Config{Registry: telemetry.NewRegistry(), Devices: 1})
+		defer s.Close()
+		h := s.APIHandler()
+		serve := func(method, path, rawQuery, reqBody string) *httptest.ResponseRecorder {
+			r := httptest.NewRequest(method, path, strings.NewReader(reqBody))
+			r.URL.RawQuery = rawQuery
+			r.Header.Set(HeaderTenant, tenant)
+			r.Header.Set(HeaderDeadlineMs, deadline)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			return w
+		}
+
+		w := serve(http.MethodPost, "/v1/matrices", "name="+name, body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("upload named %q: HTTP %d %s", name, w.Code, w.Body)
+		}
+		var info MatrixInfo
+		if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+			t.Fatalf("upload named %q: %v", name, err)
+		}
+
+		w = serve(http.MethodPost, "/v1/spmv", "", `{"matrix":"`+info.ID+`","seed":1}`)
+		ms, err := strconv.ParseFloat(deadline, 64)
+		invalid := deadline != "" && (err != nil || !(ms > 0 && ms <= maxDeadlineMs))
+		ok := w.Code == http.StatusOK || w.Code == http.StatusGatewayTimeout // a tiny deadline may expire
+		if invalid && w.Code != http.StatusBadRequest || !invalid && !ok {
+			t.Fatalf("%s %q: HTTP %d %s", HeaderDeadlineMs, deadline, w.Code, w.Body)
+		}
+		for _, path := range []string{"/v1/matrices", "/tenants.json", "/v1/status"} {
+			if w := serve(http.MethodGet, path, "", ""); w.Code != http.StatusOK {
+				t.Fatalf("GET %s after tenant %q: HTTP %d", path, tenant, w.Code)
+			}
 		}
 	})
 }

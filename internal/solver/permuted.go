@@ -18,6 +18,8 @@ import (
 // slice ranges, bit-identical to MulVecPermuted), the fast zero-alloc
 // loop the service's host rung also runs after an ECC downgrade.
 type PermutedPJDS struct {
+	// P is the pJDS form of the permuted matrix. Its rows need no
+	// further reordering, so it stores no permutation (P.Perm is nil).
 	P *core.PJDS[float64]
 	// Perm is the symmetric permutation applied (new → old).
 	Perm matrix.Perm
@@ -41,12 +43,14 @@ func NewPermutedPJDS(m *matrix.CSR[float64], opt core.Options) (*PermutedPJDS, e
 	}
 	// pm's rows are already sorted by descending length, so the inner
 	// permutation must be the identity; anything else indicates an
-	// instability in the sort.
+	// instability in the sort. Checked, it is dropped: a nil
+	// permutation is the identity to every kernel.
 	for i, v := range p.Perm {
 		if v != i {
 			return nil, fmt.Errorf("solver: internal: non-identity inner permutation at %d", i)
 		}
 	}
+	p.Perm = nil
 	return &PermutedPJDS{P: p, Perm: perm, K: hostkernel.NewPJDS(p, hostkernel.Options{})}, nil
 }
 

@@ -360,6 +360,10 @@ func TestPermutedPJDSEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The inner sort is the identity, so the pJDS form stores none.
+	if op.P.Perm != nil {
+		t.Fatalf("P.Perm has %d entries, want nil", len(op.P.Perm))
+	}
 	x := make([]float64, 600)
 	for i := range x {
 		x[i] = math.Sin(float64(i))

@@ -14,14 +14,14 @@
 #   - bounded fuzz runs of the tuning-DB tail reader, the fault DSL,
 #     the Chrome-trace reader, the profile.proto reader, service
 #     matrix uploads, seeded requests (the permuted-basis fill and
-#     gather digest against the original-basis route), the binary
-#     matrix reader and the MatrixMarket reader's decimal fast path
-#     against strconv.ParseFloat;
-#   - host-kernel wall-clock gates: best-of-3 blocked CRS ns/nnz must
-#     beat best-of-3 naive, best-of-3 SELL-8 (the default kind where
-#     core.GroupKernel() is true) must beat best-of-3 blocked CRS, and
-#     best-of-3 pJDS (SELL-32-N) must stay within 1.25x of best-of-3
-#     SELL-8;
+#     gather digest against the original-basis route), the request
+#     headers and upload name (X-Deadline-Ms, X-Tenant, ?name=), the
+#     binary matrix reader and the MatrixMarket reader's decimal fast
+#     path against strconv.ParseFloat;
+#   - host-kernel wall-clock gates, each best of 3 alternating rounds:
+#     blocked CRS ns/nnz must beat naive, SELL-8 (the default kind
+#     where core.GroupKernel() is true) must beat blocked CRS, and pJDS
+#     (SELL-32-N) must stay within 1.25x of SELL-8;
 #   - smokes: host-kernel byte-diff (one -hostbench run; on each matrix
 #     every kind's digest identical),
 #     format tuning (digests MATCH, auto pick within 1.25x of pJDS,
@@ -86,7 +86,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, seeded requests, binary matrix reader, MatrixMarket value fast path, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, seeded requests, request headers, binary matrix reader, MatrixMarket value fast path, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -98,16 +98,21 @@ go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s -fuzzminimizetime 2s ./i
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profiles/
 go test -run '^$' -fuzz '^FuzzAddMatrix$' -fuzztime 10s ./internal/service/
 go test -run '^$' -fuzz '^FuzzSeededRequest$' -fuzztime 10s ./internal/service/
+go test -run '^$' -fuzz '^FuzzRequestHeaders$' -fuzztime 10s ./internal/service/
 go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 10s ./internal/matrix/
 go test -run '^$' -fuzz '^FuzzParseMMValue$' -fuzztime 10s ./internal/matrix/
 
 echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
-# noise on a small shared host. SELL-8 is the default host kind where
-# core.GroupKernel() is true, so it must beat the blocked CRS kernel it
-# replaced.
-go test -run '^$' -bench '^(BenchmarkHostNaive|BenchmarkHostCRS|BenchmarkHostSELL)$' \
-    -benchtime 300x -count 3 ./internal/hostkernel/ >"$TMP/hostbench.out"
+# noise on a small shared host. Three rounds of one run each, so every
+# kernel in a round shares the machine's current speed (-count 3 would
+# run each kernel's repeats back to back and land host load on one
+# side). SELL-8 is the default host kind where core.GroupKernel() is
+# true, so it must beat the blocked CRS kernel it replaced.
+for round in 1 2 3; do
+    go test -run '^$' -bench '^(BenchmarkHostNaive|BenchmarkHostCRS|BenchmarkHostSELL)$' \
+        -benchtime 300x ./internal/hostkernel/
+done >"$TMP/hostbench.out"
 awk '
     $1 ~ /^Benchmark/ {
         name = $1
