@@ -108,20 +108,21 @@ func NewSELL[T matrix.Float](m *matrix.CSR[T], c, sigma int, opt matrix.ConvertO
 // NewELLPACK builds plain ELLPACK: SELL-N_pad-1, one unsorted chunk of
 // N rounded up to the warp size.
 func NewELLPACK[T matrix.Float](m *matrix.CSR[T], opt matrix.ConvertOptions) *SELL[T] {
-	s, _ := newSELL(m, ellpackHeight(m.NRows), 1, PresetELLPACK, opt)
+	s, _ := newSELL(m, ELLPACKHeight(m.NRows), 1, PresetELLPACK, opt)
 	return s
 }
 
 // NewELLPACKR builds ELLPACK-R: the ELLPACK layout with its rowmax[]
 // array used by the kernel.
 func NewELLPACKR[T matrix.Float](m *matrix.CSR[T], opt matrix.ConvertOptions) *SELL[T] {
-	s, _ := newSELL(m, ellpackHeight(m.NRows), 1, PresetELLPACKR, opt)
+	s, _ := newSELL(m, ELLPACKHeight(m.NRows), 1, PresetELLPACKR, opt)
 	return s
 }
 
-// ellpackHeight is N rounded up to the warp size (at least one warp, so
-// the chunk height of an empty matrix stays valid).
-func ellpackHeight(n int) int {
+// ELLPACKHeight is the ELLPACK chunk height NPad of an n-row matrix: n
+// rounded up to the warp size (at least one warp, so the chunk height
+// of an empty matrix stays valid).
+func ELLPACKHeight(n int) int {
 	return max(WarpSize, (n+WarpSize-1)/WarpSize*WarpSize)
 }
 

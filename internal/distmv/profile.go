@@ -54,10 +54,13 @@ type RankProfile struct {
 // are published into reg (nil selects telemetry.Default()) labelled by
 // rank and phase, so concurrent ranks never share a gauge series.
 //
-// Each of the three kernels runs once on a format built for it, so its
-// plan is never looked up again: the plans compile into a PlanCache
-// private to the call, and they and their formats are garbage once
-// Profile returns instead of filling the package-default cache.
+// Each of the three kernels runs once, so its plan is never looked up
+// again: the plans compile into a PlanCache private to the call, and
+// they are garbage once Profile returns instead of filling the
+// package-default cache. For the same reason ELLPACK-R builds no
+// layout: gpu.RunELLPACKR compiles its plan straight from the CSR
+// block (§II-C: a conversion pays only when many spMVMs reuse it).
+// pJDS still builds its layout, for the row sort.
 func (rp *RankProblem) Profile(dev *gpu.Device, kind FormatKind, xExt []float64, reg *telemetry.Registry) (*RankProfile, error) {
 	nloc := rp.LocalRows()
 	if len(xExt) != nloc+rp.HaloSize() {
@@ -80,7 +83,7 @@ func (rp *RankProblem) Profile(dev *gpu.Device, kind FormatKind, xExt []float64,
 		}
 		switch kind {
 		case FormatELLPACKR:
-			return gpu.RunSELL(dev, core.NewELLPACKR(m, matrix.ConvertOptions{}), y, x, opt)
+			return gpu.RunELLPACKR(dev, m, y, x, opt)
 		case FormatPJDS:
 			p, err := core.NewPJDS(m, core.Options{})
 			if err != nil {

@@ -370,6 +370,27 @@ func TestRunFig4Timeline(t *testing.T) {
 	}
 }
 
+// TestRunFig5Golden pins Fig. 5's text byte for byte: every scaling
+// point's virtual GF/s and time per iteration, in both device formats,
+// and the plots drawn from them.
+func TestRunFig5Golden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, f := range []distmv.FormatKind{distmv.FormatELLPACKR, distmv.FormatPJDS} {
+		if _, err := RunFig5(Fig5Config{
+			Matrix: "DLR1", Scale: tinyScale, Nodes: []int{1, 2, 4, 8}, Iterations: 1, Format: f,
+		}, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fig5_dlr1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Fig. 5 drifted from testdata/fig5_dlr1.golden:\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
 func TestRunSec2B(t *testing.T) {
 	var buf bytes.Buffer
 	rep, err := RunSec2B(tinyScale, &buf)

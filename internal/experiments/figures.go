@@ -297,9 +297,8 @@ func RunSec2B(scale float64, w io.Writer) (*Sec2BReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		ellr := core.NewELLPACKR(m, matrix.ConvertOptions{})
 		x := testVector(m.NCols)
-		st, err := gpu.RunSELL(dev, ellr, make([]float64, m.NRows), x, oneShot())
+		st, err := gpu.RunELLPACKR(dev, m, make([]float64, m.NRows), x, oneShot())
 		if err != nil {
 			return nil, err
 		}

@@ -79,8 +79,8 @@ func csrCase[T matrix.Float](name string, m *matrix.CSR[T], run func(*gpu.Device
 // presetCases covers every SELL preset and the (C, σ) grid of core's
 // TestPresetsBitIdenticalToCSR, CMRS at several strip heights, ELLR-T
 // at every T that divides the warp, BELLPACK at three block shapes, and
-// both CSR kernels, which share one matrix and so must compile two
-// plans.
+// the three CSR sources, which share one matrix and so must compile
+// three plans.
 func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	cv := matrix.ConvertOptions{}
 	sell := func(c, sigma int) func(*matrix.CSR[T]) (*core.SELL[T], error) {
@@ -121,7 +121,8 @@ func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	}
 	return append(cases,
 		csrCase(tag+"/CSR-scalar", m, gpu.RunCSRScalar[T]),
-		csrCase(tag+"/CSR-vector", m, gpu.RunCSRVector[T]))
+		csrCase(tag+"/CSR-vector", m, gpu.RunCSRVector[T]),
+		csrCase(tag+"/ELLPACK-R from CSR", m, gpu.RunELLPACKR[T]))
 }
 
 // compileMatrices returns the preset inputs: mixed row lengths over a
@@ -200,7 +201,8 @@ func TestCompileMatchesReference(t *testing.T) {
 // TestCompileMatchesReferenceOnRankMatrices covers the matrices the
 // distributed engine compiles: the local, non-local and merged
 // sub-matrices of every rank of a DLR1 partition, in both device
-// formats of the Fig. 5 runs.
+// formats of the Fig. 5 runs (ELLPACK-R straight from the CSR, as
+// RankProblem.Profile runs it, and from the layout).
 func TestCompileMatchesReferenceOnRankMatrices(t *testing.T) {
 	m := matgen.DLR1(0.005, 1)
 	for _, p := range []int{4, 32} {
@@ -220,6 +222,7 @@ func TestCompileMatchesReferenceOnRankMatrices(t *testing.T) {
 				} {
 					tag := fmt.Sprintf("rank%d/%s", rp.Rank, phase)
 					cases = append(cases,
+						csrCase(tag+"/ELLPACK-R from CSR", sub, gpu.RunELLPACKR[float64]),
 						sellCase(tag+"/ELLPACK-R", sub, func(m *matrix.CSR[float64]) (*core.SELL[float64], error) {
 							return core.NewELLPACKR(m, matrix.ConvertOptions{}), nil
 						}),

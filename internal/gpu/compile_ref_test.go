@@ -177,13 +177,18 @@ func refLaneSteps[T matrix.Float](src planSource[T], l int) int {
 
 // refElem returns the device addresses of lane l's step j in the value
 // and index arrays, and the column it gathers, by the definition of
-// planSource's chunk-major layout, block shape and jagged diagonals.
+// planSource's chunk-major layout, block shape, CSR rows and jagged
+// diagonals.
 func refElem[T matrix.Float](src planSource[T], l, j int) (at, slot int64, col int) {
 	br, bc := src.blockShape()
 	at = src.chunkStart[l/src.chunk] + int64(l%src.chunk)
 	slot = at - int64(l) + int64(l/br) + int64(j/bc*(src.chunk/br))
 	at += int64(j * src.chunk)
-	col = int(src.col[slot])*bc + j%bc
+	if src.rowPtr != nil {
+		col = int(src.col[src.rowPtr[l]+j])
+	} else {
+		col = int(src.col[slot])*bc + j%bc
+	}
 	if src.colStart != nil {
 		at = int64(src.colStart[j]) + int64(l)
 		slot = at

@@ -6,6 +6,7 @@ import (
 
 	"pjds/internal/matgen"
 	"pjds/internal/matrix"
+	"pjds/internal/telemetry"
 )
 
 func TestCSRKernelsMatchReference(t *testing.T) {
@@ -129,9 +130,93 @@ func TestCSRKernelValidation(t *testing.T) {
 	if _, err := RunCSRVector(d, m, make([]float64, 64), randVec(63, 1), RunOptions{}); err == nil {
 		t.Error("vector short x accepted")
 	}
+	if _, err := RunELLPACKR(d, m, make([]float64, 65), randVec(64, 1), RunOptions{}); err == nil {
+		t.Error("ELLPACK-R long y accepted")
+	}
 	bad := TeslaC2070()
 	bad.NumMPs = -1
 	if _, err := RunCSRScalar(bad, m, make([]float64, 64), randVec(64, 1), RunOptions{}); err == nil {
 		t.Error("invalid device accepted")
 	}
+}
+
+// fuzzValues are the matrix and vector entries FuzzELLPACKRFromCSR
+// draws from: a -0 sum that a padding 0·x would flip to +0, NaN and a
+// subnormal. No product or sum reaches an infinity, so every NaN is
+// math.NaN()'s: an Inf−Inf or 0·Inf NaN has another payload, and which
+// of two payloads a sum keeps depends on the operand order the
+// compiler picks for a commutative add, which Go leaves open.
+var fuzzValues = []float64{0, math.Copysign(0, -1), 1, -1.5, 0.1, 1e10, math.NaN(), -7, 5e-324}
+
+// FuzzELLPACKRFromCSR checks that ELLPACK-R compiled straight from the
+// CSR is the plan of the built layout: equal KernelStats and
+// bit-identical y, with and without Accumulate, at 1 and 3 workers.
+// The bytes give the shape (up to three warps of rows; columns drawn
+// independently, so NCols ≠ NRows as in a rank's non-local block),
+// then per row a length (0 gives an empty row) and (column, value)
+// pairs.
+func FuzzELLPACKRFromCSR(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 200, 2, 0, 1, 5, 2, 0, 3, 1, 1, 4})
+	f.Add([]byte{69, 7, 8, 1, 6, 2, 1, 3, 0, 4, 1, 5, 0, 6, 7, 0, 0, 1, 7, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		rows, cols := 1+next()%96, 1+next()%96
+		m := &matrix.CSR[float64]{NRows: rows, NCols: cols, RowPtr: make([]int, rows+1)}
+		for i := range rows {
+			for range next() % 9 {
+				m.ColIdx = append(m.ColIdx, int32(next()%cols))
+				m.Val = append(m.Val, fuzzValues[next()%len(fuzzValues)])
+			}
+			m.RowPtr[i+1] = len(m.Val)
+		}
+		x := make([]float64, cols)
+		for c := range x {
+			x[c] = fuzzValues[(c*7+3)%len(fuzzValues)]
+		}
+		d := TeslaC2070()
+		ellr := newELLR(m)
+		reg := telemetry.NewRegistry()
+		for _, acc := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				run := func(kernel func(y []float64, opt RunOptions) (*KernelStats, error)) (*KernelStats, []float64) {
+					y := make([]float64, rows)
+					for i := range y {
+						y[i] = fuzzValues[(i*3+1)%len(fuzzValues)]
+					}
+					st, err := kernel(y, RunOptions{Accumulate: acc, Workers: workers, Plans: NewPlanCache(1), Metrics: reg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st, y
+				}
+				want, yWant := run(func(y []float64, opt RunOptions) (*KernelStats, error) { return RunSELL(d, ellr, y, x, opt) })
+				got, yGot := run(func(y []float64, opt RunOptions) (*KernelStats, error) { return RunELLPACKR(d, m, y, x, opt) })
+				if *got != *want {
+					t.Fatalf("accumulate=%v workers=%d:\n got  %+v\n want %+v", acc, workers, *got, *want)
+				}
+				if i := firstBitDiff(yGot, yWant); i >= 0 {
+					t.Fatalf("accumulate=%v workers=%d: y[%d] = %v, layout gives %v", acc, workers, i, yGot[i], yWant[i])
+				}
+			}
+		}
+	})
+}
+
+// firstBitDiff returns the first index where a and b differ in their
+// bit patterns, or -1.
+func firstBitDiff[T matrix.Float](a, b []T) int {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return i
+		}
+	}
+	return -1
 }

@@ -22,6 +22,8 @@ const (
 
 // goldenRuns simulates every SELL-family layout the paper compares on m
 // in one precision and returns the stats keyed by a stable case name.
+// It also runs ELLPACK-R straight from the CSR and fails unless that
+// run equals the layout's.
 func goldenRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) map[string]KernelStats {
 	t.Helper()
 	d := TeslaC2070()
@@ -43,6 +45,17 @@ func goldenRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) map
 	add("ELLPACK", st, err)
 	st, err = RunSELL(d, newELLR(m), y[:m.NRows], x, opt)
 	add("ELLPACK-R", st, err)
+	yc := make([]T, m.NRows)
+	stc, err := RunELLPACKR(d, m, yc, x, opt)
+	if err != nil {
+		t.Fatalf("ELLPACK-R from CSR/%s: %v", prec, err)
+	}
+	if *stc != *st {
+		t.Errorf("ELLPACK-R/%s from CSR:\n got  %+v\n want %+v", prec, *stc, *st)
+	}
+	if i := firstBitDiff(yc, y[:m.NRows]); i >= 0 {
+		t.Errorf("ELLPACK-R/%s from CSR: y[%d] = %v, layout gives %v", prec, i, yc[i], y[i])
+	}
 	for _, br := range []int{1, 4, 16, 32, 64, 256} {
 		p, err := core.NewPJDS(m, core.Options{BlockHeight: br})
 		if err != nil {

@@ -19,9 +19,10 @@ import (
 // of the device's warp size, and every kernel that uses it stores its
 // elements chunk-major: step j of lane l touches storage position
 // chunkStart[l/chunk] + j*chunk + l%chunk. The SELL presets, CSR-scalar,
-// CSR-vector, ELLR-T, CMRS and BELLPACK differ only in these fields;
-// everything else — coalescing analysis, L2 simulation, divergence
-// accounting, the worker pool and the telemetry — is shared.
+// CSR-vector, ELLPACK-R from CSR, ELLR-T, CMRS and BELLPACK differ only
+// in these fields; everything else — coalescing analysis, L2
+// simulation, divergence accounting, the worker pool and the
+// telemetry — is shared.
 type planSource[T matrix.Float] struct {
 	kernel           string
 	rows, cols, nPad int
@@ -29,8 +30,12 @@ type planSource[T matrix.Float] struct {
 	// metaSegs is the number of coalesced metadata segments (row
 	// lengths, slice offsets) every warp loads.
 	metaSegs int64
-	// col backs the RHS gather analysis.
+	// col backs the RHS gather analysis: lane l reads entry e's column
+	// at its index slot, or, when rowPtr is set (ELLPACK-R straight
+	// from the CSR), at col[rowPtr[l] + e]. The index stream is charged
+	// at the slot either way.
 	col        []int32
+	rowPtr     []int
 	chunk      int
 	chunkStart []int64
 	// lens and group give every lane its SIMT step count. The lanes
@@ -138,10 +143,11 @@ type compileScratch struct {
 }
 
 // laneState is one lane of the warp being compiled: its element 0's
-// storage offset, its first index slot and its step count.
+// storage offset, its first index slot, where its column indices start
+// in planSource.col and its step count.
 type laneState struct {
-	base, slot int64
-	steps      int32
+	base, slot, col int64
+	steps           int32
 }
 
 var compileScratches = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -223,7 +229,11 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 	stride := int64(src.chunk)
 	br, bc := src.blockShape()
 	slotStride, bc64 := int64(src.chunk/br), int64(bc)
-	col, colStart := src.col, src.colStart
+	col, colStart, rowPtr := src.col, src.colStart, src.rowPtr
+	colStep := slotStride
+	if rowPtr != nil {
+		colStep = 1
+	}
 	// Column col[slot]·BC + jc reaches cols from col[slot] =
 	// ceil((cols − jc)/BC) on: colQ while jc ≤ colRem, then colQ − 1.
 	colQ, colRem := int64((src.cols-1)/bc+1), int64((src.cols-1)%bc)
@@ -259,6 +269,10 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 			maxLen = max(maxLen, ls.steps)
 			ls.base = src.base(l)
 			ls.slot = ls.base - int64(l) + int64(g)
+			ls.col = ls.slot
+			if rowPtr != nil && ls.steps > 0 {
+				ls.col = int64(rowPtr[l])
+			}
 			if r++; r == br {
 				g, r = g+1, 0
 			}
@@ -273,7 +287,9 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 		} else {
 			t.BytesMeta += src.metaSegs * segBytes
 		}
-		slotOff, jc := int64(0), int64(0) // (j/BC)·chunk/BR and j%BC
+		// slotOff and colOff are entry j/BC's offsets from the lane's
+		// first slot and column; jc is j%BC.
+		slotOff, colOff, jc := int64(0), int64(0), int64(0)
 		executed := int64(0)
 		for j := int32(0); j < maxLen; j++ {
 			var valSegs, idxSegs int64
@@ -292,12 +308,11 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 				if j >= ls.steps {
 					continue // lane idle: reserved but useless (light boxes of Fig. 2b)
 				}
-				k := ls.slot + slotOff
-				c := int64(col[k])
+				c := int64(col[ls.col+colOff])
 				if c >= colLimit {
 					continue // past the right edge of a partial block
 				}
-				at := ls.base + valOff
+				at, k := ls.base+valOff, ls.slot+slotOff
 				if colStart != nil {
 					at = int64(colStart[j]) + int64(wbase+lane)
 					k = at
@@ -326,7 +341,7 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 				}
 			}
 			if jc++; jc == bc64 {
-				slotOff, jc = slotOff+slotStride, 0
+				slotOff, colOff, jc = slotOff+slotStride, colOff+colStep, 0
 			}
 		}
 		t.ExecutedLaneSteps += executed

@@ -41,8 +41,8 @@ func fingerprint(d *Device) devFingerprint {
 
 // planKey identifies a compiled plan: the matrix identity (the format
 // pointer — formats are treated as immutable once handed to a kernel),
-// the kernel that reads it (CSR-scalar and CSR-vector share one
-// *matrix.CSR) and the device geometry fingerprint.
+// the kernel that reads it (CSR-scalar, CSR-vector and ELLPACK-R from
+// CSR share one *matrix.CSR) and the device geometry fingerprint.
 type planKey struct {
 	src    any
 	kernel string

@@ -16,8 +16,10 @@
 #     matrix uploads, seeded requests (the permuted-basis fill and
 #     gather digest against the original-basis route), the request
 #     headers and upload name (X-Deadline-Ms, X-Tenant, ?name=), the
-#     binary matrix reader and the MatrixMarket reader's decimal fast
-#     path against strconv.ParseFloat;
+#     binary matrix reader, the MatrixMarket reader's decimal fast
+#     path against strconv.ParseFloat, and the ELLPACK-R device plan
+#     compiled straight from the CSR against the one built on its
+#     layout (equal stats, bit-identical y);
 #   - host-kernel wall-clock gates, each best of 3 alternating rounds:
 #     blocked CRS ns/nnz must beat naive, SELL-8 (the default kind
 #     where core.GroupKernel() is true) must beat blocked CRS, and pJDS
@@ -86,7 +88,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, seeded requests, request headers, binary matrix reader, MatrixMarket value fast path, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, seeded requests, request headers, binary matrix reader, MatrixMarket value fast path, ELLPACK-R from CSR, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -101,6 +103,7 @@ go test -run '^$' -fuzz '^FuzzSeededRequest$' -fuzztime 10s ./internal/service/
 go test -run '^$' -fuzz '^FuzzRequestHeaders$' -fuzztime 10s ./internal/service/
 go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 10s ./internal/matrix/
 go test -run '^$' -fuzz '^FuzzParseMMValue$' -fuzztime 10s ./internal/matrix/
+go test -run '^$' -fuzz '^FuzzELLPACKRFromCSR$' -fuzztime 10s ./internal/gpu/
 
 echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
