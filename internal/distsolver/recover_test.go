@@ -95,7 +95,7 @@ func TestCrashRecoveryBitExact(t *testing.T) {
 	base := RecoverConfig{Tol: 1e-10, MaxIter: 2000, CheckpointEvery: 10}
 	_, xClean := runRecover(t, problems, b, base)
 
-	plan := faults.MustParse(7, "crash rank=2 iter=25")
+	plan := mustParse(t, 7, "crash rank=2 iter=25")
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanLog()
 	cfg := base
@@ -157,7 +157,7 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 	_, xClean := runRecover(t, problems, b, base)
 
 	cfg := base
-	cfg.Schedule = faults.MustParse(7, "crash rank=0 iter=3")
+	cfg.Schedule = mustParse(t, 7, "crash rank=0 iter=3")
 	res, x := runRecover(t, problems, b, cfg)
 	if res.Restarts != 1 || len(res.DeadRanks) != 1 || res.DeadRanks[0] != 0 {
 		t.Fatalf("restarts=%d dead=%v", res.Restarts, res.DeadRanks)
@@ -185,7 +185,7 @@ func TestECCDowngradeInDistributedSolve(t *testing.T) {
 	}
 	_, xClean := runRecover(t, problems, b, base)
 
-	plan := faults.MustParse(11, "ecc rank=1 launch=8")
+	plan := mustParse(t, 11, "ecc rank=1 launch=8")
 	cfg := base
 	cfg.Inst = &Instrument{Metrics: reg, Device: dev}
 	cfg.Schedule = plan
@@ -216,7 +216,7 @@ func TestMessageDropsRecovered(t *testing.T) {
 	base := RecoverConfig{Tol: 1e-10, MaxIter: 2000}
 	_, xClean := runRecover(t, problems, b, base)
 
-	plan := faults.MustParse(42, "drop all prob=0.02")
+	plan := mustParse(t, 42, "drop all prob=0.02")
 	reg := telemetry.NewRegistry()
 	cfg := base
 	cfg.Wire = plan
@@ -247,7 +247,7 @@ func TestSlowFactorIsTimingOnly(t *testing.T) {
 	resClean, xClean := runRecover(t, problems, b, base)
 
 	cfg := base
-	cfg.Schedule = faults.MustParse(5, "slow rank=1 factor=4")
+	cfg.Schedule = mustParse(t, 5, "slow rank=1 factor=4")
 	res, x := runRecover(t, problems, b, cfg)
 	for i := range x {
 		if math.Float64bits(x[i]) != math.Float64bits(xClean[i]) {
@@ -257,4 +257,14 @@ func TestSlowFactorIsTimingOnly(t *testing.T) {
 	if res.Clocks[1] <= resClean.Clocks[1] {
 		t.Errorf("rank 1 clock %g not slowed (healthy %g)", res.Clocks[1], resClean.Clocks[1])
 	}
+}
+
+// mustParse is Parse for a schedule the test knows to be valid.
+func mustParse(t testing.TB, seed uint64, script string) *faults.Plan {
+	t.Helper()
+	p, err := faults.Parse(seed, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

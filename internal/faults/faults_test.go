@@ -56,9 +56,9 @@ func TestParseAndMatch(t *testing.T) {
 }
 
 func TestDeterministicSchedule(t *testing.T) {
-	a := MustParse(7, "drop all prob=0.2\ndelay all prob=0.1 by=1ms")
-	b := MustParse(7, "drop all prob=0.2\ndelay all prob=0.1 by=1ms")
-	c := MustParse(8, "drop all prob=0.2\ndelay all prob=0.1 by=1ms")
+	a := mustParse(t, 7, "drop all prob=0.2\ndelay all prob=0.1 by=1ms")
+	b := mustParse(t, 7, "drop all prob=0.2\ndelay all prob=0.1 by=1ms")
+	c := mustParse(t, 8, "drop all prob=0.2\ndelay all prob=0.1 by=1ms")
 	same, diff := 0, 0
 	for seq := int64(0); seq < 2000; seq++ {
 		fa, fb, fc := a.OnSend(0, 1, 0, 8, seq), b.OnSend(0, 1, 0, 8, seq), c.OnSend(0, 1, 0, 8, seq)
@@ -77,7 +77,7 @@ func TestDeterministicSchedule(t *testing.T) {
 }
 
 func TestProbabilisticRate(t *testing.T) {
-	p := MustParse(3, "drop all prob=0.1")
+	p := mustParse(t, 3, "drop all prob=0.1")
 	hits := 0
 	const n = 20000
 	for seq := int64(0); seq < n; seq++ {
@@ -92,7 +92,7 @@ func TestProbabilisticRate(t *testing.T) {
 }
 
 func TestOneShotEvents(t *testing.T) {
-	p := MustParse(1, "crash rank=1 iter=5\necc rank=2 launch=3")
+	p := mustParse(t, 1, "crash rank=1 iter=5\necc rank=2 launch=3")
 	if p.CrashNow(1, 4) || p.CrashNow(0, 5) {
 		t.Error("crash fired off schedule")
 	}
@@ -165,4 +165,14 @@ func TestDurations(t *testing.T) {
 			t.Errorf("%q = %g, want %g", s, got, want)
 		}
 	}
+}
+
+// mustParse is Parse for a schedule the test knows to be valid.
+func mustParse(t testing.TB, seed uint64, script string) *Plan {
+	t.Helper()
+	p, err := Parse(seed, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

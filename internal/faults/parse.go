@@ -49,15 +49,6 @@ func Parse(seed uint64, script string) (*Plan, error) {
 	return p, nil
 }
 
-// MustParse is Parse for programmatic schedules known to be valid.
-func MustParse(seed uint64, script string) *Plan {
-	p, err := Parse(seed, script)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p *Plan) parseLine(line string) error {
 	fields := strings.Fields(line)
 	kind := fields[0]

@@ -839,3 +839,45 @@ func TestUploadLimit(t *testing.T) {
 		t.Fatalf("error %q does not name the limit (%q)", err, want)
 	}
 }
+
+// TestSeededSolvesPinned pins the digest and iteration count of seeded
+// /v1/solve requests on the solve benchmark's system, Stencil2D(96,96)
+// to 1e-10, on CG's SIMD vector passes and on its Go loops. The
+// benchmark checks its solves against solver.CG built from the same
+// code, so only pinned values catch a change in the CG trajectory.
+func TestSeededSolvesPinned(t *testing.T) {
+	m := matgen.Stencil2D(96, 96)
+	var buf bytes.Buffer
+	if err := matrix.WriteMatrixMarket(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Devices: 1})
+	info := upload(t, ts, "stencil", buf.Bytes())
+	for _, mode := range []string{"simd", "go"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "go" {
+				old := solver.SetVectorKernels(false)
+				t.Cleanup(func() { solver.SetVectorKernels(old) })
+			}
+			for _, tc := range []struct {
+				seed   uint64
+				digest string
+				iters  int
+			}{
+				{0, "fefbe19edca9d03f", 327},
+				{1, "4e4c8e32646cecf2", 329},
+				{42, "67ea4d63785958bb", 325},
+			} {
+				var res SolveResult
+				resp := post(t, ts, "/v1/solve", nil, SolveRequest{Matrix: info.ID, Seed: tc.seed, Tol: 1e-10}, &res)
+				if resp.StatusCode != http.StatusOK || !res.Converged {
+					t.Fatalf("seed %d: HTTP %d, %+v", tc.seed, resp.StatusCode, res)
+				}
+				if res.Digest != tc.digest || res.Iterations != tc.iters {
+					t.Errorf("seed %d: digest %s after %d iterations, want %s after %d",
+						tc.seed, res.Digest, res.Iterations, tc.digest, tc.iters)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"testing"
 
 	"pjds/internal/core"
@@ -40,6 +41,46 @@ func BenchmarkCGLaplacian(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCGVectorPasses times CG's vector passes at the solve
+// workload's size, n = 9216 (Stencil2D(96,96)), on the SIMD kernels and
+// on the Go loops: update (x += α·p, r −= α·ap and rᵀr), direction
+// (p = r + β·p) and dot (pᵀAp through Dot). update and dot each run one
+// dependent add per element, the floor of a sum kept in scalar order.
+// Dot has no SIMD path, so its two readings are one loop.
+func BenchmarkCGVectorPasses(b *testing.B) {
+	const n = 96 * 96
+	x, r, p, ap := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		r[i], p[i], ap[i] = math.Sin(float64(i)), math.Cos(float64(i)), 1+math.Sin(0.5*float64(i))
+	}
+	passes := []struct {
+		name string
+		run  func()
+	}{
+		// α keeps x and r far from overflow over any b.N.
+		{"update", func() { benchSink = cgUpdate(x, r, p, ap, 1e-9) }},
+		// β < 1 keeps p bounded: it tends to r/(1−β).
+		{"direction", func() { cgDirection(p, r, 0.5) }},
+		{"dot", func() { benchSink = Dot(p, ap) }},
+	}
+	for _, pass := range passes {
+		for _, mode := range []string{"simd", "go"} {
+			b.Run(pass.name+"/"+mode, func(b *testing.B) {
+				if mode == "go" {
+					withoutVectorKernels(b)
+				}
+				for i := 0; i < b.N; i++ {
+					pass.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+			})
+		}
+	}
+}
+
+// benchSink keeps the benchmarked sums alive.
+var benchSink float64
 
 func BenchmarkLanczos(b *testing.B) {
 	m := matgen.Stencil2D(50, 50)

@@ -4,7 +4,11 @@
 // and a Lanczos eigensolver — the "production-grade eigensolver" of
 // the paper's outlook. All of them run their whole iteration in the
 // pJDS-permuted basis, entering and leaving it exactly once, as §II-A
-// prescribes for Krylov subspace methods.
+// prescribes for Krylov subspace methods. CG's vector work outside the
+// operator is two passes per iteration, the x/r/rᵀr update and the
+// direction p = r + β·p; on amd64 CPUs with AVX-512 both run four lanes
+// at a time in assembly (cg_amd64.s), bit-identical to the Go loops
+// that run everywhere else.
 package solver
 
 import (
@@ -12,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"pjds/internal/core"
 	"pjds/internal/profiles"
 )
 
@@ -132,8 +137,6 @@ func NewCGState(a Operator, x, b []float64, h Hooks) (*CGState, error) {
 // only in their hooks.
 func (s *CGState) Run(a Operator, tol float64, maxIter int, h Hooks) (CGResult, error) {
 	x := s.X
-	// Resliced to len(x), so the compiler drops the bounds checks of
-	// the update loops below.
 	r, p, ap := s.R[:len(x)], s.P[:len(x)], make([]float64, len(x))
 	res := CGResult{Iterations: s.Iter}
 	for s.Iter < maxIter {
@@ -154,23 +157,11 @@ func (s *CGState) Run(a Operator, tol float64, maxIter int, h Hooks) (CGResult, 
 			return res, fmt.Errorf("solver: CG operator not positive definite (pᵀAp = %g)", pap)
 		}
 		alpha := s.RR / pap
-		// One pass for x += α·p, r -= α·ap and the local part of rᵀr,
-		// with the exact per-element expressions and summation order of
-		// Axpy(α, p, x), Axpy(−α, ap, r) and Dot(r, r).
-		na := -alpha
-		rrNew := 0.0
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] += na * ap[i]
-			rrNew += r[i] * r[i]
-		}
-		if rrNew, err = h.sum(rrNew); err != nil {
+		rrNew, err := h.sum(cgUpdate(x, r, p, ap, alpha))
+		if err != nil {
 			return res, err
 		}
-		beta := rrNew / s.RR
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
+		cgDirection(p, r, rrNew/s.RR)
 		s.RR = rrNew
 		s.Iter++
 		res.Iterations = s.Iter
@@ -182,6 +173,49 @@ func (s *CGState) Run(a Operator, tol float64, maxIter int, h Hooks) (CGResult, 
 		return res, fmt.Errorf("%w: CG residual %g after %d iterations", ErrNotConverged, res.Residual, maxIter)
 	}
 	return res, nil
+}
+
+// cgUpdate is CG's update pass: one pass for x += α·p, r −= α·ap and
+// the local part of rᵀr, which it returns, with the exact per-element
+// expressions and summation order of Axpy(α, p, x), Axpy(−α, ap, r)
+// and Dot(r, r). The leading multiple of four elements runs through
+// the SIMD kernel where the CPU has it, and the Go loop continues its
+// sum. r, p and ap are at least as long as x.
+func cgUpdate(x, r, p, ap []float64, alpha float64) float64 {
+	na := -alpha
+	k, rr := updateGroups(x, r, p, ap, alpha, na)
+	x = x[k:]
+	// Resliced to len(x), so the compiler drops the loop's bounds
+	// checks.
+	r, p, ap = r[k:][:len(x)], p[k:][:len(x)], ap[k:][:len(x)]
+	for i := range x {
+		x[i] += alpha * p[i]
+		r[i] += na * ap[i]
+		rr += r[i] * r[i]
+	}
+	return rr
+}
+
+// cgDirection is CG's direction pass, p = r + β·p, through the SIMD
+// kernel for the leading multiple of four elements where the CPU has
+// it. r is at least as long as p.
+func cgDirection(p, r []float64, beta float64) {
+	k := directionGroups(p, r, beta)
+	p = p[k:]
+	r = r[k:][:len(p)]
+	for i := range p {
+		p[i] = r[i] + beta*p[i]
+	}
+}
+
+// SetVectorKernels switches the SIMD passes of CG off, or back on where
+// the CPU has them, and returns the previous setting. Every result bit
+// is the same either way; tests of the packages that run CG use it to
+// cover the Go loops on a host with the kernels.
+func SetVectorKernels(on bool) bool {
+	old := useVectorKernels
+	useVectorKernels = on && core.AVX512DQ()
+	return old
 }
 
 // PowerResult reports a power-iteration run.

@@ -162,10 +162,29 @@ func randomSPD(n int, seed int64) *matrix.CSR[float64] {
 	return coo.ToCSR()
 }
 
+// withoutVectorKernels runs CG's vector passes through the Go loops
+// until the end of t.
+func withoutVectorKernels(t testing.TB) {
+	old := SetVectorKernels(false)
+	t.Cleanup(func() { SetVectorKernels(old) })
+}
+
 // TestCGFusedUpdateBitIdentical: the fused x/r/rᵀr pass of CG leaves
 // x, the iteration count and the residual history bit-identical to the
-// unfused Axpy/Axpy/Dot reference.
+// unfused Axpy/Axpy/Dot reference, on the SIMD passes and on the Go
+// loops.
 func TestCGFusedUpdateBitIdentical(t *testing.T) {
+	for _, mode := range []string{"simd", "go"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "go" {
+				withoutVectorKernels(t)
+			}
+			testCGFusedUpdate(t)
+		})
+	}
+}
+
+func testCGFusedUpdate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		m    *matrix.CSR[float64]

@@ -17,9 +17,11 @@
 #     gather digest against the original-basis route), the request
 #     headers and upload name (X-Deadline-Ms, X-Tenant, ?name=), the
 #     binary matrix reader, the MatrixMarket reader's decimal fast
-#     path against strconv.ParseFloat, and the ELLPACK-R device plan
+#     path against strconv.ParseFloat, the ELLPACK-R device plan
 #     compiled straight from the CSR against the one built on its
-#     layout (equal stats, bit-identical y);
+#     layout (equal stats, bit-identical y), and CG's SIMD update and
+#     direction passes against its Go loops (bit-identical x, r, p and
+#     rᵀr);
 #   - host-kernel wall-clock gates, each best of 3 alternating rounds:
 #     blocked CRS ns/nnz must beat naive, SELL-8 (the default kind
 #     where core.GroupKernel() is true) must beat blocked CRS, and pJDS
@@ -88,7 +90,7 @@ echo "== go test -race (host kernels, worker pools, tuner) =="
 go test -race ./internal/hostkernel/... ./internal/model/... \
     ./internal/tuner/...
 
-echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, seeded requests, request headers, binary matrix reader, MatrixMarket value fast path, ELLPACK-R from CSR, bounded) =="
+echo "== fuzz (tuning-DB tail reader, fault DSL, trace and profile.proto readers, service uploads, seeded requests, request headers, binary matrix reader, MatrixMarket value fast path, ELLPACK-R from CSR, CG vector passes, bounded) =="
 # The checked-in corpora already run under go test; this explores
 # beyond them for a fixed time.
 go test -run '^$' -fuzz '^FuzzTuningDB$' -fuzztime 10s ./internal/tuner/
@@ -104,6 +106,7 @@ go test -run '^$' -fuzz '^FuzzRequestHeaders$' -fuzztime 10s ./internal/service/
 go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 10s ./internal/matrix/
 go test -run '^$' -fuzz '^FuzzParseMMValue$' -fuzztime 10s ./internal/matrix/
 go test -run '^$' -fuzz '^FuzzELLPACKRFromCSR$' -fuzztime 10s ./internal/gpu/
+go test -run '^$' -fuzz '^FuzzCGVectorPasses$' -fuzztime 10s ./internal/solver/
 
 echo "== host-kernel speed gate (best-of-3 blocked below naive, SELL-8 below blocked) =="
 # Wall-clock: the minimum over 3 runs on each side absorbs scheduler
