@@ -111,10 +111,10 @@ func TestPipelineFileToClusterSolve(t *testing.T) {
 }
 
 // TestPipelineRCMThenPJDSSolve chains the reordering tools: RCM to
-// recover locality, symmetric permutation, pJDS conversion, GMRES on
-// the reordered system, and mapping the solution back.
+// recover locality, symmetric permutation, CG on the reordered
+// system, and mapping the solution back.
 func TestPipelineRCMThenPJDSSolve(t *testing.T) {
-	// A scrambled banded SPD-ish system.
+	// A scrambled banded SPD system.
 	base := Stencil2D(30, 30)
 	n := base.NRows
 	scramble := RCM(base) // any valid permutation works for scrambling
@@ -129,7 +129,7 @@ func TestPipelineRCMThenPJDSSolve(t *testing.T) {
 	p := RCM(m)
 	rm := PermuteSymmetric(m, p)
 
-	// Solve rm·z = pb with GMRES + Jacobi, then undo both perms.
+	// Solve rm·z = pb with CG, then undo both perms.
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = 1 + math.Cos(0.02*float64(i))
@@ -144,7 +144,7 @@ func TestPipelineRCMThenPJDSSolve(t *testing.T) {
 	}
 	op := csrOp{rm}
 	z := make([]float64, n)
-	if _, err := GMRES(op, z, pb, 40, 1e-12, 8000, NewJacobi(rm)); err != nil {
+	if _, err := CG(op, z, pb, 1e-12, 8000); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, n)

@@ -48,13 +48,8 @@ const MaxStripHeight = 256
 // loads, short enough to keep the per-strip scatter in registers.
 const DefaultStripHeight = 16
 
-// NewCMRS builds the CMRS layout with the given strip height
-// (0 selects DefaultStripHeight).
-func NewCMRS[T matrix.Float](m *matrix.CSR[T], height int) (*CMRS[T], error) {
-	return NewCMRSWith(m, height, matrix.ConvertOptions{})
-}
-
-// NewCMRSWith is NewCMRS with explicit conversion options. Strips are
+// NewCMRSWith builds the CMRS layout with the given strip height (0
+// selects DefaultStripHeight) and conversion options. Strips are
 // filled in parallel — each strip's element range is fixed by the CSR
 // row pointers alone, so every worker count builds the identical
 // arrays.
@@ -150,12 +145,12 @@ func (c *CMRS[T]) MulVec(y, x []T) error {
 }
 
 // MulRows computes the rows of strips [slo, shi) of y = A·x (y += A·x
-// when add) — the one CMRS loop, behind MulVec, the host kernel and
-// the device replay. A row's elements are consecutive in its strip, so
-// each row sums its run from zero in element (stored column) order
-// into one scalar, and every row of the strip is written, empty rows
-// included: bit-identical to CRS, down to a −0 in y becoming +0 under
-// add. Shapes are the caller's to check.
+// when add) — the one CMRS loop, behind MulVec and the host kernel. A
+// row's elements are consecutive in its strip, so each row sums its
+// run from zero in element (stored column) order into one scalar, and
+// every row of the strip is written, empty rows included:
+// bit-identical to CRS, down to a −0 in y becoming +0 under add. Shapes
+// are the caller's to check.
 func (c *CMRS[T]) MulRows(y, x []T, slo, shi int, add bool) {
 	val, idx, ris := c.Val, c.ColIdx, c.RowInStrip
 	for s := slo; s < shi; s++ {

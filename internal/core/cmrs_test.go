@@ -16,7 +16,7 @@ import (
 func TestCMRSBitIdenticalToCRS(t *testing.T) {
 	for _, height := range []int{1, 3, 16, 64} {
 		m := randomCSR(257, 190, 0.05, int64(height))
-		c, err := NewCMRS(m, height)
+		c, err := NewCMRSWith(m, height, matrix.ConvertOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestCMRSMulRowsAccumulate(t *testing.T) {
 		return y
 	}
 	for _, height := range []int{1, 16, 32} {
-		c, err := NewCMRS(m, height)
+		c, err := NewCMRSWith(m, height, matrix.ConvertOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestCMRSMulRowsAccumulate(t *testing.T) {
 
 func TestCMRSGeometry(t *testing.T) {
 	m := randomCSR(100, 80, 0.05, 21)
-	c, err := NewCMRS(m, 16)
+	c, err := NewCMRSWith(m, 16, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,20 +121,20 @@ func TestCMRSGeometry(t *testing.T) {
 			e++
 		}
 	}
-	if def, err := NewCMRS(m, 0); err != nil || def.Height != DefaultStripHeight {
+	if def, err := NewCMRSWith(m, 0, matrix.ConvertOptions{}); err != nil || def.Height != DefaultStripHeight {
 		t.Errorf("default height: %v %v", def, err)
 	}
 }
 
 func TestCMRSValidation(t *testing.T) {
 	m := randomCSR(40, 40, 0.1, 5)
-	if _, err := NewCMRS(m, -1); err == nil {
+	if _, err := NewCMRSWith(m, -1, matrix.ConvertOptions{}); err == nil {
 		t.Error("negative height accepted")
 	}
-	if _, err := NewCMRS(m, MaxStripHeight+1); err == nil {
+	if _, err := NewCMRSWith(m, MaxStripHeight+1, matrix.ConvertOptions{}); err == nil {
 		t.Error("oversized height accepted")
 	}
-	c, err := NewCMRS(m, 8)
+	c, err := NewCMRSWith(m, 8, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCMRSEmptyRowsAndTail(t *testing.T) {
 		coo.Add(i, i%20, float64(i)+1)
 	}
 	m := coo.ToCSR()
-	c, err := NewCMRS(m, 8) // 37 rows → 5 strips, last covers 5 rows
+	c, err := NewCMRSWith(m, 8, matrix.ConvertOptions{}) // 37 rows → 5 strips, last covers 5 rows
 	if err != nil {
 		t.Fatal(err)
 	}

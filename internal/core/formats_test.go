@@ -50,7 +50,7 @@ func allFormats(t *testing.T, m *matrix.CSR[float64]) []Format[float64] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmrs, err := NewCMRS(m, 0)
+	cmrs, err := NewCMRSWith(m, 0, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

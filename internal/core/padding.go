@@ -7,31 +7,10 @@ import (
 )
 
 // The SELL-C-σ layout itself (SELL) carries the paper's padded
-// formats as presets; this file adds the layout-quality measures the
-// (C, σ) auto-tuner works with: the zero-padding overhead β and its
-// row-length estimate, Padding. See DESIGN.md "SELL-C-σ presets and the
+// formats as presets; this file adds the layout-quality measure the
+// (C, σ) auto-tuner works with: Padding, the row-length estimate of
+// the zero-padding overhead β. See DESIGN.md "SELL-C-σ presets and the
 // format tuner" for the mapping to the paper's quantities.
-
-// ZeroPadding computes β = stored/nnz − 1 for any format; 0 for
-// padding-free formats such as CRS and CMRS.
-func ZeroPadding[T matrix.Float](f Format[T]) float64 {
-	nnz := f.NonZeros()
-	if nnz == 0 {
-		return 0
-	}
-	return float64(f.StoredElems())/float64(nnz) - 1
-}
-
-// ChunkOccupancy returns nnz/stored = 1/(1+β): the fraction of stored
-// slots holding genuine non-zeros (CMRS's "chunk occupancy" measure,
-// 1.0 for padding-free formats).
-func ChunkOccupancy[T matrix.Float](f Format[T]) float64 {
-	stored := f.StoredElems()
-	if stored == 0 {
-		return 1
-	}
-	return float64(f.NonZeros()) / float64(stored)
-}
 
 // Padding predicts the stored slots and zero-padding overhead β of
 // SELL-C-σ layouts from row lengths alone, without building them: it

@@ -72,7 +72,8 @@ func TestSELLC1MatchesUnsortedSliced(t *testing.T) {
 }
 
 // TestZeroPaddingMonotoneInSigma: widening the sorting window can only
-// shrink (never grow) the padding β, and padding-free formats report 0.
+// shrink (never grow) the padding β, and padding-free formats store
+// exactly nnz slots.
 func TestZeroPaddingMonotoneInSigma(t *testing.T) {
 	m := randomCSR(512, 512, 0.03, 11)
 	prev := math.Inf(1)
@@ -88,24 +89,17 @@ func TestZeroPaddingMonotoneInSigma(t *testing.T) {
 		if beta > prev+1e-12 {
 			t.Errorf("sigma=%d: beta %g grew from %g", sigma, beta, prev)
 		}
-		occ := ChunkOccupancy[float64](s)
-		if math.Abs(occ*(1+beta)-1) > 1e-9 {
-			t.Errorf("sigma=%d: occupancy %g does not invert 1+beta %g", sigma, occ, 1+beta)
-		}
 		prev = beta
 	}
-	if got := ZeroPadding[float64](NewCRS(m)); got != 0 {
-		t.Errorf("CRS beta = %g, want 0", got)
+	if got := NewCRS(m).StoredElems(); got != int64(m.Nnz()) {
+		t.Errorf("CRS stored %d, want nnz %d", got, m.Nnz())
 	}
-	c, err := NewCMRS(m, 0)
+	c, err := NewCMRSWith(m, 0, matrix.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.StoredElems(); got != int64(m.Nnz()) {
 		t.Errorf("CMRS stored %d, want nnz %d", got, m.Nnz())
-	}
-	if got := ZeroPadding[float64](c); got != 0 {
-		t.Errorf("CMRS beta = %g, want 0", got)
 	}
 }
 

@@ -30,10 +30,11 @@
 //
 // The formats that are not SELL presets live here too: ELLR-T,
 // blocked ELLPACK (BELLPACK), CMRS and the CRS adapter, all behind the
-// common Format interface, plus the layout-quality measures
-// (ZeroPadding, ChunkOccupancy, Padding) the format tuner works with.
-// Every format exposes its raw arrays so the SIMT simulator in
-// internal/gpu can replay the memory-access pattern of its CUDA kernel.
+// common Format interface, plus the padding estimate (Padding) the
+// format tuner works with.
+// Every format exposes its raw arrays; the SIMT simulator in
+// internal/gpu replays the memory-access pattern of each device
+// format's CUDA kernel (CMRS runs on the host kernels only).
 package core
 
 import "pjds/internal/matrix"

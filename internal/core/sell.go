@@ -477,8 +477,9 @@ func AVX512DQ() bool { return avx512DQ }
 // chunk heights, and the unaligned rows at either end of the range,
 // run lane by lane. Every lane sums its row from zero in stored column
 // order, with separate multiplies and adds, and never reads padding,
-// so the result is bit-identical to CRS (a padding 0·x would flip a
-// -0 sum to +0, and 0·Inf is NaN).
+// so the result is bit-identical to CRS up to NaN payload (a padding
+// 0·x would flip a -0 sum to +0, and 0·Inf is NaN); which of two NaNs
+// survives depends on operand order (DESIGN.md, "The NaN contract").
 func (s *SELL[T]) MulRows(y, x []T, lo, hi int, perm matrix.Perm, add bool) {
 	g := 1
 	switch {

@@ -126,12 +126,6 @@ func (p *Plan) CrashNow(rank, iter int) bool {
 	return true
 }
 
-// CrashIter returns the planned crash iteration for rank, if any.
-func (p *Plan) CrashIter(rank int) (int, bool) {
-	at, ok := p.crash[rank]
-	return at, ok
-}
-
 // ECCNow reports whether rank's device takes an uncorrectable ECC hit
 // at this kernel-launch index. One-shot per rank, like CrashNow.
 func (p *Plan) ECCNow(rank, launch int) bool {

@@ -47,8 +47,8 @@ func TestParseAndMatch(t *testing.T) {
 	if got := p.SlowFactor(0); got != 1 {
 		t.Errorf("healthy rank slowed: %g", got)
 	}
-	if it, ok := p.CrashIter(1); !ok || it != 5 {
-		t.Errorf("crash iter = %d, %v", it, ok)
+	if p.CrashNow(1, 4) || !p.CrashNow(1, 5) {
+		t.Error("rank 1 should crash at iteration 5 only")
 	}
 	if len(p.Rules()) != 8 {
 		t.Errorf("rules = %d: %v", len(p.Rules()), p.Rules())

@@ -371,9 +371,6 @@ func (r *Recorder) WriteTrace(w interface{ Write([]byte) (int, error) }, reason 
 // load.
 var active atomic.Pointer[Recorder]
 
-// Active returns the installed recorder, or nil when disabled.
-func Active() *Recorder { return active.Load() }
-
 // Enable installs a fresh recorder of the given capacity as the
 // process-wide one, mirrors every telemetry span into it, and returns
 // it. Pass 0 for the default capacity.

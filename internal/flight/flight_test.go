@@ -51,8 +51,8 @@ func TestRecordNilSafe(t *testing.T) {
 	Disable()
 	// Must be a no-op, not a panic, with no recorder installed.
 	Record(Error, "test.kind", 0, 0, "msg", 0)
-	if Active() != nil {
-		t.Fatal("Active() non-nil after Disable")
+	if active.Load() != nil {
+		t.Fatal("recorder still installed after Disable")
 	}
 }
 

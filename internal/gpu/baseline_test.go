@@ -38,8 +38,8 @@ func yDigest[T matrix.Float](y []T) string {
 
 // baselineRuns simulates the comparison kernels outside the SELL
 // family on m in one precision: CSR-scalar, CSR-vector, ELLR-T at
-// every T that divides the warp, BELLPACK at three block sizes and
-// CMRS at three strip heights, on the C2070.
+// every T that divides the warp and BELLPACK at three block sizes, on
+// the C2070.
 func baselineRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) map[string]baselineRecord {
 	t.Helper()
 	d := TeslaC2070()
@@ -74,18 +74,11 @@ func baselineRuns[T matrix.Float](t *testing.T, m *matrix.CSR[T], prec string) m
 		}
 		add(e.Name(), func(y []T) (*KernelStats, error) { return RunBELLPACK(d, e, y, x, opt) })
 	}
-	for _, h := range []int{1, 16, 32} {
-		c, err := core.NewCMRS(m, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(fmt.Sprintf("CMRS-%d", h), func(y []T) (*KernelStats, error) { return RunCMRS(d, c, y, x, opt) })
-	}
 	return out
 }
 
 // TestBaselineKernelStats pins the counters, derived GF/s and result
-// digests of CSR-scalar, CSR-vector, ELLR-T, BELLPACK and CMRS on the
+// digests of CSR-scalar, CSR-vector, ELLR-T and BELLPACK on the
 // Table I test matrices, in both precisions, to testdata. A change to
 // any of these kernels' lane-to-element mapping, coalescing, L2,
 // metadata or result-vector accounting — or to the numeric order of a

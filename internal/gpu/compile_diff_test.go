@@ -36,17 +36,6 @@ func sellCase[T matrix.Float](name string, m *matrix.CSR[T], build func(*matrix.
 	}}
 }
 
-func cmrsCase[T matrix.Float](name string, m *matrix.CSR[T], height int) compileCase {
-	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
-		c, err := core.NewCMRS(m, height)
-		if err != nil {
-			return err
-		}
-		_, err = gpu.RunCMRS(d, c, make([]T, c.N), make([]T, c.NCols), runOpt(pc))
-		return err
-	}}
-}
-
 func ellrtCase[T matrix.Float](name string, m *matrix.CSR[T], threads int) compileCase {
 	return compileCase{name, func(d *gpu.Device, pc *gpu.PlanCache) error {
 		e, err := core.NewELLRT(m, threads)
@@ -77,10 +66,9 @@ func csrCase[T matrix.Float](name string, m *matrix.CSR[T], run func(*gpu.Device
 }
 
 // presetCases covers every SELL preset and the (C, σ) grid of core's
-// TestPresetsBitIdenticalToCSR, CMRS at several strip heights, ELLR-T
-// at every T that divides the warp, BELLPACK at three block shapes, and
-// the three CSR sources, which share one matrix and so must compile
-// three plans.
+// TestPresetsBitIdenticalToCSR, ELLR-T at every T that divides the
+// warp, BELLPACK at three block shapes, and the three CSR sources,
+// which share one matrix and so must compile three plans.
 func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 	cv := matrix.ConvertOptions{}
 	sell := func(c, sigma int) func(*matrix.CSR[T]) (*core.SELL[T], error) {
@@ -109,9 +97,6 @@ func presetCases[T matrix.Float](tag string, m *matrix.CSR[T]) []compileCase {
 		for _, sigma := range []int{1, 16, math.MaxInt} {
 			cases = append(cases, sellCase(fmt.Sprintf("%s/SELL-%d-%d", tag, c, sigma), m, sell(c, sigma)))
 		}
-	}
-	for _, h := range []int{1, 4, 8, 32} {
-		cases = append(cases, cmrsCase(fmt.Sprintf("%s/CMRS-%d", tag, h), m, h))
 	}
 	for _, threads := range []int{1, 2, 4, 8, 16, 32} {
 		cases = append(cases, ellrtCase(fmt.Sprintf("%s/ELLR-T(%d)", tag, threads), m, threads))

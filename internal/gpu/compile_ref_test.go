@@ -112,11 +112,7 @@ func refCompile[T matrix.Float](d *Device, src planSource[T]) KernelStats {
 			t.ActiveWarps++
 		}
 		t.WarpSteps += int64(maxLen) + src.reduceSteps
-		if src.metaBytes != nil {
-			t.BytesMeta += src.metaBytes(wbase, lanes)
-		} else {
-			t.BytesMeta += src.metaSegs * segBytes
-		}
+		t.BytesMeta += src.metaSegs * segBytes
 		for j := 0; j < maxLen; j++ {
 			valSegs.reset()
 			idxSegs.reset()

@@ -30,7 +30,7 @@ import (
 // when many spMVMs reuse it).
 //
 // The numeric replay of all three is the sequential CRS row sum, so y
-// is bit-identical to CRS.
+// is bit-identical to CRS up to NaN payload.
 
 // RunCSRScalar executes the one-thread-per-row CSR spMVM.
 func RunCSRScalar[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt RunOptions) (*KernelStats, error) {
@@ -61,8 +61,9 @@ func RunCSRVector[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt Run
 
 // RunELLPACKR executes the ELLPACK-R spMVM of core.NewELLPACKR(m)
 // without building the layout: the stats equal RunSELL's on it, and y
-// is bit-identical. Callers that replay one matrix many times, or read
-// the layout itself, should build it and call RunSELL instead.
+// is bit-identical up to NaN payload. Callers that replay one matrix
+// many times, or read the layout itself, should build it and call
+// RunSELL instead.
 func RunELLPACKR[T matrix.Float](d *Device, m *matrix.CSR[T], y, x []T, opt RunOptions) (*KernelStats, error) {
 	return runCSR(d, m, y, x, opt, "ELLPACK-R", func(src *planSource[T]) {
 		// One column-major chunk of NPad lanes, as the layout stores

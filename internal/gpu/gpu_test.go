@@ -3,6 +3,7 @@ package gpu
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pjds/internal/core"
@@ -129,7 +130,8 @@ func TestDeviceValidate(t *testing.T) {
 
 // TestDeviceValidateL2 checks that an L2 with a non-positive size is a
 // Validate error, and so an error from a kernel run rather than a panic
-// in the cache model, while the valid ways to model no RHS cache pass.
+// in the cache model (which still panics when called on it directly),
+// while the valid ways to model no RHS cache pass.
 func TestDeviceValidateL2(t *testing.T) {
 	p, err := newPJDS(bandedCSR(100, 1, 10, 1))
 	if err != nil {
@@ -161,6 +163,17 @@ func TestDeviceValidateL2(t *testing.T) {
 			if (err == nil) != tc.ok {
 				t.Fatalf("RunPJDS error = %v, want ok=%v", err, tc.ok)
 			}
+			if tc.ok {
+				return
+			}
+			// The cache model's own contract check, which Validate keeps
+			// every kernel from reaching.
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "gpu: invalid cache config") {
+					t.Fatalf("configureCache panic %q, want the invalid-config contract", msg)
+				}
+			}()
+			configureCache(new(model.LRU), tc.l2, d.GatherSectorBytes)
 		})
 	}
 }

@@ -19,8 +19,9 @@ type RunOptions struct {
 	// concurrently; 0 selects the process default (par.Default, set
 	// from the CLIs' -workers flags, else GOMAXPROCS), 1 forces
 	// sequential execution.
-	// Results, stats and telemetry are bit-identical for any value:
-	// warps write disjoint result rows and every simulated counter is
+	// Results (up to NaN payload, DESIGN.md "The NaN contract"), stats
+	// and telemetry are bit-identical for any value: warps write
+	// disjoint result rows and every simulated counter is
 	// precompiled into the plan.
 	Workers int
 	// Plans selects the plan cache to memoize compiled kernel plans
@@ -56,8 +57,8 @@ type RunOptions struct {
 //     than the warp; lanes still issue one SIMT instruction stream.
 //
 // The numeric replay is core's SELL.MulRows over the warp's rows, which
-// walks true row lengths only, so y is bit-identical to CRS for every
-// preset.
+// walks true row lengths only, so y is bit-identical to CRS up to NaN
+// payload for every preset.
 func RunSELL[T matrix.Float](d *Device, s *core.SELL[T], yp, xp []T, opt RunOptions) (*KernelStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

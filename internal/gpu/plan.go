@@ -19,7 +19,7 @@ import (
 // of the device's warp size, and every kernel that uses it stores its
 // elements chunk-major: step j of lane l touches storage position
 // chunkStart[l/chunk] + j*chunk + l%chunk. The SELL presets, CSR-scalar,
-// CSR-vector, ELLPACK-R from CSR, ELLR-T, CMRS and BELLPACK differ only
+// CSR-vector, ELLPACK-R from CSR, ELLR-T and BELLPACK differ only
 // in these fields; everything else — coalescing analysis, L2
 // simulation, divergence accounting, the worker pool and the
 // telemetry — is shared.
@@ -43,8 +43,7 @@ type planSource[T matrix.Float] struct {
 	// the warp size) that stride one element run of length lens[g]
 	// jointly: lane t of group g runs ceil((lens[g] − t)/group) steps.
 	// One lane per row is group 1 with lens the row lengths; CSR-vector
-	// and CMRS put a whole warp on one row or strip, ELLR-T T lanes on
-	// one row.
+	// puts a whole warp on one row, ELLR-T T lanes on one row.
 	lens  []int32
 	group int
 	// block is the shape BR×BC of the dense blocks whose elements share
@@ -75,16 +74,11 @@ type planSource[T matrix.Float] struct {
 	// contract) and accumulate each row in stored column order (the
 	// bit-identity contract).
 	mul func(y, x []T, wlo, whi int, accumulate bool)
-	// The optional hooks below cover kernels whose warps do not map one
-	// lane to one row (CSR-vector, ELLR-T, CMRS); nil selects the
-	// one-lane-per-row behaviour.
-	//
-	// lhsRows reports the result rows warp [wbase, wbase+lanes) writes;
-	// nil means rows wbase..wbase+lanes clipped to rows.
+	// lhsRows reports the result rows warp [wbase, wbase+lanes) writes,
+	// for kernels whose warps do not map one lane to one row
+	// (CSR-vector, ELLR-T); nil means rows wbase..wbase+lanes clipped to
+	// rows.
 	lhsRows func(wbase, lanes int) (lo, hi int)
-	// metaBytes reports the warp's metadata traffic; nil charges the
-	// flat metaSegs coalesced segments.
-	metaBytes func(wbase, lanes int) int64
 }
 
 // base returns the storage offset of element (i, 0).
@@ -282,11 +276,7 @@ func compilePlanWith[T matrix.Float](d *Device, src planSource[T], sc *compileSc
 			t.ActiveWarps++
 		}
 		t.WarpSteps += int64(maxLen) + src.reduceSteps
-		if src.metaBytes != nil {
-			t.BytesMeta += src.metaBytes(wbase, len(lanes))
-		} else {
-			t.BytesMeta += src.metaSegs * segBytes
-		}
+		t.BytesMeta += src.metaSegs * segBytes
 		// slotOff and colOff are entry j/BC's offsets from the lane's
 		// first slot and column; jc is j%BC.
 		slotOff, colOff, jc := int64(0), int64(0), int64(0)

@@ -60,8 +60,7 @@ type planEntry struct {
 // PlanCache memoizes compiled kernel plans. It is safe for concurrent
 // use; the distributed runs share one cache across all rank
 // goroutines. Entries are evicted in insertion (FIFO) order beyond the
-// capacity limit, and can be dropped explicitly with Invalidate when a
-// format's backing arrays are about to be mutated or released.
+// capacity limit.
 type PlanCache struct {
 	mu      sync.Mutex
 	max     int
@@ -78,9 +77,8 @@ type PlanCache struct {
 // DefaultPlanCacheSize bounds a cache made with NewPlanCache(0), the
 // package default included. An entry holds one plan's counter totals
 // and telemetry handles, a few hundred bytes whatever the matrix size
-// (plus col_start[] for pJDS, one length per strip for CMRS and 12
-// bytes a row for the CSR kernels), but it also keeps its format's
-// arrays reachable until it is evicted. Callers whose plans are
+// (plus col_start[] for pJDS and 12 bytes a row for the CSR kernels),
+// but it also keeps its format's arrays reachable until it is evicted. Callers whose plans are
 // one-shot, such as the distributed engine's per-rank profiles and the
 // experiment drivers, therefore compile into a cache of their own that
 // dies with them rather than into the default.
@@ -117,26 +115,6 @@ func (pc *PlanCache) entry(key planKey) (*planEntry, bool) {
 		delete(pc.entries, old)
 	}
 	return e, false
-}
-
-// Invalidate drops every cached plan compiled from the given format
-// value (all device geometries), returning the number removed. Call it
-// before mutating or releasing a format's backing arrays.
-func (pc *PlanCache) Invalidate(format any) int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	removed := 0
-	kept := pc.order[:0]
-	for _, key := range pc.order {
-		if key.src == format {
-			delete(pc.entries, key)
-			removed++
-			continue
-		}
-		kept = append(kept, key)
-	}
-	pc.order = kept
-	return removed
 }
 
 // Reset drops all cached plans and zeroes the statistics.

@@ -2,8 +2,10 @@ package gpu
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
+	"pjds/internal/core"
 	"pjds/internal/matrix"
 	"pjds/internal/telemetry"
 )
@@ -74,6 +76,72 @@ func TestKernelTelemetryMatchesStats(t *testing.T) {
 	}
 	if st.GFlops <= 0 || st.KernelSeconds <= 0 {
 		t.Errorf("degenerate stats: %+v", st)
+	}
+}
+
+// TestFormatGeometryTelemetry: RunSELL on a sliced-ELL layout publishes
+// the zero-padding and occupancy gauges under its (c, sigma) labels,
+// with occupancy = 1/(1+beta); the other presets publish neither.
+func TestFormatGeometryTelemetry(t *testing.T) {
+	m := randomCSR(128, 128, 0.05, 79)
+	sliced := func(c, sigma int) *core.SELL[float64] {
+		s, err := newSliced(m, c, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	p, err := newPJDS(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		s        *core.SELL[float64]
+		geometry bool
+	}{
+		{"SELL-16-64", sliced(16, 64), true},
+		{"SELL-32-1", sliced(32, 1), true},
+		{"ELLPACK-R", newELLR(m), false},
+		{"pJDS", &p.SELL, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			y := make([]float64, m.NRows)
+			if _, err := RunSELL(TeslaC2070(), tc.s, y, randVec(m.NCols, 80), RunOptions{Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+			var beta, occ float64
+			var sawBeta, sawOcc bool
+			for _, mt := range reg.Snapshot() {
+				switch mt.Name {
+				case "gpu_format_zero_padding":
+					beta, sawBeta = mt.Value, true
+				case "gpu_format_chunk_occupancy":
+					occ, sawOcc = mt.Value, true
+				default:
+					continue
+				}
+				if c, sigma := strconv.Itoa(tc.s.C), strconv.Itoa(tc.s.SortWindow); mt.Labels["c"] != c || mt.Labels["sigma"] != sigma {
+					t.Errorf("%s labels %v, want c=%s sigma=%s", mt.Name, mt.Labels, c, sigma)
+				}
+			}
+			if !tc.geometry {
+				if sawBeta || sawOcc {
+					t.Errorf("geometry gauges published: zero_padding=%v chunk_occupancy=%v", sawBeta, sawOcc)
+				}
+				return
+			}
+			if !sawBeta || !sawOcc {
+				t.Fatalf("geometry gauges missing: zero_padding=%v chunk_occupancy=%v", sawBeta, sawOcc)
+			}
+			if want := float64(tc.s.StoredElems())/float64(m.Nnz()) - 1; beta < 0 || beta != want {
+				t.Errorf("zero padding = %g, want %g (≥ 0)", beta, want)
+			}
+			if want := 1 / (1 + beta); math.Abs(occ-want) > 1e-12 {
+				t.Errorf("chunk occupancy = %g, want 1/(1+beta) = %g", occ, want)
+			}
+		})
 	}
 }
 

@@ -27,8 +27,7 @@
 //     at core.DefaultStripHeight: strips of consecutive rows share one
 //     padding-free CSR-ordered element stream with per-element
 //     row-in-strip routing, and each worker runs core's CMRS.MulRows —
-//     the one CMRS loop, also behind the device replay — over its
-//     strips.
+//     the one CMRS loop — over its strips.
 //
 // NewSELLFrom and NewCMRSOver run the same kernels over a layout of any
 // geometry (the tuner's sweep); NewPJDS runs the SELL kernel over an

@@ -134,30 +134,6 @@ func Stencil3D(nx, ny, nz int) *matrix.CSR[float64] {
 	return b.finish()
 }
 
-// Tridiagonal generates the classic (-1, 2, -1) operator — the
-// simplest SPD system with a known spectrum, handy for solver tests.
-func Tridiagonal(n int) *matrix.CSR[float64] {
-	b := newBuilder(n, int64(n)*3)
-	cols := make([]int32, 0, 3)
-	vals := make([]float64, 0, 3)
-	for i := 0; i < n; i++ {
-		cols = cols[:0]
-		vals = vals[:0]
-		if i > 0 {
-			cols = append(cols, int32(i-1))
-			vals = append(vals, -1)
-		}
-		cols = append(cols, int32(i))
-		vals = append(vals, 2)
-		if i < n-1 {
-			cols = append(cols, int32(i+1))
-			vals = append(vals, -1)
-		}
-		b.addRow(cols, vals)
-	}
-	return b.finish()
-}
-
 // Stencil2D generates the 5-point Laplacian on a nx×ny grid — the
 // constant-row-length case where ELLPACK and pJDS coincide, and a
 // classic CG/solver test operator (symmetric positive definite).

@@ -48,6 +48,7 @@ func (b *builder) addRow(cols []int32, vals []float64) {
 func (b *builder) finish() *matrix.CSR[float64] {
 	m, err := matrix.NewCSR(b.n, b.n, b.rowPtr, b.colIdx, b.val)
 	if err != nil {
+		// Contract: generators add sorted, in-range rows, so NewCSR cannot fail.
 		panic(fmt.Sprintf("matgen: internal builder error: %v", err))
 	}
 	return m

@@ -2,6 +2,7 @@ package matgen
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"pjds/internal/core"
@@ -11,6 +12,21 @@ import (
 // Scaled-down generation keeps the tests fast; the distribution
 // targets are scale-invariant by construction.
 const testScale = 0.02
+
+// rowLenQuantile returns the q-quantile (0 ≤ q ≤ 1) of m's row lengths,
+// for generator targets such as "80% of the rows have a length of
+// 0.8·N^max_nzr" (DLR1, §II-A).
+func rowLenQuantile(m *matrix.CSR[float64], q float64) int {
+	if m.NRows == 0 {
+		return 0
+	}
+	lens := make([]int, m.NRows)
+	for i := range lens {
+		lens[i] = m.RowLen(i)
+	}
+	sort.Ints(lens)
+	return lens[int(q*float64(len(lens)-1))]
+}
 
 func TestCatalogComplete(t *testing.T) {
 	cat := Catalog()
@@ -118,7 +134,7 @@ func TestSAMGShape(t *testing.T) {
 	}
 	// "short rows account for most of the weight": median at the
 	// bottom of the range.
-	if med := matrix.RowLenQuantile(m, 0.5); med > 7 {
+	if med := rowLenQuantile(m, 0.5); med > 7 {
 		t.Errorf("median row length %d, want ≤ 7", med)
 	}
 }
@@ -130,7 +146,7 @@ func TestDLR1Shape(t *testing.T) {
 	if st.RelativeWidth > 2.8 {
 		t.Errorf("relative width %.2f, want ≈ 2", st.RelativeWidth)
 	}
-	q20 := matrix.RowLenQuantile(m, 0.2)
+	q20 := rowLenQuantile(m, 0.2)
 	if float64(q20) < 0.8*float64(st.MaxRowLen) {
 		t.Errorf("20th percentile %d below 0.8·max (%d)", q20, st.MaxRowLen)
 	}
@@ -232,7 +248,7 @@ func TestPowerLawGenerator(t *testing.T) {
 	if st.MaxRowLen < 100 {
 		t.Errorf("max row len %d: power law tail missing", st.MaxRowLen)
 	}
-	med := matrix.RowLenQuantile(m, 0.5)
+	med := rowLenQuantile(m, 0.5)
 	if med > 30 {
 		t.Errorf("median %d: mass should sit at short rows", med)
 	}
@@ -266,19 +282,6 @@ func TestStencil3D(t *testing.T) {
 	}
 	if math.Abs(sum) > 1e-12 {
 		t.Errorf("interior row sum = %g", sum)
-	}
-}
-
-func TestTridiagonal(t *testing.T) {
-	m := Tridiagonal(50)
-	if m.Nnz() != 3*50-2 {
-		t.Fatalf("nnz = %d", m.Nnz())
-	}
-	if m.At(0, 0) != 2 || m.At(1, 0) != -1 || m.At(0, 1) != -1 {
-		t.Error("stencil values")
-	}
-	if !m.Equal(m.Transpose(), 0) {
-		t.Error("not symmetric")
 	}
 }
 

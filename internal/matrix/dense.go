@@ -24,6 +24,7 @@ func DenseFromRows[T Float](rows [][]T) *Dense[T] {
 	d := NewDense[T](len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != d.NCols {
+			// Contract: the rows are a literal of equal-length rows.
 			panic(fmt.Sprintf("matrix: ragged dense row %d: %d != %d", i, len(r), d.NCols))
 		}
 		copy(d.Data[i*d.NCols:], r)
@@ -64,17 +65,4 @@ func (d *Dense[T]) ToCSR() *CSR[T] {
 		}
 	}
 	return coo.ToCSR()
-}
-
-// CSRToDense expands a sparse matrix; intended for tests on small
-// matrices only.
-func CSRToDense[T Float](m *CSR[T]) *Dense[T] {
-	d := NewDense[T](m.NRows, m.NCols)
-	for i := 0; i < m.NRows; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			d.Set(i, int(c), vals[k])
-		}
-	}
-	return d
 }

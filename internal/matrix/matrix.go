@@ -36,9 +36,9 @@ type Entry[T Float] struct {
 	Val      T
 }
 
-// COO is an unordered coordinate-format sparse matrix. It is the
-// assembly format: generators and file readers produce COO, which is
-// then compiled into CRS.
+// COO is an unordered coordinate-format sparse matrix, assembled by
+// hand and then compiled into CRS. Only Dense.ToCSR and the facade's
+// NewCOO build one; generators and file readers build CRS directly.
 type COO[T Float] struct {
 	Rows, Cols int
 	Entries    []Entry[T]
@@ -47,6 +47,7 @@ type COO[T Float] struct {
 // NewCOO returns an empty COO matrix with the given dimensions.
 func NewCOO[T Float](rows, cols int) *COO[T] {
 	if rows < 0 || cols < 0 {
+		// Contract: no reader builds a COO; dimensions come from code.
 		panic("matrix: negative dimension")
 	}
 	return &COO[T]{Rows: rows, Cols: cols}
@@ -57,6 +58,7 @@ func NewCOO[T Float](rows, cols int) *COO[T] {
 // usual finite-element assembly convention.
 func (m *COO[T]) Add(row, col int, val T) {
 	if row < 0 || row >= m.Rows || col < 0 || col >= m.Cols {
+		// Contract: callers add entries inside the shape they declared.
 		panic(fmt.Sprintf("matrix: entry (%d,%d) outside %dx%d", row, col, m.Rows, m.Cols))
 	}
 	m.Entries = append(m.Entries, Entry[T]{row, col, val})
@@ -236,30 +238,6 @@ func (m *CSR[T]) Equal(o *CSR[T], tol float64) bool {
 		}
 	}
 	return true
-}
-
-// RowSlice returns the sub-matrix of rows [lo, hi) as a new CSR matrix
-// with the same column space. It is the row-block partitioning
-// primitive of the distributed spMVM.
-func (m *CSR[T]) RowSlice(lo, hi int) *CSR[T] {
-	if lo < 0 || hi > m.NRows || lo > hi {
-		panic(fmt.Sprintf("matrix: RowSlice [%d,%d) outside %d rows", lo, hi, m.NRows))
-	}
-	base := m.RowPtr[lo]
-	nnz := m.RowPtr[hi] - base
-	s := &CSR[T]{
-		NRows:  hi - lo,
-		NCols:  m.NCols,
-		RowPtr: make([]int, hi-lo+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]T, nnz),
-	}
-	for i := lo; i <= hi; i++ {
-		s.RowPtr[i-lo] = m.RowPtr[i] - base
-	}
-	copy(s.ColIdx, m.ColIdx[base:base+nnz])
-	copy(s.Val, m.Val[base:base+nnz])
-	return s
 }
 
 // MaxRowLen returns max_i RowLen(i), the paper's N^max_nzr.

@@ -22,6 +22,18 @@ func randomCSR(rows, cols int, density float64, seed int64) *CSR[float64] {
 	return coo.ToCSR()
 }
 
+// toDense expands a small sparse matrix.
+func toDense(m *CSR[float64]) *Dense[float64] {
+	d := NewDense[float64](m.NRows, m.NCols)
+	for i := 0; i < m.NRows; i++ {
+		cols, vals := m.Row(i)
+		for k, c := range cols {
+			d.Set(i, int(c), vals[k])
+		}
+	}
+	return d
+}
+
 func TestCOOToCSRBasic(t *testing.T) {
 	coo := NewCOO[float64](3, 4)
 	coo.Add(2, 1, 5)
@@ -89,6 +101,38 @@ func TestCOOAddOutOfRangePanics(t *testing.T) {
 	NewCOO[float64](2, 2).Add(2, 0, 1)
 }
 
+// TestContractPanics: each programming contract that a "// Contract:"
+// comment names in this package panics with its own message when a
+// caller breaks it, not with a runtime index error further in.
+func TestContractPanics(t *testing.T) {
+	sq := randomCSR(4, 4, 0.5, 1)
+	wide := randomCSR(3, 4, 0.5, 2)
+	id := Identity(4)
+	cases := []struct {
+		name, want string
+		call       func()
+	}{
+		{"coo-negative-rows", "matrix: negative dimension", func() { NewCOO[float64](-1, 2) }},
+		{"coo-negative-cols", "matrix: negative dimension", func() { NewCOO[float64](2, -1) }},
+		{"gather-short-dst", "matrix: Gather sizes dst=3 src=4 p=4", func() { Gather(make([]float64, 3), make([]float64, 4), id) }},
+		{"gather-short-src", "matrix: Gather sizes dst=4 src=3 p=4", func() { Gather(make([]float64, 4), make([]float64, 3), id) }},
+		{"scatter-short-dst", "matrix: Scatter sizes dst=3 src=4 p=4", func() { Scatter(make([]float64, 3), make([]float64, 4), id) }},
+		{"scatter-short-src", "matrix: Scatter sizes dst=4 src=3 p=4", func() { Scatter(make([]float64, 4), make([]float64, 3), id) }},
+		{"permute-rows-size", "matrix: row permutation size 3 on 4 rows", func() { PermuteRows(sq, Identity(3)) }},
+		{"permute-symmetric-non-square", "matrix: symmetric permutation of a non-square matrix", func() { PermuteSymmetric(wide, Identity(3)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			tc.call()
+		})
+	}
+}
+
 func TestNewCSRValidation(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -116,7 +160,7 @@ func TestNewCSRValidation(t *testing.T) {
 func TestMulVecAgainstDense(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		m := randomCSR(37, 23, 0.2, seed)
-		d := CSRToDense(m)
+		d := toDense(m)
 		x := make([]float64, 23)
 		rng := rand.New(rand.NewSource(seed + 100))
 		for i := range x {
@@ -233,43 +277,6 @@ func TestTransposeAdjointProperty(t *testing.T) {
 	}
 }
 
-func TestRowSlice(t *testing.T) {
-	m := randomCSR(20, 15, 0.25, 5)
-	s := m.RowSlice(5, 12)
-	if s.NRows != 7 || s.NCols != 15 {
-		t.Fatalf("slice shape %dx%d", s.NRows, s.NCols)
-	}
-	for i := 0; i < 7; i++ {
-		for j := 0; j < 15; j++ {
-			if s.At(i, j) != m.At(i+5, j) {
-				t.Fatalf("slice At(%d,%d) mismatch", i, j)
-			}
-		}
-	}
-	// Degenerate slices.
-	if e := m.RowSlice(4, 4); e.NRows != 0 || e.Nnz() != 0 {
-		t.Error("empty slice not empty")
-	}
-	full := m.RowSlice(0, 20)
-	if !m.Equal(full, 0) {
-		t.Error("full slice differs from original")
-	}
-}
-
-func TestRowSliceBoundsPanics(t *testing.T) {
-	m := randomCSR(5, 5, 0.3, 6)
-	for _, c := range [][2]int{{-1, 3}, {0, 6}, {4, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RowSlice(%d,%d) did not panic", c[0], c[1])
-				}
-			}()
-			m.RowSlice(c[0], c[1])
-		}()
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := randomCSR(6, 6, 0.5, 7)
 	c := m.Clone()
@@ -350,7 +357,7 @@ func TestDenseRaggedPanics(t *testing.T) {
 
 func TestDenseCSRRoundTrip(t *testing.T) {
 	m := randomCSR(9, 11, 0.35, 9)
-	back := CSRToDense(m).ToCSR()
+	back := toDense(m).ToCSR()
 	if !m.Equal(back, 0) {
 		t.Fatal("dense round trip changed matrix")
 	}

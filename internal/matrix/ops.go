@@ -1,49 +1,9 @@
 package matrix
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Vector and matrix utility operations shared by the solvers and the
-// preprocessing pipelines (diagonal extraction for Jacobi, row/column
-// equilibration, residual norms).
-
-// Diag returns the diagonal of a square matrix (zeros where no entry
-// is stored).
-func Diag[T Float](m *CSR[T]) []T {
-	if m.NRows != m.NCols {
-		panic(fmt.Sprintf("matrix: Diag of a %dx%d matrix", m.NRows, m.NCols))
-	}
-	d := make([]T, m.NRows)
-	for i := 0; i < m.NRows; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
-// ScaleRows multiplies row i of m by s[i] in place.
-func ScaleRows[T Float](m *CSR[T], s []T) {
-	if len(s) != m.NRows {
-		panic(fmt.Sprintf("matrix: ScaleRows with %d factors on %d rows", len(s), m.NRows))
-	}
-	for i := 0; i < m.NRows; i++ {
-		f := s[i]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			m.Val[k] *= f
-		}
-	}
-}
-
-// ScaleCols multiplies column j of m by s[j] in place.
-func ScaleCols[T Float](m *CSR[T], s []T) {
-	if len(s) != m.NCols {
-		panic(fmt.Sprintf("matrix: ScaleCols with %d factors on %d columns", len(s), m.NCols))
-	}
-	for k, c := range m.ColIdx {
-		m.Val[k] *= s[c]
-	}
-}
+// Matrix operations of the preprocessing pipelines: the structural
+// sum and the symmetrization eigensolvers use.
 
 // Add returns a + b for matrices of identical shape (structural
 // union, values summed).
@@ -97,18 +57,4 @@ func Symmetrize[T Float](m *CSR[T]) (*CSR[T], error) {
 		s.Val[k] /= 2
 	}
 	return s, nil
-}
-
-// ResidualNorm returns ‖b − A·x‖₂.
-func ResidualNorm[T Float](m *CSR[T], x, b []T) (float64, error) {
-	r := make([]T, m.NRows)
-	if err := m.MulVec(r, x); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range r {
-		d := float64(b[i] - r[i])
-		s += d * d
-	}
-	return math.Sqrt(s), nil
 }

@@ -5,60 +5,6 @@ import (
 	"testing"
 )
 
-func TestDiag(t *testing.T) {
-	coo := NewCOO[float64](3, 3)
-	coo.Add(0, 0, 5)
-	coo.Add(1, 2, 1)
-	coo.Add(2, 2, -3)
-	d := Diag(coo.ToCSR())
-	if d[0] != 5 || d[1] != 0 || d[2] != -3 {
-		t.Errorf("diag = %v", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rectangular Diag accepted")
-		}
-	}()
-	Diag(NewCOO[float64](2, 3).ToCSR())
-}
-
-func TestScaleRowsAndCols(t *testing.T) {
-	m := randomCSR(6, 5, 0.5, 81)
-	orig := m.Clone()
-	s := []float64{1, 2, 0.5, -1, 3, 0}
-	ScaleRows(m, s)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 5; j++ {
-			if m.At(i, j) != orig.At(i, j)*s[i] {
-				t.Fatalf("row scale at (%d,%d)", i, j)
-			}
-		}
-	}
-	m2 := orig.Clone()
-	cs := []float64{2, 0, 1, -2, 4}
-	ScaleCols(m2, cs)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 5; j++ {
-			if m2.At(i, j) != orig.At(i, j)*cs[j] {
-				t.Fatalf("col scale at (%d,%d)", i, j)
-			}
-		}
-	}
-	for _, f := range []func(){
-		func() { ScaleRows(m, []float64{1}) },
-		func() { ScaleCols(m, []float64{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad scale length accepted")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestAddMatrices(t *testing.T) {
 	a := randomCSR(8, 7, 0.3, 82)
 	b := randomCSR(8, 7, 0.3, 83)
@@ -107,36 +53,5 @@ func TestSymmetrize(t *testing.T) {
 	}
 	if _, err := Symmetrize(NewCOO[float64](2, 3).ToCSR()); err == nil {
 		t.Error("rectangular accepted")
-	}
-}
-
-func TestResidualNorm(t *testing.T) {
-	m := randomCSR(12, 12, 0.4, 86)
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = float64(i) * 0.1
-	}
-	b := make([]float64, 12)
-	if err := m.MulVec(b, x); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ResidualNorm(m, x, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r > 1e-12 {
-		t.Errorf("exact solution residual = %g", r)
-	}
-	b[0] += 3
-	b[4] -= 4
-	r, err = ResidualNorm(m, x, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-5) > 1e-12 {
-		t.Errorf("residual = %g, want 5", r)
-	}
-	if _, err := ResidualNorm(m, x[:3], b); err == nil {
-		t.Error("bad x size accepted")
 	}
 }

@@ -39,23 +39,11 @@ func (p Perm) Inverse() Perm {
 	return q
 }
 
-// Compose returns the permutation r = p∘q, i.e. r[i] = q[p[i]]:
-// applying r is equivalent to applying p, then q to the result.
-func (p Perm) Compose(q Perm) Perm {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("matrix: composing permutations of size %d and %d", len(p), len(q)))
-	}
-	r := make(Perm, len(p))
-	for i := range r {
-		r[i] = q[p[i]]
-	}
-	return r
-}
-
 // Gather writes dst[i] = src[p[i]] and returns dst. dst and src must
 // not alias.
 func Gather[T Float](dst, src []T, p Perm) []T {
 	if len(dst) != len(p) || len(src) != len(p) {
+		// Contract: |dst| = |src| = |p|; the service checks |x| and |b| first.
 		panic(fmt.Sprintf("matrix: Gather sizes dst=%d src=%d p=%d", len(dst), len(src), len(p)))
 	}
 	for i, v := range p {
@@ -68,6 +56,7 @@ func Gather[T Float](dst, src []T, p Perm) []T {
 // motion of Gather. dst and src must not alias.
 func Scatter[T Float](dst, src []T, p Perm) []T {
 	if len(dst) != len(p) || len(src) != len(p) {
+		// Contract: |dst| = |src| = |p|, as for Gather.
 		panic(fmt.Sprintf("matrix: Scatter sizes dst=%d src=%d p=%d", len(dst), len(src), len(p)))
 	}
 	for i, v := range p {
@@ -79,6 +68,7 @@ func Scatter[T Float](dst, src []T, p Perm) []T {
 // PermuteRows returns the matrix whose row i is row p[i] of m.
 func PermuteRows[T Float](m *CSR[T], p Perm) *CSR[T] {
 	if len(p) != m.NRows {
+		// Contract: p permutes m's rows.
 		panic(fmt.Sprintf("matrix: row permutation size %d on %d rows", len(p), m.NRows))
 	}
 	out := &CSR[T]{
@@ -105,6 +95,7 @@ func PermuteRows[T Float](m *CSR[T], p Perm) *CSR[T] {
 // solvers can run entirely in the pJDS-permuted basis.
 func PermuteSymmetric[T Float](m *CSR[T], p Perm) *CSR[T] {
 	if m.NRows != m.NCols {
+		// Contract: m is square; solver.NewPermutedPJDS returns an error first.
 		panic("matrix: symmetric permutation of a non-square matrix")
 	}
 	out := PermuteRows(m, p)

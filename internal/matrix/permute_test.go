@@ -48,33 +48,6 @@ func TestPermInverse(t *testing.T) {
 	}
 }
 
-func TestPermCompose(t *testing.T) {
-	p := randPerm(15, 1)
-	q := randPerm(15, 2)
-	r := p.Compose(q)
-	src := make([]float64, 15)
-	for i := range src {
-		src[i] = float64(i)
-	}
-	// Gather with r should equal gather with p then q? r[i]=q[p[i]],
-	// so Gather(r)[i] = src[q[p[i]]] = Gather(q)∘... verify directly.
-	viaR := Gather(make([]float64, 15), src, r)
-	tmp := Gather(make([]float64, 15), src, q)
-	viaPQ := Gather(make([]float64, 15), tmp, p)
-	for i := range viaR {
-		if viaR[i] != viaPQ[i] {
-			t.Fatalf("compose mismatch at %d: %g vs %g", i, viaR[i], viaPQ[i])
-		}
-	}
-	// Compose with inverse is identity.
-	id := p.Compose(p.Inverse())
-	for i := range id {
-		if id[i] != i {
-			t.Fatalf("p∘p⁻¹ not identity at %d", i)
-		}
-	}
-}
-
 func TestGatherScatterInverse(t *testing.T) {
 	f := func(seed int64) bool {
 		p := randPerm(12, seed)

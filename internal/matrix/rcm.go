@@ -89,24 +89,3 @@ func RCM[T Float](m *CSR[T]) Perm {
 	}
 	return p
 }
-
-// BandwidthAfter returns the bandwidth of PermuteSymmetric(m, p)
-// without materializing the permuted matrix.
-func BandwidthAfter[T Float](m *CSR[T], p Perm) int {
-	inv := p.Inverse()
-	bw := 0
-	for i := 0; i < m.NRows; i++ {
-		ni := inv[i]
-		cols, _ := m.Row(i)
-		for _, c := range cols {
-			d := ni - inv[c]
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}

@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Stats summarizes the sparsity structure of a matrix with the
@@ -92,20 +91,4 @@ func RowLenHistogram[T Float](m *CSR[T]) []int {
 		h[m.RowLen(i)]++
 	}
 	return h
-}
-
-// RowLenQuantile returns the q-quantile (0 ≤ q ≤ 1) of the row-length
-// distribution, used to verify generator targets such as "80% of the
-// rows have a length of 0.8·N^max_nzr" (DLR1, §II-A).
-func RowLenQuantile[T Float](m *CSR[T], q float64) int {
-	lens := make([]int, m.NRows)
-	for i := range lens {
-		lens[i] = m.RowLen(i)
-	}
-	sort.Ints(lens)
-	if len(lens) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(lens)-1))
-	return lens[idx]
 }

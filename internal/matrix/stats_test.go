@@ -84,16 +84,3 @@ func TestRowLenHistogram(t *testing.T) {
 		t.Errorf("histogram mass %d != rows %d", total, m.NRows)
 	}
 }
-
-func TestRowLenQuantile(t *testing.T) {
-	m := ladder([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 12)
-	if q := RowLenQuantile(m, 0); q != 1 {
-		t.Errorf("q0 = %d", q)
-	}
-	if q := RowLenQuantile(m, 1); q != 10 {
-		t.Errorf("q1 = %d", q)
-	}
-	if q := RowLenQuantile(m, 0.5); q != 5 {
-		t.Errorf("median = %d, want 5", q)
-	}
-}

@@ -26,13 +26,6 @@ func CodeBalanceDP(alpha, nnzr float64) float64 {
 	return 6 + 4*alpha + 8/nnzr
 }
 
-// CodeBalanceSP is the single-precision analogue: values and RHS
-// elements shrink to 4 bytes while the 4-byte index and the two flops
-// per entry stay, giving (4 + 4 + 4α + 8/N_nzr)/2 = 4 + 2α + 4/N_nzr.
-func CodeBalanceSP(alpha, nnzr float64) float64 {
-	return 4 + 2*alpha + 4/nnzr
-}
-
 // AlphaIdeal returns the best possible α, 1/N_nzr: each RHS element
 // loaded exactly once (the κ = 0 case of Schubert et al. [4]).
 func AlphaIdeal(nnzr float64) float64 { return 1 / nnzr }
@@ -117,11 +110,4 @@ func GFlopsFromTime(nnz int64, seconds float64) float64 {
 		return 0
 	}
 	return 2 * float64(nnz) / seconds / 1e9
-}
-
-// EffectiveGFlops returns the PCIe-inclusive performance: the §III
-// introduction quotes 12.9 → 10.9 GF/s for DLR1 and 3.7 / 2.3 GF/s
-// for HMEp / sAMG once transfers are counted.
-func (m Offload) EffectiveGFlops(n int, nnz int64, nnzr, alpha float64) float64 {
-	return GFlopsFromTime(nnz, m.TMVMSeconds(n, nnzr, alpha)+m.TPCISeconds(n))
 }

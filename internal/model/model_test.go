@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestCodeBalanceDPLimits(t *testing.T) {
@@ -17,17 +16,6 @@ func TestCodeBalanceDPLimits(t *testing.T) {
 	// DLR1-like: N_nzr = 144, α = 0.2 → 6 + 0.8 + 0.056 ≈ 6.86.
 	if b := CodeBalanceDP(0.2, 144); math.Abs(b-6.8555) > 1e-3 {
 		t.Errorf("DLR1-like balance = %g", b)
-	}
-}
-
-func TestCodeBalanceSPBelowDP(t *testing.T) {
-	f := func(a, n float64) bool {
-		alpha := math.Abs(math.Mod(a, 1))
-		nnzr := 1 + math.Abs(math.Mod(n, 500))
-		return CodeBalanceSP(alpha, nnzr) < CodeBalanceDP(alpha, nnzr)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -136,7 +124,7 @@ func TestPaperMatrixClassification(t *testing.T) {
 
 // TestEffectiveGFlopsDLR1 reproduces the §III quote "10.9 GF/s vs
 // 12.9 GF/s for DLR1": with kernel-only performance near 12.9 GF/s,
-// adding PCIe transfers should land near 10.9.
+// adding PCIe transfers (Eq. 3) should land near 10.9.
 func TestEffectiveGFlopsDLR1(t *testing.T) {
 	m := Offload{BGPU: 91e9, BPCI: 6e9}
 	const n = 278502
@@ -149,7 +137,7 @@ func TestEffectiveGFlopsDLR1(t *testing.T) {
 	if alpha < 0 || alpha > 1 {
 		t.Fatalf("implied alpha %.3f outside [0,1]", alpha)
 	}
-	eff := m.EffectiveGFlops(n, nnz, nnzr, alpha)
+	eff := GFlopsFromTime(nnz, m.TMVMSeconds(n, nnzr, alpha)+m.TPCISeconds(n))
 	if math.Abs(eff-10.9) > 1.0 {
 		t.Errorf("PCIe-inclusive GF/s = %.1f, paper says 10.9", eff)
 	}

@@ -46,20 +46,14 @@ var KnownPhases = []string{PhaseHost, PhaseGPU, PhaseSolver, PhaseMPI, PhaseConv
 
 // Ctx returns a context carrying a "phase" pprof label plus optional
 // additional key/value pairs (given as k1, v1, k2, v2, ...). Build it
-// once and hand it to Use from each goroutine that should carry the
-// labels: the per-use cost is then allocation-free.
+// once and adopt it with pprof.SetGoroutineLabels in each goroutine
+// that should carry the labels: the per-use cost is then
+// allocation-free.
 func Ctx(phase string, kv ...string) context.Context {
 	l := make([]string, 0, 2+len(kv))
 	l = append(l, "phase", phase)
 	l = append(l, kv...)
 	return pprof.WithLabels(context.Background(), pprof.Labels(l...))
-}
-
-// Use applies ctx's pprof labels to the calling goroutine for the
-// rest of its life (or until the next Use/SetPhase). With a prebuilt
-// Ctx this does not allocate.
-func Use(ctx context.Context) {
-	pprof.SetGoroutineLabels(ctx)
 }
 
 // SetPhase relabels the calling goroutine with phase plus optional

@@ -739,8 +739,5 @@ func (s *Server) Drain(grace time.Duration) DrainReport {
 	return rep
 }
 
-// Quantiles returns the global (p50, p99) request latency in seconds.
-func (s *Server) Quantiles() (p50, p99 float64) { return s.lat.quantiles() }
-
 // Served returns the number of successful requests.
 func (s *Server) Served() int64 { return s.served.Load() }

@@ -118,6 +118,7 @@ type Counter struct {
 // monotone by contract).
 func (c *Counter) Add(v float64) {
 	if v < 0 {
+		// Contract: deltas are counts or durations, never negative.
 		panic(fmt.Sprintf("telemetry: negative counter delta %g", v))
 	}
 	c.val.add(v)
@@ -212,9 +213,11 @@ func (r *Registry) Help(name, text string) {
 // checkKind registers (or verifies) the type of a family. Callers hold r.mu.
 func (r *Registry) checkKind(name, want string) {
 	if !validName(name) {
+		// Contract: family names are constants; request data goes in label values.
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
 	if k, ok := r.kind[name]; ok && k != want {
+		// Contract: one family name, one metric kind.
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, k, want))
 	}
 	r.kind[name] = want
@@ -266,6 +269,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
+			// Contract: bucket bounds are constant ascending tables.
 			panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending", name))
 		}
 	}

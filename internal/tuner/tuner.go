@@ -260,19 +260,15 @@ func dominates(a, b Cell, n int, groupKernel bool) bool {
 	return groupKernel && ac%8 == 0 && (b.Format == "cmrs" || b.Format == "sell" && b.C%8 != 0)
 }
 
-// Tune sweeps the grid for m and returns the completed entry (not yet
-// persisted — TuneOrLookup handles the DB round trip). Every cell
+// tune sweeps the grid for m, whose Fingerprint is fp, and returns the
+// completed entry (not yet persisted — TuneOrLookup handles the DB
+// round trip). Every cell
 // first gets its model score; cells beyond the pruning band or
 // dominated by a cell inside it (see prune) are skipped, survivors are
 // measured one at a time through hostkernel.Measure: one untimed
 // apply, then the best of 3 timed ones. The SELL and pJDS survivors
 // share one layout, sized once for the largest of them and rebuilt in
 // place for each; the CMRS survivors share another.
-func Tune(m *matrix.CSR[float64], name string, cfg Config) (*Entry, error) {
-	return tune(m, name, Fingerprint(m), cfg)
-}
-
-// tune is Tune for a matrix whose Fingerprint is fp.
 func tune(m *matrix.CSR[float64], name, fp string, cfg Config) (*Entry, error) {
 	dev := cfg.device()
 	reg := cfg.metrics()

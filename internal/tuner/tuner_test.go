@@ -31,7 +31,7 @@ func zoo(t *testing.T) map[string]*matrix.CSR[float64] {
 func TestTuneWinnerBeatsOrMatchesFixedFormats(t *testing.T) {
 	for name, m := range zoo(t) {
 		reg := telemetry.NewRegistry()
-		e, err := Tune(m, name, Config{Workers: 2, Metrics: reg})
+		e, err := tune(m, name, Fingerprint(m), Config{Workers: 2, Metrics: reg})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -72,7 +72,7 @@ func TestTuneSpansAndCounters(t *testing.T) {
 	m := matgen.PowerLaw(300, 2, 50, 0.7, 3)
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanLog()
-	if _, err := Tune(m, "pl", Config{Workers: 1, Metrics: reg, Spans: spans}); err != nil {
+	if _, err := tune(m, "pl", Fingerprint(m), Config{Workers: 1, Metrics: reg, Spans: spans}); err != nil {
 		t.Fatal(err)
 	}
 	got := spans.Spans()
@@ -269,7 +269,7 @@ func TestTuneAllocs(t *testing.T) {
 		}
 	})
 	sweep := allocated(func() {
-		if _, err := Tune(m, "HMEp", Config{Workers: 1, Metrics: telemetry.NewRegistry()}); err != nil {
+		if _, err := tune(m, "HMEp", Fingerprint(m), Config{Workers: 1, Metrics: telemetry.NewRegistry()}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -353,7 +353,7 @@ func TestModelPassMatchesPerCellEstimate(t *testing.T) {
 	zoo := zoo(t)
 	for _, name := range []string{"banded", "powerlaw", "fem"} {
 		m := zoo[name]
-		e, err := Tune(m, name, Config{Workers: 1, Metrics: telemetry.NewRegistry()})
+		e, err := tune(m, name, Fingerprint(m), Config{Workers: 1, Metrics: telemetry.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,12 +68,6 @@ func PermuteSymmetric(m *CSR, p Perm) *CSR { return matrix.PermuteSymmetric(m, p
 // Symmetrize returns (A+Aᵀ)/2.
 func Symmetrize(m *CSR) (*CSR, error) { return matrix.Symmetrize(m) }
 
-// Diag returns the matrix diagonal.
-func Diag(m *CSR) []float64 { return matrix.Diag(m) }
-
-// ResidualNorm returns ‖b − A·x‖₂.
-func ResidualNorm(m *CSR, x, b []float64) (float64, error) { return matrix.ResidualNorm(m, x, b) }
-
 // ReadMatrixMarket parses a MatrixMarket coordinate stream.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) { return matrix.ReadMatrixMarket[float64](r) }
 
@@ -142,9 +136,6 @@ func TeslaC2070() *Device { return gpu.TeslaC2070() }
 // TeslaC2050 returns the 3 GB Dirac-cluster board of the Fig. 5 runs.
 func TeslaC2050() *Device { return gpu.TeslaC2050() }
 
-// TeslaC1060 returns the pre-Fermi board without an L2 cache.
-func TeslaC1060() *Device { return gpu.TeslaC1060() }
-
 // RunPJDS simulates the pJDS spMVM kernel (Listing 2): yp = A·x in
 // the permuted basis, with transaction-level timing.
 func RunPJDS(d *Device, p *PJDS, yp, x []float64) (*KernelStats, error) {
@@ -168,21 +159,6 @@ func RunBELLPACK(d *Device, e *BELLPACK, y, x []float64) (*KernelStats, error) {
 	return gpu.RunBELLPACK(d, e, y, x, gpu.RunOptions{})
 }
 
-// GMRES solves A·x = b for general (nonsymmetric) A with restarted
-// GMRES and optional right preconditioning (nil = identity).
-func GMRES(a Operator, x, b []float64, restart int, tol float64, maxIter int, pre solver.Preconditioner) (solver.GMRESResult, error) {
-	return solver.GMRES(a, x, b, restart, tol, maxIter, pre)
-}
-
-// NewJacobi builds the diagonal preconditioner of m.
-func NewJacobi(m *CSR) *solver.JacobiPreconditioner { return solver.NewJacobi(m) }
-
-// BiCGSTAB solves A·x = b for general A with the stabilized
-// bi-conjugate gradient method (constant memory, unlike GMRES).
-func BiCGSTAB(a Operator, x, b []float64, tol float64, maxIter int, pre solver.Preconditioner) (solver.BiCGSTABResult, error) {
-	return solver.BiCGSTAB(a, x, b, tol, maxIter, pre)
-}
-
 // Test matrices.
 
 // Generate builds one of the paper's §I-C test matrices ("DLR1",
@@ -191,6 +167,7 @@ func BiCGSTAB(a Operator, x, b []float64, tol float64, maxIter int, pre solver.P
 func Generate(name string, scale float64) *CSR {
 	tm, err := matgen.ByName(name)
 	if err != nil {
+		// Contract: name is one of the five catalog names above.
 		panic(err)
 	}
 	return tm.Generate(scale, 2012)
